@@ -35,6 +35,7 @@ from .transformer import (
     FPT_FROZEN,
     LengthError,
     TransformerModel,
+    _sum_tensors,
     forward_hidden,
     trainable_parameters,
 )
@@ -237,12 +238,11 @@ def _frame_matrix(x) -> np.ndarray:
 
 def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                      x, bidir_method: str = BIDIR_NONE,
-                     partner: "Pipeline | None" = None,
                      restart_positions: bool = False) -> Tensor:
     """Predict an output frame per position; bidir methods wrap the base path.
 
-    Parallel flipping combines two pipelines, so it needs ``partner`` (the
-    reversed pipeline) and returns the combined prediction off the tape.
+    Parallel flipping combines two pipelines, so it is predicted by
+    ``bidir.FlipPair``, not here.
     """
     from . import bidir
 
@@ -257,11 +257,7 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
         return bidir.sequence_doubling_forward(model, embedder, predictor, frame,
                                                restart_positions=restart_positions)
     if bidir_method == PARALLEL_FLIPPING:
-        if partner is None:
-            raise ContractError("parallel flipping needs the reversed pipeline as partner")
-        pair = bidir.FlipPair(forward_pipeline=Pipeline(model, embedder, predictor),
-                              reversed_pipeline=partner)
-        return Tensor(pair.predict(frame))
+        raise ContractError("parallel flipping combines two pipelines; predict with bidir.FlipPair")
     raise ContractError(f"unknown bidir method {bidir_method!r}")
 
 
@@ -344,6 +340,8 @@ class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     initial_test_nrmse: float = float("nan")
     final_test_nrmse: float = float("nan")
+    # per test instance, channel 0 of the prediction scored by final_test_nrmse
+    final_test_predictions: list[np.ndarray] = field(default_factory=list, repr=False)
     optimizer: str = ""
     learning_rate: float = 0.0
     optimizer_overridden: bool = False
@@ -362,15 +360,16 @@ def instance_nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                    instances: list[PdeInstance], bidir_method: str = BIDIR_NONE,
-                   partner: Pipeline | None = None, restart_positions: bool = False) -> float:
+                   restart_positions: bool = False) -> tuple[float, list[np.ndarray]]:
+    """Mean nRMSE over ``instances`` and, per instance, channel 0 of the
+    prediction it scored."""
     with T.no_grad():
-        scores = []
-        for inst in instances:
-            pred = predict_sequence(model, embedder, predictor, inst.input,
-                                    bidir_method=bidir_method, partner=partner,
-                                    restart_positions=restart_positions)
-            scores.append(instance_nrmse(pred.data[:, 0], inst.target.data))
-    return float(np.mean(scores))
+        preds = [predict_sequence(model, embedder, predictor, inst.input,
+                                  bidir_method=bidir_method,
+                                  restart_positions=restart_positions).data[:, 0]
+                 for inst in instances]
+    scores = [instance_nrmse(p, inst.target.data) for p, inst in zip(preds, instances)]
+    return float(np.mean(scores)), preds
 
 
 def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
@@ -386,9 +385,9 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
         raise ContractError("empty training set")
     kind, lr, overridden = config.resolve_optimizer(dataset.family)
     report = TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
-    report.initial_test_nrmse = evaluate_nrmse(model, embedder, predictor, dataset.test,
-                                               bidir_method=config.bidir_method,
-                                               restart_positions=config.restart_positions)
+    report.initial_test_nrmse, _ = evaluate_nrmse(model, embedder, predictor, dataset.test,
+                                                  bidir_method=config.bidir_method,
+                                                  restart_positions=config.restart_positions)
     params = adaptation_trainable_params(model, policy) + embedder.params() + predictor.params()
     wd = config.weight_decay if kind == "adamw" else 0.0
     opt = OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
@@ -408,7 +407,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                                         restart_positions=config.restart_positions)
                 diff = T.sub(pred, Tensor(_frame_matrix(inst.target)))
                 losses.append(T.tmean(T.square(diff)))
-            loss = losses[0] if len(losses) == 1 else T.mul(_sum_list(losses), 1.0 / len(losses))
+            loss = losses[0] if len(losses) == 1 else T.mul(_sum_tensors(losses), 1.0 / len(losses))
             if not np.isfinite(loss.data):
                 report.aborted = True
                 report.abort_reason = (f"non-finite loss at epoch {epoch} "
@@ -422,17 +421,10 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
             break
         report.epoch_losses.append(epoch_loss / max(1, n_batches))
         report.epochs_run = epoch + 1
-    report.final_test_nrmse = evaluate_nrmse(model, embedder, predictor, dataset.test,
-                                             bidir_method=config.bidir_method,
-                                             restart_positions=config.restart_positions)
+    report.final_test_nrmse, report.final_test_predictions = evaluate_nrmse(
+        model, embedder, predictor, dataset.test, bidir_method=config.bidir_method,
+        restart_positions=config.restart_positions)
     return report
-
-
-def _sum_list(ts: list[Tensor]) -> Tensor:
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = T.add(acc, t)
-    return acc
 
 
 @dataclass

@@ -1,12 +1,12 @@
 """Bidirectionality simulation for causal pipelines: Parallel Flipping runs
-the pipeline on original and reversed sequences and keeps each run's rich-
-context half; Sequence Doubling feeds each sequence concatenated with itself
-and predicts from the second half of the last hidden layer.
+the pipeline on original and reversed sequences, one after the other, and
+keeps each run's rich-context half; Sequence Doubling feeds each sequence
+concatenated with itself and predicts from the second half of the last hidden
+layer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,11 +84,15 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
                             dataset: PdeDataset, config: AdaptationConfig,
                             proxy: ProxyEmbeddingSet | None = None,
                             proxy_reversed: ProxyEmbeddingSet | None = None,
-                            concurrent: bool = True,
                             ) -> tuple[FlipPair, AdaptationReport, AdaptationReport]:
-    """Run the full adaptation twice: on the original data and on the flipped
-    data (reversed pipeline).  The two runs share a config but no parameters,
-    and execute concurrently on two workers by default.
+    """Run the full adaptation twice, one run after the other: on the original
+    data, then on the flipped data (reversed pipeline).  The two runs share a
+    config but no parameters.
+
+    Each report's ``train.final_test_predictions`` holds its pipeline's test
+    predictions (the reversed run's in flipped coordinates), so
+    ``combine_halves`` of the pair equals ``FlipPair.predict`` on each test
+    input.
 
     The proxy side is never flipped (language features carry no spatial
     orientation); ``proxy_reversed`` supplies the reversed pipeline's own
@@ -96,16 +100,9 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
     """
     sub = replace(config, bidir_method=BIDIR_NONE)
     sub_rev = replace(sub, seed=config.seed + 1)
-    flipped = flip_dataset(dataset)
     proxy_rev = proxy_reversed if proxy_reversed is not None else proxy
-    if concurrent:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_f = pool.submit(run_adaptation, forward_pipeline, dataset, sub, proxy)
-            fut_r = pool.submit(run_adaptation, reversed_pipeline, flipped, sub_rev, proxy_rev)
-            rep_f, rep_r = fut_f.result(), fut_r.result()
-    else:
-        rep_f = run_adaptation(forward_pipeline, dataset, sub, proxy)
-        rep_r = run_adaptation(reversed_pipeline, flipped, sub_rev, proxy_rev)
+    rep_f = run_adaptation(forward_pipeline, dataset, sub, proxy)
+    rep_r = run_adaptation(reversed_pipeline, flip_dataset(dataset), sub_rev, proxy_rev)
     return FlipPair(forward_pipeline, reversed_pipeline), rep_f, rep_r
 
 

@@ -26,11 +26,10 @@ from .adaptation import (
     SEQUENCE_DOUBLING,
     AdaptationConfig,
     Pipeline,
-    evaluate_nrmse,
     instance_nrmse,
     run_adaptation,
 )
-from .bidir import parallel_flipping_train
+from .bidir import combine_halves, parallel_flipping_train
 from .container import DataFileError
 from .pde_data import load_dataset
 from .proxy_data import build_proxy_set, load_corpus
@@ -252,43 +251,24 @@ def run_one(config: ExperimentConfig, seed: int,
     pipeline = _make_pipeline(config, base_model, seed, role=0, out_length=out_length)
     proxy = build_proxy_set(pipeline.model, corpus) if corpus is not None else None
 
-    stage1_trace: dict = {}
-    epoch_losses: dict = {}
     if config.bidir_method == PARALLEL_FLIPPING:
         partner = _make_pipeline(config, base_model, seed, role=1, out_length=out_length)
-        proxy_rev = build_proxy_set(partner.model, corpus) if corpus is not None else None
-        pair, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
-                                                     proxy=proxy, proxy_reversed=proxy_rev)
+        # clones of one base model embed the corpus identically: reuse ``proxy``
+        proxy_rev = (build_proxy_set(partner.model, corpus)
+                     if corpus is not None and base_model is None else None)
+        _, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
+                                                  proxy=proxy, proxy_reversed=proxy_rev)
         reports = {"forward": rep_f, "reversed": rep_r}
-        predictions = [pair.predict(inst.input.data)[:, 0] for inst in dataset.test]
-        initial = rep_f.train.initial_test_nrmse
-        train_rep = rep_f.train
-        for name, rep in reports.items():
-            epoch_losses[name] = rep.train.epoch_losses
-            if rep.stage1 is not None:
-                stage1_trace[name] = rep.stage1.trace
-        aborted = rep_f.train.aborted or rep_r.train.aborted
-        s1_frac = rep_f.stage1.converged_fraction if rep_f.stage1 else None
+        predictions = [combine_halves(p_f, p_r) for p_f, p_r in
+                       zip(rep_f.train.final_test_predictions,
+                           rep_r.train.final_test_predictions)]
     else:
-        report = run_adaptation(pipeline, dataset, adapt, proxy=proxy)
-        train_rep = report.train
-        initial = report.train.initial_test_nrmse
-        epoch_losses["forward"] = report.train.epoch_losses
-        if report.stage1 is not None:
-            stage1_trace["forward"] = report.stage1.trace
-        aborted = report.train.aborted
-        s1_frac = report.stage1.converged_fraction if report.stage1 else None
-        from . import tensor as T
-
-        with T.no_grad():
-            from .adaptation import predict_sequence
-
-            predictions = [predict_sequence(pipeline.model, pipeline.embedder,
-                                            pipeline.predictor, inst.input,
-                                            bidir_method=config.bidir_method,
-                                            restart_positions=config.restart_positions,
-                                            ).data[:, 0]
-                           for inst in dataset.test]
+        rep_f = run_adaptation(pipeline, dataset, adapt, proxy=proxy)
+        reports = {"forward": rep_f}
+        predictions = rep_f.train.final_test_predictions
+    epoch_losses = {name: rep.train.epoch_losses for name, rep in reports.items()}
+    stage1_trace = {name: rep.stage1.trace for name, rep in reports.items()
+                    if rep.stage1 is not None}
 
     final = float(np.mean([instance_nrmse(p, inst.target.data)
                            for p, inst in zip(predictions, dataset.test)]))
@@ -302,14 +282,14 @@ def run_one(config: ExperimentConfig, seed: int,
         seed=seed,
         family=dataset.family,
         test_nrmse=final,
-        initial_test_nrmse=initial,
+        initial_test_nrmse=rep_f.train.initial_test_nrmse,
         epoch_losses=epoch_losses,
         stage1_trace=stage1_trace,
-        optimizer=train_rep.optimizer,
-        learning_rate=train_rep.learning_rate,
-        optimizer_overridden=train_rep.optimizer_overridden,
-        stage1_converged_fraction=s1_frac,
-        aborted=aborted,
+        optimizer=rep_f.train.optimizer,
+        learning_rate=rep_f.train.learning_rate,
+        optimizer_overridden=rep_f.train.optimizer_overridden,
+        stage1_converged_fraction=rep_f.stage1.converged_fraction if rep_f.stage1 else None,
+        aborted=any(rep.train.aborted for rep in reports.values()),
         spikiness=spikiness,
         wallclock_s=round(time.time() - t0, 3),
     )

@@ -16,6 +16,7 @@ from crossmodal_pde.adaptation import (
     pseudo_label_targets,
     run_adaptation,
 )
+from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.pde_data import GridSpec, PdeInstance, build_dataset, default_params
 from crossmodal_pde.proxy_data import build_proxy_set, gen_corpus
 from crossmodal_pde.tensor import ContractError, Tensor
@@ -103,12 +104,13 @@ def test_predict_shapes_all_methods():
     model = make_model(max_positions=256)
     emb = Embedder.create(1, 32, seed=0)
     pred = Predictor.create(32, 1, seed=1)
-    partner = Pipeline.create(make_model(seed=9, max_positions=256), seed=5)
     x = np.random.default_rng(1).normal(size=128).astype(np.float32)
-    for method, partner_arg in (("none", None), ("sequence_doubling", None),
-                                ("parallel_flipping", partner)):
-        out = predict_sequence(model, emb, pred, x, bidir_method=method, partner=partner_arg)
+    for method in ("none", "sequence_doubling"):
+        out = predict_sequence(model, emb, pred, x, bidir_method=method)
         assert out.data.shape == (128, 1), method
+    partner = Pipeline.create(make_model(seed=9, max_positions=256), seed=5)
+    pair = FlipPair(Pipeline(model, emb, pred), partner)
+    assert pair.predict(x).shape == (128, 1), "parallel_flipping"
 
 
 def test_predict_odd_length_rejected():
@@ -123,7 +125,7 @@ def test_parallel_flipping_needs_partner():
     model = make_model()
     emb = Embedder.create(1, 32, seed=0)
     pred = Predictor.create(32, 1, seed=1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="FlipPair"):
         predict_sequence(model, emb, pred, np.zeros(32, dtype=np.float32),
                          bidir_method="parallel_flipping")
 
@@ -238,7 +240,7 @@ def test_finetune_identity_task_converges():
     dataset = identity_dataset(n_train=16, n_test=4, n_x=64)
     config = AdaptationConfig(epochs=50, batch_size=8, optimizer="adam", seed=1)
     report = finetune(model, emb, pred, dataset, ALL_TRAINABLE, config)
-    train_nrmse = evaluate_nrmse(model, emb, pred, dataset.train)
+    train_nrmse, _ = evaluate_nrmse(model, emb, pred, dataset.train)
     assert train_nrmse < 0.05, f"train nRMSE {train_nrmse:.4f}"
     assert not report.aborted
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,19 @@ def test_parallel_flipping_trains_both_and_combines():
     assert rep_f.train.epochs_run == 5 and rep_r.train.epochs_run == 5
     pred = pair.predict(dataset.test[0].input.data)
     assert pred.shape == (32, 1)
+
+
+def test_parallel_flipping_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread started: {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    dataset = identity_dataset(n_train=4, n_test=2, n_x=32)
+    fwd = Pipeline.create(make_model(seed=11), seed=12)
+    rev = Pipeline.create(make_model(seed=13), seed=14)
+    config = AdaptationConfig(method="fpt", epochs=1, batch_size=4, optimizer="adam", seed=0)
+    _, rep_f, rep_r = parallel_flipping_train(fwd, rev, dataset, config)
+    assert rep_f.train.epochs_run == 1 and rep_r.train.epochs_run == 1
 
 
 def test_parallel_flipping_untrained_reverse_ablation():

@@ -4,6 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from crossmodal_pde import experiments
+from crossmodal_pde import tensor as T
+from crossmodal_pde.adaptation import instance_nrmse, predict_sequence
+from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.container import DataFileError
 from crossmodal_pde.experiments import (
     ExperimentConfig,
@@ -21,7 +25,7 @@ from crossmodal_pde.experiments import (
     table_to_csv,
 )
 from crossmodal_pde.figures import emit_figure
-from crossmodal_pde.pde_data import GridSpec, build_dataset
+from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
 
@@ -111,6 +115,32 @@ def test_run_record_persisted_and_loadable(tmp_path):
     assert loaded["schema_version"] == 1
     assert loaded["test_nrmse"] == rec.test_nrmse
     assert loaded["config"]["name"] == config.name
+
+
+@pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling", "parallel_flipping"])
+def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_method):
+    # the record is scored from finetune's final evaluation; predicting the
+    # test split again with the trained pipelines must give the same bits
+    config = tiny_experiment(tmp_path, bidir_method=bidir_method)
+    made, make = [], experiments._make_pipeline
+
+    def keep(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(experiments, "_make_pipeline", keep)
+    rec = run_one(config, seed=0)
+    test = load_dataset(config.dataset_file).test
+    if bidir_method == "parallel_flipping":
+        pair = FlipPair(*made)
+        preds = [pair.predict(inst.input.data)[:, 0] for inst in test]
+    else:
+        (p,) = made
+        with T.no_grad():
+            preds = [predict_sequence(p.model, p.embedder, p.predictor, inst.input,
+                                      bidir_method=bidir_method).data[:, 0] for inst in test]
+    assert rec.test_nrmse == float(np.mean([instance_nrmse(q, inst.target.data)
+                                            for q, inst in zip(preds, test)]))
 
 
 def test_random_init_never_reads_checkpoint(tmp_path):
