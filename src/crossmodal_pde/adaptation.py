@@ -351,6 +351,11 @@ class TrainReport:
 
 
 def instance_nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Scale-independent error for one instance: ||pred-truth|| / ||truth||,
+    accumulated at 64-bit."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.shape != truth.shape:
+        raise ContractError(f"shape mismatch {pred.shape} vs {truth.shape}")
     num = np.linalg.norm((pred - truth).astype(np.float64))
     den = np.linalg.norm(truth.astype(np.float64))
     if den == 0.0:

@@ -14,7 +14,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -46,15 +46,6 @@ from .transformer import (
 )
 
 SCHEMA_VERSION = 1
-
-
-def nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Scale-independent error for one instance: ||pred-truth|| / ||truth||."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ContractError(f"shape mismatch {pred.shape} vs {truth.shape}")
-    return instance_nrmse(pred, truth)
 
 
 def spikiness_diagnostic(pred: np.ndarray) -> tuple[float, float]:
@@ -115,9 +106,6 @@ class ExperimentConfig:
             raise ContractError(f"unknown method {self.method!r}")
         if self.bidir_method not in (BIDIR_NONE, PARALLEL_FLIPPING, SEQUENCE_DOUBLING):
             raise ContractError(f"unknown bidir method {self.bidir_method!r}")
-        if self.bidir_method == SEQUENCE_DOUBLING and self.batch_size > 8:
-            # doubled sequences double the per-step footprint
-            self.batch_size = 8
 
     def model_config(self, seed: int) -> ModelConfig:
         return ModelConfig(arch=self.arch, d_model=self.d_model, n_heads=self.n_heads,
@@ -143,6 +131,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ContractError(f"unknown experiment config keys: {', '.join(unknown)}")
         return cls(**d)
 
     @classmethod

@@ -2,14 +2,16 @@
 
 The label ground metric uses a diagonal-Gaussian approximation of the
 class-conditional feature distributions; transport is solved by log-domain
-Sinkhorn with uniform marginals.  The whole computation is built from tape
-ops, so the returned cost is differentiable w.r.t. the target points (and
+Sinkhorn with uniform marginals.  The cost matrix is built from tape ops and
+the solve runs in float64 off the tape; the returned cost is one tape op
+(``tensor.transport_cost``) whose backward differentiates the converged plan
+implicitly, so the cost is differentiable w.r.t. the target points (and
 through the target class moments).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,7 +152,6 @@ def _resolve_epsilon(cost_data: np.ndarray, params: SinkhornParams) -> float:
     return DEFAULT_EPSILON_FACTOR * max(med, 1e-12)
 
 
-GRAD_REFINE_ITERS = 40
 _LEVEL_ITERS = 10
 
 
@@ -165,9 +166,11 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
     The solver loop runs in float64 with epsilon annealed from 0.5 *
     median(cost) down to the target (halving at each converged level), which
     keeps small-epsilon problems inside the iteration budget without changing
-    the fixed point.  When the cost tensor carries gradient, a short block of
-    tape iterations warm-started from the converged potentials makes the
-    returned cost differentiable (fixed-point refinement).
+    the fixed point.  The plan is built once from the converged potentials;
+    the coupling, cost and marginal violation all come from it, with or
+    without the tape.  The cost's gradient is the implicit-function gradient
+    at the fixed point (Luise et al., NeurIPS 2018), see
+    ``tensor.transport_cost``.
     """
     if params is None:
         params = SinkhornParams()
@@ -222,35 +225,10 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
                 solver_converged = True
                 break
 
-    eps_target = eps_reached  # plan and refinement use the last epsilon actually run
-    use_tape = cost.requires_grad and T.grad_enabled()
-    if use_tape:
-        la = Tensor(log_a[:, None].astype(np.float32))
-        lb = Tensor(log_b[None, :].astype(np.float32))
-        neg_cost = T.neg(cost)
-        ft = Tensor(f[:, None].astype(np.float32))
-        gt = Tensor(g[None, :].astype(np.float32))
-        inv_eps = 1.0 / eps_target
-        for _ in range(GRAD_REFINE_ITERS):
-            inner = T.mul(T.add(T.add(neg_cost, gt), Tensor((eps_target * log_b)[None, :].astype(np.float32))), inv_eps)
-            ft = T.mul(T.logsumexp_lastdim(inner, keepdims=True), -eps_target)
-            inner_t = T.transpose_last2(
-                T.mul(T.add(T.add(neg_cost, ft), Tensor((eps_target * log_a)[:, None].astype(np.float32))), inv_eps))
-            gt = T.transpose_last2(T.mul(T.logsumexp_lastdim(inner_t, keepdims=True), -eps_target))
-        log_plan = T.add(T.add(T.mul(T.add(T.add(neg_cost, ft), gt), inv_eps), la), lb)
-        coupling = T.exp(log_plan)
-        cost_val = T.tsum(T.mul(coupling, cost))
-    else:
-        p, _ = violation_of(f, g, eps_target)
-        coupling = Tensor(p.astype(np.float32))
-        cost_val = Tensor(np.float32((p * C).sum()))
-
-    p64 = coupling.data.astype(np.float64)
-    final_violation = max(np.abs(p64.sum(axis=1) - 1.0 / n).max(),
-                          np.abs(p64.sum(axis=0) - 1.0 / m).max())
-    converged = solver_converged and final_violation < params.tolerance
-    return SinkhornResult(coupling=coupling, cost=cost_val, converged=converged,
-                          iterations=iterations, marginal_violation=float(final_violation))
+    p, violation = violation_of(f, g, eps_reached)
+    return SinkhornResult(coupling=Tensor(p), cost=T.transport_cost(cost, p, eps_reached),
+                          converged=solver_converged, iterations=iterations,
+                          marginal_violation=float(violation))
 
 
 def exact_transport_cost(cost: np.ndarray) -> float:

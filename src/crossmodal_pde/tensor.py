@@ -61,10 +61,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._backward is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a scalar, got shape {self.shape}")
@@ -83,9 +79,6 @@ class Tensor:
         """Leaf copy of the current values (off the tape)."""
         t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
         return t
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- autodiff ------------------------------------------------------
 
@@ -501,6 +494,35 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return ((x, dx), (gain, dgain), (bias, dbias))
 
     return _make(out, (x, gain, bias), bwd)
+
+
+def transport_cost(cost, plan: np.ndarray, eps: float) -> Tensor:
+    """<P, C> for the entropic transport plan ``plan`` of ``cost`` at ``eps``.
+
+    Backward is the implicit gradient of <P*(C), C> with both marginals held
+    fixed: P - W + P * (lam_i + mu_j), W = P * C / eps, where [lam; mu] solves
+    K [lam; mu] = [W 1; W^T 1] with K = [[diag(P 1), P], [P^T, diag(P^T 1)]].
+    K is positive semidefinite; its null space holds the shifts (lam + t,
+    mu - t) on each connected block of P's support, which leave lam_i + mu_j
+    unchanged where P > 0.  A ridge of 1e-10 of K's largest diagonal entry
+    makes K positive definite and picks one such solution, so a single
+    linear solve also covers plans whose support splits into blocks of exact
+    zeros.
+    """
+    cost = _as_tensor(cost)
+    C = cost.data.astype(np.float64)
+    out = np.float32((plan * C).sum())
+
+    def bwd(g):
+        n = plan.shape[0]
+        w = plan * C / eps
+        K = np.block([[np.diag(plan.sum(axis=1)), plan], [plan.T, np.diag(plan.sum(axis=0))]])
+        K[np.diag_indices_from(K)] += 1e-10 * K.diagonal().max()
+        duals = np.linalg.solve(K, np.concatenate([w.sum(axis=1), w.sum(axis=0)]))
+        grad = plan - w + plan * (duals[:n, None] + duals[None, n:])
+        return ((cost, (g * grad).astype(np.float32)),)
+
+    return _make(out, (cost,), bwd)
 
 
 # -- optimizers --------------------------------------------------------

@@ -86,9 +86,6 @@ class TransformerModel:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def parameter_names(self) -> list[str]:
-        return list(self.params.keys())
-
     def clone(self) -> "TransformerModel":
         m = TransformerModel(config=self.config, pretrained=self.pretrained)
         m.params = {k: v.copy() for k, v in self.params.items()}

@@ -100,3 +100,13 @@ def test_full_pipeline_smoke(tmp_path):
     assert root.tag.endswith("svg")
     bars = [el for el in root.iter() if el.attrib.get("data-mean")]
     assert len(bars) == 1
+
+
+def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
+    config_path = str(tmp_path / "exp.json")
+    with open(config_path, "w") as fh:
+        json.dump({"name": "typo", "dataset_file": str(tmp_path / "adv.bin"),
+                   "out_dir": str(tmp_path / "records"), "epoch": 3}, fh)
+    assert cli_main(["run", "--config", config_path]) == 3
+    err = capsys.readouterr().err
+    assert "epoch" in err and "Traceback" not in err

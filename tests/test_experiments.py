@@ -16,7 +16,6 @@ from crossmodal_pde.experiments import (
     TableRow,
     aggregate,
     load_records,
-    nrmse,
     record_path,
     run_experiment,
     run_one,
@@ -35,25 +34,32 @@ from crossmodal_pde.tensor import ContractError
 
 def test_nrmse_exact_prediction():
     t = np.array([1.0, -2.0, 3.0])
-    assert nrmse(t, t) == 0.0
+    assert instance_nrmse(t, t) == 0.0
 
 
 def test_nrmse_double_prediction():
     t = np.array([1.0, -2.0, 3.0])
-    assert nrmse(2 * t, t) == pytest.approx(1.0)
+    assert instance_nrmse(2 * t, t) == pytest.approx(1.0)
 
 
 def test_nrmse_scale_independent():
     rng = np.random.default_rng(0)
     pred, truth = rng.normal(size=8), rng.normal(size=8)
-    base = nrmse(pred, truth)
+    base = instance_nrmse(pred, truth)
     for a in (2.0, -0.5, 100.0):
-        assert nrmse(a * pred, a * truth) == pytest.approx(base, rel=1e-12)
+        assert instance_nrmse(a * pred, a * truth) == pytest.approx(base, rel=1e-12)
 
 
 def test_nrmse_zero_truth_rejected():
     with pytest.raises(ContractError):
-        nrmse(np.ones(4), np.zeros(4))
+        instance_nrmse(np.ones(4), np.zeros(4))
+
+
+def test_nrmse_shape_mismatch_rejected():
+    # a [L, 1] prediction against an [L] truth must not broadcast to [L, L]
+    t = np.array([1.0, -2.0, 3.0])
+    with pytest.raises(ContractError, match="shape mismatch"):
+        instance_nrmse(t[:, None], t)
 
 
 # -- spikiness --------------------------------------------------------------
@@ -174,9 +180,11 @@ def test_run_experiment_multi_seed_stats(tmp_path):
     assert row.nrmse_min <= row.nrmse_mean <= row.nrmse_max
 
 
-def test_sequence_doubling_reduces_batch_size(tmp_path):
+def test_sequence_doubling_keeps_batch_size(tmp_path):
     config = tiny_experiment(tmp_path, bidir_method="sequence_doubling", batch_size=16)
-    assert config.batch_size == 8
+    assert config.batch_size == 16
+    rec = run_one(config, seed=0)
+    assert rec.config["batch_size"] == 16
 
 
 def test_aggregate_means_are_exact(tmp_path):

@@ -142,15 +142,33 @@ def test_sinkhorn_self_transport_near_zero():
     assert res.cost.item() < 1e-4
 
 
-def test_sinkhorn_marginals_within_tolerance():
+def marginals_cost():
     rng = np.random.default_rng(3)
-    cost = rng.uniform(0.0, 4.0, size=(5, 7)).astype(np.float32)
+    return rng.uniform(0.0, 4.0, size=(5, 7)).astype(np.float32)
+
+
+def test_sinkhorn_marginals_within_tolerance():
+    # 1e-8 is below the float32 rounding of the returned coupling: the
+    # violation is that of the float64 plan the solver converged to
+    for tolerance in (1e-6, 1e-8):
+        params = SinkhornParams(epsilon=0.2, max_iters=2000, tolerance=tolerance)
+        res = sinkhorn(Tensor(marginals_cost()), params)
+        assert res.converged, f"tolerance {tolerance}: violation {res.marginal_violation:.2e}"
+        assert res.marginal_violation < tolerance
+        p = res.coupling.data.astype(np.float64)
+        assert np.abs(p.sum(axis=1) - 1 / 5).max() < 1e-6
+        assert np.abs(p.sum(axis=0) - 1 / 7).max() < 1e-6
+
+
+def test_sinkhorn_same_result_with_and_without_tape():
     params = SinkhornParams(epsilon=0.2, max_iters=2000, tolerance=1e-6)
-    res = sinkhorn(Tensor(cost), params)
-    assert res.converged
-    p = res.coupling.data.astype(np.float64)
-    assert np.abs(p.sum(axis=1) - 1 / 5).max() < params.tolerance
-    assert np.abs(p.sum(axis=0) - 1 / 7).max() < params.tolerance
+    off = sinkhorn(Tensor(marginals_cost()), params)
+    on = sinkhorn(Tensor(marginals_cost(), requires_grad=True), params)
+    assert on.cost.requires_grad and not off.cost.requires_grad
+    assert on.cost.item() == off.cost.item()
+    assert on.converged == off.converged
+    assert on.marginal_violation == off.marginal_violation
+    np.testing.assert_array_equal(on.coupling.data, off.coupling.data)
 
 
 def test_sinkhorn_matches_permutation_oracle_small():
@@ -216,23 +234,23 @@ def test_otdd_translation_vs_oracle():
     assert abs(res.cost.item() - opt) <= 0.02 * opt
 
 
-def test_otdd_gradient_matches_finite_differences():
-    rng = np.random.default_rng(9)
-    target_pts = Tensor(rng.normal(scale=1.5, size=(6, 3)).astype(np.float32), requires_grad=True)
-    target = LabeledPointCloud(points=target_pts, labels=np.array([0, 0, 1, 1, 2, 2]), class_count=3)
-    proxy = random_cloud(rng, 8, 3, 3)
-    params = SinkhornParams(epsilon=0.3, max_iters=4000, tolerance=1e-7)
+def otdd_grad_rel_error(target_pts: Tensor, labels, proxy: LabeledPointCloud,
+                        params: SinkhornParams, h: float = 1e-3) -> float:
+    """Largest relative error of the OTDD gradient w.r.t. the target points
+    against central differences of the no-grad value."""
+    k = int(np.max(labels)) + 1
+    target = LabeledPointCloud(points=target_pts, labels=labels, class_count=k)
 
     def value() -> float:
-        t = LabeledPointCloud(points=Tensor(target_pts.data), labels=target.labels, class_count=3)
+        t = LabeledPointCloud(points=Tensor(target_pts.data), labels=labels, class_count=k)
         with T.no_grad():
             return otdd_distance(t, proxy, params).cost.item()
 
     T.zero_grads([target_pts])
     otdd_distance(target, proxy, params).cost.backward()
     analytic = target_pts.grad.astype(np.float64)
+    assert np.all(np.isfinite(analytic))
 
-    h = 1e-3
     fd = np.zeros_like(analytic)
     flat = target_pts.data.reshape(-1)
     fd_flat = fd.reshape(-1)
@@ -245,7 +263,61 @@ def test_otdd_gradient_matches_finite_differences():
         flat[i] = orig
         fd_flat[i] = (hi - lo) / (hi_x - lo_x)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1.0)
-    assert rel.max() < 1e-3, f"max rel grad error {rel.max():.2e}"
+    return float(rel.max())
+
+
+def test_otdd_gradient_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    target_pts = Tensor(rng.normal(scale=1.5, size=(6, 3)).astype(np.float32), requires_grad=True)
+    proxy = random_cloud(rng, 8, 3, 3)
+    params = SinkhornParams(epsilon=0.3, max_iters=4000, tolerance=1e-7)
+    rel = otdd_grad_rel_error(target_pts, np.array([0, 0, 1, 1, 2, 2]), proxy, params)
+    assert rel < 1e-3, f"max rel grad error {rel:.2e}"
+
+
+def otdd_cost_matrix(a: LabeledPointCloud, b: LabeledPointCloud) -> np.ndarray:
+    mom_a, mom_b = compute_class_moments(a), compute_class_moments(b)
+    return joint_cost_matrix(a, b, label_distance_matrix(mom_a, mom_b),
+                             mom_a.classes, mom_b.classes).data
+
+
+@pytest.mark.parametrize("seed", [21, 24, 30])
+def test_otdd_gradient_matches_finite_differences_small_epsilon(seed):
+    # at 1% of the median cost the plan is nearly a matching: an unrolled
+    # or truncated gradient is off by several percent here, the implicit
+    # gradient at the fixed point is not
+    rng = np.random.default_rng(seed)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    target_pts = Tensor(rng.normal(scale=1.5, size=(6, 3)).astype(np.float32), requires_grad=True)
+    proxy = random_cloud(rng, 8, 3, 3)
+    cost = otdd_cost_matrix(make_cloud(target_pts.data, labels, 3), proxy)
+    params = SinkhornParams(epsilon=0.01 * float(np.median(cost)), max_iters=20000,
+                            tolerance=1e-9)
+    rel = otdd_grad_rel_error(target_pts, labels, proxy, params)
+    assert rel < 5e-3, f"max rel grad error {rel:.2e}"
+
+
+def test_otdd_gradient_with_exact_zero_plan_blocks():
+    # two tight clusters 4 apart on each side, two points each: at epsilon
+    # 0.005 the cross-cluster plan entries underflow to exactly 0, so the
+    # plan's support splits into two blocks and the implicit system gains a
+    # second gauge direction
+    rng = np.random.default_rng(14)
+    shift = np.array([2.0, 0.0])
+    a = np.concatenate([rng.normal(scale=0.3, size=(2, 2)) - shift,
+                        rng.normal(scale=0.3, size=(2, 2)) + shift])
+    b = np.concatenate([rng.normal(scale=0.3, size=(2, 2)) - shift,
+                        rng.normal(scale=0.3, size=(2, 2)) + shift])
+    labels = np.zeros(4, dtype=int)
+    proxy = make_cloud(b, labels, 1)
+    params = SinkhornParams(epsilon=0.005, max_iters=20000, tolerance=1e-9)
+    res = otdd_distance(make_cloud(a, labels, 1), proxy, params)
+    assert res.converged
+    plan = res.coupling.data
+    assert np.all(plan[:2, 2:] == 0.0) and np.all(plan[2:, :2] == 0.0)
+    target_pts = Tensor(a.astype(np.float32), requires_grad=True)
+    rel = otdd_grad_rel_error(target_pts, labels, proxy, params)
+    assert rel < 1e-3, f"max rel grad error {rel:.2e}"
 
 
 def test_otdd_epsilon_halving_does_not_inflate_cost():
