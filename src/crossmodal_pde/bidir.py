@@ -95,14 +95,13 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
     input.
 
     The proxy side is never flipped (language features carry no spatial
-    orientation); ``proxy_reversed`` supplies the reversed pipeline's own
-    model embeddings when they differ from the forward one's.
+    orientation); ``proxy_reversed`` is the reversed pipeline's own model
+    embedding of the corpus, which ORCA needs as well as ``proxy``.
     """
     sub = replace(config, bidir_method=BIDIR_NONE)
     sub_rev = replace(sub, seed=config.seed + 1)
-    proxy_rev = proxy_reversed if proxy_reversed is not None else proxy
     rep_f = run_adaptation(forward_pipeline, dataset, sub, proxy)
-    rep_r = run_adaptation(reversed_pipeline, flip_dataset(dataset), sub_rev, proxy_rev)
+    rep_r = run_adaptation(reversed_pipeline, flip_dataset(dataset), sub_rev, proxy_reversed)
     return FlipPair(forward_pipeline, reversed_pipeline), rep_f, rep_r
 
 

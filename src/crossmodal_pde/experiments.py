@@ -244,9 +244,7 @@ def run_one(config: ExperimentConfig, seed: int,
 
     if config.bidir_method == PARALLEL_FLIPPING:
         partner = _make_pipeline(config, base_model, seed, role=1, out_length=out_length)
-        # clones of one base model embed the corpus identically: reuse ``proxy``
-        proxy_rev = (build_proxy_set(partner.model, corpus)
-                     if corpus is not None and base_model is None else None)
+        proxy_rev = build_proxy_set(partner.model, corpus) if corpus is not None else None
         _, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
                                                   proxy=proxy, proxy_reversed=proxy_rev)
         reports = {"forward": rep_f, "reversed": rep_r}
@@ -345,13 +343,24 @@ class ResultsTable:
 
 
 def load_records(records_dir) -> list[dict]:
+    """Every ``*.json`` run record in the directory; a file that is not a
+    record of this schema raises ``DataFileError`` naming it."""
     if not os.path.isdir(records_dir):
         raise DataFileError(f"records directory not found: {records_dir}")
     records = []
     for name in sorted(os.listdir(records_dir)):
-        if name.endswith(".json"):
-            with open(os.path.join(records_dir, name), "r", encoding="utf-8") as fh:
-                records.append(json.load(fh))
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(records_dir, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            rec = json.load(fh)
+        if not isinstance(rec, dict) or rec.get("schema_version") != SCHEMA_VERSION:
+            raise DataFileError(f"{path} is not a run record of schema_version "
+                                f"{SCHEMA_VERSION}")
+        missing = [k for k in ("config", "family", "test_nrmse") if k not in rec]
+        if missing:
+            raise DataFileError(f"{path} is not a run record: missing {', '.join(missing)}")
+        records.append(rec)
     return records
 
 

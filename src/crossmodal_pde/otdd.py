@@ -122,6 +122,10 @@ def joint_cost_matrix(a: LabeledPointCloud, b: LabeledPointCloud, label_dist: Te
 
 @dataclass
 class SinkhornParams:
+    """``epsilon=0`` selects the median rule: epsilon is resolved from the
+    cost matrix as 0.05 * median(C) and then held constant, so the cost's
+    gradient is its derivative at that fixed epsilon, not through the median."""
+
     epsilon: float = 0.0  # 0: use 0.05 * median cost
     max_iters: int = 500
     tolerance: float = 1e-6
@@ -252,7 +256,9 @@ def otdd_distance(target: LabeledPointCloud, proxy: LabeledPointCloud,
 
     Target class moments are recomputed on every call (they carry gradient);
     pass precomputed ``proxy_moments`` to reuse the fixed side across calls.
-    The result's ``cost`` is the differentiable training signal.
+    The result's ``cost`` is the differentiable training signal; with
+    ``epsilon=0`` its gradient treats the median-rule epsilon resolved from
+    the cost matrix as a constant (see ``SinkhornParams``).
     """
     if len(target) == 0 or len(proxy) == 0:
         raise ContractError("point clouds must be nonempty")

@@ -9,6 +9,7 @@ excluded from the feature set.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,23 +110,53 @@ def model_id(model: TransformerModel) -> str:
     return f"{cfg.arch}-d{cfg.d_model}h{cfg.n_heads}l{cfg.n_layers}-seed{cfg.seed}"
 
 
+def _proxy_key(model: TransformerModel, corpus: SyntheticCorpus) -> bytes:
+    """Digest of everything a proxy set depends on: the model's config, flag
+    and weights, and the corpus's tag count, seed and sequences."""
+    h = hashlib.blake2b(digest_size=32)
+    h.update(repr((model.config, model.pretrained, corpus.tag_count, corpus.seed)).encode())
+    arrays = [(name, p.data) for name, p in model.params.items()]
+    arrays += [("seq", a) for pair in corpus.sequences for a in pair]
+    for name, a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(repr((name, a.shape, a.dtype.str)).encode())
+        h.update(a.data)
+    return h.digest()
+
+
+# "last" -> (key, features, labels) of the last set built; the dict is updated
+# in place, so the module's attributes keep their identity
+_last_proxy: dict[str, tuple[bytes, np.ndarray, np.ndarray]] = {}
+
+
 def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> ProxyEmbeddingSet:
     """Embed every sequence (padded to 32) with the model's native mask and
-    collect last-hidden vectors at non-pad positions, paired with tags."""
+    collect last-hidden vectors at non-pad positions, paired with tags.
+
+    The last set built is kept, keyed by the content of the model and the
+    corpus, so identical clones of one model share one read-only set."""
     if model.config.max_positions < PROXY_LENGTH:
         raise ValueError(f"model max_positions must be >= {PROXY_LENGTH}")
-    feats, labels = [], []
-    with T.no_grad():
-        for tokens, tags in corpus.sequences:
-            padded = np.full(PROXY_LENGTH, PAD_TOKEN, dtype=np.int64)
-            padded[: len(tokens)] = tokens
-            hidden = forward_hidden(model, embed_tokens(model, padded),
-                                    model.config.mask_policy)
-            feats.append(hidden.data[: len(tokens)])
-            labels.append(tags)
+    key = _proxy_key(model, corpus)
+    last = _last_proxy.get("last")  # one read, so a concurrent build cannot swap the set
+    if last is None or last[0] != key:
+        feats, labels = [], []
+        with T.no_grad():
+            for tokens, tags in corpus.sequences:
+                padded = np.full(PROXY_LENGTH, PAD_TOKEN, dtype=np.int64)
+                padded[: len(tokens)] = tokens
+                hidden = forward_hidden(model, embed_tokens(model, padded),
+                                        model.config.mask_policy)
+                feats.append(hidden.data[: len(tokens)])
+                labels.append(tags)
+        features = np.concatenate(feats).astype(np.float32)
+        labels = np.concatenate(labels).astype(np.int32)
+        features.flags.writeable = labels.flags.writeable = False
+        last = _last_proxy["last"] = (key, features, labels)
+    _, features, labels = last
     return ProxyEmbeddingSet(
-        features=np.concatenate(feats).astype(np.float32),
-        labels=np.concatenate(labels).astype(np.int32),
+        features=features,
+        labels=labels,
         tag_count=corpus.tag_count,
         source_model_id=model_id(model),
         source_pretrained=model.pretrained,

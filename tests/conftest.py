@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crossmodal_pde import proxy_data
 from crossmodal_pde.pde_data import GridSpec, PdeDataset, PdeInstance, build_dataset, default_params
 from crossmodal_pde.tensor import Tensor
 from crossmodal_pde.transformer import DECODER_ONLY, ModelConfig, build_model
@@ -35,3 +36,18 @@ def identity_dataset(n_train=12, n_test=4, n_x=32, seed=0):
 @pytest.fixture
 def small_advection_dataset():
     return build_dataset("advection", 8, 4, GridSpec(n_x=32, t_out=0.5), seed=7)
+
+
+@pytest.fixture
+def proxy_forwards(monkeypatch):
+    """Count build_proxy_set's forward passes, starting from an empty proxy slot."""
+    calls = []
+    forward = proxy_data.forward_hidden
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(proxy_data, "forward_hidden", counted)
+    monkeypatch.setattr(proxy_data, "_last_proxy", {})
+    return calls

@@ -110,3 +110,12 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert cli_main(["run", "--config", config_path]) == 3
     err = capsys.readouterr().err
     assert "epoch" in err and "Traceback" not in err
+
+
+def test_table_foreign_record_is_usage_error(tmp_path, capsys):
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "foreign.json").write_text('{"schema_version": 1, "bogus": 1}')
+    assert cli_main(["table", "--records", str(records), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "foreign.json" in err and "Traceback" not in err

@@ -149,6 +149,48 @@ def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_meth
                                             for q, inst in zip(preds, test)]))
 
 
+def test_orca_seeds_of_one_base_model_embed_corpus_once(tmp_path, proxy_forwards):
+    config = tiny_experiment(tmp_path, method="orca", pretrained=True, seeds=[0, 1])
+    base = experiments._prepare_base_model(config)
+    n_seq = 30  # tiny_experiment's corpus
+    run_one(config, seed=0, base_model=base)
+    assert len(proxy_forwards) == n_seq
+    run_one(config, seed=1, base_model=base)
+    assert len(proxy_forwards) == n_seq  # the second seed reuses the set
+
+
+def test_orca_record_same_with_cached_proxy(tmp_path, proxy_forwards):
+    config = tiny_experiment(tmp_path, method="orca", pretrained=True)
+    base = experiments._prepare_base_model(config)
+    built = strip_wallclock(json.loads(run_one(config, seed=0, base_model=base).to_json()))
+    n = len(proxy_forwards)
+    cached = strip_wallclock(json.loads(run_one(config, seed=0, base_model=base).to_json()))
+    assert len(proxy_forwards) == n  # the second run hit the slot
+    assert cached == built
+
+
+@pytest.mark.parametrize("pretrained", [False, True])
+def test_parallel_flipping_orca_proxy_sets(tmp_path, monkeypatch, pretrained):
+    # a random-init partner is a different model and embeds the corpus
+    # differently; a clone of the pretrained base shares the forward set
+    config = tiny_experiment(tmp_path, method="orca", bidir_method="parallel_flipping",
+                             pretrained=pretrained)
+    seen, train = {}, experiments.parallel_flipping_train
+
+    def keep(*args, **kwargs):
+        seen.update(kwargs)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "parallel_flipping_train", keep)
+    run_one(config, seed=0)
+    fwd, rev = seen["proxy"], seen["proxy_reversed"]
+    if pretrained:
+        assert rev.features is fwd.features
+    else:
+        assert fwd.features.shape == rev.features.shape
+        assert not np.array_equal(fwd.features, rev.features)
+
+
 def test_random_init_never_reads_checkpoint(tmp_path):
     config = tiny_experiment(tmp_path, pretrained=False,
                              checkpoint_file=str(tmp_path / "missing.ckpt"))
@@ -201,6 +243,18 @@ def test_load_records_round_trip(tmp_path):
     records = load_records(config.out_dir)
     assert len(records) == 2
     assert {r["seed"] for r in records} == {0, 1}
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema_version": 1, "bogus": 1}',
+    '{"schema_version": 99, "config": {}, "family": "x", "test_nrmse": 0.5}',
+    '[1, 2]'], ids=["missing_fields", "other_schema", "not_an_object"])
+def test_load_records_rejects_foreign_json(tmp_path, text):
+    config = tiny_experiment(tmp_path)
+    run_one(config, seed=0)
+    (tmp_path / "records" / "zz_foreign.json").write_text(text)
+    with pytest.raises(DataFileError, match="zz_foreign.json"):
+        load_records(config.out_dir)
 
 
 # -- table CSV ---------------------------------------------------------------

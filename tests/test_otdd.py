@@ -4,6 +4,7 @@ from scipy.linalg import sqrtm
 
 from crossmodal_pde import tensor as T
 from crossmodal_pde.otdd import (
+    DEFAULT_EPSILON_FACTOR,
     DomainError,
     LabeledPointCloud,
     SinkhornParams,
@@ -235,16 +236,19 @@ def test_otdd_translation_vs_oracle():
 
 
 def otdd_grad_rel_error(target_pts: Tensor, labels, proxy: LabeledPointCloud,
-                        params: SinkhornParams, h: float = 1e-3) -> float:
+                        params: SinkhornParams, h: float = 1e-3,
+                        value_params: SinkhornParams | None = None) -> float:
     """Largest relative error of the OTDD gradient w.r.t. the target points
-    against central differences of the no-grad value."""
+    against central differences of the no-grad value (computed with
+    ``value_params`` when given, else with ``params``)."""
     k = int(np.max(labels)) + 1
     target = LabeledPointCloud(points=target_pts, labels=labels, class_count=k)
+    value_params = value_params or params
 
     def value() -> float:
         t = LabeledPointCloud(points=Tensor(target_pts.data), labels=labels, class_count=k)
         with T.no_grad():
-            return otdd_distance(t, proxy, params).cost.item()
+            return otdd_distance(t, proxy, value_params).cost.item()
 
     T.zero_grads([target_pts])
     otdd_distance(target, proxy, params).cost.backward()
@@ -272,6 +276,22 @@ def test_otdd_gradient_matches_finite_differences():
     proxy = random_cloud(rng, 8, 3, 3)
     params = SinkhornParams(epsilon=0.3, max_iters=4000, tolerance=1e-7)
     rel = otdd_grad_rel_error(target_pts, np.array([0, 0, 1, 1, 2, 2]), proxy, params)
+    assert rel < 1e-3, f"max rel grad error {rel:.2e}"
+
+
+def test_otdd_gradient_median_rule_holds_epsilon_fixed():
+    # with epsilon=0 the median rule resolves epsilon from C, and the
+    # gradient is that of the cost at this epsilon held constant: it matches
+    # central differences of the value recomputed with epsilon frozen
+    rng = np.random.default_rng(9)
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    target_pts = Tensor(rng.normal(scale=1.5, size=(6, 3)).astype(np.float32), requires_grad=True)
+    proxy = random_cloud(rng, 8, 3, 3)
+    cost = otdd_cost_matrix(make_cloud(target_pts.data, labels, 3), proxy)
+    params = SinkhornParams(epsilon=0.0, max_iters=4000, tolerance=1e-7)
+    frozen = SinkhornParams(epsilon=DEFAULT_EPSILON_FACTOR * float(np.median(cost)),
+                            max_iters=4000, tolerance=1e-7)
+    rel = otdd_grad_rel_error(target_pts, labels, proxy, params, value_params=frozen)
     assert rel < 1e-3, f"max rel grad error {rel:.2e}"
 
 

@@ -1,4 +1,7 @@
+import dataclasses
+
 import numpy as np
+import pytest
 
 from crossmodal_pde import proxy_data as px
 from crossmodal_pde.proxy_data import (
@@ -73,11 +76,13 @@ def test_proxy_pad_positions_excluded():
     np.testing.assert_array_equal(proxy.features[: len(tokens0)], proxy_solo.features)
 
 
-def test_proxy_deterministic():
+def test_proxy_deterministic(monkeypatch):
     corpus = gen_corpus(seed=9, n_sequences=10)
     model = tiny_model()
     a = build_proxy_set(model, corpus)
+    monkeypatch.setattr(px, "_last_proxy", {})  # two real builds, not one cached set
     b = build_proxy_set(model, corpus)
+    assert a.features is not b.features
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
 
@@ -131,3 +136,69 @@ def test_proxy_round_trip(tmp_path):
 
 def test_pad_token_reserved():
     assert PAD_TOKEN == 0 and px.MASK_TOKEN == 1
+
+
+# -- the content-keyed proxy set ----------------------------------------------
+
+
+def test_proxy_cache_hit_equals_fresh_build(proxy_forwards, monkeypatch):
+    corpus = gen_corpus(seed=15, n_sequences=12)
+    model = tiny_model()
+    fresh = build_proxy_set(model, corpus)
+    hit = build_proxy_set(model.clone(), corpus)
+    assert len(proxy_forwards) == len(corpus.sequences)  # the clone's set came from the slot
+    monkeypatch.setattr(px, "_last_proxy", {})
+    again = build_proxy_set(model, corpus)
+    assert len(proxy_forwards) == 2 * len(corpus.sequences)
+    for a in (hit, again):
+        assert a.features.tobytes() == fresh.features.tobytes()
+        assert a.labels.tobytes() == fresh.labels.tobytes()
+        assert a.features.dtype == fresh.features.dtype and a.labels.dtype == fresh.labels.dtype
+        assert a.provenance == fresh.provenance and a.provenance is not fresh.provenance
+        assert a.source_model_id == fresh.source_model_id
+
+
+def _change(change, model, corpus):
+    if change == "param_in_place":
+        model.params["layer0.mlp.w1"].data[0, 0] += 1.0
+    elif change == "corpus":
+        corpus = gen_corpus(seed=17, n_sequences=len(corpus.sequences))
+    elif change == "pretrained":
+        model = model.clone()
+        model.pretrained = not model.pretrained
+    elif change == "config_seed":  # same weights, different config
+        model = model.clone()
+        model.config = dataclasses.replace(model.config, seed=model.config.seed + 1)
+    return model, corpus
+
+
+@pytest.mark.parametrize("change", ["param_in_place", "corpus", "pretrained", "config_seed"])
+def test_proxy_cache_misses_on_any_change(proxy_forwards, change):
+    corpus = gen_corpus(seed=16, n_sequences=6)
+    model = tiny_model()
+    first = build_proxy_set(model, corpus)
+    n = len(proxy_forwards)
+    model, corpus = _change(change, model, corpus)
+    second = build_proxy_set(model, corpus)
+    assert len(proxy_forwards) == n + len(corpus.sequences)
+    assert second.features is not first.features
+
+
+def test_proxy_arrays_read_only(proxy_forwards):
+    corpus = gen_corpus(seed=19, n_sequences=4)
+    model = tiny_model()
+    for proxy in (build_proxy_set(model, corpus), build_proxy_set(model, corpus)):
+        with pytest.raises(ValueError):
+            proxy.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            proxy.labels[0] = 1
+
+
+def test_proxy_max_positions_checked_before_lookup(proxy_forwards):
+    corpus = gen_corpus(seed=20, n_sequences=3)
+    short = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=1,
+                                    d_ff=64, max_positions=16, vocab_size=64, seed=0))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="max_positions"):
+            build_proxy_set(short, corpus)
+    assert px._last_proxy == {}
