@@ -172,6 +172,7 @@ def _cmd_doctor(_args) -> int:
     check("sinkhorn vs permutation oracle", _doctor_sinkhorn)
     check("flip involution and half combine", _doctor_bidir)
     check("softmax row sums", _doctor_softmax)
+    check("masked softmax exact zeros", _doctor_masked_softmax)
     failed = 0
     for name, ok, msg in checks:
         print(f"[{'ok' if ok else 'FAIL'}] {name}" + (f" ({msg})" if msg else ""))
@@ -267,6 +268,23 @@ def _doctor_softmax():
     s = T.softmax_lastdim(Tensor(x)).data.sum(axis=-1, dtype=np.float64)
     if np.abs(s - 1.0).max() >= 1e-6:
         raise AssertionError("softmax rows do not sum to 1")
+
+
+def _doctor_masked_softmax():
+    from . import tensor as T
+    from .tensor import Tensor
+    from .transformer import causal_bias
+
+    L = 16
+    bias = causal_bias(L)
+    if causal_bias(L) is not bias or bias.flags.writeable:
+        raise AssertionError("causal bias is not a cached read-only array")
+    x = np.random.default_rng(4).uniform(-50, 50, size=(2, L, L)).astype(np.float32)
+    probs = T.softmax_lastdim(Tensor(x), bias=bias).data
+    if not np.all(probs[:, ~np.tri(L, dtype=bool)] == 0.0):
+        raise AssertionError("masked attention weights are not exactly 0.0")
+    if np.abs(probs.sum(axis=-1, dtype=np.float64) - 1.0).max() >= 1e-6:
+        raise AssertionError("masked softmax rows do not sum to 1")
 
 
 _COMMANDS = {

@@ -8,6 +8,7 @@ order.  Datasets, proxy sets, and model checkpoints all use this container.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -16,6 +17,7 @@ import numpy as np
 FORMAT_VERSION = 1
 
 _DTYPES = {"<f4": np.dtype("<f4"), "<i4": np.dtype("<i4")}
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset")
 
 
 class DataFileError(IOError):
@@ -36,7 +38,7 @@ def write_container(path, header: dict, blocks: list[tuple[str, np.ndarray]]) ->
     offset = 0
     payloads = []
     for name, arr in blocks:
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # keeps a 0-d block 0-d
         tag = _dtype_tag(arr)
         raw = arr.astype(_DTYPES[tag], copy=False).tobytes()
         manifest.append({"name": name, "dtype": tag, "shape": list(arr.shape), "offset": offset})
@@ -61,8 +63,18 @@ def write_container(path, header: dict, blocks: list[tuple[str, np.ndarray]]) ->
         raise
 
 
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container; returns (header, {block name: array})."""
+    """Read a container; returns (header, {block name: array}).
+
+    The manifest must describe the payload exactly as ``write_container``
+    lays it out: every entry has a name, a known dtype, a shape of
+    non-negative integers and an offset equal to the end of the previous
+    block, and the last block ends at the end of the file.
+    """
     if not os.path.exists(path):
         raise DataFileError(f"container file not found: {path}")
     with open(path, "rb") as fh:
@@ -72,17 +84,29 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataFileError(f"bad container header in {path}: {exc}") from exc
         payload = fh.read()
+    manifest = header.get("blocks", []) if isinstance(header, dict) else None
+    if not isinstance(manifest, list):
+        raise DataFileError(f"bad container header in {path}: no block manifest")
     blocks: dict[str, np.ndarray] = {}
-    for entry in header.get("blocks", []):
-        dtype = _DTYPES.get(entry["dtype"])
+    end = 0
+    for entry in manifest:
+        if not isinstance(entry, dict) or any(k not in entry for k in _ENTRY_KEYS):
+            raise DataFileError(f"block entry {entry!r} in {path} lacks one of {_ENTRY_KEYS}")
+        name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        dtype = _DTYPES.get(entry["dtype"]) if isinstance(entry["dtype"], str) else None
         if dtype is None:
             raise DataFileError(f"unknown dtype {entry['dtype']!r} in {path}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        stop = start + count * dtype.itemsize
-        if stop > len(payload):
-            raise DataFileError(f"truncated payload for block {entry['name']!r} in {path}")
-        arr = np.frombuffer(payload[start:stop], dtype=dtype).reshape(shape)
-        blocks[entry["name"]] = arr.copy()
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(_is_count(n) for n in shape) and _is_count(start)):
+            raise DataFileError(f"block {name!r} in {path} needs a string name and a "
+                                f"non-negative integer shape and offset")
+        if start != end:
+            raise DataFileError(f"block {name!r} in {path} starts at byte {start}, not at "
+                                f"{end} where the previous block ends (overlap or gap)")
+        end = start + math.prod(shape) * dtype.itemsize
+        if end > len(payload):
+            raise DataFileError(f"truncated payload for block {name!r} in {path}")
+        blocks[name] = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape).copy()
+    if end != len(payload):
+        raise DataFileError(f"{len(payload) - end} trailing payload bytes in {path}")
     return header, blocks

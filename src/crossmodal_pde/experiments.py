@@ -342,9 +342,14 @@ class ResultsTable:
     rows: list[TableRow]
 
 
+# the config keys ``aggregate`` groups by
+_GROUP_KEYS = ("arch", "d_model", "n_layers", "pretrained", "method", "bidir_method")
+
+
 def load_records(records_dir) -> list[dict]:
     """Every ``*.json`` run record in the directory; a file that is not a
-    record of this schema raises ``DataFileError`` naming it."""
+    record of this schema (not JSON, or lacking a field ``aggregate`` reads)
+    raises ``DataFileError`` naming it."""
     if not os.path.isdir(records_dir):
         raise DataFileError(f"records directory not found: {records_dir}")
     records = []
@@ -352,14 +357,23 @@ def load_records(records_dir) -> list[dict]:
         if not name.endswith(".json"):
             continue
         path = os.path.join(records_dir, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                rec = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFileError(f"{path} is not a JSON run record: {exc}") from exc
         if not isinstance(rec, dict) or rec.get("schema_version") != SCHEMA_VERSION:
             raise DataFileError(f"{path} is not a run record of schema_version "
                                 f"{SCHEMA_VERSION}")
-        missing = [k for k in ("config", "family", "test_nrmse") if k not in rec]
+        missing = [k for k in ("config", "family", "test_nrmse", "wallclock_s") if k not in rec]
         if missing:
             raise DataFileError(f"{path} is not a run record: missing {', '.join(missing)}")
+        cfg = rec["config"]
+        if not isinstance(cfg, dict):
+            raise DataFileError(f"{path} is not a run record: config is not an object")
+        missing = [k for k in _GROUP_KEYS if k not in cfg]
+        if missing:
+            raise DataFileError(f"{path} is not a run record: config lacks {', '.join(missing)}")
         records.append(rec)
     return records
 
@@ -369,8 +383,7 @@ def aggregate(records: list[dict]) -> ResultsTable:
     groups: dict[tuple, list[dict]] = {}
     for rec in records:
         cfg = rec["config"]
-        key = (rec["family"], cfg["arch"], cfg["d_model"], cfg["n_layers"],
-               cfg["pretrained"], cfg["method"], cfg["bidir_method"])
+        key = (rec["family"], *(cfg[k] for k in _GROUP_KEYS))
         groups.setdefault(key, []).append(rec)
     rows = []
     for key in sorted(groups, key=str):

@@ -106,7 +106,11 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
 
+        # A parent's first gradient is stored as received, so it may be shared
+        # (``add`` hands one array to both operands); it is copied only when a
+        # second contribution must be added in place (copy-on-accumulate).
         flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        owned: set[int] = set()
         for node in reversed(topo):
             g = flowing.pop(id(node), None)
             if g is None:
@@ -119,11 +123,18 @@ class Tensor:
                 for parent, pg in node._backward(g):
                     if not parent.requires_grad:
                         continue
-                    buf = flowing.get(id(parent))
+                    key = id(parent)
+                    buf = flowing.get(key)
                     if buf is None:
-                        flowing[id(parent)] = pg.astype(np.float32, copy=True)
-                    else:
+                        # strided and broadcast views are made dense, as a copy would
+                        dense = pg.flags.c_contiguous or pg.flags.f_contiguous
+                        flowing[key] = pg.astype(np.float32, copy=not dense)
+                    elif key in owned:
                         buf += pg
+                    else:
+                        buf = flowing[key] = buf.copy(order="K")
+                        buf += pg
+                        owned.add(key)
         # free the tape
         for node in topo:
             node._parents = ()
@@ -426,28 +437,40 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def softmax_lastdim(x, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax over the last dim.
+def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
+    """Stable softmax of ``x * scale + bias`` over the last dim.
 
-    ``mask`` is a boolean array broadcastable to ``x``; False entries get
-    weight exactly 0.0 and are excluded from the normalizer, so masked
-    positions have bit-exact zero influence downstream.
+    ``scale`` is rounded to float32 and multiplies ``x`` in float32, as
+    ``mul(x, scale)`` would.  ``bias`` is an additive float array
+    broadcastable to ``x`` holding 0.0 for kept and -inf for masked entries
+    (see ``transformer.causal_bias``).  A masked entry gets weight exactly
+    0.0 and is left out of the normalizer, so it has bit-exact zero
+    influence on the weights, provided its score is finite (inf or NaN plus
+    -inf is NaN).  A row with every entry masked gives NaN.
     """
     x = _as_tensor(x)
     if x.data.ndim < 1 or x.data.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last dimension")
-    z = x.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        z = np.where(mask, z, -np.inf)
-    zmax = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - zmax)  # exp(-inf) == 0.0 exactly
+    scale = np.float32(scale)
+    e = x.data * scale
+    if bias is not None:
+        bias = np.asarray(bias)
+        if bias.dtype.kind != "f":
+            raise ContractError(f"softmax bias must be a float array, got {bias.dtype}")
+        if np.broadcast_shapes(bias.shape, x.data.shape) != x.data.shape:
+            raise ShapeError(f"softmax bias {bias.shape} does not broadcast to {x.data.shape}")
+        e += bias
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
     denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-    out = (e / denom).astype(np.float32)
+    out = np.divide(e, denom, out=e, casting="unsafe")  # float64 quotient, rounded once
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-        return ((x, out * (g - dot)),)
+        dx = g - dot
+        dx *= out
+        dx *= scale
+        return ((x, dx),)
 
     return _make(out, (x,), bwd)
 
@@ -476,18 +499,24 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
-    x64 = x.data.astype(np.float64)
-    mean = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
+    # one float64 buffer, centred in place and then scaled; the mean of its
+    # squares is the sum np.var forms, so the statistics keep their bits
+    xc = x.data.astype(np.float64)
+    xc -= xc.mean(axis=-1, keepdims=True)
+    var = np.square(xc).mean(axis=-1, keepdims=True)
     inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
-    xhat = ((x64 - mean) * inv).astype(np.float32)
-    out = xhat * gain.data + bias.data
+    xc *= inv
+    xhat = xc.astype(np.float32)
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
         gx = g * gain.data
         m1 = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-        dx = inv * (gx - m1 - xhat * m2)
+        dx = gx - m1
+        dx -= xhat * m2
+        dx *= inv
         axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
         dbias = g.sum(axis=axes, dtype=np.float64).astype(np.float32)

@@ -7,6 +7,7 @@ last hidden layer as an [L, d_model] tensor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +168,13 @@ def trainable_parameters(model: TransformerModel, policy: str) -> list[Tensor]:
     raise ContractError(f"unknown freeze policy {policy!r}")
 
 
-def _causal_mask(L: int) -> np.ndarray:
-    return np.tril(np.ones((L, L), dtype=bool))
+@functools.lru_cache(maxsize=64)
+def causal_bias(L: int) -> np.ndarray:
+    """Read-only [L, L] float32 additive attention bias: 0 on and below the
+    diagonal, -inf above it.  Built once per length and shared by every call."""
+    bias = np.where(np.tri(L, dtype=bool), np.float32(0.0), np.float32(-np.inf))
+    bias.flags.writeable = False
+    return bias
 
 
 def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
@@ -192,7 +198,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
 
     p = model.params
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-    attn_mask = _causal_mask(L) if mask == CAUSAL else None
+    attn_bias = causal_bias(L) if mask == CAUSAL else None
 
     h = T.add(embedded_input, T.take_rows(p["pos_emb"], positions))
     for i in range(cfg.n_layers):
@@ -204,8 +210,8 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
         q = T.transpose(T.reshape(q, (L, H, dh)), (1, 0, 2))
         k = T.transpose(T.reshape(k, (L, H, dh)), (1, 0, 2))
         v = T.transpose(T.reshape(v, (L, H, dh)), (1, 0, 2))
-        scores = T.mul(T.matmul(q, T.transpose_last2(k)), 1.0 / np.sqrt(dh))
-        probs = T.softmax_lastdim(scores, mask=attn_mask)
+        scores = T.matmul(q, T.transpose_last2(k))
+        probs = T.softmax_lastdim(scores, bias=attn_bias, scale=1.0 / np.sqrt(dh))
         ctx = T.reshape(T.transpose(T.matmul(probs, v), (1, 0, 2)), (L, cfg.d_model))
         o = T.add(T.matmul(ctx, p[pre + "attn.wo"]), p[pre + "attn.bo"])
         h = T.add(h, o)

@@ -19,8 +19,9 @@ def test_missing_config_file_named(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
-def test_doctor_healthy_build():
+def test_doctor_healthy_build(capsys):
     assert cli_main(["doctor"]) == 0
+    assert "[ok] masked softmax exact zeros" in capsys.readouterr().out
 
 
 def test_gen_writes_dataset(tmp_path, capsys):
@@ -119,3 +120,16 @@ def test_table_foreign_record_is_usage_error(tmp_path, capsys):
     assert cli_main(["table", "--records", str(records), "--out", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert "foreign.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    '{"schema_version": 1, "config": {}, "family": "x", "test_nrmse": 0.5, "wallclock_s": 1}',
+], ids=["not_json", "config_lacks_group_keys"])
+def test_table_malformed_record_is_usage_error(tmp_path, capsys, text):
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "b.json").write_text(text)
+    assert cli_main(["table", "--records", str(records), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "b.json" in err and "Traceback" not in err

@@ -245,14 +245,26 @@ def test_load_records_round_trip(tmp_path):
     assert {r["seed"] for r in records} == {0, 1}
 
 
+_GROUPS = ('"arch": "decoder_only", "d_model": 8, "n_layers": 1, "pretrained": false, '
+           '"method": "fpt", "bidir_method": "none"')
+
+
 @pytest.mark.parametrize("text", [
     '{"schema_version": 1, "bogus": 1}',
     '{"schema_version": 99, "config": {}, "family": "x", "test_nrmse": 0.5}',
-    '[1, 2]'], ids=["missing_fields", "other_schema", "not_an_object"])
+    '[1, 2]',
+    'not json',
+    b'\xff\xfe{}',
+    '{"schema_version": 1, "config": {}, "family": "x", "test_nrmse": 0.5, "wallclock_s": 1}',
+    '{"schema_version": 1, "config": [1], "family": "x", "test_nrmse": 0.5, "wallclock_s": 1}',
+    '{"schema_version": 1, "config": {' + _GROUPS + '}, "family": "x", "test_nrmse": 0.5}',
+], ids=["missing_fields", "other_schema", "not_an_object", "not_json", "not_utf8",
+        "config_lacks_group_keys", "config_not_an_object", "missing_wallclock"])
 def test_load_records_rejects_foreign_json(tmp_path, text):
     config = tiny_experiment(tmp_path)
     run_one(config, seed=0)
-    (tmp_path / "records" / "zz_foreign.json").write_text(text)
+    data = text if isinstance(text, bytes) else text.encode()
+    (tmp_path / "records" / "zz_foreign.json").write_bytes(data)
     with pytest.raises(DataFileError, match="zz_foreign.json"):
         load_records(config.out_dir)
 

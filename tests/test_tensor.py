@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossmodal_pde import tensor as T
+from crossmodal_pde import transformer as tf
 from crossmodal_pde.tensor import (
     ContractError,
     OptimizerState,
@@ -125,10 +126,109 @@ def test_softmax_empty_lastdim_errors():
 
 def test_masked_softmax_exact_zeros():
     x = Tensor(np.array([[5.0, 1.0, -2.0]]))
-    mask = np.array([[True, True, False]])
-    out = T.softmax_lastdim(x, mask=mask)
+    bias = np.array([[0.0, 0.0, -np.inf]], dtype=np.float32)
+    out = T.softmax_lastdim(x, bias=bias)
     assert out.data[0, 2] == 0.0
     np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-6)
+
+
+def test_softmax_bias_contract():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        T.softmax_lastdim(x, bias=np.ones((2, 3), dtype=bool))
+    with pytest.raises(ShapeError):
+        T.softmax_lastdim(x, bias=np.zeros((4, 2, 3), dtype=np.float32))
+
+
+# -- bit pins: the kernels against their reference formulas ---------------
+
+
+def _softmax_oracle(x, mask=None):
+    """Masked softmax as first written: np.where over a bool mask, float64 quotient."""
+    z = x
+    if mask is not None:
+        z = np.where(np.broadcast_to(mask, z.shape), z, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+    return (e / denom).astype(np.float32)
+
+
+def _softmax_grad_oracle(out, g):
+    dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    return out * (g - dot)
+
+
+def _layer_norm_oracle(x, gain, bias, g, eps=1e-5):
+    """Layer norm and its three gradients as first written (np.var, fresh copies)."""
+    x64 = x.astype(np.float64)
+    mean = x64.mean(axis=-1, keepdims=True)
+    var = x64.var(axis=-1, keepdims=True)
+    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    xhat = ((x64 - mean) * inv).astype(np.float32)
+    out = xhat * gain + bias
+    gx = g * gain
+    m1 = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    dx = inv * (gx - m1 - xhat * m2)
+    dgain = (g * xhat).sum(axis=0, dtype=np.float64).astype(np.float32)
+    dbias = g.sum(axis=0, dtype=np.float64).astype(np.float32)
+    return out, dx, dgain, dbias
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 / np.sqrt(12)], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("L", [7, 128, 256])
+def test_softmax_bits_match_reference(L, causal, scale):
+    """The folded scale matches a separate ``mul(x, scale)`` before the softmax."""
+    rng = np.random.default_rng(L)
+    scores = (rng.normal(size=(4, L, L)) * 10.0).astype(np.float32)
+    g = rng.normal(size=(4, L, L)).astype(np.float32)
+    x = Tensor(scores, requires_grad=True)
+    out = T.softmax_lastdim(x, bias=tf.causal_bias(L) if causal else None, scale=scale)
+    T.tsum(T.mul(out, g)).backward()
+    scale32 = np.asarray(scale, dtype=np.float32)
+    want = _softmax_oracle(scores * scale32, np.tri(L, dtype=bool) if causal else None)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(x.grad, _softmax_grad_oracle(want, g) * scale32)
+    if causal:
+        assert np.all(out.data[:, ~np.tri(L, dtype=bool)] == 0.0)
+
+
+@pytest.mark.parametrize("L", [7, 128])
+def test_layer_norm_bits_match_reference(L):
+    rng = np.random.default_rng(L)
+    x = Tensor((rng.normal(size=(L, 64)) * 3.0 + 1.5).astype(np.float32), requires_grad=True)
+    gain = Tensor(1.0 + 0.2 * rng.normal(size=64).astype(np.float32), requires_grad=True)
+    bias = Tensor(0.1 * rng.normal(size=64).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(L, 64)).astype(np.float32)
+    out = T.layer_norm(x, gain, bias)
+    T.tsum(T.mul(out, g)).backward()
+    want = _layer_norm_oracle(x.data, gain.data, bias.data, g)
+    for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+        assert np.array_equal(got, ref)
+
+
+def test_causal_bias_cached_read_only_and_exact_zeros(monkeypatch):
+    seen = []
+    softmax = T.softmax_lastdim
+
+    def recording(x, bias=None, **kwargs):
+        out = softmax(x, bias=bias, **kwargs)
+        seen.append((bias, out.data))
+        return out
+
+    monkeypatch.setattr(T, "softmax_lastdim", recording)
+    model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY, d_model=16, n_heads=2,
+                                          n_layers=1, d_ff=32, max_positions=16, seed=1))
+    x = Tensor(np.random.default_rng(0).normal(size=(9, 16)).astype(np.float32))
+    tf.forward_hidden(model, x, tf.CAUSAL)
+    tf.forward_hidden(model, x, tf.CAUSAL)
+    (bias1, probs), (bias2, _) = seen
+    assert bias1 is bias2
+    assert not bias1.flags.writeable
+    with pytest.raises(ValueError):
+        bias1[0, 1] = 0.0
+    assert np.all(probs[:, ~np.tri(9, dtype=bool)] == 0.0)
 
 
 # -- layer norm ----------------------------------------------------------
@@ -274,6 +374,78 @@ def test_gradients_gather_and_concat():
         return T.tmean(T.square(both))
 
     check_gradients(f, [emb])
+
+
+# -- copy-on-accumulate ----------------------------------------------------
+
+
+def _copy_always_grads(loss, params):
+    """Reference backward that copies every incoming gradient before storing it
+    (same visiting order as ``Tensor.backward``)."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    flowing = {id(loss): np.ones_like(loss.data)}
+    grads = {}
+    for node in reversed(topo):
+        g = flowing.pop(id(node), None)
+        if g is None:
+            continue
+        grads[id(node)] = g
+        if node._backward is not None:
+            for parent, pg in node._backward(g):
+                if parent.requires_grad:
+                    if id(parent) in flowing:
+                        flowing[id(parent)] += pg
+                    else:
+                        flowing[id(parent)] = pg.astype(np.float32, copy=True)
+    return [np.zeros_like(p.data) + grads[id(p)] for p in params]
+
+
+def _graph_add_self(params):
+    (x,) = params
+    return T.tmean(T.mul(T.add(x, x), T.tanh(x)))
+
+
+def _graph_shared_then_more(params, shared_first):
+    """add hands one gradient array to a and b; a then receives more."""
+    x1, x2, c = params
+    a, b = T.tanh(x1), T.tanh(x2)
+    via_add = T.mul(T.add(a, b), c)
+    more = T.mul(a, T.mul(b, c))
+    return T.tmean(T.add(via_add, more) if shared_first else T.add(more, via_add))
+
+
+def _aliasing_cases():
+    rng = np.random.default_rng(12)
+
+    def leaf(shape):
+        return Tensor(rng.normal(scale=0.7, size=shape).astype(np.float32), requires_grad=True)
+
+    return [
+        ("add_self", _graph_add_self, [leaf((4, 5))]),
+        ("shared_first", lambda p: _graph_shared_then_more(p, True),
+         [leaf((4, 5)), leaf((4, 5)), leaf((4, 5))]),
+        ("shared_last", lambda p: _graph_shared_then_more(p, False),
+         [leaf((4, 5)), leaf((4, 5)), leaf((4, 5))]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=[c[0] for c in _aliasing_cases()])
+def test_copy_on_accumulate_matches_copy_always(case):
+    _, f, params = _aliasing_cases()[case]
+    want = _copy_always_grads(f(params), params)
+    T.zero_grads(params)
+    f(params).backward()
+    for p, w in zip(params, want):
+        assert np.array_equal(p.grad, w)
+    check_gradients(f, params)
 
 
 # -- optimizers ----------------------------------------------------------
