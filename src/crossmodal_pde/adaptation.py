@@ -8,6 +8,7 @@ through the frozen transformer body first instead.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,6 +199,27 @@ def adaptation_trainable_params(model: TransformerModel, policy: str) -> list[Te
             if id(p) in trainable_ids and n not in ("tok_emb", "lm_head")]
 
 
+@contextlib.contextmanager
+def frozen_except(model: TransformerModel, trained: list[Tensor]):
+    """Take every model parameter outside ``trained`` off the tape for the block.
+
+    Those parameters get ``requires_grad=False``, so ``backward`` forms no
+    gradient for them and ops that read only them build no tape; a gradient
+    left on them by an earlier phase is dropped.  Their flags are restored on
+    exit, also when the block raises.
+    """
+    keep = {id(p) for p in trained}
+    frozen = [p for p in model.params.values() if p.requires_grad and id(p) not in keep]
+    for p in frozen:
+        p.requires_grad = False
+        p.grad = None
+    try:
+        yield
+    finally:
+        for p in frozen:
+            p.requires_grad = True
+
+
 # -- pseudo labels ----------------------------------------------------------
 
 
@@ -301,32 +323,34 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
     emb_params = embedder.params()
     trace: list[float] = []
     converged = 0
-    for _ in range(config.stage1_steps):
-        inst_idx = rng.choice(n, size=min(config.stage1_batch_instances, n), replace=False)
-        flat_idx = rng.choice(len(inst_idx) * L, size=min(config.otdd_batch, len(inst_idx) * L),
-                              replace=False)
-        tokens = inputs[inst_idx].reshape(-1, 1)[flat_idx]
-        labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
+    with frozen_except(model, []):
+        for _ in range(config.stage1_steps):
+            inst_idx = rng.choice(n, size=min(config.stage1_batch_instances, n), replace=False)
+            flat_idx = rng.choice(len(inst_idx) * L,
+                                  size=min(config.otdd_batch, len(inst_idx) * L), replace=False)
+            tokens = inputs[inst_idx].reshape(-1, 1)[flat_idx]
+            labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
 
-        embedded = embedder(tokens)
-        if config.stage1_through_body:
-            embedded = forward_hidden(model, embedded, model.config.mask_policy)
-        target_cloud = LabeledPointCloud(points=embedded, labels=labels,
-                                         class_count=pseudo.bins)
+            embedded = embedder(tokens)
+            if config.stage1_through_body:
+                embedded = forward_hidden(model, embedded, model.config.mask_policy)
+            target_cloud = LabeledPointCloud(points=embedded, labels=labels,
+                                             class_count=pseudo.bins)
 
-        prox_idx = rng.choice(len(proxy_cloud_full), size=min(config.otdd_batch,
-                                                              len(proxy_cloud_full)),
-                              replace=False)
-        proxy_batch = LabeledPointCloud(points=Tensor(proxy.features[prox_idx]),
-                                        labels=proxy.labels[prox_idx].astype(np.int64),
-                                        class_count=proxy.tag_count)
+            prox_idx = rng.choice(len(proxy_cloud_full), size=min(config.otdd_batch,
+                                                                  len(proxy_cloud_full)),
+                                  replace=False)
+            proxy_batch = LabeledPointCloud(points=Tensor(proxy.features[prox_idx]),
+                                            labels=proxy.labels[prox_idx].astype(np.int64),
+                                            class_count=proxy.tag_count)
 
-        T.zero_grads(emb_params)
-        res = otdd_distance(target_cloud, proxy_batch, sk_params, proxy_moments=proxy_moments)
-        res.cost.backward()
-        T.optimizer_step(opt, emb_params)
-        trace.append(res.cost.item())
-        converged += int(res.converged)
+            T.zero_grads(emb_params)
+            res = otdd_distance(target_cloud, proxy_batch, sk_params,
+                                proxy_moments=proxy_moments)
+            res.cost.backward()
+            T.optimizer_step(opt, emb_params)
+            trace.append(res.cost.item())
+            converged += int(res.converged)
     frac = converged / config.stage1_steps if config.stage1_steps else 1.0
     return Stage1Report(trace=trace, steps=config.stage1_steps, converged_fraction=frac,
                         degenerate_labels=pseudo.degenerate)
@@ -398,34 +422,36 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
     opt = OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 202)))
     n = len(dataset.train)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        n_batches = 0
-        for lo in range(0, n, config.batch_size):
-            batch = [dataset.train[i] for i in order[lo: lo + config.batch_size]]
-            T.zero_grads(params)
-            losses = []
-            for inst in batch:
-                pred = predict_sequence(model, embedder, predictor, inst.input,
-                                        bidir_method=config.bidir_method,
-                                        restart_positions=config.restart_positions)
-                diff = T.sub(pred, Tensor(_frame_matrix(inst.target)))
-                losses.append(T.tmean(T.square(diff)))
-            loss = losses[0] if len(losses) == 1 else T.mul(_sum_tensors(losses), 1.0 / len(losses))
-            if not np.isfinite(loss.data):
-                report.aborted = True
-                report.abort_reason = (f"non-finite loss at epoch {epoch} "
-                                       f"(optimizer={kind}, lr={lr})")
+    with frozen_except(model, params):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss = 0.0
+            n_batches = 0
+            for lo in range(0, n, config.batch_size):
+                batch = [dataset.train[i] for i in order[lo: lo + config.batch_size]]
+                T.zero_grads(params)
+                losses = []
+                for inst in batch:
+                    pred = predict_sequence(model, embedder, predictor, inst.input,
+                                            bidir_method=config.bidir_method,
+                                            restart_positions=config.restart_positions)
+                    diff = T.sub(pred, Tensor(_frame_matrix(inst.target)))
+                    losses.append(T.tmean(T.square(diff)))
+                loss = (losses[0] if len(losses) == 1
+                        else T.mul(_sum_tensors(losses), 1.0 / len(losses)))
+                if not np.isfinite(loss.data):
+                    report.aborted = True
+                    report.abort_reason = (f"non-finite loss at epoch {epoch} "
+                                           f"(optimizer={kind}, lr={lr})")
+                    break
+                loss.backward()
+                T.optimizer_step(opt, params)
+                epoch_loss += loss.item()
+                n_batches += 1
+            if report.aborted:
                 break
-            loss.backward()
-            T.optimizer_step(opt, params)
-            epoch_loss += loss.item()
-            n_batches += 1
-        if report.aborted:
-            break
-        report.epoch_losses.append(epoch_loss / max(1, n_batches))
-        report.epochs_run = epoch + 1
+            report.epoch_losses.append(epoch_loss / max(1, n_batches))
+            report.epochs_run = epoch + 1
     report.final_test_nrmse, report.final_test_predictions = evaluate_nrmse(
         model, embedder, predictor, dataset.test, bidir_method=config.bidir_method,
         restart_positions=config.restart_positions)

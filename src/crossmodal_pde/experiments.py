@@ -7,7 +7,6 @@ records are written atomically and aggregated with 64-bit accumulation.
 
 from __future__ import annotations
 
-import copy
 import csv
 import json
 import os
@@ -287,8 +286,9 @@ def run_one(config: ExperimentConfig, seed: int,
 
 
 def _run_job(args: tuple) -> dict:
-    config_dict, seed = args
-    record = run_one(ExperimentConfig.from_dict(config_dict), seed)
+    config_dict, seed, checkpoint = args
+    base = load_checkpoint(checkpoint) if checkpoint else None
+    record = run_one(ExperimentConfig.from_dict(config_dict), seed, base_model=base)
     return asdict(record)
 
 
@@ -296,16 +296,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     """Run every seed of the experiment; seeds are independent jobs.
 
     With multiple workers the shared pretrained model is materialized once as
-    a checkpoint so worker processes load instead of re-pretraining.
+    a checkpoint, passed to the worker processes beside the config (which
+    stays as the user wrote it), so they load instead of re-pretraining.
     """
     if workers > 1:
+        ckpt = None
         if config.pretrained and not config.checkpoint_file:
-            base = _prepare_base_model(config)
             ckpt = os.path.join(config.out_dir, f"{config.name}_pretrained.ckpt")
-            save_checkpoint(base, ckpt)
-            config = copy.deepcopy(config)
-            config.checkpoint_file = ckpt
-        jobs = [(config.to_dict(), seed) for seed in config.seeds]
+            save_checkpoint(_prepare_base_model(config), ckpt)
+        jobs = [(config.to_dict(), seed, ckpt) for seed in config.seeds]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             dicts = list(pool.map(_run_job, jobs))
         return [RunRecord.from_dict(d) for d in dicts]

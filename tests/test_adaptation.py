@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,18 @@ def test_stage1_reduces_otdd_and_freezes_model():
     assert final <= 0.7 * initial, f"OTDD went {initial:.4f} -> {final:.4f}"
 
 
+def test_stage1_through_body_keeps_body_off_the_tape():
+    model, emb, proxy, dataset, config = _stage1_fixture(steps=4)
+    config = dataclasses.replace(config, stage1_through_body=True)
+    before = snapshot(model.params)
+    report = orca_stage1(model, emb, proxy, dataset, config)
+    assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
+    assert all(p.grad is None and p.requires_grad for p in model.params.values())
+    # sha256 of the float64 trace as formed when the body was still on the tape
+    digest = hashlib.sha256(np.asarray(report.trace, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == "64d990df2c9e710160daad156f06fda2574a002a8c6fe8c4de0ebe5450149fc3"
+
+
 def test_stage1_dimension_mismatch():
     model, emb, proxy, dataset, config = _stage1_fixture(steps=1)
     other = make_model(d_model=64, seed=1)
@@ -217,20 +232,61 @@ def test_finetune_zero_epochs_only_initial_eval():
     assert report.final_test_nrmse == report.initial_test_nrmse
 
 
+def _fpt_frozen_names(model):
+    return [n for n in model.params
+            if not (".ln1." in n or ".ln2." in n or n.startswith("final_ln."))]
+
+
+def assert_frozen_left_clean(model):
+    """Every FPT-frozen parameter holds no gradient and requires grad again."""
+    for name in _fpt_frozen_names(model):
+        p = model.params[name]
+        assert p.grad is None, name
+        assert p.requires_grad, name
+
+
 def test_finetune_fpt_freeze_audit():
     model = make_model()
     emb = Embedder.create(1, 32, seed=0)
     pred = Predictor.create(32, 1, seed=1)
     dataset = identity_dataset(n_train=8, n_test=2)
     before = snapshot(model.params)
+    stale = model.params["layer0.mlp.w1"]
+    stale.grad = np.ones_like(stale.data)  # as an earlier phase would leave it
     config = AdaptationConfig(epochs=10, batch_size=4, optimizer="adam", seed=0)
     finetune(model, emb, pred, dataset, FPT_FROZEN, config)
-    frozen = [n for n in model.params
-              if not (".ln1." in n or ".ln2." in n or n.startswith("final_ln."))]
+    frozen = _fpt_frozen_names(model)
     assert_bitwise_equal(before, snapshot(model.params), frozen)
     changed = any(not np.array_equal(before[n], model.params[n].data)
                   for n in model.params if n not in frozen)
     assert changed, "layer-norm parameters should have moved"
+    assert_frozen_left_clean(model)
+
+
+def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
+    model = make_model()
+    dataset = identity_dataset(n_train=4, n_test=2)
+    dataset.train[2].input.data[5] = np.nan
+    config = AdaptationConfig(epochs=2, batch_size=4, optimizer="adam", seed=0)
+    report = finetune(model, Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1),
+                      dataset, FPT_FROZEN, config)
+    assert report.aborted and report.epochs_run == 0
+    assert_frozen_left_clean(model)
+
+
+def test_finetune_fpt_freeze_audit_when_a_step_raises(monkeypatch):
+    model = make_model()
+    dataset = identity_dataset(n_train=4, n_test=2)
+    config = AdaptationConfig(epochs=2, batch_size=4, optimizer="adam", seed=0)
+
+    def fail(state, params):
+        raise RuntimeError("optimizer failed")
+
+    monkeypatch.setattr(ad.T, "optimizer_step", fail)
+    with pytest.raises(RuntimeError, match="optimizer failed"):
+        finetune(model, Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1),
+                 dataset, FPT_FROZEN, config)
+    assert_frozen_left_clean(model)
 
 
 def test_finetune_identity_task_converges():

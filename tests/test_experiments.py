@@ -222,6 +222,18 @@ def test_run_experiment_multi_seed_stats(tmp_path):
     assert row.nrmse_min <= row.nrmse_mean <= row.nrmse_max
 
 
+def test_two_workers_match_one_worker(tmp_path):
+    # the materialised checkpoint reaches the workers beside the config, so
+    # the records' config snapshots stay as written
+    config = tiny_experiment(tmp_path, pretrained=True, pretrain_steps=3, seeds=[0, 1])
+    serial = run_experiment(config, workers=1)
+    pooled = run_experiment(config, workers=2)
+    assert config.checkpoint_file is None
+    for a, b in zip(serial, pooled):
+        assert a.config == b.config == config.to_dict()
+        assert a.test_nrmse == b.test_nrmse
+
+
 def test_sequence_doubling_keeps_batch_size(tmp_path):
     config = tiny_experiment(tmp_path, bidir_method="sequence_doubling", batch_size=16)
     assert config.batch_size == 16

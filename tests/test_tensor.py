@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import identity_dataset, make_model
+from crossmodal_pde import adaptation as ad
 from crossmodal_pde import tensor as T
 from crossmodal_pde import transformer as tf
+from crossmodal_pde.proxy_data import gen_corpus
 from crossmodal_pde.tensor import (
     ContractError,
     OptimizerState,
@@ -289,6 +292,23 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_array_equal(w.grad, np.full(4, 2.0, dtype=np.float32))
 
 
+def test_backward_stores_grad_on_leaves_only():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.normal(size=(3, 4)).astype(np.float32))
+    w = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+    h = T.gelu(T.matmul(x, w))
+    loss = T.tmean(T.square(h))
+    loss.backward()
+    assert w.grad is not None and w.grad.shape == (4, 2)
+    assert x.grad is None
+    assert h.grad is None and loss.grad is None
+
+
+def test_keep_freed_memory_is_a_noop_without_mallopt(monkeypatch):
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())
+    T._keep_freed_memory()
+
+
 def _graph_mlp(params):
     x, w1, b1, w2, b2 = params
     h = T.gelu(T.add(T.matmul(x, w1), b1))
@@ -308,12 +328,12 @@ def _graph_attention(params):
 def _graph_norm_chain(params):
     x, w, g, b = params
     h = T.layer_norm(T.matmul(x, w), g, b, eps=1e-5)
-    return T.tmean(T.mul(T.tanh(h), h))
+    return T.tmean(T.mul(T.gelu(h), h))
 
 
 def _graph_mixed(params):
     a, b = params
-    out = T.add(T.mul(T.exp(T.mul(a, 0.3)), T.tanh(b)), T.sqrt(T.add(T.square(a), 1.0)))
+    out = T.add(T.mul(T.exp(T.mul(a, 0.3)), T.gelu(b)), T.sqrt(T.add(T.square(a), 1.0)))
     return T.tmean(out)
 
 
@@ -362,7 +382,7 @@ def test_gradients_mixed_elementwise():
     check_gradients(_graph_mixed, params)
 
 
-def test_gradients_gather_and_concat():
+def test_gradients_gather_and_slice():
     rng = np.random.default_rng(8)
     emb = Tensor(rng.normal(scale=0.5, size=(5, 3)).astype(np.float32), requires_grad=True)
     idx = np.array([0, 2, 2, 4])
@@ -370,8 +390,7 @@ def test_gradients_gather_and_concat():
     def f(params):
         (e,) = params
         rows = T.take_rows(e, idx)
-        both = T.concat([rows, T.slice_rows(e, 1, 3)], axis=0)
-        return T.tmean(T.square(both))
+        return T.add(T.tmean(T.square(rows)), T.tmean(T.square(T.slice_rows(e, 1, 3))))
 
     check_gradients(f, [emb])
 
@@ -379,8 +398,9 @@ def test_gradients_gather_and_concat():
 # -- copy-on-accumulate ----------------------------------------------------
 
 
-def _copy_always_grads(loss, params):
-    """Reference backward that copies every incoming gradient before storing it
+def _all_nodes_backward(loss):
+    """Reference backward: every requires_grad node, interior ones included,
+    gets ``.grad``, and each incoming gradient is copied before it is summed
     (same visiting order as ``Tensor.backward``)."""
     topo, seen, stack = [], set(), [(loss, False)]
     while stack:
@@ -392,12 +412,14 @@ def _copy_always_grads(loss, params):
             stack.append((node, True))
             stack.extend((p, False) for p in node._parents if id(p) not in seen)
     flowing = {id(loss): np.ones_like(loss.data)}
-    grads = {}
     for node in reversed(topo):
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        grads[id(node)] = g
+        if node.requires_grad:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+            node.grad += g
         if node._backward is not None:
             for parent, pg in node._backward(g):
                 if parent.requires_grad:
@@ -405,18 +427,20 @@ def _copy_always_grads(loss, params):
                         flowing[id(parent)] += pg
                     else:
                         flowing[id(parent)] = pg.astype(np.float32, copy=True)
-    return [np.zeros_like(p.data) + grads[id(p)] for p in params]
+    for node in topo:
+        node._parents = ()
+        node._backward = None
 
 
 def _graph_add_self(params):
     (x,) = params
-    return T.tmean(T.mul(T.add(x, x), T.tanh(x)))
+    return T.tmean(T.mul(T.add(x, x), T.gelu(x)))
 
 
 def _graph_shared_then_more(params, shared_first):
     """add hands one gradient array to a and b; a then receives more."""
     x1, x2, c = params
-    a, b = T.tanh(x1), T.tanh(x2)
+    a, b = T.gelu(x1), T.gelu(x2)
     via_add = T.mul(T.add(a, b), c)
     more = T.mul(a, T.mul(b, c))
     return T.tmean(T.add(via_add, more) if shared_first else T.add(more, via_add))
@@ -440,12 +464,71 @@ def _aliasing_cases():
 @pytest.mark.parametrize("case", range(3), ids=[c[0] for c in _aliasing_cases()])
 def test_copy_on_accumulate_matches_copy_always(case):
     _, f, params = _aliasing_cases()[case]
-    want = _copy_always_grads(f(params), params)
+    T.zero_grads(params)
+    _all_nodes_backward(f(params))
+    want = [p.grad for p in params]
     T.zero_grads(params)
     f(params).backward()
     for p, w in zip(params, want):
         assert np.array_equal(p.grad, w)
     check_gradients(f, params)
+
+
+# -- the pruned tape against the all-nodes oracle ---------------------------
+#
+# Fine-tuning takes the weights it does not train off the tape
+# (``frozen_except``), so ``matmul`` and ``add`` skip their gradient, and
+# ``backward`` stores ``.grad`` on leaves only.  Neither may move a bit of what
+# a step reads.
+
+
+def _fpt_loss(model, emb, pred, batch, bidir_method):
+    """The mean-squared-error batch loss ``finetune`` minimises."""
+    losses = []
+    for inst in batch:
+        out = ad.predict_sequence(model, emb, pred, inst.input, bidir_method=bidir_method)
+        losses.append(T.tmean(T.square(T.sub(out, Tensor(inst.target.data[:, None])))))
+    return T.mul(T.add(losses[0], losses[1]), 0.5)
+
+
+@pytest.mark.parametrize("L", [8, 128])
+@pytest.mark.parametrize("arch,bidir_method", [(tf.ENCODER_ONLY, ad.BIDIR_NONE),
+                                               (tf.DECODER_ONLY, ad.BIDIR_NONE),
+                                               (tf.DECODER_ONLY, ad.SEQUENCE_DOUBLING)])
+def test_fpt_step_gradients_match_all_requires_grad_oracle(arch, bidir_method, L):
+    model = make_model(arch=arch, max_positions=256, seed=5)
+    emb, pred = ad.Embedder.create(1, 32, seed=6), ad.Predictor.create(32, 1, seed=7)
+    batch = identity_dataset(n_train=2, n_test=1, n_x=L, seed=L).train
+    trained = ad.adaptation_trainable_params(model, tf.FPT_FROZEN) + emb.params() + pred.params()
+    frozen = [p for p in model.params.values() if not any(p is q for q in trained)]
+    everything = model.parameters() + emb.params() + pred.params()
+
+    T.zero_grads(everything)
+    want_loss = _fpt_loss(model, emb, pred, batch, bidir_method)
+    _all_nodes_backward(want_loss)
+    want = [p.grad.copy() for p in trained]
+    assert model.params["layer0.mlp.w1"].grad is not None  # the oracle forms frozen grads
+
+    T.zero_grads(everything)
+    with ad.frozen_except(model, trained):
+        loss = _fpt_loss(model, emb, pred, batch, bidir_method)
+        loss.backward()
+    assert np.array_equal(loss.data, want_loss.data)
+    for i, (p, w) in enumerate(zip(trained, want)):
+        assert np.array_equal(p.grad, w), f"trained parameter {i}"
+    assert all(p.grad is None and p.requires_grad for p in frozen)
+
+
+@pytest.mark.parametrize("arch", [tf.ENCODER_ONLY, tf.DECODER_ONLY])
+def test_pretrain_matches_all_nodes_oracle(arch, monkeypatch):
+    tokens = [t for t, _ in gen_corpus(seed=4, n_sequences=40).sequences]
+    model, oracle = make_model(arch=arch, seed=8), make_model(arch=arch, seed=8)
+    trace = tf.pretrain(model, tokens, steps=3, batch_size=4, seed=9)
+    monkeypatch.setattr(Tensor, "backward", _all_nodes_backward)
+    want = tf.pretrain(oracle, tokens, steps=3, batch_size=4, seed=9)
+    assert trace == want
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, oracle.params[name].data), name
 
 
 # -- optimizers ----------------------------------------------------------
