@@ -25,6 +25,13 @@ from .transformer import (
 )
 
 
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crossmodal-pde",
                                      description="Cross-modal PDE adaptation laboratory")
@@ -64,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=_worker_count, default=1)
 
     p_table = sub.add_parser("table", help="aggregate run records into a CSV table")
     p_table.add_argument("--records", required=True)

@@ -32,12 +32,13 @@ from .bidir import combine_halves, parallel_flipping_train
 from .container import DataFileError
 from .pde_data import load_dataset
 from .proxy_data import build_proxy_set, load_corpus
-from .tensor import ContractError
+from .tensor import ContractError, blas_threads
 from .transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
     ModelConfig,
     TransformerModel,
+    blas_threads_for,
     build_model,
     load_checkpoint,
     pretrain,
@@ -224,7 +225,17 @@ def _make_pipeline(config: ExperimentConfig, base: TransformerModel | None,
 
 def run_one(config: ExperimentConfig, seed: int,
             base_model: TransformerModel | None = None) -> RunRecord:
-    """Execute one (config, seed) job end to end and persist its record."""
+    """Execute one (config, seed) job end to end and persist its record.
+
+    A model narrower than ``transformer.BLAS_POOL_MIN_D_MODEL`` runs on one
+    OpenBLAS thread (``transformer.blas_threads_for``)."""
+    d_model = base_model.config.d_model if base_model is not None else config.d_model
+    with blas_threads_for(d_model):
+        return _run_one(config, seed, base_model)
+
+
+def _run_one(config: ExperimentConfig, seed: int,
+             base_model: TransformerModel | None) -> RunRecord:
     t0 = time.time()
     dataset = load_dataset(config.dataset_file)
     if base_model is None and config.pretrained:
@@ -286,9 +297,12 @@ def run_one(config: ExperimentConfig, seed: int,
 
 
 def _run_job(args: tuple) -> dict:
+    """One pool worker's job, on one OpenBLAS thread whatever the model's width:
+    the pool's workers already occupy the cores."""
     config_dict, seed, checkpoint = args
-    base = load_checkpoint(checkpoint) if checkpoint else None
-    record = run_one(ExperimentConfig.from_dict(config_dict), seed, base_model=base)
+    with blas_threads(1):
+        base = load_checkpoint(checkpoint) if checkpoint else None
+        record = run_one(ExperimentConfig.from_dict(config_dict), seed, base_model=base)
     return asdict(record)
 
 
@@ -298,7 +312,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     With multiple workers the shared pretrained model is materialized once as
     a checkpoint, passed to the worker processes beside the config (which
     stays as the user wrote it), so they load instead of re-pretraining.
+    ``workers`` below 1 raises ``ContractError``.
     """
+    if workers < 1:
+        raise ContractError(f"workers must be at least 1, got {workers}")
     if workers > 1:
         ckpt = None
         if config.pretrained and not config.checkpoint_file:
@@ -314,7 +331,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
 
 # -- aggregation ---------------------------------------------------------------
 
-GROUP_KEYS = ("family", "arch", "d_model", "n_layers", "pretrained", "method", "bidir_method")
 CSV_COLUMNS = ("dataset", "arch", "d_model", "n_layers", "pretrained", "method",
                "bidir_method", "seed_count", "nrmse_mean", "nrmse_min", "nrmse_max",
                "wallclock_s")
@@ -413,19 +429,30 @@ def table_to_csv(table: ResultsTable, path) -> None:
 
 
 def table_from_csv(path) -> ResultsTable:
+    """Read a table ``table_to_csv`` wrote; a file lacking one of its columns,
+    or holding a value that does not parse, raises ``DataFileError`` naming it."""
     if not os.path.exists(path):
         raise DataFileError(f"table file not found: {path}")
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataFileError(f"{path} is not a results table: missing columns "
+                                f"{', '.join(missing)}")
         for rec in reader:
-            rows.append(TableRow(dataset=rec["dataset"], arch=rec["arch"],
-                                 d_model=int(rec["d_model"]), n_layers=int(rec["n_layers"]),
-                                 pretrained=rec["pretrained"] == "true",
-                                 method=rec["method"], bidir_method=rec["bidir_method"],
-                                 seed_count=int(rec["seed_count"]),
-                                 nrmse_mean=float(rec["nrmse_mean"]),
-                                 nrmse_min=float(rec["nrmse_min"]),
-                                 nrmse_max=float(rec["nrmse_max"]),
-                                 wallclock_s=float(rec["wallclock_s"])))
+            try:
+                rows.append(TableRow(dataset=rec["dataset"], arch=rec["arch"],
+                                     d_model=int(rec["d_model"]),
+                                     n_layers=int(rec["n_layers"]),
+                                     pretrained=rec["pretrained"] == "true",
+                                     method=rec["method"], bidir_method=rec["bidir_method"],
+                                     seed_count=int(rec["seed_count"]),
+                                     nrmse_mean=float(rec["nrmse_mean"]),
+                                     nrmse_min=float(rec["nrmse_min"]),
+                                     nrmse_max=float(rec["nrmse_max"]),
+                                     wallclock_s=float(rec["wallclock_s"])))
+            except (TypeError, ValueError) as exc:  # a short row reads None
+                raise DataFileError(f"{path} line {reader.line_num} is not a table row: "
+                                    f"{exc}") from exc
     return ResultsTable(rows=rows)

@@ -133,3 +133,27 @@ def test_table_malformed_record_is_usage_error(tmp_path, capsys, text):
     assert cli_main(["table", "--records", str(records), "--out", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
     assert "b.json" in err and "Traceback" not in err
+
+
+HEADER = ("dataset,arch,d_model,n_layers,pretrained,method,bidir_method,seed_count,"
+          "nrmse_mean,nrmse_min,nrmse_max,wallclock_s\n")
+
+
+@pytest.mark.parametrize("text, named", [
+    ("dataset,arch,nrmse_mean\nadvection,decoder_only,0.5\n", "d_model, n_layers"),
+    (HEADER + "advection,decoder_only,wide,4,true,fpt,none,5,0.5,0.4,0.7,12.5\n", "'wide'"),
+], ids=["missing_columns", "non_numeric_d_model"])
+def test_plot_malformed_table_is_usage_error(tmp_path, capsys, text, named):
+    table = tmp_path / "bad.csv"
+    table.write_text(text)
+    assert cli_main(["plot", "--table", str(table), "--out", str(tmp_path / "f.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "f.svg").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_fewer_than_one_worker_is_usage_error(tmp_path, capsys, workers):
+    assert cli_main(["run", "--config", str(tmp_path / "exp.json"), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "at least 1" in err

@@ -1,8 +1,11 @@
+import contextlib
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from conftest import make_model
 
 from crossmodal_pde import experiments
 from crossmodal_pde import tensor as T
@@ -232,6 +235,49 @@ def test_two_workers_match_one_worker(tmp_path):
     for a, b in zip(serial, pooled):
         assert a.config == b.config == config.to_dict()
         assert a.test_nrmse == b.test_nrmse
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_experiment_rejects_fewer_than_one_worker(tmp_path, workers):
+    config = tiny_experiment(tmp_path)
+    with pytest.raises(ContractError, match="workers"):
+        run_experiment(config, workers=workers)
+    assert not (tmp_path / "records").exists()
+
+
+def test_run_one_record_is_bit_identical_at_one_and_two_blas_threads(tmp_path, monkeypatch):
+    if T._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    # let the outer scope decide the pool width for the d_model-64 model
+    monkeypatch.setattr(experiments, "blas_threads_for", lambda d_model: contextlib.nullcontext())
+    config = tiny_experiment(tmp_path, d_model=64, d_ff=256, pretrained=True,
+                             pretrain_steps=3)
+    records = []
+    for n in (1, 2):
+        with T.blas_threads(n):
+            assert T._openblas_threads()[0]() == n
+            records.append(strip_wallclock(json.loads(run_one(config, seed=0).to_json())))
+    assert records[0] == records[1]
+
+
+@dataclass
+class _Stub:
+    threads: int
+
+
+def test_jobs_run_narrow_models_and_pool_workers_on_one_blas_thread(tmp_path, monkeypatch):
+    if T._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    get_threads = T._openblas_threads()[0]
+    monkeypatch.setattr(experiments, "_run_one", lambda *a: _Stub(get_threads()))
+    narrow = tiny_experiment(tmp_path, d_model=64)
+    wide = tiny_experiment(tmp_path, d_model=256)
+    with T.blas_threads(2):
+        assert run_one(narrow, seed=0).threads == 1
+        assert run_one(wide, seed=0).threads == 2
+        assert run_one(narrow, seed=0, base_model=make_model(d_model=256)).threads == 2
+        assert experiments._run_job((wide.to_dict(), 0, None)) == {"threads": 1}
+        assert get_threads() == 2
 
 
 def test_sequence_doubling_keeps_batch_size(tmp_path):

@@ -595,3 +595,35 @@ def test_no_grad_blocks_tape():
     with T.no_grad():
         out = T.tsum(T.square(w))
     assert out._backward is None and not out.requires_grad
+
+
+def openblas_pool():
+    api = T._openblas_threads()
+    if api is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    return api
+
+
+def test_blas_threads_scope_restores_the_previous_count():
+    get_threads = openblas_pool()[0]
+    with T.blas_threads(2):
+        with T.blas_threads(1):
+            assert get_threads() == 1
+        assert get_threads() == 2
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.blas_threads(1):
+                assert get_threads() == 1
+                raise RuntimeError("raised inside the scope")
+        assert get_threads() == 2
+
+
+def test_blas_threads_is_a_noop_without_openblas(monkeypatch):
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())
+    T._openblas_threads.cache_clear()
+    try:
+        assert T._openblas_threads() is None
+        with T.blas_threads(1):
+            product = np.ones((2, 3), np.float32) @ np.ones((3, 2), np.float32)
+        np.testing.assert_array_equal(product, np.full((2, 2), 3.0, np.float32))
+    finally:
+        T._openblas_threads.cache_clear()

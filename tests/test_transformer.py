@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,42 @@ def test_checkpoint_header_is_json_line(tmp_path):
     assert header["kind"] == "model_checkpoint"
     names = {b["name"] for b in header["blocks"]}
     assert "tok_emb" in names and "lm_head" in names
+
+
+def bigram_corpus(n=32, length=24):
+    rng = np.random.default_rng(5)
+    return [(rng.integers(2, 30) + np.arange(length)) % 30 + 2 for _ in range(n)]
+
+
+@pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
+def test_pretrain_trace_is_bit_identical_at_one_and_two_blas_threads(arch, monkeypatch):
+    if T._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    # let the outer scope decide the pool width for the d_model-64 model
+    monkeypatch.setattr(tf, "blas_threads_for", lambda d_model: contextlib.nullcontext())
+    cfg = ModelConfig(arch=arch, d_model=64, n_heads=4, n_layers=2, d_ff=256,
+                      max_positions=64, vocab_size=32, seed=9)
+    runs = []
+    for n in (1, 2):
+        model = build_model(cfg)
+        with T.blas_threads(n):
+            trace = pretrain(model, bigram_corpus(), steps=4, batch_size=8, seed=1)
+        runs.append((trace, {k: p.data for k, p in model.params.items()}))
+    (trace1, weights1), (trace2, weights2) = runs
+    assert trace1 == trace2
+    for name in weights1:
+        np.testing.assert_array_equal(weights1[name], weights2[name])
+
+
+@pytest.mark.parametrize("d_model, threads", [(64, 1), (tf.BLAS_POOL_MIN_D_MODEL, 2)])
+def test_pretrain_runs_a_narrow_model_on_one_blas_thread(d_model, threads, monkeypatch):
+    if T._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    get_threads = T._openblas_threads()[0]
+    seen = []
+    monkeypatch.setattr(tf, "pretrain_step", lambda *a, **k: seen.append(get_threads()) or 0.0)
+    model = build_model(small_config(d_model=d_model, d_ff=d_model, vocab_size=32))
+    with T.blas_threads(2):
+        pretrain(model, bigram_corpus(4), steps=2, batch_size=2)
+        assert get_threads() == 2
+    assert seen == [threads, threads]
