@@ -45,21 +45,15 @@ def _keep_freed_memory() -> None:
 
 _keep_freed_memory()
 
-# (getter, setter) symbol pairs of numpy's OpenBLAS, wheel build first
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
 
 @functools.cache
 def _openblas_threads():
-    """The loaded OpenBLAS's thread-count (getter, setter), or None.
+    """numpy's OpenBLAS thread-count (getter, setter), or None where it is not
+    loaded or its setter cannot be found.
 
-    numpy's OpenBLAS (behind ``matmul`` and ``np.linalg.solve``) is found
-    among the mapped shared objects whose path names BLAS; scipy's own
-    OpenBLAS exports other names and is left alone.
+    The library behind ``matmul`` and ``np.linalg.solve`` is found among the
+    mapped shared objects whose path names BLAS, by the symbols of numpy's
+    wheel build; scipy's own OpenBLAS exports other names and is left alone.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -68,16 +62,13 @@ def _openblas_threads():
     except OSError:
         return None
     for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                getter, setter = getattr(lib, get_name), getattr(lib, set_name)
-                getter.argtypes, getter.restype = (), ctypes.c_int
-                setter.argtypes, setter.restype = (ctypes.c_int,), None
-                return getter, setter
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            getter = lib.scipy_openblas_get_num_threads64_
+            setter = lib.scipy_openblas_set_num_threads64_
+            getter.argtypes, getter.restype = (), ctypes.c_int
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            return getter, setter
     return None
 
 
@@ -86,27 +77,31 @@ class blas_threads:
     then restore the previous count (also when the block raises).
 
     The count is process-wide, so the scope belongs to the thread that does
-    the process's BLAS work.  Nothing changes where no OpenBLAS thread setter
-    is loaded.  A class rather than a generator function, so that tools which
-    wrap this module's public functions as tape ops pass it by.
+    the process's BLAS work.  Nothing changes where ``_openblas_threads``
+    finds no setter.  The count can move results in their last bits: LAPACK's
+    LU factorisation and products with a long inner dimension sum in another
+    order on more threads.  It is a class, not a generator function, so that the
+    benchmark's tracer, which wraps this module's public functions as tape
+    ops, passes it by.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._previous: int | None = None
+        self._restore = None
 
     def __enter__(self) -> "blas_threads":
         api = _openblas_threads()
         if api is not None:
             getter, setter = api
-            self._previous = getter()
+            previous = getter()
             setter(self.n)
+            self._restore = lambda: setter(previous)
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._previous is not None:
-            _openblas_threads()[1](self._previous)
-            self._previous = None
+        if self._restore is not None:
+            self._restore()
+            self._restore = None
 
 
 class ShapeError(ValueError):

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from crossmodal_pde.cli import cli_main
+from crossmodal_pde.experiments import CSV_COLUMNS
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -135,8 +136,7 @@ def test_table_malformed_record_is_usage_error(tmp_path, capsys, text):
     assert "b.json" in err and "Traceback" not in err
 
 
-HEADER = ("dataset,arch,d_model,n_layers,pretrained,method,bidir_method,seed_count,"
-          "nrmse_mean,nrmse_min,nrmse_max,wallclock_s\n")
+HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
 @pytest.mark.parametrize("text, named", [

@@ -30,6 +30,7 @@ from crossmodal_pde.figures import emit_figure
 from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
+from crossmodal_pde.transformer import BLAS_POOL_MIN_D_MODEL
 
 
 # -- nrmse ----------------------------------------------------------------
@@ -271,11 +272,12 @@ def test_jobs_run_narrow_models_and_pool_workers_on_one_blas_thread(tmp_path, mo
     get_threads = T._openblas_threads()[0]
     monkeypatch.setattr(experiments, "_run_one", lambda *a: _Stub(get_threads()))
     narrow = tiny_experiment(tmp_path, d_model=64)
-    wide = tiny_experiment(tmp_path, d_model=256)
+    wide = tiny_experiment(tmp_path, d_model=BLAS_POOL_MIN_D_MODEL)
     with T.blas_threads(2):
         assert run_one(narrow, seed=0).threads == 1
         assert run_one(wide, seed=0).threads == 2
-        assert run_one(narrow, seed=0, base_model=make_model(d_model=256)).threads == 2
+        wide_model = make_model(d_model=BLAS_POOL_MIN_D_MODEL)
+        assert run_one(narrow, seed=0, base_model=wide_model).threads == 2
         assert experiments._run_job((wide.to_dict(), 0, None)) == {"threads": 1}
         assert get_threads() == 2
 

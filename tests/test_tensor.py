@@ -597,15 +597,10 @@ def test_no_grad_blocks_tape():
     assert out._backward is None and not out.requires_grad
 
 
-def openblas_pool():
-    api = T._openblas_threads()
-    if api is None:
-        pytest.skip("no OpenBLAS thread setter is loaded")
-    return api
-
-
 def test_blas_threads_scope_restores_the_previous_count():
-    get_threads = openblas_pool()[0]
+    if T._openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    get_threads = T._openblas_threads()[0]
     with T.blas_threads(2):
         with T.blas_threads(1):
             assert get_threads() == 1
