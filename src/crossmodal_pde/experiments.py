@@ -38,7 +38,6 @@ from .transformer import (
     ENCODER_ONLY,
     ModelConfig,
     TransformerModel,
-    blas_threads_for,
     build_model,
     load_checkpoint,
     pretrain,
@@ -227,10 +226,28 @@ def run_one(config: ExperimentConfig, seed: int,
             base_model: TransformerModel | None = None) -> RunRecord:
     """Execute one (config, seed) job end to end and persist its record.
 
-    A model narrower than ``transformer.BLAS_POOL_MIN_D_MODEL`` runs on one
-    OpenBLAS thread (``transformer.blas_threads_for``)."""
-    d_model = base_model.config.d_model if base_model is not None else config.d_model
-    with blas_threads_for(d_model):
+    The job runs on one OpenBLAS thread (``tensor.blas_threads``), so its
+    record does not depend on numpy's pool size or on ``run_experiment``'s
+    ``workers``: on more threads ORCA's ``np.linalg.solve`` and its class means
+    over the proxy cloud sum in another order.  At the default width the pool
+    only spins beside small products.  Median wall time per job of the
+    benchmark's ``finetune`` jobs (d_ff = 4 d_model, 4 heads, 4 layers, L=128;
+    2-core x86-64 VM, OpenBLAS 0.3.31), alternating rounds at one and two
+    threads:
+
+    ====================  =========  ==========  =========================
+    d_model / d_ff        1 thread   2 threads   2 threads' wall saving
+    ====================  =========  ==========  =========================
+    64 / 256              0.55 s     0.56 s      -3% (CPU 0.54 -> 1.09 s)
+    128 / 512             0.97 s     0.99 s      -2% and +1% (two sweeps)
+    192 / 768             1.61 s     1.78 s      -10%
+    256 / 1024            2.23 s     1.83 s      +18%
+    ====================  =========  ==========  =========================
+
+    A serial job at d_model 256 gives up that 18%; no benchmark workload is
+    that wide, and the cross-over moves with the core count.
+    """
+    with blas_threads(1):
         return _run_one(config, seed, base_model)
 
 
@@ -297,12 +314,9 @@ def _run_one(config: ExperimentConfig, seed: int,
 
 
 def _run_job(args: tuple) -> dict:
-    """One pool worker's job, on one OpenBLAS thread whatever the model's width:
-    the pool's workers already occupy the cores."""
     config_dict, seed, checkpoint = args
-    with blas_threads(1):
-        base = load_checkpoint(checkpoint) if checkpoint else None
-        record = run_one(ExperimentConfig.from_dict(config_dict), seed, base_model=base)
+    base = load_checkpoint(checkpoint) if checkpoint else None
+    record = run_one(ExperimentConfig.from_dict(config_dict), seed, base_model=base)
     return asdict(record)
 
 

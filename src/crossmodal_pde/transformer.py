@@ -7,7 +7,6 @@ last hidden layer as an [L, d_model] tensor.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -26,9 +25,6 @@ ALL_TRAINABLE = "all_trainable"
 FPT_FROZEN = "fpt_frozen"
 
 INIT_STD = 0.02
-
-# Narrowest d_model at which numpy's OpenBLAS pool pays (see blas_threads_for).
-BLAS_POOL_MIN_D_MODEL = 256
 
 
 class ConfigError(ValueError):
@@ -181,33 +177,6 @@ def causal_bias(L: int) -> np.ndarray:
     return bias
 
 
-def blas_threads_for(d_model: int):
-    """One OpenBLAS thread for a model narrower than ``BLAS_POOL_MIN_D_MODEL``,
-    numpy's pool as it is for a wider one.
-
-    Below the cross-over a second thread only spins beside small products and
-    doubles the CPU time.  Median ``run_one`` wall time per job on the
-    benchmark's ``finetune`` jobs (d_ff = 4 d_model, 4 heads, 4 layers, L=128;
-    2-core x86-64 VM, OpenBLAS 0.3.31, default pool 2 threads), alternating
-    rounds at one and at two threads:
-
-    ====================  =========  ==========  =========================
-    d_model / d_ff        1 thread   2 threads   2 threads' wall saving
-    ====================  =========  ==========  =========================
-    64 / 256              0.55 s     0.56 s      -3% (CPU 0.54 -> 1.09 s)
-    128 / 512             0.97 s     0.99 s      -2% and +1% (two sweeps)
-    192 / 768             1.61 s     1.78 s      -10%
-    256 / 1024            2.23 s     1.83 s      +18%
-    ====================  =========  ==========  =========================
-
-    At d_model 64 the ``orca_align`` and ``bidir`` jobs lose 5% and 6% at
-    two threads.
-    """
-    if d_model < BLAS_POOL_MIN_D_MODEL:
-        return T.blas_threads(1)
-    return contextlib.nullcontext()
-
-
 def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
                    positions: np.ndarray | None = None) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
@@ -336,13 +305,14 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
              learning_rate: float = 1e-3, batch_size: int = 8, seed: int = 0,
              mask_token: int = 1) -> list[float]:
     """Train the pretraining objective for the model's architecture; returns the
-    loss trace.  A narrow model trains on one BLAS thread (``blas_threads_for``)."""
+    loss trace.  It trains on one OpenBLAS thread, as a job does
+    (``experiments.run_one``)."""
     objective = NEXT_TOKEN if model.config.arch == DECODER_ONLY else MLM
     rng = np.random.default_rng(seed)
     opt = T.OptimizerState(kind="adam", learning_rate=learning_rate)
     params = model.parameters()
     trace = []
-    with blas_threads_for(model.config.d_model):
+    with T.blas_threads(1):
         for _ in range(steps):
             idx = rng.choice(len(sequences), size=min(batch_size, len(sequences)),
                              replace=False)

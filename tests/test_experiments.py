@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from conftest import make_model
 
 from crossmodal_pde import experiments
 from crossmodal_pde import tensor as T
@@ -30,7 +29,6 @@ from crossmodal_pde.figures import emit_figure
 from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
-from crossmodal_pde.transformer import BLAS_POOL_MIN_D_MODEL
 
 
 # -- nrmse ----------------------------------------------------------------
@@ -250,7 +248,7 @@ def test_run_one_record_is_bit_identical_at_one_and_two_blas_threads(tmp_path, m
     if T._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread setter is loaded")
     # let the outer scope decide the pool width for the d_model-64 model
-    monkeypatch.setattr(experiments, "blas_threads_for", lambda d_model: contextlib.nullcontext())
+    monkeypatch.setattr(experiments, "blas_threads", lambda n: contextlib.nullcontext())
     config = tiny_experiment(tmp_path, d_model=64, d_ff=256, pretrained=True,
                              pretrain_steps=3)
     records = []
@@ -266,19 +264,16 @@ class _Stub:
     threads: int
 
 
-def test_jobs_run_narrow_models_and_pool_workers_on_one_blas_thread(tmp_path, monkeypatch):
+@pytest.mark.parametrize("d_model", [64, 256])
+def test_jobs_run_on_one_blas_thread_at_any_width(tmp_path, monkeypatch, d_model):
     if T._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread setter is loaded")
     get_threads = T._openblas_threads()[0]
     monkeypatch.setattr(experiments, "_run_one", lambda *a: _Stub(get_threads()))
-    narrow = tiny_experiment(tmp_path, d_model=64)
-    wide = tiny_experiment(tmp_path, d_model=BLAS_POOL_MIN_D_MODEL)
+    config = tiny_experiment(tmp_path, d_model=d_model)
     with T.blas_threads(2):
-        assert run_one(narrow, seed=0).threads == 1
-        assert run_one(wide, seed=0).threads == 2
-        wide_model = make_model(d_model=BLAS_POOL_MIN_D_MODEL)
-        assert run_one(narrow, seed=0, base_model=wide_model).threads == 2
-        assert experiments._run_job((wide.to_dict(), 0, None)) == {"threads": 1}
+        assert run_one(config, seed=0).threads == 1
+        assert experiments._run_job((config.to_dict(), 0, None)) == {"threads": 1}
         assert get_threads() == 2
 
 
