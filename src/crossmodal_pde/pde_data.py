@@ -8,10 +8,11 @@ to storage precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .container import DataFileError, read_container, write_container
 from .tensor import Tensor
@@ -38,6 +39,8 @@ class GridSpec:
             raise ConfigError("n_x must be positive and even")
         if self.t_out <= self.t_in:
             raise ConfigError("t_out must exceed t_in")
+        if self.dt_solver is not None and not (0 < self.dt_solver < math.inf):
+            raise ConfigError(f"dt_solver must be finite and positive, got {self.dt_solver}")
 
     @property
     def dx(self) -> float:
@@ -87,11 +90,10 @@ class PdeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PdeParams":
-        s = d.get("sorption", {})
+        s = d["sorption"]
         return cls(family=d["family"], beta=d["beta"], nu=d["nu"], rho=d["rho"],
                    eta=d["eta"], zeta=d["zeta"],
-                   sorption=SorptionParams(diffusivity=s.get("diffusivity", 5e-4),
-                                           c=s.get("c", 1.0), n=s.get("n", 0.874)))
+                   sorption=SorptionParams(diffusivity=s["diffusivity"], c=s["c"], n=s["n"]))
 
 
 def default_params(family: str, **overrides) -> PdeParams:
@@ -164,13 +166,18 @@ def gen_advection(grid: GridSpec, beta: float = 0.4, seed: int = 0,
     return _instance(u0, ut, params, grid, seed)
 
 
+# The solvers below step every row of a [m, n_x] array at once (a [n_x] frame
+# is one row). Their ops act along the last axis, row by row, so each row gets
+# the same bits as when it is solved alone.
+
+
 # -- diffusion-reaction (explicit FD) -------------------------------------
 
 DIFFUSION_STABILITY_LIMIT = 0.4
 
 
 def _periodic_laplacian(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
+    return (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / (dx * dx)
 
 
 def _resolve_dt(grid: GridSpec, dt_max: float, safety: float = 0.625) -> tuple[float, int]:
@@ -196,18 +203,6 @@ def diffusion_reaction_solve(u0: np.ndarray, grid: GridSpec, nu: float, rho: flo
     return u
 
 
-def gen_diffusion_reaction(grid: GridSpec, nu: float = 0.5, rho: float = 1.0,
-                           seed: int = 0, params: PdeParams | None = None) -> PdeInstance:
-    if params is None:
-        params = default_params(DIFFUSION_REACTION, nu=nu, rho=rho)
-    rng = np.random.default_rng(seed)
-    a, b = _fourier_coefficients(rng)
-    x = periodic_x(grid.n_x)
-    u0 = np.clip(0.5 + 0.5 * _fourier_eval(a, b, x), 0.0, 1.0)
-    ut = diffusion_reaction_solve(u0, grid, params.nu, params.rho)
-    return _instance(u0, ut, params, grid, seed)
-
-
 # -- diffusion-sorption (Dirichlet, implicit-explicit) ---------------------
 
 SORPTION_U_FLOOR = 1e-8
@@ -226,6 +221,10 @@ def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams)
 
     Dirichlet boundaries u(0)=1, u(1)=0 are enforced every step; the frozen
     coefficient makes each step an M-matrix solve, preserving [0, 1] bounds.
+    All rows form one block-diagonal tridiagonal system per step: the
+    couplings between blocks are exact zeros, so LAPACK's ``gtsv`` (the
+    routine behind ``solve_banded((1, 1), ...)``) never pivots across a block
+    and solves each row as it would alone.
     """
     n_x = grid.n_x
     dx = 1.0 / (n_x - 1)
@@ -233,34 +232,23 @@ def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams)
     steps = max(1, int(np.ceil((grid.t_out - grid.t_in) / dt)))
     dt = (grid.t_out - grid.t_in) / steps
     u = u0.astype(np.float64).copy()
-    u[0], u[-1] = 1.0, 0.0
+    u[..., 0], u[..., -1] = 1.0, 0.0
+    # row i couples to i-1 and i+1 by -coef[i]; boundary rows and the links
+    # between rows of u are zero
+    off = np.zeros_like(u)
     for _ in range(steps):
         coef = dt * sp.diffusivity / (_retardation(u, sp.c, sp.n) * dx * dx)
-        # banded system rows: upper, main, lower diagonals; boundary rows pinned
-        ab = np.zeros((3, n_x))
-        ab[1, :] = 1.0 + 2.0 * coef
-        ab[0, 1:] = -coef[:-1]
-        ab[2, :-1] = -coef[1:]
-        ab[1, 0] = ab[1, -1] = 1.0
-        ab[0, 1] = ab[2, -2] = 0.0
+        main = 1.0 + 2.0 * coef
+        main[..., 0] = main[..., -1] = 1.0  # boundary rows pinned
+        off[..., 1:-1] = -coef[..., 1:-1]
         rhs = u.copy()
-        rhs[0], rhs[-1] = 1.0, 0.0
-        u = solve_banded((1, 1), ab, rhs)
+        rhs[..., 0], rhs[..., -1] = 1.0, 0.0
+        flat = off.reshape(-1)  # gtsv copies its inputs, so one array serves both
+        _, _, _, x, info = dgtsv(flat[1:], main.reshape(-1), flat[:-1], rhs.reshape(-1))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"sorption step is singular (gtsv info {info})")
+        u = x.reshape(u.shape)
     return u
-
-
-def gen_diffusion_sorption(grid: GridSpec, sorption: SorptionParams | None = None,
-                           seed: int = 0, params: PdeParams | None = None) -> PdeInstance:
-    if params is None:
-        params = default_params(DIFFUSION_SORPTION,
-                                sorption=sorption or SorptionParams())
-    rng = np.random.default_rng(seed)
-    a, b = _fourier_coefficients(rng)
-    x = sorption_x(grid.n_x)
-    u0 = np.clip((1.0 - x) + 0.4 * np.sin(np.pi * x) * _fourier_eval(a, b, x), 0.0, 1.0)
-    u0[0], u0[-1] = 1.0, 0.0
-    ut = diffusion_sorption_solve(u0, grid, params.sorption)
-    return _instance(u0, ut, params, grid, seed)
 
 
 # -- viscous Burgers stand-in for compressible Navier-Stokes ---------------
@@ -269,53 +257,98 @@ def gen_diffusion_sorption(grid: GridSpec, sorption: SorptionParams | None = Non
 def burgers_step(u: np.ndarray, dx: float, dt: float, nu: float) -> np.ndarray:
     """One conservative step: Rusanov flux for u^2/2 plus central diffusion."""
     f = 0.5 * u * u
-    u_r = np.roll(u, -1)
+    u_r = np.roll(u, -1, axis=-1)
     a = np.maximum(np.abs(u), np.abs(u_r))
-    flux = 0.5 * (f + np.roll(f, -1)) - 0.5 * a * (u_r - u)  # at i + 1/2
-    div = (flux - np.roll(flux, 1)) / dx
+    flux = 0.5 * (f + np.roll(f, -1, axis=-1)) - 0.5 * a * (u_r - u)  # at i + 1/2
+    div = (flux - np.roll(flux, 1, axis=-1)) / dx
     return u + dt * (-div + nu * _periodic_laplacian(u, dx))
 
 
 def burgers_solve(u0: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:
-    umax = max(1e-12, float(np.abs(u0).max()))
-    dt_max = min(DIFFUSION_STABILITY_LIMIT * grid.dx**2 / nu,
-                 DIFFUSION_STABILITY_LIMIT * grid.dx / umax)
-    dt, steps = _resolve_dt(grid, dt_max)
+    """The step size bound depends on each row's max |u0|, so rows are grouped
+    by their (dt, steps) plan and each group is stepped as one array."""
     u = u0.astype(np.float64).copy()
-    for _ in range(steps):
-        u = burgers_step(u, grid.dx, dt, nu)
+    rows = u.reshape(-1, u.shape[-1])  # a view: writing rows writes u
+    plans = []
+    for umax in np.abs(rows).max(axis=-1):
+        dt_max = min(DIFFUSION_STABILITY_LIMIT * grid.dx**2 / nu,
+                     DIFFUSION_STABILITY_LIMIT * grid.dx / max(1e-12, float(umax)))
+        plans.append(_resolve_dt(grid, dt_max))
+    for dt, steps in sorted(set(plans)):
+        group = [i for i, plan in enumerate(plans) if plan == (dt, steps)]
+        v = rows[group]
+        for _ in range(steps):
+            v = burgers_step(v, grid.dx, dt, nu)
+        rows[group] = v
     return u
+
+
+# -- instances and dataset assembly ----------------------------------------
+
+
+def _initial_frame(family: str, grid: GridSpec, seed: int) -> np.ndarray:
+    """The float64 input frame of one instance, drawn from its own seed's rng."""
+    a, b = _fourier_coefficients(np.random.default_rng(seed))
+    if family == DIFFUSION_REACTION:
+        return np.clip(0.5 + 0.5 * _fourier_eval(a, b, periodic_x(grid.n_x)), 0.0, 1.0)
+    if family == DIFFUSION_SORPTION:
+        x = sorption_x(grid.n_x)
+        u0 = np.clip((1.0 - x) + 0.4 * np.sin(np.pi * x) * _fourier_eval(a, b, x), 0.0, 1.0)
+        u0[0], u0[-1] = 1.0, 0.0
+        return u0
+    return _fourier_eval(a, b, periodic_x(grid.n_x))
+
+
+def _solve(family: str, u0: np.ndarray, grid: GridSpec, params: PdeParams) -> np.ndarray:
+    if family == DIFFUSION_REACTION:
+        return diffusion_reaction_solve(u0, grid, params.nu, params.rho)
+    if family == DIFFUSION_SORPTION:
+        return diffusion_sorption_solve(u0, grid, params.sorption)
+    return burgers_solve(u0, grid, params.nu)
+
+
+def _generate(family: str, grid: GridSpec, params: PdeParams,
+              seeds: list[int]) -> list[PdeInstance]:
+    """One instance per seed; a solved family's frames are solved together."""
+    if family == ADVECTION:
+        frames = [advection_frames_f64(grid, params.beta, s) for s in seeds]
+    else:
+        u0 = np.stack([_initial_frame(family, grid, s) for s in seeds])
+        frames = zip(u0, _solve(family, u0, grid, params))
+    return [_instance(a, b, params, grid, s) for (a, b), s in zip(frames, seeds)]
+
+
+def generate_instance(family: str, grid: GridSpec, params: PdeParams, seed: int) -> PdeInstance:
+    return _generate(family, grid, params, [seed])[0]
+
+
+def gen_diffusion_reaction(grid: GridSpec, nu: float = 0.5, rho: float = 1.0,
+                           seed: int = 0, params: PdeParams | None = None) -> PdeInstance:
+    if params is None:
+        params = default_params(DIFFUSION_REACTION, nu=nu, rho=rho)
+    return generate_instance(DIFFUSION_REACTION, grid, params, seed)
+
+
+def gen_diffusion_sorption(grid: GridSpec, sorption: SorptionParams | None = None,
+                           seed: int = 0, params: PdeParams | None = None) -> PdeInstance:
+    if params is None:
+        params = default_params(DIFFUSION_SORPTION,
+                                sorption=sorption or SorptionParams())
+    return generate_instance(DIFFUSION_SORPTION, grid, params, seed)
 
 
 def gen_burgers_ns_standin(grid: GridSpec, nu: float = 0.1, seed: int = 0,
                            params: PdeParams | None = None) -> PdeInstance:
     if params is None:
         params = default_params(BURGERS_NS, nu=nu)
-    rng = np.random.default_rng(seed)
-    a, b = _fourier_coefficients(rng)
-    u0 = _fourier_eval(a, b, periodic_x(grid.n_x))
-    ut = burgers_solve(u0, grid, params.nu)
-    return _instance(u0, ut, params, grid, seed)
+    return generate_instance(BURGERS_NS, grid, params, seed)
 
-
-# -- dataset assembly ------------------------------------------------------
-
-_GENERATORS = {
-    ADVECTION: lambda grid, params, seed: gen_advection(grid, seed=seed, params=params),
-    DIFFUSION_REACTION: lambda grid, params, seed: gen_diffusion_reaction(grid, seed=seed, params=params),
-    DIFFUSION_SORPTION: lambda grid, params, seed: gen_diffusion_sorption(grid, seed=seed, params=params),
-    BURGERS_NS: lambda grid, params, seed: gen_burgers_ns_standin(grid, seed=seed, params=params),
-}
 
 _TRAIN_STREAM, _TEST_STREAM = 0, 1
 
 
 def _instance_seed(base_seed: int, stream: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=(base_seed, stream, index)).generate_state(1)[0])
-
-
-def generate_instance(family: str, grid: GridSpec, params: PdeParams, seed: int) -> PdeInstance:
-    return _GENERATORS[family](grid, params, seed)
 
 
 @dataclass
@@ -331,18 +364,21 @@ class PdeDataset:
 def build_dataset(family: str, n_train: int, n_test: int, grid: GridSpec,
                   params: PdeParams | None = None, seed: int = 0,
                   out_path=None) -> PdeDataset:
-    """Generate train/test splits from disjoint seed streams; optionally persist."""
+    """Generate train/test splits from disjoint seed streams; optionally persist.
+
+    Every instance of both splits is solved in one pass over a
+    [n_train + n_test, n_x] array."""
     if family not in FAMILIES:
         raise ConfigError(f"unknown PDE family {family!r}")
     if n_train < 1 or n_test < 1:
         raise ConfigError("n_train and n_test must be >= 1")
     if params is None:
         params = default_params(family)
-    train = [generate_instance(family, grid, params, _instance_seed(seed, _TRAIN_STREAM, i))
-             for i in range(n_train)]
-    test = [generate_instance(family, grid, params, _instance_seed(seed, _TEST_STREAM, i))
-            for i in range(n_test)]
-    ds = PdeDataset(family=family, params=params, grid=grid, seed=seed, train=train, test=test)
+    seeds = ([_instance_seed(seed, _TRAIN_STREAM, i) for i in range(n_train)]
+             + [_instance_seed(seed, _TEST_STREAM, i) for i in range(n_test)])
+    instances = _generate(family, grid, params, seeds)
+    ds = PdeDataset(family=family, params=params, grid=grid, seed=seed,
+                    train=instances[:n_train], test=instances[n_train:])
     if out_path is not None:
         save_dataset(ds, out_path)
     return ds
@@ -369,13 +405,23 @@ def load_dataset(path) -> PdeDataset:
     header, blocks = read_container(path)
     if header.get("kind") != "pde_dataset":
         raise DataFileError(f"{path} is not a pde dataset container")
-    params = PdeParams.from_dict(header["params"])
-    grid = GridSpec.from_dict(header["grid"])
-    frames = blocks["frames"]
-    seeds = header["instance_seeds"]
-    instances = [PdeInstance(input=Tensor(frames[i, 0]), target=Tensor(frames[i, 1]),
-                             params=params, grid=grid, seed=seeds[i])
-                 for i in range(frames.shape[0])]
-    n_train = header["n_train"]
-    return PdeDataset(family=header["family"], params=params, grid=grid, seed=header["seed"],
+    try:
+        params = PdeParams.from_dict(header["params"])
+        grid = GridSpec.from_dict(header["grid"])
+        frames, seeds = blocks["frames"], header["instance_seeds"]
+        n_train, n_test = header["n_train"], header["n_test"]
+        family, seed = header["family"], header["seed"]
+    except KeyError as exc:
+        raise DataFileError(f"pde dataset {path} lacks {exc}") from exc
+    except ConfigError as exc:
+        raise DataFileError(f"pde dataset {path} holds invalid values: {exc}") from exc
+    if frames.ndim != 3 or frames.shape[1:] != (2, grid.n_x):
+        raise DataFileError(f"frames in {path} have shape {list(frames.shape)}, "
+                            f"not [n, 2, {grid.n_x}]")
+    if not len(seeds) == n_train + n_test == len(frames):
+        raise DataFileError(f"{path} holds {len(frames)} frame pairs, {len(seeds)} "
+                            f"instance seeds and n_train + n_test = {n_train} + {n_test}")
+    instances = [PdeInstance(input=Tensor(u0), target=Tensor(ut), params=params, grid=grid,
+                             seed=s) for (u0, ut), s in zip(frames, seeds)]
+    return PdeDataset(family=family, params=params, grid=grid, seed=seed,
                       train=instances[:n_train], test=instances[n_train:])

@@ -73,11 +73,20 @@ def _grammar_tables(rng: np.random.Generator, vocab_size: int, tag_count: int):
     return transition, emission, token_dist
 
 
+def _row_cdfs(table: np.ndarray) -> np.ndarray:
+    """Each row's CDF as ``Generator.choice(n, p=row)`` builds it (cumsum, then
+    divide by the last entry). ``cdf[row].searchsorted(rng.random(), "right")``
+    then draws what that ``choice`` call draws, from the same rng stream."""
+    cdf = np.cumsum(table, axis=1)
+    return cdf / cdf[:, -1:]
+
+
 def gen_corpus(seed: int, n_sequences: int, vocab_size: int = 64, tag_count: int = 9) -> SyntheticCorpus:
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
     rng = np.random.default_rng(seed)
     transition, emission, token_dist = _grammar_tables(rng, vocab_size, tag_count)
+    cdf_state, cdf_tag, cdf_token = (_row_cdfs(t) for t in (transition, emission, token_dist))
     sequences = []
     for _ in range(n_sequences):
         length = int(rng.integers(MIN_SEQ_LEN, MAX_SEQ_LEN + 1))
@@ -85,10 +94,10 @@ def gen_corpus(seed: int, n_sequences: int, vocab_size: int = 64, tag_count: int
         tokens = np.empty(length, dtype=np.int64)
         tags = np.empty(length, dtype=np.int64)
         for i in range(length):
-            state = int(rng.choice(N_STATES, p=transition[state]))
-            tag = int(rng.choice(tag_count, p=emission[state]))
+            state = int(cdf_state[state].searchsorted(rng.random(), side="right"))
+            tag = int(cdf_tag[state].searchsorted(rng.random(), side="right"))
             tags[i] = tag
-            tokens[i] = int(rng.choice(vocab_size, p=token_dist[tag]))
+            tokens[i] = int(cdf_token[tag].searchsorted(rng.random(), side="right"))
         sequences.append((tokens, tags))
     return SyntheticCorpus(vocab_size=vocab_size, tag_count=tag_count, seed=seed,
                            sequences=sequences, transition=transition,

@@ -280,7 +280,12 @@ def sub(a, b) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(-g, b.data.shape)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g, a.data.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(-g, b.data.shape)))
+        return grads
 
     return _make(out, (a, b), bwd)
 
@@ -290,10 +295,12 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g * b.data, a.data.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(g * a.data, b.data.shape)))
+        return grads
 
     return _make(out, (a, b), bwd)
 
@@ -303,10 +310,12 @@ def div(a, b) -> Tensor:
     out = a.data / b.data
 
     def bwd(g):
-        return (
-            (a, _unbroadcast(g / b.data, a.data.shape)),
-            (b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)),
-        )
+        grads = []
+        if a.requires_grad:
+            grads.append((a, _unbroadcast(g / b.data, a.data.shape)))
+        if b.requires_grad:
+            grads.append((b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+        return grads
 
     return _make(out, (a, b), bwd)
 

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from crossmodal_pde.cli import cli_main
+from crossmodal_pde.container import read_container, write_container
 from crossmodal_pde.experiments import CSV_COLUMNS
 
 
@@ -112,6 +113,22 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert cli_main(["run", "--config", config_path]) == 3
     err = capsys.readouterr().err
     assert "epoch" in err and "Traceback" not in err
+
+
+def test_run_on_malformed_dataset_is_data_error(tmp_path, capsys):
+    data = str(tmp_path / "adv.bin")
+    assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                     "--out", data, "--seed", "1", "--n-x", "32"]) == 0
+    header, blocks = read_container(data)
+    header["n_test"] = 0  # 4 frame pairs, but 2 + 0 instances declared
+    write_container(data, header, list(blocks.items()))
+    config_path = str(tmp_path / "exp.json")
+    with open(config_path, "w") as fh:
+        json.dump({"name": "bad-data", "dataset_file": data, "pretrained": False,
+                   "out_dir": str(tmp_path / "records")}, fh)
+    assert cli_main(["run", "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "adv.bin" in err and "Traceback" not in err
 
 
 def test_table_foreign_record_is_usage_error(tmp_path, capsys):

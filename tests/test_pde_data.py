@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from crossmodal_pde import pde_data as pd
 from crossmodal_pde.pde_data import (
@@ -15,6 +18,7 @@ from crossmodal_pde.pde_data import (
     build_dataset,
     burgers_solve,
     burgers_step,
+    default_grid,
     default_params,
     diffusion_reaction_solve,
     diffusion_sorption_solve,
@@ -26,6 +30,7 @@ from crossmodal_pde.pde_data import (
     periodic_x,
     sorption_x,
 )
+from crossmodal_pde.container import DataFileError, read_container, write_container
 from crossmodal_pde.transformer import ConfigError
 
 
@@ -236,3 +241,166 @@ def test_all_families_generate():
         inst = pd.generate_instance(family, grid, default_params(family), seed=0)
         assert inst.input.data.shape == (32,)
         assert inst.target.data.shape == (32,)
+
+
+@pytest.mark.parametrize("family", [ADVECTION, DIFFUSION_REACTION, DIFFUSION_SORPTION, BURGERS_NS])
+def test_dt_solver_must_be_finite_and_positive(family):
+    grid = default_grid(family, n_x=32)
+    for bad in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="dt_solver"):
+            dataclasses.replace(grid, dt_solver=bad)
+    assert dataclasses.replace(grid, dt_solver=1e-6).dt_solver == 1e-6
+
+
+def _rewrite(path, edit):
+    """Rewrite a dataset container after ``edit(header, blocks)``."""
+    header, blocks = read_container(path)
+    edit(header, blocks)
+    write_container(path, header, list(blocks.items()))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h, b: h.pop("grid"),
+    lambda h, b: h.pop("instance_seeds"),
+    lambda h, b: b.pop("frames"),
+    lambda h, b: h["grid"].pop("n_x"),
+    lambda h, b: h["grid"].update(dt_solver=0.0),
+    lambda h, b: h["params"].update(family="heat"),
+    lambda h, b: h["params"].pop("sorption"),
+    lambda h, b: h.update(instance_seeds=h["instance_seeds"][:-1]),
+    lambda h, b: h.update(n_test=h["n_test"] - 1),
+    lambda h, b: h.update(n_train=h["n_train"] + 1),
+    lambda h, b: b.update(frames=np.ascontiguousarray(b["frames"][:, 0])),
+    lambda h, b: b.update(frames=np.ascontiguousarray(b["frames"][:, :, :-2])),
+], ids=["no_grid", "no_instance_seeds", "no_frames_block", "grid_lacks_n_x",
+        "grid_dt_solver_zero", "unknown_family", "params_lack_sorption",
+        "seeds_shorter_than_frames", "n_test_too_small", "n_train_too_large",
+        "frames_2d", "frames_narrower_than_grid"])
+def test_malformed_dataset_is_data_file_error(tmp_path, edit):
+    path = tmp_path / "adv.bin"
+    build_dataset(ADVECTION, 3, 2, GridSpec(n_x=16, t_out=0.5), seed=1, out_path=path)
+    _rewrite(path, edit)
+    with pytest.raises(DataFileError, match=str(path)):
+        load_dataset(path)
+
+
+# -- batched solves against the one-instance code they replaced ------------------
+#
+# The solvers step all instances of a dataset as one [m, n_x] array. The
+# functions below are the one-instance solvers and initial frames from before
+# that change, kept as oracles: every row must match them bit for bit.
+
+
+def _old_laplacian(u, dx):
+    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (dx * dx)
+
+
+def _old_reaction_solve(u0, grid, nu, rho):
+    dt, steps = pd._resolve_dt(grid, pd.DIFFUSION_STABILITY_LIMIT * grid.dx**2 / nu)
+    u = u0.astype(np.float64).copy()
+    for _ in range(steps):
+        u = u + dt * (nu * _old_laplacian(u, grid.dx) + rho * u * (1.0 - u))
+    return u
+
+
+def _old_sorption_solve(u0, grid, sp):
+    n_x = grid.n_x
+    dx = 1.0 / (n_x - 1)
+    dt = grid.dt_solver if grid.dt_solver is not None else (grid.t_out - grid.t_in) / 400.0
+    steps = max(1, int(np.ceil((grid.t_out - grid.t_in) / dt)))
+    dt = (grid.t_out - grid.t_in) / steps
+    u = u0.astype(np.float64).copy()
+    u[0], u[-1] = 1.0, 0.0
+    for _ in range(steps):
+        coef = dt * sp.diffusivity / (pd._retardation(u, sp.c, sp.n) * dx * dx)
+        ab = np.zeros((3, n_x))
+        ab[1, :] = 1.0 + 2.0 * coef
+        ab[0, 1:] = -coef[:-1]
+        ab[2, :-1] = -coef[1:]
+        ab[1, 0] = ab[1, -1] = 1.0
+        ab[0, 1] = ab[2, -2] = 0.0
+        rhs = u.copy()
+        rhs[0], rhs[-1] = 1.0, 0.0
+        u = solve_banded((1, 1), ab, rhs)
+    return u
+
+
+def _old_burgers_step(u, dx, dt, nu):
+    f = 0.5 * u * u
+    u_r = np.roll(u, -1)
+    a = np.maximum(np.abs(u), np.abs(u_r))
+    flux = 0.5 * (f + np.roll(f, -1)) - 0.5 * a * (u_r - u)
+    div = (flux - np.roll(flux, 1)) / dx
+    return u + dt * (-div + nu * _old_laplacian(u, dx))
+
+
+def _old_burgers_plan(u0, grid, nu):
+    umax = max(1e-12, float(np.abs(u0).max()))
+    return pd._resolve_dt(grid, min(pd.DIFFUSION_STABILITY_LIMIT * grid.dx**2 / nu,
+                                    pd.DIFFUSION_STABILITY_LIMIT * grid.dx / umax))
+
+
+def _old_burgers_solve(u0, grid, nu):
+    dt, steps = _old_burgers_plan(u0, grid, nu)
+    u = u0.astype(np.float64).copy()
+    for _ in range(steps):
+        u = _old_burgers_step(u, grid.dx, dt, nu)
+    return u
+
+
+def _old_instance_frames(family, grid, params, seed):
+    rng = np.random.default_rng(seed)
+    a, b = pd._fourier_coefficients(rng)
+    if family == DIFFUSION_REACTION:
+        u0 = np.clip(0.5 + 0.5 * pd._fourier_eval(a, b, periodic_x(grid.n_x)), 0.0, 1.0)
+        return u0, _old_reaction_solve(u0, grid, params.nu, params.rho)
+    if family == DIFFUSION_SORPTION:
+        x = sorption_x(grid.n_x)
+        u0 = np.clip((1.0 - x) + 0.4 * np.sin(np.pi * x) * pd._fourier_eval(a, b, x), 0.0, 1.0)
+        u0[0], u0[-1] = 1.0, 0.0
+        return u0, _old_sorption_solve(u0, grid, params.sorption)
+    u0 = pd._fourier_eval(a, b, periodic_x(grid.n_x))
+    return u0, _old_burgers_solve(u0, grid, params.nu)
+
+
+@pytest.mark.parametrize("family, grid", [
+    (DIFFUSION_REACTION, GridSpec(n_x=32, t_out=0.05)),
+    (DIFFUSION_SORPTION, GridSpec(n_x=32, t_out=20.0)),
+    (DIFFUSION_SORPTION, GridSpec(n_x=32, t_out=20.0, dt_solver=0.3)),
+    (BURGERS_NS, GridSpec(n_x=32, t_out=0.2)),
+], ids=["reaction", "sorption", "sorption_dt_solver", "burgers"])
+def test_build_dataset_equals_one_instance_solves(family, grid):
+    params = default_params(family)
+    ds = build_dataset(family, 4, 3, grid, params=params, seed=9)
+    for inst in ds.train + ds.test:
+        u0, ut = _old_instance_frames(family, grid, params, inst.seed)
+        assert np.array_equal(inst.input.data, u0.astype(np.float32))
+        assert np.array_equal(inst.target.data, ut.astype(np.float32))
+        assert np.array_equal(pd.generate_instance(family, grid, params, inst.seed).target.data,
+                              inst.target.data)
+
+
+@pytest.mark.parametrize("family, grid", [
+    (DIFFUSION_REACTION, GridSpec(n_x=32, t_out=0.05)),
+    (DIFFUSION_SORPTION, GridSpec(n_x=32, t_out=20.0, dt_solver=0.3)),
+    (BURGERS_NS, GridSpec(n_x=32, t_out=0.2)),
+], ids=["reaction", "sorption_dt_solver", "burgers"])
+def test_batched_solver_float64_equals_row_solves(family, grid):
+    params = default_params(family)
+    rows = np.stack([_old_instance_frames(family, grid, params, s)[0] for s in range(5)])
+    got = pd._solve(family, rows, grid, params)
+    want = np.stack([_old_instance_frames(family, grid, params, s)[1] for s in range(5)])
+    assert got.shape == rows.shape and np.array_equal(got, want)
+
+
+def test_burgers_batch_with_two_step_plans():
+    grid = GridSpec(n_x=32, t_out=0.05)
+    u0 = pd._fourier_eval(*pd._fourier_coefficients(np.random.default_rng(4)), periodic_x(32))
+    rows = np.stack([u0, 10.0 * u0])
+    # the CFL bound bites on the scaled row only, so the rows need different steps
+    assert np.abs(u0).max() < 0.1 / grid.dx < 10.0 * np.abs(u0).max()
+    plans = [_old_burgers_plan(r, grid, 0.1) for r in rows]
+    assert plans[0] != plans[1]
+    got = burgers_solve(rows, grid, nu=0.1)
+    for row, want in zip(got, (_old_burgers_solve(r, grid, 0.1) for r in rows)):
+        assert np.array_equal(row, want)

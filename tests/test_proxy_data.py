@@ -30,6 +30,36 @@ def test_corpus_deterministic():
         np.testing.assert_array_equal(ga, gb)
 
 
+def _gen_corpus_with_choice(seed, n_sequences, vocab_size=64, tag_count=9):
+    """The sampler gen_corpus replaced: one rng.choice(n, p=row) per draw."""
+    rng = np.random.default_rng(seed)
+    transition, emission, token_dist = px._grammar_tables(rng, vocab_size, tag_count)
+    sequences = []
+    for _ in range(n_sequences):
+        length = int(rng.integers(px.MIN_SEQ_LEN, MAX_SEQ_LEN + 1))
+        state = int(rng.integers(px.N_STATES))
+        tokens = np.empty(length, dtype=np.int64)
+        tags = np.empty(length, dtype=np.int64)
+        for i in range(length):
+            state = int(rng.choice(px.N_STATES, p=transition[state]))
+            tag = int(rng.choice(tag_count, p=emission[state]))
+            tags[i] = tag
+            tokens[i] = int(rng.choice(vocab_size, p=token_dist[tag]))
+        sequences.append((tokens, tags))
+    return sequences
+
+
+@pytest.mark.parametrize("seed, vocab_size, tag_count",
+                         [(0, 64, 9), (6, 64, 9), (41, 100, 12)])
+def test_corpus_equals_rng_choice_sampler(seed, vocab_size, tag_count):
+    want = _gen_corpus_with_choice(seed, 40, vocab_size, tag_count)
+    got = gen_corpus(seed, 40, vocab_size=vocab_size, tag_count=tag_count)
+    assert len(got.sequences) == len(want)
+    for (tg, gg), (tw, gw) in zip(got.sequences, want):
+        np.testing.assert_array_equal(tg, tw)
+        np.testing.assert_array_equal(gg, gw)
+
+
 def test_corpus_lengths_below_32():
     corpus = gen_corpus(seed=1, n_sequences=200)
     lengths = [len(t) for t, _ in corpus.sequences]

@@ -304,6 +304,18 @@ def test_backward_stores_grad_on_leaves_only():
     assert h.grad is None and loss.grad is None
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
+def test_binary_backward_skips_constant_operand(op):
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)).astype(np.float32), requires_grad=True)
+    c = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)).astype(np.float32))
+    g = np.ones((3, 3), dtype=np.float32)
+    for out, wanted in ((op(w, c), w), (op(c, w), w)):
+        assert [parent for parent, _ in out._backward(g)] == [wanted]
+    both = op(w, Tensor(c.data, requires_grad=True))
+    assert len(both._backward(g)) == 2
+
+
 def test_keep_freed_memory_is_a_noop_without_mallopt(monkeypatch):
     monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())
     T._keep_freed_memory()
