@@ -36,7 +36,6 @@ from .transformer import (
     FPT_FROZEN,
     LengthError,
     TransformerModel,
-    _sum_tensors,
     forward_hidden,
     trainable_parameters,
 )
@@ -256,6 +255,13 @@ def pseudo_label_targets(instances: list[PdeInstance], bins: int = 10) -> Pseudo
 def _frame_matrix(x) -> np.ndarray:
     arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float32)
     return arr[:, None] if arr.ndim == 1 else arr
+
+
+def _sum_tensors(ts: list[Tensor]) -> Tensor:
+    acc = ts[0]
+    for t in ts[1:]:
+        acc = T.add(acc, t)
+    return acc
 
 
 def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Predictor,

@@ -25,11 +25,15 @@ from .transformer import (
 )
 
 
-def _worker_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--arch", required=True, choices=[ENCODER_ONLY, DECODER_ONLY])
     p_pre.add_argument("--corpus", required=True)
     p_pre.add_argument("--out", required=True)
-    p_pre.add_argument("--steps", type=int, default=1500)
+    p_pre.add_argument("--steps", type=_at_least(0), default=1500)
     p_pre.add_argument("--seed", type=int, default=0)
     p_pre.add_argument("--d-model", type=int, default=64)
     p_pre.add_argument("--n-heads", type=int, default=4)
@@ -67,11 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--d-ff", type=int, default=256)
     p_pre.add_argument("--max-positions", type=int, default=256)
     p_pre.add_argument("--learning-rate", type=float, default=1e-3)
-    p_pre.add_argument("--batch-size", type=int, default=8)
+    p_pre.add_argument("--batch-size", type=_at_least(1), default=8)
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--workers", type=_worker_count, default=1)
+    p_run.add_argument("--workers", type=_at_least(1), default=1)
 
     p_table = sub.add_parser("table", help="aggregate run records into a CSV table")
     p_table.add_argument("--records", required=True)

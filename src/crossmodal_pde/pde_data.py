@@ -415,12 +415,22 @@ def load_dataset(path) -> PdeDataset:
         raise DataFileError(f"pde dataset {path} lacks {exc}") from exc
     except ConfigError as exc:
         raise DataFileError(f"pde dataset {path} holds invalid values: {exc}") from exc
+    if family != params.family:
+        raise DataFileError(f"pde dataset {path} has family {family!r} but params for "
+                            f"{params.family!r}")
+    for name, n in (("n_train", n_train), ("n_test", n_test)):
+        if type(n) is not int or n < 0:  # bool is an int subclass; reject it too
+            raise DataFileError(f"pde dataset {path} has {name} = {n!r}, "
+                                f"not a non-negative integer")
     if frames.ndim != 3 or frames.shape[1:] != (2, grid.n_x):
         raise DataFileError(f"frames in {path} have shape {list(frames.shape)}, "
                             f"not [n, 2, {grid.n_x}]")
     if not len(seeds) == n_train + n_test == len(frames):
         raise DataFileError(f"{path} holds {len(frames)} frame pairs, {len(seeds)} "
                             f"instance seeds and n_train + n_test = {n_train} + {n_test}")
+    if not np.all(np.isfinite(frames)):
+        bad = int(np.count_nonzero(~np.isfinite(frames)))
+        raise DataFileError(f"frames in {path} hold {bad} non-finite values")
     instances = [PdeInstance(input=Tensor(u0), target=Tensor(ut), params=params, grid=grid,
                              seed=s) for (u0, ut), s in zip(frames, seeds)]
     return PdeDataset(family=family, params=params, grid=grid, seed=seed,

@@ -1,8 +1,9 @@
 """Toy pre-norm transformer with encoder-only (bidirectional) and decoder-only
 (causal) attention policies, plus the matching pretraining objectives.
 
-Models process one sequence at a time: forward on a length-L input yields the
-last hidden layer as an [L, d_model] tensor.
+Jobs run one sequence at a time: forward on a length-L input yields the last
+hidden layer as an [L, d_model] tensor.  Pretraining runs each batch as one
+padded [B*Lmax, d_model] forward.
 """
 
 from __future__ import annotations
@@ -178,27 +179,51 @@ def causal_bias(L: int) -> np.ndarray:
 
 
 def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
-                   positions: np.ndarray | None = None) -> Tensor:
+                   positions: np.ndarray | None = None,
+                   lengths: np.ndarray | None = None) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
 
-    ``positions`` overrides the default 0..L-1 position indices (used by the
-    doubled-sequence ablation).
+    The input is one sequence, [L, d_model], or with ``lengths`` a padded
+    batch: B = len(lengths) sequences of Lmax = rows / B rows each, stacked
+    to [B*Lmax, d_model], where sequence b's rows from lengths[b] on are
+    padding.  Padded keys get a -inf attention bias and so weight exactly
+    0.0: a real row does not depend on what the (finite) padding holds, and
+    it equals the row its sequence's own forward gives up to the order in
+    which BLAS sums the zero terms padding adds to ``probs @ v`` (bitwise
+    with OpenBLAS's Haswell sgemm at head width 16, the default model's; not
+    at head width 8).
+    ``positions`` overrides the rows' default position indices, 0..Lmax-1
+    per sequence (used by the doubled-sequence ablation).
     """
     cfg = model.config
     if mask not in (BIDIRECTIONAL, CAUSAL):
         raise ContractError(f"unknown mask policy {mask!r}")
-    L = embedded_input.data.shape[0]
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:
         raise T.ShapeError(f"embedded input must be [L, {cfg.d_model}]")
+    rows = embedded_input.data.shape[0]
+    if lengths is None:
+        B, L = 1, rows
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        B = len(lengths)
+        if B == 0 or rows % B or lengths.min() < 1 or lengths.max() > rows // B:
+            raise T.ShapeError(f"lengths {lengths.tolist()} do not pad to {rows} rows")
+        L = rows // B
     if positions is None:
-        positions = np.arange(L)
+        positions = np.tile(np.arange(L), B)
     positions = np.asarray(positions, dtype=np.int64)
     if positions.max(initial=0) >= cfg.max_positions or L > cfg.max_positions:
         raise LengthError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
 
     p = model.params
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-    attn_bias = causal_bias(L) if mask == CAUSAL else None
+    if mask == CAUSAL:  # padding follows the real rows, so this hides it from them too
+        attn_bias = causal_bias(L)
+    elif lengths is not None:
+        attn_bias = np.where(np.arange(L) < lengths[:, None], np.float32(0.0),
+                             np.float32(-np.inf))[:, None, None, :]
+    else:
+        attn_bias = None
 
     h = T.add(embedded_input, T.take_rows(p["pos_emb"], positions))
     for i in range(cfg.n_layers):
@@ -207,12 +232,12 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
         q = T.add(T.matmul(a, p[pre + "attn.wq"]), p[pre + "attn.bq"])
         k = T.add(T.matmul(a, p[pre + "attn.wk"]), p[pre + "attn.bk"])
         v = T.add(T.matmul(a, p[pre + "attn.wv"]), p[pre + "attn.bv"])
-        q = T.transpose(T.reshape(q, (L, H, dh)), (1, 0, 2))
-        k = T.transpose(T.reshape(k, (L, H, dh)), (1, 0, 2))
-        v = T.transpose(T.reshape(v, (L, H, dh)), (1, 0, 2))
+        q = T.transpose(T.reshape(q, (B, L, H, dh)), (0, 2, 1, 3))
+        k = T.transpose(T.reshape(k, (B, L, H, dh)), (0, 2, 1, 3))
+        v = T.transpose(T.reshape(v, (B, L, H, dh)), (0, 2, 1, 3))
         scores = T.matmul(q, T.transpose_last2(k))
         probs = T.softmax_lastdim(scores, bias=attn_bias, scale=1.0 / np.sqrt(dh))
-        ctx = T.reshape(T.transpose(T.matmul(probs, v), (1, 0, 2)), (L, cfg.d_model))
+        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (rows, cfg.d_model))
         o = T.add(T.matmul(ctx, p[pre + "attn.wo"]), p[pre + "attn.bo"])
         h = T.add(h, o)
         m = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
@@ -238,23 +263,16 @@ NEXT_TOKEN = "next_token"
 MLM_MASK_RATE = 0.15
 
 
-def _token_cross_entropy(model: TransformerModel, mask_policy: str,
-                         predict_pos: np.ndarray, target_ids: np.ndarray,
-                         input_ids: np.ndarray) -> Tensor:
-    hidden = forward_hidden(model, embed_tokens(model, input_ids), mask_policy)
-    logits = lm_logits(model, T.take_rows(hidden, predict_pos))
-    logp = T.sub(logits, T.logsumexp_lastdim(logits, keepdims=True))
-    picked = T.gather_lastdim(logp, target_ids)
-    return T.neg(T.tsum(picked))
-
-
 def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: str,
                   rng: np.random.Generator | None = None,
                   mask_rate: float = MLM_MASK_RATE, mask_token: int = 1) -> float:
     """Forward+backward one batch of token sequences; returns the mean loss in nats.
 
-    Gradients accumulate into the model parameters; the caller zeroes and
-    steps.  MLM requires an encoder-only model, next-token a decoder-only one.
+    The batch runs as one tape: the sequences that have targets are padded
+    to the longest of them and go through one ``forward_hidden``.  MLM draws
+    each sequence's masked positions from ``rng`` in batch order.  Gradients
+    accumulate into the model parameters; the caller zeroes and steps.  MLM
+    requires an encoder-only model, next-token a decoder-only one.
     """
     cfg = model.config
     if objective == MLM and cfg.arch != ENCODER_ONLY:
@@ -266,16 +284,15 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: s
     if rng is None:
         rng = np.random.default_rng(0)
 
-    losses: list[Tensor] = []
-    n_targets = 0
+    inputs, predict_pos, target_ids = [], [], []
     for ids in batch:
         ids = np.asarray(ids, dtype=np.int64)
         if objective == NEXT_TOKEN:
             if len(ids) < 2:
                 continue
-            pos = np.arange(len(ids) - 1)
-            losses.append(_token_cross_entropy(model, CAUSAL, pos, ids[1:], ids))
-            n_targets += len(ids) - 1
+            inputs.append(ids)
+            predict_pos.append(np.arange(len(ids) - 1))
+            target_ids.append(ids[1:])
         else:
             n_mask = int(round(mask_rate * len(ids)))
             if n_mask == 0:
@@ -284,21 +301,25 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: s
             pos.sort()
             corrupted = ids.copy()
             corrupted[pos] = mask_token
-            losses.append(_token_cross_entropy(model, BIDIRECTIONAL, pos, ids[pos], corrupted))
-            n_targets += n_mask
-    if n_targets == 0:
+            inputs.append(corrupted)
+            predict_pos.append(pos)
+            target_ids.append(ids[pos])
+    if not inputs:
         return 0.0  # loss over an empty target set
-    total = losses[0] if len(losses) == 1 else _sum_tensors(losses)
-    mean_loss = T.div(total, float(n_targets))
+    lengths = np.array([len(ids) for ids in inputs])
+    L = int(lengths.max())
+    padded = np.zeros((len(inputs), L), dtype=np.int64)  # the pad id does not reach a real row
+    for row, ids in zip(padded, inputs):
+        row[: len(ids)] = ids
+    hidden = forward_hidden(model, embed_tokens(model, padded.ravel()), cfg.mask_policy,
+                            lengths=lengths)
+    rows = np.concatenate([b * L + pos for b, pos in enumerate(predict_pos)])
+    targets = np.concatenate(target_ids)
+    logits = lm_logits(model, T.take_rows(hidden, rows))
+    logp = T.sub(logits, T.logsumexp_lastdim(logits, keepdims=True))
+    mean_loss = T.div(T.neg(T.tsum(T.gather_lastdim(logp, targets))), float(len(targets)))
     mean_loss.backward()
     return mean_loss.item()
-
-
-def _sum_tensors(ts: list[Tensor]) -> Tensor:
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = T.add(acc, t)
-    return acc
 
 
 def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
@@ -307,6 +328,9 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
     (``experiments.run_one``)."""
+    if batch_size < 1 or steps < 0:
+        raise ContractError(f"pretrain needs batch_size >= 1 and steps >= 0, "
+                            f"got batch_size={batch_size}, steps={steps}")
     objective = NEXT_TOKEN if model.config.arch == DECODER_ONLY else MLM
     rng = np.random.default_rng(seed)
     opt = T.OptimizerState(kind="adam", learning_rate=learning_rate)

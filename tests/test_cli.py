@@ -115,20 +115,51 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "epoch" in err and "Traceback" not in err
 
 
-def test_run_on_malformed_dataset_is_data_error(tmp_path, capsys):
+def _run_on_edited_dataset(tmp_path, edit):
+    """Exit code of ``run`` on a 2 + 2 advection dataset rewritten by ``edit``."""
     data = str(tmp_path / "adv.bin")
     assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
                      "--out", data, "--seed", "1", "--n-x", "32"]) == 0
     header, blocks = read_container(data)
-    header["n_test"] = 0  # 4 frame pairs, but 2 + 0 instances declared
+    edit(header, blocks)
     write_container(data, header, list(blocks.items()))
     config_path = str(tmp_path / "exp.json")
     with open(config_path, "w") as fh:
         json.dump({"name": "bad-data", "dataset_file": data, "pretrained": False,
                    "out_dir": str(tmp_path / "records")}, fh)
-    assert cli_main(["run", "--config", config_path]) == 2
+    return cli_main(["run", "--config", config_path])
+
+
+def test_run_on_malformed_dataset_is_data_error(tmp_path, capsys):
+    # 4 frame pairs, but 2 + 0 instances declared
+    assert _run_on_edited_dataset(tmp_path, lambda h, b: h.update(n_test=0)) == 2
     err = capsys.readouterr().err
     assert "adv.bin" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h, b: h.update(family="bogus"),
+    lambda h, b: h.update(n_train="2"),
+    lambda h, b: h.update(n_train=-1, n_test=5),
+    lambda h, b: b["frames"].__setitem__((1, 1, 5), float("nan")),
+], ids=["header_family_bogus", "n_train_string", "n_train_negative", "nan_frame"])
+def test_run_on_bad_dataset_values_is_data_error(tmp_path, capsys, edit):
+    assert _run_on_edited_dataset(tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert "adv.bin" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, value, floor", [("--batch-size", "0", 1),
+                                                ("--steps", "-1", 0)])
+def test_pretrain_count_below_floor_is_usage_error(tmp_path, capsys, flag, value, floor):
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
+    out = tmp_path / "m.ckpt"
+    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
+                     "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and f"at least {floor}" in err
+    assert not out.exists()
 
 
 def test_table_foreign_record_is_usage_error(tmp_path, capsys):

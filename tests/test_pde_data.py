@@ -272,10 +272,20 @@ def _rewrite(path, edit):
     lambda h, b: h.update(n_train=h["n_train"] + 1),
     lambda h, b: b.update(frames=np.ascontiguousarray(b["frames"][:, 0])),
     lambda h, b: b.update(frames=np.ascontiguousarray(b["frames"][:, :, :-2])),
+    lambda h, b: h.update(family="bogus"),
+    lambda h, b: h.update(family="diffusion_reaction"),
+    lambda h, b: h.update(n_train=str(h["n_train"])),
+    lambda h, b: h.update(n_test=float(h["n_test"])),
+    lambda h, b: h.update(n_train=True, n_test=h["n_train"] + h["n_test"] - 1),
+    lambda h, b: h.update(n_train=-1, n_test=h["n_train"] + h["n_test"] + 1),
+    lambda h, b: b["frames"].__setitem__((0, 1, 3), np.nan),
+    lambda h, b: b["frames"].__setitem__((4, 0, 0), -np.inf),
 ], ids=["no_grid", "no_instance_seeds", "no_frames_block", "grid_lacks_n_x",
         "grid_dt_solver_zero", "unknown_family", "params_lack_sorption",
         "seeds_shorter_than_frames", "n_test_too_small", "n_train_too_large",
-        "frames_2d", "frames_narrower_than_grid"])
+        "frames_2d", "frames_narrower_than_grid", "header_family_unknown",
+        "header_family_not_params_family", "n_train_string", "n_test_float",
+        "n_train_bool", "n_train_negative", "nan_target", "inf_input"])
 def test_malformed_dataset_is_data_file_error(tmp_path, edit):
     path = tmp_path / "adv.bin"
     build_dataset(ADVECTION, 3, 2, GridSpec(n_x=16, t_out=0.5), seed=1, out_path=path)

@@ -231,7 +231,7 @@ def test_causal_bias_cached_read_only_and_exact_zeros(monkeypatch):
     assert not bias1.flags.writeable
     with pytest.raises(ValueError):
         bias1[0, 1] = 0.0
-    assert np.all(probs[:, ~np.tri(9, dtype=bool)] == 0.0)
+    assert np.all(probs[..., ~np.tri(9, dtype=bool)] == 0.0)
 
 
 # -- layer norm ----------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from crossmodal_pde import tensor as T
 from crossmodal_pde import transformer as tf
+from crossmodal_pde.proxy_data import gen_corpus
 from crossmodal_pde.tensor import ContractError, Tensor
 from crossmodal_pde.transformer import (
     ALL_TRAINABLE,
@@ -247,3 +248,174 @@ def test_pretrain_runs_on_one_blas_thread_at_any_width(d_model, monkeypatch):
         pretrain(model, bigram_corpus(4), steps=2, batch_size=2)
         assert get_threads() == 2
     assert seen == [1, 1]
+
+
+def test_pretrain_rejects_empty_batches_and_negative_steps():
+    model = build_model(small_config())
+    for kw in (dict(batch_size=0), dict(batch_size=-1), dict(steps=-1)):
+        with pytest.raises(ContractError, match="batch_size"):
+            pretrain(model, bigram_corpus(4), **{"steps": 2, **kw})
+    assert not model.pretrained
+
+
+# -- one padded tape per pretraining step ------------------------------------
+
+
+def _per_sequence_step(model, batch, objective, rng=None, mask_rate=tf.MLM_MASK_RATE,
+                       mask_token=1):
+    """``pretrain_step`` as it was before batching, the oracle of the tests
+    below: one tape per sequence, the per-sequence losses summed on the tape."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    mask = CAUSAL if objective == tf.NEXT_TOKEN else BIDIRECTIONAL
+    losses, n_targets = [], 0
+    for ids in batch:
+        ids = np.asarray(ids, dtype=np.int64)
+        if objective == tf.NEXT_TOKEN:
+            if len(ids) < 2:
+                continue
+            pos, inputs, targets = np.arange(len(ids) - 1), ids, ids[1:]
+        else:
+            n_mask = int(round(mask_rate * len(ids)))
+            if n_mask == 0:
+                continue
+            pos = rng.choice(len(ids), size=n_mask, replace=False)
+            pos.sort()
+            inputs = ids.copy()
+            inputs[pos] = mask_token
+            targets = ids[pos]
+        hidden = forward_hidden(model, tf.embed_tokens(model, inputs), mask)
+        logits = tf.lm_logits(model, T.take_rows(hidden, pos))
+        logp = T.sub(logits, T.logsumexp_lastdim(logits, keepdims=True))
+        losses.append(T.neg(T.tsum(T.gather_lastdim(logp, targets))))
+        n_targets += len(pos)
+    if n_targets == 0:
+        return 0.0
+    total = losses[0]
+    for loss in losses[1:]:
+        total = T.add(total, loss)
+    mean_loss = T.div(total, float(n_targets))
+    mean_loss.backward()
+    return mean_loss.item()
+
+
+OBJECTIVES = [(ENCODER_ONLY, tf.MLM), (DECODER_ONLY, tf.NEXT_TOKEN)]
+
+
+def corpus_tokens(n=40, seed=4):
+    """Token sequences of lengths 8..31, so every batch is padded."""
+    return [t for t, _ in gen_corpus(seed=seed, n_sequences=n, vocab_size=16).sequences]
+
+
+def sharp_model(arch, n_heads=4):
+    """A model whose attention is far from uniform (init weights times 10)."""
+    model = build_model(small_config(arch=arch, n_heads=n_heads, max_positions=160))
+    for p in model.params.values():
+        if p.data.ndim == 2:
+            p.data *= 10.0
+    return model
+
+
+def padded_forward(model, seqs, pad):
+    """Forward the [L_b, d] inputs ``seqs`` as one batch padded with ``pad(n)``."""
+    lengths = [len(x) for x in seqs]
+    L = max(lengths)
+    rows = np.concatenate([np.concatenate([x, pad(L - len(x))]) for x in seqs])
+    with T.no_grad():
+        out = forward_hidden(model, Tensor(rows), model.config.mask_policy,
+                             lengths=np.array(lengths)).data
+    return [out[b * L: b * L + n] for b, n in enumerate(lengths)]
+
+
+@pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
+def test_padded_rows_equal_standalone_forward(arch):
+    # Head width 16, as in the default model: OpenBLAS's sgemm sums the zero
+    # terms the padding adds to ``probs @ v`` in order there, so rows are
+    # bitwise equal; at width 8 its narrow-column kernels regroup the sum.
+    model = sharp_model(arch, n_heads=2)
+    rng = np.random.default_rng(6)
+    batches = [[2, 128], [128, 3, 40, 127, 9, 64, 2, 31], [17], [20, 20, 20]]
+    for lengths in batches:
+        seqs = [rng.normal(size=(n, 32)).astype(np.float32) for n in lengths]
+        got = padded_forward(model, seqs, lambda n: np.zeros((n, 32), np.float32))
+        for x, rows in zip(seqs, got):
+            assert np.array_equal(rows, run_hidden(model, x, model.config.mask_policy)), \
+                f"length {len(x)} in batch {lengths}"
+
+
+@pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
+def test_real_rows_do_not_depend_on_padding(arch):
+    model = sharp_model(arch)
+    rng = np.random.default_rng(7)
+    seqs = [rng.normal(size=(n, 32)).astype(np.float32) for n in (5, 30, 12, 29)]
+    zeros = padded_forward(model, seqs, lambda n: np.zeros((n, 32), np.float32))
+    noise = padded_forward(model, seqs, lambda n: rng.normal(size=(n, 32)).astype(np.float32))
+    large = padded_forward(model, seqs, lambda n: np.full((n, 32), 1e4, np.float32))
+    for a, b, c in zip(zeros, noise, large):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_padded_forward_lengths_contract():
+    model = build_model(small_config())
+    x = Tensor(np.zeros((12, 32), np.float32))
+    for lengths in ([5, 4, 3, 1, 1], [], [4, 0, 4], [7, 2]):
+        with pytest.raises(T.ShapeError):
+            forward_hidden(model, x, CAUSAL, lengths=np.array(lengths, dtype=np.int64))
+
+
+@pytest.mark.parametrize("arch, objective", OBJECTIVES)
+def test_pretrain_step_is_one_forward_and_one_backward(arch, objective, monkeypatch):
+    calls = {"forward_hidden": 0, "backward": 0}
+    forward, backward = tf.forward_hidden, Tensor.backward
+
+    def counted_forward(*args, **kwargs):
+        calls["forward_hidden"] += 1
+        return forward(*args, **kwargs)
+
+    def counted_backward(self):
+        calls["backward"] += 1
+        return backward(self)
+
+    monkeypatch.setattr(tf, "forward_hidden", counted_forward)
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    model = build_model(small_config(arch=arch))
+    pretrain_step(model, corpus_tokens(8), objective, rng=np.random.default_rng(0))
+    assert calls == {"forward_hidden": 1, "backward": 1}
+
+
+@pytest.mark.parametrize("arch, objective", OBJECTIVES)
+def test_pretrain_step_gradients_match_per_sequence_oracle(arch, objective):
+    # The sums over rows of the weight gradients now run over the whole padded
+    # batch at once, so they may move in their last bits; nothing else does.
+    model = build_model(small_config(arch=arch))
+    tokens = corpus_tokens()
+    pretrain(model, tokens, steps=10, seed=2)  # weights away from their init
+    params = model.parameters()
+    for step in range(3):
+        batch = tokens[8 * step: 8 * step + 8]
+        rng, oracle_rng = np.random.default_rng(step), np.random.default_rng(step)
+        T.zero_grads(params)
+        loss = pretrain_step(model, batch, objective, rng=rng)
+        grads = {name: p.grad for name, p in model.params.items()}
+        T.zero_grads(params)
+        want = _per_sequence_step(model, batch, objective, rng=oracle_rng)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert abs(loss - want) <= 1e-6 * abs(want)
+        for name, p in model.params.items():
+            # attn.bk's exact gradient is zero (adding one vector to every key
+            # shifts each score row by a constant, which softmax ignores), so
+            # its measured values (~1e-11) are rounding noise, which Adam
+            # would turn into full-rate steps
+            if name.endswith("attn.bk"):
+                continue
+            scale = np.abs(p.grad).max()
+            assert np.abs(grads[name] - p.grad).max() <= 1e-5 * scale, (step, name)
+
+
+@pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
+def test_pretrain_trace_matches_per_sequence_oracle(arch, monkeypatch):
+    tokens = corpus_tokens()
+    trace = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
+    monkeypatch.setattr(tf, "pretrain_step", _per_sequence_step)
+    want = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
+    np.testing.assert_allclose(trace, want, rtol=1e-6, atol=0)
