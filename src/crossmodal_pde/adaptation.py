@@ -99,7 +99,7 @@ class Predictor:
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
 
-    def __call__(self, hidden: Tensor) -> Tensor:
+    def __call__(self, hidden: Tensor, batch: int = 1) -> Tensor:
         return T.add(T.matmul(hidden, self.w), self.b)
 
 
@@ -124,10 +124,14 @@ class PooledPredictor:
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
 
-    def __call__(self, hidden: Tensor) -> Tensor:
-        pooled = T.tmean(hidden, axis=0, keepdims=True)  # [1, d_model]
+    def __call__(self, hidden: Tensor, batch: int = 1) -> Tensor:
+        """Pool each of the ``batch`` equal-length sequences stacked in
+        ``hidden`` on its own; returns their frames stacked as
+        [batch * out_length, c_out]."""
+        rows, d = hidden.data.shape
+        pooled = T.tmean(T.reshape(hidden, (batch, rows // batch, d)), axis=1)  # [B, d_model]
         flat = T.add(T.matmul(pooled, self.w), self.b)
-        return T.reshape(flat, (self.out_length, self.c_out))
+        return T.reshape(flat, (batch * self.out_length, self.c_out))
 
 
 @dataclass
@@ -257,11 +261,32 @@ def _frame_matrix(x) -> np.ndarray:
     return arr[:, None] if arr.ndim == 1 else arr
 
 
-def _sum_tensors(ts: list[Tensor]) -> Tensor:
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = T.add(acc, t)
-    return acc
+def stack_frames(frames: list) -> np.ndarray:
+    """Stack frames ([L] or [L, c] each) into one [B, L, c] batch; frames of
+    different shapes raise ``ShapeError``."""
+    mats = [_frame_matrix(f) for f in frames]
+    shapes = sorted({m.shape for m in mats})
+    if len(shapes) != 1:
+        raise T.ShapeError(f"a batch needs frames of one shape, got {shapes}")
+    return np.stack(mats)
+
+
+def frame_batch(x) -> tuple[np.ndarray, bool]:
+    """``(frames, batched)``: ``x`` as a [B, L, c] float32 batch, and whether it
+    was one already (else it is one frame, [L] or [L, c], and B = 1)."""
+    arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float32)
+    if arr.ndim == 3:
+        return arr, True
+    if arr.ndim not in (1, 2):
+        raise T.ShapeError(f"expected a frame [L] or [L, c] or a batch [B, L, c], "
+                           f"got shape {arr.shape}")
+    return _frame_matrix(arr)[None], False
+
+
+def unbatch_rows(out: Tensor, batch: int, batched: bool) -> Tensor:
+    """A predictor's [B * L_out, c] rows as [B, L_out, c] for a batched input;
+    one frame's [L_out, c] as they are."""
+    return T.reshape(out, (batch, -1, out.data.shape[-1])) if batched else out
 
 
 def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Predictor,
@@ -269,20 +294,25 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
                      restart_positions: bool = False) -> Tensor:
     """Predict an output frame per position; bidir methods wrap the base path.
 
+    ``x`` is one frame, [L] or [L, c], predicted as [L, c_out], or a batch of
+    equal-length frames [B, L, c], predicted as [B, L, c_out] by one
+    ``forward_hidden`` over all B*L rows (``lengths=[L]*B``, no padding).
+    Each batch row equals its frame's own forward (bitwise at head width 16).
     Parallel flipping combines two pipelines, so it is predicted by
     ``bidir.FlipPair``, not here.
     """
     from . import bidir
 
-    frame = _frame_matrix(x)
-    L = frame.shape[0]
+    frames, batched = frame_batch(x)
+    B, L, c = frames.shape
     if L % 2 != 0:
         raise LengthError("sequence length must be even")
     if bidir_method == BIDIR_NONE:
-        hidden = forward_hidden(model, embedder(frame), model.config.mask_policy)
-        return predictor(hidden)
+        hidden = forward_hidden(model, embedder(frames.reshape(B * L, c)),
+                                model.config.mask_policy, lengths=[L] * B)
+        return unbatch_rows(predictor(hidden, B), B, batched)
     if bidir_method == SEQUENCE_DOUBLING:
-        return bidir.sequence_doubling_forward(model, embedder, predictor, frame,
+        return bidir.sequence_doubling_forward(model, embedder, predictor, x,
                                                restart_positions=restart_positions)
     if bidir_method == PARALLEL_FLIPPING:
         raise ContractError("parallel flipping combines two pipelines; predict with bidir.FlipPair")
@@ -370,7 +400,9 @@ class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     initial_test_nrmse: float = float("nan")
     final_test_nrmse: float = float("nan")
-    # per test instance, channel 0 of the prediction scored by final_test_nrmse
+    # per test instance, channel 0 of the prediction scored by initial_test_nrmse
+    # and final_test_nrmse
+    initial_test_predictions: list[np.ndarray] = field(default_factory=list, repr=False)
     final_test_predictions: list[np.ndarray] = field(default_factory=list, repr=False)
     optimizer: str = ""
     learning_rate: float = 0.0
@@ -393,26 +425,45 @@ def instance_nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(num / den)
 
 
+def mean_nrmse(predictions: list[np.ndarray], instances: list[PdeInstance]) -> float:
+    """Mean over instances of ``instance_nrmse`` of each prediction against
+    its instance's target."""
+    return float(np.mean([instance_nrmse(p, inst.target.data)
+                          for p, inst in zip(predictions, instances)]))
+
+
 def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                    instances: list[PdeInstance], bidir_method: str = BIDIR_NONE,
-                   restart_positions: bool = False) -> tuple[float, list[np.ndarray]]:
+                   restart_positions: bool = False,
+                   batch_size: int = 16) -> tuple[float, list[np.ndarray]]:
     """Mean nRMSE over ``instances`` and, per instance, channel 0 of the
-    prediction it scored."""
+    prediction it scored.
+
+    The instances are predicted as no-grad batches of ``batch_size`` (a
+    fine-tune step's size), not as one batch, so evaluation holds no more
+    activations than a training step.
+    """
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    inputs = stack_frames([inst.input for inst in instances])
+    preds: list[np.ndarray] = []
     with T.no_grad():
-        preds = [predict_sequence(model, embedder, predictor, inst.input,
-                                  bidir_method=bidir_method,
-                                  restart_positions=restart_positions).data[:, 0]
-                 for inst in instances]
-    scores = [instance_nrmse(p, inst.target.data) for p, inst in zip(preds, instances)]
-    return float(np.mean(scores)), preds
+        for lo in range(0, len(instances), batch_size):
+            out = predict_sequence(model, embedder, predictor, inputs[lo: lo + batch_size],
+                                   bidir_method=bidir_method,
+                                   restart_positions=restart_positions)
+            preds.extend(out.data[:, :, 0])
+    return mean_nrmse(preds, instances), preds
 
 
 def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
              dataset: PdeDataset, policy: str, config: AdaptationConfig) -> TrainReport:
     """Minimize MSE on train frames under the freeze policy; report test nRMSE.
 
-    Only ``none`` and ``sequence_doubling`` run here; parallel flipping trains
-    two of these pipelines via the bidir module.
+    Each step is one tape: the batch's frames go through one batched
+    ``predict_sequence``, one MSE over the stacked targets and one
+    ``backward``.  Only ``none`` and ``sequence_doubling`` run here; parallel
+    flipping trains two of these pipelines via the bidir module.
     """
     if config.bidir_method == PARALLEL_FLIPPING:
         raise ContractError("finetune trains a single pipeline; use parallel_flipping_train")
@@ -420,9 +471,16 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
         raise ContractError("empty training set")
     kind, lr, overridden = config.resolve_optimizer(dataset.family)
     report = TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
-    report.initial_test_nrmse, _ = evaluate_nrmse(model, embedder, predictor, dataset.test,
-                                                  bidir_method=config.bidir_method,
-                                                  restart_positions=config.restart_positions)
+
+    def evaluate() -> tuple[float, list[np.ndarray]]:
+        return evaluate_nrmse(model, embedder, predictor, dataset.test,
+                              bidir_method=config.bidir_method,
+                              restart_positions=config.restart_positions,
+                              batch_size=config.batch_size)
+
+    report.initial_test_nrmse, report.initial_test_predictions = evaluate()
+    inputs = stack_frames([inst.input for inst in dataset.train])
+    targets = stack_frames([inst.target for inst in dataset.train])
     params = adaptation_trainable_params(model, policy) + embedder.params() + predictor.params()
     wd = config.weight_decay if kind == "adamw" else 0.0
     opt = OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
@@ -434,17 +492,12 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
             epoch_loss = 0.0
             n_batches = 0
             for lo in range(0, n, config.batch_size):
-                batch = [dataset.train[i] for i in order[lo: lo + config.batch_size]]
+                batch = order[lo: lo + config.batch_size]
                 T.zero_grads(params)
-                losses = []
-                for inst in batch:
-                    pred = predict_sequence(model, embedder, predictor, inst.input,
-                                            bidir_method=config.bidir_method,
-                                            restart_positions=config.restart_positions)
-                    diff = T.sub(pred, Tensor(_frame_matrix(inst.target)))
-                    losses.append(T.tmean(T.square(diff)))
-                loss = (losses[0] if len(losses) == 1
-                        else T.mul(_sum_tensors(losses), 1.0 / len(losses)))
+                pred = predict_sequence(model, embedder, predictor, inputs[batch],
+                                        bidir_method=config.bidir_method,
+                                        restart_positions=config.restart_positions)
+                loss = T.tmean(T.square(T.sub(pred, Tensor(targets[batch]))))
                 if not np.isfinite(loss.data):
                     report.aborted = True
                     report.abort_reason = (f"non-finite loss at epoch {epoch} "
@@ -458,9 +511,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                 break
             report.epoch_losses.append(epoch_loss / max(1, n_batches))
             report.epochs_run = epoch + 1
-    report.final_test_nrmse, report.final_test_predictions = evaluate_nrmse(
-        model, embedder, predictor, dataset.test, bidir_method=config.bidir_method,
-        restart_positions=config.restart_positions)
+    report.final_test_nrmse, report.final_test_predictions = evaluate()
     return report
 
 

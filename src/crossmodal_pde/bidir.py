@@ -19,8 +19,10 @@ from .adaptation import (
     Embedder,
     Pipeline,
     Predictor,
+    frame_batch,
     predict_sequence,
     run_adaptation,
+    unbatch_rows,
 )
 from .pde_data import PdeDataset, PdeInstance
 from .proxy_data import ProxyEmbeddingSet
@@ -108,22 +110,23 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
 def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,
                               predictor: Predictor, x: np.ndarray,
                               restart_positions: bool = False) -> Tensor:
-    """Concatenate the frame with itself, run the model on 2L tokens, and
+    """Concatenate each frame with itself, run the model on 2L tokens, and
     predict from the second half of the last hidden layer.
 
-    Positions run 0..2L-1 by default; ``restart_positions`` replays 0..L-1
-    for the second copy (ablation: the copies become indistinguishable).
+    ``x`` is one frame ([L] or [L, c], predicted as [L, c_out]) or a batch
+    [B, L, c] (predicted as [B, L, c_out]); a batch runs as one
+    ``forward_hidden`` with ``lengths=[2L]*B``, and one ``take_rows`` gathers
+    every sequence's second half.  Positions run 0..2L-1 by default;
+    ``restart_positions`` replays 0..L-1 for the second copy (ablation: the
+    copies become indistinguishable).
     """
-    frame = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float32)
-    if frame.ndim == 1:
-        frame = frame[:, None]
-    L = frame.shape[0]
+    frames, batched = frame_batch(x)
+    B, L, c = frames.shape
     if 2 * L > model.config.max_positions:
         raise LengthError(f"sequence doubling needs max_positions >= {2 * L}")
-    doubled = np.concatenate([frame, frame], axis=0)
-    positions = None
-    if restart_positions:
-        positions = np.concatenate([np.arange(L), np.arange(L)])
+    doubled = np.concatenate([frames, frames], axis=1).reshape(B * 2 * L, c)
+    positions = np.tile(np.arange(L), 2 * B) if restart_positions else None
     hidden = forward_hidden(model, embedder(doubled), model.config.mask_policy,
-                            positions=positions)
-    return predictor(T.slice_rows(hidden, L, 2 * L))
+                            positions=positions, lengths=[2 * L] * B)
+    second_halves = (2 * L * np.arange(B)[:, None] + np.arange(L, 2 * L)).ravel()
+    return unbatch_rows(predictor(T.take_rows(hidden, second_halves), B), B, batched)

@@ -25,7 +25,7 @@ from .adaptation import (
     SEQUENCE_DOUBLING,
     AdaptationConfig,
     Pipeline,
-    instance_nrmse,
+    mean_nrmse,
     run_adaptation,
 )
 from .bidir import combine_halves, parallel_flipping_train
@@ -275,19 +275,21 @@ def _run_one(config: ExperimentConfig, seed: int,
         _, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
                                                   proxy=proxy, proxy_reversed=proxy_rev)
         reports = {"forward": rep_f, "reversed": rep_r}
-        predictions = [combine_halves(p_f, p_r) for p_f, p_r in
-                       zip(rep_f.train.final_test_predictions,
-                           rep_r.train.final_test_predictions)]
+        f, r = rep_f.train, rep_r.train
+        initial = [combine_halves(a, b) for a, b in
+                   zip(f.initial_test_predictions, r.initial_test_predictions)]
+        predictions = [combine_halves(a, b) for a, b in
+                       zip(f.final_test_predictions, r.final_test_predictions)]
     else:
         rep_f = run_adaptation(pipeline, dataset, adapt, proxy=proxy)
         reports = {"forward": rep_f}
+        initial = rep_f.train.initial_test_predictions
         predictions = rep_f.train.final_test_predictions
     epoch_losses = {name: rep.train.epoch_losses for name, rep in reports.items()}
     stage1_trace = {name: rep.stage1.trace for name, rep in reports.items()
                     if rep.stage1 is not None}
 
-    final = float(np.mean([instance_nrmse(p, inst.target.data)
-                           for p, inst in zip(predictions, dataset.test)]))
+    final = mean_nrmse(predictions, dataset.test)
     tv_pairs = [spikiness_diagnostic(p) for p in predictions]
     spikiness = {"first_half_tv": float(np.mean([a for a, _ in tv_pairs])),
                  "second_half_tv": float(np.mean([b for _, b in tv_pairs]))}
@@ -298,7 +300,7 @@ def _run_one(config: ExperimentConfig, seed: int,
         seed=seed,
         family=dataset.family,
         test_nrmse=final,
-        initial_test_nrmse=rep_f.train.initial_test_nrmse,
+        initial_test_nrmse=mean_nrmse(initial, dataset.test),
         epoch_losses=epoch_losses,
         stage1_trace=stage1_trace,
         optimizer=rep_f.train.optimizer,

@@ -3,8 +3,8 @@
 Sequences come from a seeded 3-state Markov grammar: each hidden state prefers
 a disjoint block of tags, and each tag owns a token sub-range, so class-
 conditional token (and embedding) distributions are distinct.  Sequences are
-shorter than 32 tokens, padded to 32 for embedding, and pad positions are
-excluded from the feature set.
+shorter than 32 tokens, padded to 32 for embedding with the pad keys masked,
+and pad positions are excluded from the feature set.
 """
 
 from __future__ import annotations
@@ -137,29 +137,39 @@ def _proxy_key(model: TransformerModel, corpus: SyntheticCorpus) -> bytes:
 # in place, so the module's attributes keep their identity
 _last_proxy: dict[str, tuple[bytes, np.ndarray, np.ndarray]] = {}
 
+# sequences per no-grad forward (1024 rows): one call per chunk instead of
+# per sequence, while the chunk's activations stay below a job's peak memory
+PROXY_CHUNK = 32
+
 
 def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> ProxyEmbeddingSet:
-    """Embed every sequence (padded to 32) with the model's native mask and
-    collect last-hidden vectors at non-pad positions, paired with tags.
+    """Embed every sequence with the model's native mask and collect
+    last-hidden vectors at non-pad positions, paired with tags.
 
-    The last set built is kept, keyed by the content of the model and the
-    corpus, so identical clones of one model share one read-only set."""
+    The corpus runs as padded batches of ``PROXY_CHUNK`` sequences, each
+    padded to 32 with its pad keys masked (``forward_hidden(...,
+    lengths=...)``), so a row is its sequence's own unpadded forward (bitwise
+    at head width 16) under either mask.  The last set built is kept, keyed by
+    the content of the model and the corpus, so identical clones of one model
+    share one read-only set."""
     if model.config.max_positions < PROXY_LENGTH:
         raise ValueError(f"model max_positions must be >= {PROXY_LENGTH}")
     key = _proxy_key(model, corpus)
-    last = _last_proxy.get("last")  # one read, so a concurrent build cannot swap the set
+    last = _last_proxy.get("last")
     if last is None or last[0] != key:
-        feats, labels = [], []
+        feats = []
         with T.no_grad():
-            for tokens, tags in corpus.sequences:
-                padded = np.full(PROXY_LENGTH, PAD_TOKEN, dtype=np.int64)
-                padded[: len(tokens)] = tokens
-                hidden = forward_hidden(model, embed_tokens(model, padded),
-                                        model.config.mask_policy)
-                feats.append(hidden.data[: len(tokens)])
-                labels.append(tags)
+            for lo in range(0, len(corpus.sequences), PROXY_CHUNK):
+                chunk = [tokens for tokens, _ in corpus.sequences[lo: lo + PROXY_CHUNK]]
+                lengths = np.array([len(tokens) for tokens in chunk])
+                padded = np.full((len(chunk), PROXY_LENGTH), PAD_TOKEN, dtype=np.int64)
+                for row, tokens in zip(padded, chunk):
+                    row[: len(tokens)] = tokens
+                hidden = forward_hidden(model, embed_tokens(model, padded.ravel()),
+                                        model.config.mask_policy, lengths=lengths)
+                feats.append(hidden.data[(np.arange(PROXY_LENGTH) < lengths[:, None]).ravel()])
         features = np.concatenate(feats).astype(np.float32)
-        labels = np.concatenate(labels).astype(np.int32)
+        labels = np.concatenate([tags for _, tags in corpus.sequences]).astype(np.int32)
         features.flags.writeable = labels.flags.writeable = False
         last = _last_proxy["last"] = (key, features, labels)
     _, features, labels = last

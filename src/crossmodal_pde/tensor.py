@@ -667,7 +667,12 @@ class OptimizerState:
 
 
 def optimizer_step(state: OptimizerState, params: list[Tensor]) -> None:
-    """Apply one update to every parameter; all must carry gradients."""
+    """Apply one update to every parameter; all must carry gradients.
+
+    The moments are updated in place and each update is formed in one
+    scratch buffer, with the operations of the textbook formulas in their
+    order, so the result is bitwise what those formulas give.
+    """
     for i, p in enumerate(params):
         if p.grad is None:
             raise ContractError(f"parameter {i} has no gradient")
@@ -682,18 +687,28 @@ def optimizer_step(state: OptimizerState, params: list[Tensor]) -> None:
     eps = np.float32(state.eps)
     c1 = np.float32(1.0 - state.beta1**t)
     c2 = np.float32(1.0 - state.beta2**t)
+    decay = lr * np.float32(state.weight_decay)
     for i, p in enumerate(params):
-        m, v = state.moments.get(i, (None, None))
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = b1 * m + (np.float32(1.0) - b1) * p.grad
-        v = b2 * v + (np.float32(1.0) - b2) * (p.grad * p.grad)
-        state.moments[i] = (m, v)
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        if i not in state.moments:
+            state.moments[i] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = state.moments[i]
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        buf = np.multiply(p.grad, np.float32(1.0) - b1, dtype=np.float32)
+        m *= b1
+        m += buf
+        np.multiply(p.grad, p.grad, out=buf)
+        buf *= np.float32(1.0) - b2
+        v *= b2
+        v += buf
+        # update = (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += eps
+        np.divide(m / c1, buf, out=buf)
         if state.kind == "adamw" and state.weight_decay > 0:
-            p.data -= lr * np.float32(state.weight_decay) * p.data
-        p.data -= lr * update
+            p.data -= decay * p.data
+        buf *= lr
+        p.data -= buf
 
 
 def zero_grads(params: list[Tensor]) -> None:

@@ -1,9 +1,10 @@
 """Toy pre-norm transformer with encoder-only (bidirectional) and decoder-only
 (causal) attention policies, plus the matching pretraining objectives.
 
-Jobs run one sequence at a time: forward on a length-L input yields the last
-hidden layer as an [L, d_model] tensor.  Pretraining runs each batch as one
-padded [B*Lmax, d_model] forward.
+Forward on a length-L input yields the last hidden layer as an [L, d_model]
+tensor; a batch of B sequences runs as one [B*Lmax, d_model] forward.
+Pretraining pads each batch to its longest sequence; fine-tuning and
+evaluation batch equal-length frames, which need no padding.
 """
 
 from __future__ import annotations
@@ -186,7 +187,8 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
     The input is one sequence, [L, d_model], or with ``lengths`` a padded
     batch: B = len(lengths) sequences of Lmax = rows / B rows each, stacked
     to [B*Lmax, d_model], where sequence b's rows from lengths[b] on are
-    padding.  Padded keys get a -inf attention bias and so weight exactly
+    padding (a batch without padding gets no key bias at all).  Padded keys
+    get a -inf attention bias and so weight exactly
     0.0: a real row does not depend on what the (finite) padding holds, and
     it equals the row its sequence's own forward gives up to the order in
     which BLAS sums the zero terms padding adds to ``probs @ v`` (bitwise
@@ -219,7 +221,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
     if mask == CAUSAL:  # padding follows the real rows, so this hides it from them too
         attn_bias = causal_bias(L)
-    elif lengths is not None:
+    elif lengths is not None and lengths.min() < L:
         attn_bias = np.where(np.arange(L) < lengths[:, None], np.float32(0.0),
                              np.float32(-np.inf))[:, None, None, :]
     else:
@@ -327,7 +329,8 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
              mask_token: int = 1) -> list[float]:
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
-    (``experiments.run_one``)."""
+    (``experiments.run_one``).  The model is marked pretrained once at least
+    one step has run."""
     if batch_size < 1 or steps < 0:
         raise ContractError(f"pretrain needs batch_size >= 1 and steps >= 0, "
                             f"got batch_size={batch_size}, steps={steps}")
@@ -348,7 +351,8 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
                     p.grad = np.zeros_like(p.data)
             T.optimizer_step(opt, params)
             trace.append(loss)
-    model.pretrained = True
+    if steps:  # zero steps leave the weights, and so the flag, as they were
+        model.pretrained = True
     return trace
 
 

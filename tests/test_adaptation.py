@@ -6,6 +6,7 @@ import pytest
 
 from conftest import identity_dataset, make_model
 from crossmodal_pde import adaptation as ad
+from crossmodal_pde import tensor as T
 from crossmodal_pde.adaptation import (
     ORCA,
     AdaptationConfig,
@@ -22,8 +23,9 @@ from crossmodal_pde.adaptation import (
 from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.pde_data import GridSpec, PdeInstance, build_dataset, default_params
 from crossmodal_pde.proxy_data import build_proxy_set, gen_corpus
-from crossmodal_pde.tensor import ContractError, Tensor
+from crossmodal_pde.tensor import ContractError, ShapeError, Tensor
 from crossmodal_pde.transformer import (
+    forward_hidden,
     pretrain,
     ALL_TRAINABLE,
     DECODER_ONLY,
@@ -326,3 +328,250 @@ def test_pooled_predictor_variant_trains():
     report = finetune(pipeline.model, pipeline.embedder, pipeline.predictor,
                       dataset, ALL_TRAINABLE, config)
     assert report.epochs_run == 3 and not report.aborted
+
+
+# -- one tape per fine-tune step, against the per-instance oracle ---------------
+
+
+def _oracle_predict(model, emb, pred, frame, bidir_method="none", restart_positions=False):
+    """One frame through the model as ``predict_sequence`` ran it before
+    batching: an unbatched ``forward_hidden`` and, for Sequence Doubling, a
+    ``slice_rows`` of the second half."""
+    frame = ad._frame_matrix(frame)
+    L = frame.shape[0]
+    if bidir_method == "none":
+        return pred(forward_hidden(model, emb(frame), model.config.mask_policy))
+    doubled = np.concatenate([frame, frame], axis=0)
+    positions = np.concatenate([np.arange(L), np.arange(L)]) if restart_positions else None
+    hidden = forward_hidden(model, emb(doubled), model.config.mask_policy, positions=positions)
+    return pred(T.slice_rows(hidden, L, 2 * L))
+
+
+def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
+                 restart_positions=False):
+    """The old fine-tune loss: one tape per instance, the per-instance MSEs
+    summed on the tape and scaled by 1/B."""
+    losses = []
+    for x, y in zip(frames, targets):
+        out = _oracle_predict(model, emb, pred, x, bidir_method, restart_positions)
+        losses.append(T.tmean(T.square(T.sub(out, Tensor(ad._frame_matrix(y))))))
+    total = losses[0]
+    for loss in losses[1:]:
+        total = T.add(total, loss)
+    return losses[0] if len(losses) == 1 else T.mul(total, 1.0 / len(losses))
+
+
+def _oracle_evaluate(model, emb, pred, instances, bidir_method="none",
+                     restart_positions=False):
+    with T.no_grad():
+        preds = [_oracle_predict(model, emb, pred, inst.input, bidir_method,
+                                 restart_positions).data[:, 0] for inst in instances]
+    return ad.mean_nrmse(preds, instances), preds
+
+
+def _oracle_finetune(model, emb, pred, dataset, policy, config):
+    """``finetune`` as it was before batching: per-instance tapes per step."""
+    kind, lr, overridden = config.resolve_optimizer(dataset.family)
+    report = ad.TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
+    evaluate = lambda: _oracle_evaluate(model, emb, pred, dataset.test, config.bidir_method,
+                                        config.restart_positions)
+    report.initial_test_nrmse, report.initial_test_predictions = evaluate()
+    params = ad.adaptation_trainable_params(model, policy) + emb.params() + pred.params()
+    wd = config.weight_decay if kind == "adamw" else 0.0
+    opt = T.OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 202)))
+    n = len(dataset.train)
+    with ad.frozen_except(model, params):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n)
+            epoch_loss, n_batches = 0.0, 0
+            for lo in range(0, n, config.batch_size):
+                batch = [dataset.train[i] for i in order[lo: lo + config.batch_size]]
+                T.zero_grads(params)
+                loss = _oracle_loss(model, emb, pred, [i.input for i in batch],
+                                    [i.target for i in batch], config.bidir_method,
+                                    config.restart_positions)
+                loss.backward()
+                T.optimizer_step(opt, params)
+                epoch_loss += loss.item()
+                n_batches += 1
+            report.epoch_losses.append(epoch_loss / max(1, n_batches))
+            report.epochs_run = epoch + 1
+    report.final_test_nrmse, report.final_test_predictions = evaluate()
+    return report
+
+
+# (bidir method, restart_positions) of every batched prediction path
+PATHS = [("none", False), ("sequence_doubling", False), ("sequence_doubling", True)]
+
+
+def _head16_pipeline(arch, seed=0):
+    """A default-width pipeline (head width 16) whose attention is far from
+    uniform: model weight matrices at 10x their init scale."""
+    model = make_model(arch=arch, d_model=64, max_positions=256, seed=seed)
+    for p in model.params.values():
+        if p.data.ndim == 2:
+            p.data *= 10.0
+    return model, Embedder.create(1, 64, seed=seed + 1), Predictor.create(64, 1, seed=seed + 2)
+
+
+def _frames(n, L=64, seed=0):
+    return np.random.default_rng(seed).normal(size=(n, L, 1)).astype(np.float32)
+
+
+@pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
+@pytest.mark.parametrize("bidir_method, restart", PATHS)
+def test_batched_prediction_rows_equal_per_instance_forward(arch, bidir_method, restart):
+    # At head width 16 OpenBLAS sums every row in the same order at any row
+    # count, so a batch row is bitwise its frame's own (old, unbatched) forward.
+    model, emb, pred = _head16_pipeline(arch)
+    frames = _frames(5)
+    with T.no_grad():
+        got = predict_sequence(model, emb, pred, frames, bidir_method=bidir_method,
+                               restart_positions=restart).data
+        assert got.shape == (5, 64, 1)
+        for b, x in enumerate(frames):
+            want = _oracle_predict(model, emb, pred, x, bidir_method, restart).data
+            assert np.array_equal(got[b], want), b
+            single = predict_sequence(model, emb, pred, x[:, 0], bidir_method=bidir_method,
+                                      restart_positions=restart).data
+            assert np.array_equal(single, want), b
+
+
+@pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
+@pytest.mark.parametrize("bidir_method, restart", PATHS)
+def test_batched_step_gradients_match_per_instance_oracle(arch, bidir_method, restart):
+    # The weight gradients now sum over all B*L rows at once, so they may move
+    # in their last bits; the bound is the pretraining step's (1e-5 of each
+    # parameter's max |grad|).
+    model, emb, pred = _head16_pipeline(arch, seed=3)
+    names = [n for n in model.params if n not in ("tok_emb", "lm_head")]
+    params = [model.params[n] for n in names] + emb.params() + pred.params()
+    names += ["embedder.w", "embedder.b", "predictor.w", "predictor.b"]
+    frames, targets = _frames(4, seed=1), _frames(4, seed=2)
+    T.zero_grads(params)
+    loss = T.tmean(T.square(T.sub(
+        predict_sequence(model, emb, pred, frames, bidir_method=bidir_method,
+                         restart_positions=restart), Tensor(targets))))
+    loss.backward()
+    grads = [p.grad for p in params]
+    T.zero_grads(params)
+    want = _oracle_loss(model, emb, pred, frames, targets, bidir_method, restart)
+    want.backward()
+    assert abs(loss.item() - want.item()) <= 1e-6 * abs(want.item())
+    for name, g, p in zip(names, grads, params):
+        # attn.bk's exact gradient is zero (softmax ignores a constant shift of
+        # a score row), so its values are rounding noise
+        if name.endswith("attn.bk"):
+            continue
+        assert np.abs(g - p.grad).max() <= 1e-5 * np.abs(p.grad).max(), name
+
+
+def test_finetune_step_is_one_forward_and_one_backward(monkeypatch):
+    calls = {"forward_hidden": 0, "backward": 0}
+    forward, backward = ad.forward_hidden, Tensor.backward
+
+    def counted_forward(*args, **kwargs):
+        calls["forward_hidden"] += 1
+        return forward(*args, **kwargs)
+
+    def counted_backward(self):
+        calls["backward"] += 1
+        return backward(self)
+
+    monkeypatch.setattr(ad, "forward_hidden", counted_forward)
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    dataset = identity_dataset(n_train=8, n_test=3)
+    config = AdaptationConfig(epochs=1, batch_size=8, optimizer="adam", seed=0)
+    finetune(make_model(), Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1),
+             dataset, FPT_FROZEN, config)
+    # one training step, plus the initial and final evaluation of 3 test
+    # instances as one batch each
+    assert calls == {"forward_hidden": 3, "backward": 1}
+
+
+def _run_record(tmp_path, monkeypatch, oracle, **overrides):
+    from crossmodal_pde import experiments
+
+    if oracle:
+        monkeypatch.setattr(ad, "finetune", _oracle_finetune)
+    dataset_file = str(tmp_path / "sorption.bin")
+    build_dataset("diffusion_sorption", 4, 3, GridSpec(n_x=32, t_out=0.5), seed=2,
+                  out_path=dataset_file)
+    config = experiments.ExperimentConfig(
+        name="rec", dataset_file=dataset_file, out_dir=str(tmp_path / "records"),
+        arch=DECODER_ONLY, d_model=64, n_heads=4, n_layers=2, d_ff=128, max_positions=64,
+        pretrained=False, method="fpt", epochs=2, seeds=[0], **overrides)
+    record = dataclasses.asdict(experiments.run_one(config, seed=0))
+    record.pop("wallclock_s")
+    monkeypatch.undo()
+    return record
+
+
+@pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling", "parallel_flipping"])
+def test_batch_one_record_bit_identical_to_oracle(tmp_path, monkeypatch, bidir_method):
+    got = _run_record(tmp_path, monkeypatch, oracle=False, batch_size=1,
+                      bidir_method=bidir_method)
+    want = _run_record(tmp_path, monkeypatch, oracle=True, batch_size=1,
+                       bidir_method=bidir_method)
+    assert got == want
+
+
+def test_batched_record_close_to_oracle(tmp_path, monkeypatch):
+    got = _run_record(tmp_path, monkeypatch, oracle=False, batch_size=4)
+    want = _run_record(tmp_path, monkeypatch, oracle=True, batch_size=4)
+    assert got["initial_test_nrmse"] == want["initial_test_nrmse"]  # forward is bitwise
+    np.testing.assert_allclose(got["epoch_losses"]["forward"], want["epoch_losses"]["forward"],
+                               rtol=1e-5)
+    assert abs(got["test_nrmse"] - want["test_nrmse"]) <= 1e-5 * want["test_nrmse"]
+
+
+def _with_length(inst, n):
+    return PdeInstance(input=Tensor(inst.input.data[:n]), target=Tensor(inst.target.data[:n]),
+                       params=inst.params, grid=inst.grid, seed=inst.seed)
+
+
+def test_unequal_instance_lengths_raise_shape_error():
+    model = make_model()
+    emb, pred = Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1)
+    dataset = identity_dataset(n_train=4, n_test=2)
+    uneven = dataclasses.replace(dataset, train=dataset.train[:3] + [_with_length(dataset.train[3], 30)])
+    with pytest.raises(ShapeError, match="one shape"):
+        finetune(model, emb, pred, uneven, FPT_FROZEN, AdaptationConfig(epochs=1, batch_size=4))
+    with pytest.raises(ShapeError, match="one shape"):
+        evaluate_nrmse(model, emb, pred, [dataset.test[0], _with_length(dataset.test[1], 30)])
+    with pytest.raises(ShapeError):
+        predict_sequence(model, emb, pred, np.zeros((2, 2, 32, 1), dtype=np.float32))
+
+
+def test_pooled_predictor_pools_each_sequence_on_its_own():
+    model = make_model(d_model=64, seed=31)
+    pipeline = Pipeline.create(model, seed=32, pooled_out_length=32)
+    frames = _frames(3, L=32, seed=4)
+    with T.no_grad():
+        got = predict_sequence(model, pipeline.embedder, pipeline.predictor, frames).data
+        assert got.shape == (3, 32, 1)
+        for b, x in enumerate(frames):
+            want = predict_sequence(model, pipeline.embedder, pipeline.predictor, x).data
+            # the hidden rows and their means are bitwise equal; OpenBLAS runs
+            # a one-row product [1, d] @ [d, n] through another kernel than a
+            # [B, d] one, so the head's output may differ in its last bits
+            np.testing.assert_allclose(got[b], want, rtol=1e-5, atol=1e-7)
+    # a sequence's pooled frame does not depend on the others in its batch
+    frames2 = frames.copy()
+    frames2[1:] += 1.0
+    with T.no_grad():
+        other = predict_sequence(model, pipeline.embedder, pipeline.predictor, frames2).data
+    assert np.array_equal(other[0], got[0]) and not np.array_equal(other[1], got[1])
+
+
+def test_evaluation_batches_match_one_instance_at_a_time():
+    model, emb, pred = _head16_pipeline(DECODER_ONLY, seed=5)
+    instances = identity_dataset(n_train=1, n_test=5, n_x=64).test
+    want = _oracle_evaluate(model, emb, pred, instances)
+    for batch_size in (1, 2, 5, 16):
+        got = evaluate_nrmse(model, emb, pred, instances, batch_size=batch_size)
+        assert got[0] == want[0]
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+    with pytest.raises(ContractError, match="batch_size"):
+        evaluate_nrmse(model, emb, pred, instances, batch_size=0)

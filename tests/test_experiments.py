@@ -151,14 +151,22 @@ def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_meth
                                             for q, inst in zip(preds, test)]))
 
 
+@pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling", "parallel_flipping"])
+def test_initial_nrmse_scores_the_same_predictor_as_test_nrmse(tmp_path, bidir_method):
+    # with no training step the initial and final predictors are one and the
+    # same; for Parallel Flipping that is both pipelines' combined halves
+    config = tiny_experiment(tmp_path, bidir_method=bidir_method, epochs=0)
+    rec = run_one(config, seed=0)
+    assert rec.initial_test_nrmse == rec.test_nrmse
+
+
 def test_orca_seeds_of_one_base_model_embed_corpus_once(tmp_path, proxy_forwards):
     config = tiny_experiment(tmp_path, method="orca", pretrained=True, seeds=[0, 1])
     base = experiments._prepare_base_model(config)
-    n_seq = 30  # tiny_experiment's corpus
     run_one(config, seed=0, base_model=base)
-    assert len(proxy_forwards) == n_seq
+    assert len(proxy_forwards) == 1  # tiny_experiment's 30 sequences are one chunk
     run_one(config, seed=1, base_model=base)
-    assert len(proxy_forwards) == n_seq  # the second seed reuses the set
+    assert len(proxy_forwards) == 1  # the second seed reuses the set
 
 
 def test_orca_record_same_with_cached_proxy(tmp_path, proxy_forwards):

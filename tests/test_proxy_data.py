@@ -14,7 +14,16 @@ from crossmodal_pde.proxy_data import (
     save_corpus,
     save_proxy_set,
 )
-from crossmodal_pde.transformer import DECODER_ONLY, ENCODER_ONLY, ModelConfig, build_model
+from crossmodal_pde import tensor as T
+from crossmodal_pde.transformer import (
+    DECODER_ONLY,
+    ENCODER_ONLY,
+    ModelConfig,
+    build_model,
+    embed_tokens,
+    forward_hidden,
+    pretrain,
+)
 
 
 def tiny_model(arch=DECODER_ONLY, seed=3):
@@ -171,15 +180,20 @@ def test_pad_token_reserved():
 # -- the content-keyed proxy set ----------------------------------------------
 
 
+def forwards_per_build(corpus):
+    """``forward_hidden`` calls of one build: one per chunk of sequences."""
+    return -(-len(corpus.sequences) // px.PROXY_CHUNK)
+
+
 def test_proxy_cache_hit_equals_fresh_build(proxy_forwards, monkeypatch):
-    corpus = gen_corpus(seed=15, n_sequences=12)
+    corpus = gen_corpus(seed=15, n_sequences=2 * px.PROXY_CHUNK + 3)
     model = tiny_model()
     fresh = build_proxy_set(model, corpus)
     hit = build_proxy_set(model.clone(), corpus)
-    assert len(proxy_forwards) == len(corpus.sequences)  # the clone's set came from the slot
+    assert len(proxy_forwards) == forwards_per_build(corpus) == 3  # the clone's came from the slot
     monkeypatch.setattr(px, "_last_proxy", {})
     again = build_proxy_set(model, corpus)
-    assert len(proxy_forwards) == 2 * len(corpus.sequences)
+    assert len(proxy_forwards) == 2 * forwards_per_build(corpus)
     for a in (hit, again):
         assert a.features.tobytes() == fresh.features.tobytes()
         assert a.labels.tobytes() == fresh.labels.tobytes()
@@ -210,7 +224,7 @@ def test_proxy_cache_misses_on_any_change(proxy_forwards, change):
     n = len(proxy_forwards)
     model, corpus = _change(change, model, corpus)
     second = build_proxy_set(model, corpus)
-    assert len(proxy_forwards) == n + len(corpus.sequences)
+    assert len(proxy_forwards) == n + forwards_per_build(corpus)
     assert second.features is not first.features
 
 
@@ -232,3 +246,46 @@ def test_proxy_max_positions_checked_before_lookup(proxy_forwards):
         with pytest.raises(ValueError, match="max_positions"):
             build_proxy_set(short, corpus)
     assert px._last_proxy == {}
+
+
+# -- padded batches with masked pad keys ------------------------------------------
+
+
+def head16_model(arch, corpus):
+    """Default width (4 heads of 16), pretrained 30 steps on ``corpus``."""
+    model = build_model(ModelConfig(arch=arch, d_model=64, n_heads=4, n_layers=4, d_ff=256,
+                                    max_positions=64, vocab_size=64, seed=2))
+    pretrain(model, [t for t, _ in corpus.sequences], steps=30, seed=2)
+    return model
+
+
+def solo_forward(model, tokens, pad_to=None):
+    """One sequence's own forward, unpadded or padded to ``pad_to`` with
+    ``PAD_TOKEN`` and no key mask (the build before padded batches)."""
+    ids = np.full(pad_to or len(tokens), PAD_TOKEN, dtype=np.int64)
+    ids[: len(tokens)] = tokens
+    with T.no_grad():
+        hidden = forward_hidden(model, embed_tokens(model, ids), model.config.mask_policy)
+    return hidden.data[: len(tokens)]
+
+
+def test_encoder_proxy_rows_equal_unpadded_forward(proxy_forwards):
+    corpus = gen_corpus(seed=21, n_sequences=px.PROXY_CHUNK + 5)
+    model = head16_model(ENCODER_ONLY, corpus)
+    proxy = build_proxy_set(model, corpus)
+    offset, moved = 0, 0.0
+    for tokens, _ in corpus.sequences:
+        rows = proxy.features[offset: offset + len(tokens)]
+        assert np.array_equal(rows, solo_forward(model, tokens))
+        moved = max(moved, np.abs(rows - solo_forward(model, tokens, pad_to=32)).max())
+        offset += len(tokens)
+    assert moved > 0.05  # without the key mask, the encoder's rows saw the pads
+
+
+def test_decoder_proxy_set_unchanged_by_padded_batches(proxy_forwards):
+    corpus = gen_corpus(seed=22, n_sequences=px.PROXY_CHUNK + 5)
+    model = head16_model(DECODER_ONLY, corpus)
+    proxy = build_proxy_set(model, corpus)
+    want = np.concatenate([solo_forward(model, t, pad_to=32) for t, _ in corpus.sequences])
+    assert proxy.features.tobytes() == want.tobytes()
+    assert len(proxy_forwards) == 2

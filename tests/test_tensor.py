@@ -592,6 +592,55 @@ def test_step_count_increments():
     assert st.step_count == 2
 
 
+def _textbook_step(state, params):
+    """``optimizer_step`` as it was before it updated in place: fresh m, v
+    and update arrays for every parameter on every step."""
+    state.step_count += 1
+    t = state.step_count
+    lr = np.float32(state.learning_rate)
+    if state.kind == "sgd":
+        for p in params:
+            p.data -= lr * p.grad
+        return
+    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+    eps = np.float32(state.eps)
+    c1 = np.float32(1.0 - state.beta1**t)
+    c2 = np.float32(1.0 - state.beta2**t)
+    for i, p in enumerate(params):
+        m, v = state.moments.get(i, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m = b1 * m + (np.float32(1.0) - b1) * p.grad
+        v = b2 * v + (np.float32(1.0) - b2) * (p.grad * p.grad)
+        state.moments[i] = (m, v)
+        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        if state.kind == "adamw" and state.weight_decay > 0:
+            p.data -= lr * np.float32(state.weight_decay) * p.data
+        p.data -= lr * update
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam", "adamw"])
+def test_in_place_optimizer_step_bit_identical_to_textbook_formulas(kind):
+    rng = np.random.default_rng(12)
+    shapes = [(64, 64), (64,), (3, 5)]
+    params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for s in shapes]
+    oracle = [p.copy() for p in params]
+    make = lambda: OptimizerState(kind=kind, learning_rate=3e-3, weight_decay=0.1)
+    state, oracle_state = make(), make()
+    for _ in range(6):
+        for p, q in zip(params, oracle):
+            p.grad = rng.normal(scale=rng.choice([1e-4, 1.0, 30.0]), size=p.shape).astype(np.float32)
+            q.grad = p.grad.copy()
+        moments = {i: (m, v) for i, (m, v) in state.moments.items()}
+        optimizer_step(state, params)
+        _textbook_step(oracle_state, oracle)
+        for p, q in zip(params, oracle):
+            assert np.array_equal(p.data, q.data)
+        for i, (m, v) in state.moments.items():
+            assert np.array_equal(m, oracle_state.moments[i][0])
+            assert np.array_equal(v, oracle_state.moments[i][1])
+            if i in moments:  # the moment buffers are updated in place
+                assert m is moments[i][0] and v is moments[i][1]
+
+
 # -- misc contracts -------------------------------------------------------
 
 

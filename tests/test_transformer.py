@@ -419,3 +419,16 @@ def test_pretrain_trace_matches_per_sequence_oracle(arch, monkeypatch):
     monkeypatch.setattr(tf, "pretrain_step", _per_sequence_step)
     want = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
     np.testing.assert_allclose(trace, want, rtol=1e-6, atol=0)
+
+
+def test_zero_pretraining_steps_leave_the_pretrained_flag(tmp_path):
+    model = build_model(small_config())
+    assert pretrain(model, corpus_tokens(8), steps=0) == []
+    assert not model.pretrained
+    path = tmp_path / "m.ckpt"
+    tf.save_checkpoint(model, path)
+    assert not tf.load_checkpoint(path).pretrained
+    pretrain(model, corpus_tokens(8), steps=1)
+    assert model.pretrained
+    pretrain(model, corpus_tokens(8), steps=0)  # a pretrained model stays pretrained
+    assert model.pretrained
