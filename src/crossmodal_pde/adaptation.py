@@ -61,77 +61,60 @@ DEFAULT_WEIGHT_DECAY = 0.01
 
 
 @dataclass
-class Embedder:
-    """Per-token linear map from frame channels into the model width."""
+class _Affine:
+    """A trainable ``x @ w + b`` map, ``w`` drawn from N(0, 0.02²), ``b`` zero."""
 
-    w: Tensor  # [c_in, d_model]
-    b: Tensor  # [d_model]
+    w: Tensor  # [n_in, n_out]
+    b: Tensor  # [n_out]
 
     @classmethod
-    def create(cls, c_in: int, d_model: int, seed: int) -> "Embedder":
-        rng = np.random.default_rng(seed)
-        return cls(w=Tensor(rng.normal(0.0, 0.02, size=(c_in, d_model)).astype(np.float32),
-                            requires_grad=True),
-                   b=Tensor(np.zeros(d_model, dtype=np.float32), requires_grad=True))
+    def _draw(cls, n_in: int, n_out: int, seed: int):
+        w = np.random.default_rng(seed).normal(0.0, 0.02, size=(n_in, n_out))
+        return cls(w=Tensor(w, requires_grad=True),
+                   b=Tensor(np.zeros(n_out), requires_grad=True))
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
 
-    def __call__(self, x) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float32))
-        return T.add(T.matmul(x, self.w), self.b)
 
-
-@dataclass
-class Predictor:
-    """Per-token linear map from hidden states to output channels."""
-
-    w: Tensor  # [d_model, c_out]
-    b: Tensor  # [c_out]
+class Embedder(_Affine):
+    """Per-token linear map from a frame value into the model width."""
 
     @classmethod
-    def create(cls, d_model: int, c_out: int, seed: int) -> "Predictor":
-        rng = np.random.default_rng(seed)
-        return cls(w=Tensor(rng.normal(0.0, 0.02, size=(d_model, c_out)).astype(np.float32),
-                            requires_grad=True),
-                   b=Tensor(np.zeros(c_out, dtype=np.float32), requires_grad=True))
+    def create(cls, d_model: int, seed: int) -> "Embedder":
+        return cls._draw(1, d_model, seed)
 
-    def params(self) -> list[Tensor]:
-        return [self.w, self.b]
+    def __call__(self, values: np.ndarray) -> Tensor:
+        """One token per value, in row-major order: [values.size, d_model]."""
+        tokens = np.asarray(values, dtype=np.float32).reshape(-1, 1)
+        return T.add(T.matmul(Tensor(tokens), self.w), self.b)
+
+
+class Predictor(_Affine):
+    """Per-token linear map from hidden states to frame values."""
+
+    @classmethod
+    def create(cls, d_model: int, seed: int) -> "Predictor":
+        return cls._draw(d_model, 1, seed)
 
     def __call__(self, hidden: Tensor, batch: int = 1) -> Tensor:
-        return T.add(T.matmul(hidden, self.w), self.b)
+        """The ``batch`` equal-length sequences stacked in ``hidden`` as [batch, L]."""
+        return T.reshape(T.add(T.matmul(hidden, self.w), self.b), (batch, -1))
 
 
-@dataclass
-class PooledPredictor:
+class PooledPredictor(_Affine):
     """Alternative output head: mean-pool the hidden states into one vector,
     then map it to the whole output frame (flag-selected variant)."""
 
-    w: Tensor  # [d_model, out_length * c_out]
-    b: Tensor
-    out_length: int
-    c_out: int
-
     @classmethod
-    def create(cls, d_model: int, out_length: int, c_out: int, seed: int) -> "PooledPredictor":
-        rng = np.random.default_rng(seed)
-        return cls(w=Tensor(rng.normal(0.0, 0.02, size=(d_model, out_length * c_out)).astype(np.float32),
-                            requires_grad=True),
-                   b=Tensor(np.zeros(out_length * c_out, dtype=np.float32), requires_grad=True),
-                   out_length=out_length, c_out=c_out)
-
-    def params(self) -> list[Tensor]:
-        return [self.w, self.b]
+    def create(cls, d_model: int, out_length: int, seed: int) -> "PooledPredictor":
+        return cls._draw(d_model, out_length, seed)
 
     def __call__(self, hidden: Tensor, batch: int = 1) -> Tensor:
         """Pool each of the ``batch`` equal-length sequences stacked in
-        ``hidden`` on its own; returns their frames stacked as
-        [batch * out_length, c_out]."""
-        rows, d = hidden.data.shape
-        pooled = T.tmean(T.reshape(hidden, (batch, rows // batch, d)), axis=1)  # [B, d_model]
-        flat = T.add(T.matmul(pooled, self.w), self.b)
-        return T.reshape(flat, (batch * self.out_length, self.c_out))
+        ``hidden`` on its own; returns their frames as [batch, out_length]."""
+        pooled = T.tmean(T.reshape(hidden, (batch, -1, hidden.data.shape[1])), axis=1)
+        return T.add(T.matmul(pooled, self.w), self.b)
 
 
 @dataclass
@@ -141,14 +124,12 @@ class Pipeline:
     predictor: Predictor | PooledPredictor
 
     @classmethod
-    def create(cls, model: TransformerModel, seed: int, c_in: int = 1, c_out: int = 1,
+    def create(cls, model: TransformerModel, seed: int,
                pooled_out_length: int | None = None) -> "Pipeline":
         d = model.config.d_model
-        if pooled_out_length is not None:
-            predictor = PooledPredictor.create(d, pooled_out_length, c_out, seed + 1)
-        else:
-            predictor = Predictor.create(d, c_out, seed + 1)
-        return cls(model=model, embedder=Embedder.create(c_in, d, seed), predictor=predictor)
+        predictor = (Predictor.create(d, seed + 1) if pooled_out_length is None
+                     else PooledPredictor.create(d, pooled_out_length, seed + 1))
+        return cls(model=model, embedder=Embedder.create(d, seed), predictor=predictor)
 
 
 @dataclass
@@ -256,46 +237,30 @@ def pseudo_label_targets(instances: list[PdeInstance], bins: int = 10) -> Pseudo
 # -- prediction --------------------------------------------------------------
 
 
-def _frame_matrix(x) -> np.ndarray:
-    arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float32)
-    return arr[:, None] if arr.ndim == 1 else arr
-
-
-def stack_frames(frames: list) -> np.ndarray:
-    """Stack frames ([L] or [L, c] each) into one [B, L, c] batch; frames of
-    different shapes raise ``ShapeError``."""
-    mats = [_frame_matrix(f) for f in frames]
-    shapes = sorted({m.shape for m in mats})
+def stack_frames(frames: list[Tensor]) -> np.ndarray:
+    """Stack equal-length frames ([L] each) into one [B, L] float32 batch;
+    frames of different shapes raise ``ShapeError``."""
+    shapes = sorted({f.data.shape for f in frames})
     if len(shapes) != 1:
         raise T.ShapeError(f"a batch needs frames of one shape, got {shapes}")
-    return np.stack(mats)
+    return as_batch(np.stack([f.data for f in frames]))
 
 
-def frame_batch(x) -> tuple[np.ndarray, bool]:
-    """``(frames, batched)``: ``x`` as a [B, L, c] float32 batch, and whether it
-    was one already (else it is one frame, [L] or [L, c], and B = 1)."""
-    arr = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float32)
-    if arr.ndim == 3:
-        return arr, True
-    if arr.ndim not in (1, 2):
-        raise T.ShapeError(f"expected a frame [L] or [L, c] or a batch [B, L, c], "
-                           f"got shape {arr.shape}")
-    return _frame_matrix(arr)[None], False
-
-
-def unbatch_rows(out: Tensor, batch: int, batched: bool) -> Tensor:
-    """A predictor's [B * L_out, c] rows as [B, L_out, c] for a batched input;
-    one frame's [L_out, c] as they are."""
-    return T.reshape(out, (batch, -1, out.data.shape[-1])) if batched else out
+def as_batch(x: np.ndarray) -> np.ndarray:
+    """``x`` as a [B, L] float32 batch of frames; any other shape raises
+    ``ShapeError``."""
+    arr = np.asarray(x, dtype=np.float32)
+    if arr.ndim != 2:
+        raise T.ShapeError(f"expected a batch of frames [B, L], got shape {arr.shape}")
+    return arr
 
 
 def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Predictor,
-                     x, bidir_method: str = BIDIR_NONE,
+                     x: np.ndarray, bidir_method: str = BIDIR_NONE,
                      restart_positions: bool = False) -> Tensor:
-    """Predict an output frame per position; bidir methods wrap the base path.
+    """Predict an output frame per input frame; bidir methods wrap the base path.
 
-    ``x`` is one frame, [L] or [L, c], predicted as [L, c_out], or a batch of
-    equal-length frames [B, L, c], predicted as [B, L, c_out] by one
+    ``x`` is a batch of equal-length frames [B, L], predicted as [B, L] by one
     ``forward_hidden`` over all B*L rows (``lengths=[L]*B``, no padding).
     Each batch row equals its frame's own forward (bitwise at head width 16).
     Parallel flipping combines two pipelines, so it is predicted by
@@ -303,16 +268,16 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
     """
     from . import bidir
 
-    frames, batched = frame_batch(x)
-    B, L, c = frames.shape
+    frames = as_batch(x)
+    B, L = frames.shape
     if L % 2 != 0:
         raise LengthError("sequence length must be even")
     if bidir_method == BIDIR_NONE:
-        hidden = forward_hidden(model, embedder(frames.reshape(B * L, c)),
-                                model.config.mask_policy, lengths=[L] * B)
-        return unbatch_rows(predictor(hidden, B), B, batched)
+        hidden = forward_hidden(model, embedder(frames), model.config.mask_policy,
+                                lengths=[L] * B)
+        return predictor(hidden, B)
     if bidir_method == SEQUENCE_DOUBLING:
-        return bidir.sequence_doubling_forward(model, embedder, predictor, x,
+        return bidir.sequence_doubling_forward(model, embedder, predictor, frames,
                                                restart_positions=restart_positions)
     if bidir_method == PARALLEL_FLIPPING:
         raise ContractError("parallel flipping combines two pipelines; predict with bidir.FlipPair")
@@ -347,7 +312,7 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
     if proxy.features.shape[1] != model.config.d_model:
         raise T.ShapeError("proxy feature width != model d_model")
     pseudo = pseudo_label_targets(dataset.train, bins=config.pseudo_label_bins)
-    inputs = np.stack([inst.input.data for inst in dataset.train])  # [n, L]
+    inputs = stack_frames([inst.input for inst in dataset.train])
     n, L = inputs.shape
 
     proxy_cloud_full = _proxy_cloud(proxy)
@@ -364,7 +329,7 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
             inst_idx = rng.choice(n, size=min(config.stage1_batch_instances, n), replace=False)
             flat_idx = rng.choice(len(inst_idx) * L,
                                   size=min(config.otdd_batch, len(inst_idx) * L), replace=False)
-            tokens = inputs[inst_idx].reshape(-1, 1)[flat_idx]
+            tokens = inputs[inst_idx].reshape(-1)[flat_idx]
             labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
 
             embedded = embedder(tokens)
@@ -400,10 +365,9 @@ class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
     initial_test_nrmse: float = float("nan")
     final_test_nrmse: float = float("nan")
-    # per test instance, channel 0 of the prediction scored by initial_test_nrmse
-    # and final_test_nrmse
-    initial_test_predictions: list[np.ndarray] = field(default_factory=list, repr=False)
-    final_test_predictions: list[np.ndarray] = field(default_factory=list, repr=False)
+    # [n_test, L] predictions scored by initial_test_nrmse and final_test_nrmse
+    initial_test_predictions: np.ndarray | None = field(default=None, repr=False)
+    final_test_predictions: np.ndarray | None = field(default=None, repr=False)
     optimizer: str = ""
     learning_rate: float = 0.0
     optimizer_overridden: bool = False
@@ -425,9 +389,9 @@ def instance_nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(num / den)
 
 
-def mean_nrmse(predictions: list[np.ndarray], instances: list[PdeInstance]) -> float:
-    """Mean over instances of ``instance_nrmse`` of each prediction against
-    its instance's target."""
+def mean_nrmse(predictions: np.ndarray, instances: list[PdeInstance]) -> float:
+    """Mean over instances of ``instance_nrmse`` of each prediction row
+    against its instance's target."""
     return float(np.mean([instance_nrmse(p, inst.target.data)
                           for p, inst in zip(predictions, instances)]))
 
@@ -435,9 +399,8 @@ def mean_nrmse(predictions: list[np.ndarray], instances: list[PdeInstance]) -> f
 def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                    instances: list[PdeInstance], bidir_method: str = BIDIR_NONE,
                    restart_positions: bool = False,
-                   batch_size: int = 16) -> tuple[float, list[np.ndarray]]:
-    """Mean nRMSE over ``instances`` and, per instance, channel 0 of the
-    prediction it scored.
+                   batch_size: int = 16) -> tuple[float, np.ndarray]:
+    """Mean nRMSE over ``instances`` and the [n, L] predictions it scored.
 
     The instances are predicted as no-grad batches of ``batch_size`` (a
     fine-tune step's size), not as one batch, so evaluation holds no more
@@ -446,13 +409,12 @@ def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predi
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     inputs = stack_frames([inst.input for inst in instances])
-    preds: list[np.ndarray] = []
     with T.no_grad():
-        for lo in range(0, len(instances), batch_size):
-            out = predict_sequence(model, embedder, predictor, inputs[lo: lo + batch_size],
-                                   bidir_method=bidir_method,
-                                   restart_positions=restart_positions)
-            preds.extend(out.data[:, :, 0])
+        preds = np.concatenate([
+            predict_sequence(model, embedder, predictor, inputs[lo: lo + batch_size],
+                             bidir_method=bidir_method,
+                             restart_positions=restart_positions).data
+            for lo in range(0, len(instances), batch_size)])
     return mean_nrmse(preds, instances), preds
 
 
@@ -472,7 +434,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
     kind, lr, overridden = config.resolve_optimizer(dataset.family)
     report = TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
 
-    def evaluate() -> tuple[float, list[np.ndarray]]:
+    def evaluate() -> tuple[float, np.ndarray]:
         return evaluate_nrmse(model, embedder, predictor, dataset.test,
                               bidir_method=config.bidir_method,
                               restart_positions=config.restart_positions,

@@ -19,10 +19,9 @@ from .adaptation import (
     Embedder,
     Pipeline,
     Predictor,
-    frame_batch,
+    as_batch,
     predict_sequence,
     run_adaptation,
-    unbatch_rows,
 )
 from .pde_data import PdeDataset, PdeInstance
 from .proxy_data import ProxyEmbeddingSet
@@ -31,23 +30,22 @@ from .transformer import LengthError, TransformerModel, forward_hidden
 
 
 def flip(x: np.ndarray) -> np.ndarray:
-    """Reverse along the position axis (involution)."""
-    return np.ascontiguousarray(np.asarray(x)[::-1])
+    """Reverse along the last axis, which holds the positions (involution)."""
+    return np.ascontiguousarray(np.asarray(x)[..., ::-1])
 
 
 def combine_halves(p_forward: np.ndarray, p_reversed_domain: np.ndarray) -> np.ndarray:
-    """Merge the two runs' predictions: first half from the reversed run
-    (mapped back to original coordinates), second half from the forward run.
+    """Merge the two runs' predictions ([L] or [B, L]): first half of the
+    positions from the reversed run (mapped back to original coordinates),
+    second half from the forward run.
 
     The second half of the output is bitwise the forward prediction's.
     """
-    p_forward = np.asarray(p_forward)
-    p_reversed_domain = np.asarray(p_reversed_domain)
-    L = p_forward.shape[0]
-    if L % 2 != 0 or p_reversed_domain.shape[0] != L:
+    L = p_forward.shape[-1]
+    if L % 2 != 0 or p_reversed_domain.shape != p_forward.shape:
         raise LengthError("combine_halves needs matching even-length predictions")
     q = flip(p_reversed_domain)
-    return np.concatenate([q[: L // 2], p_forward[L // 2:]], axis=0)
+    return np.concatenate([q[..., : L // 2], p_forward[..., L // 2:]], axis=-1)
 
 
 @dataclass
@@ -59,8 +57,9 @@ class FlipPair:
     reversed_pipeline: Pipeline
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        fwd = self.forward_pipeline
-        rev = self.reversed_pipeline
+        """Combined [B, L] prediction of a batch of frames [B, L]: each frame
+        and its reversal are predicted by their own pipeline."""
+        fwd, rev = self.forward_pipeline, self.reversed_pipeline
         with T.no_grad():
             p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor, x,
                                    bidir_method=BIDIR_NONE).data
@@ -91,10 +90,10 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
     data, then on the flipped data (reversed pipeline).  The two runs share a
     config but no parameters.
 
-    Each report's ``train.final_test_predictions`` holds its pipeline's test
-    predictions (the reversed run's in flipped coordinates), so
-    ``combine_halves`` of the pair equals ``FlipPair.predict`` on each test
-    input.
+    Each report's ``train.final_test_predictions`` holds its pipeline's
+    [n_test, L] test predictions (the reversed run's in flipped coordinates),
+    so ``combine_halves`` of the pair equals ``FlipPair.predict`` on the test
+    inputs.
 
     The proxy side is never flipped (language features carry no spatial
     orientation); ``proxy_reversed`` is the reversed pipeline's own model
@@ -113,20 +112,19 @@ def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,
     """Concatenate each frame with itself, run the model on 2L tokens, and
     predict from the second half of the last hidden layer.
 
-    ``x`` is one frame ([L] or [L, c], predicted as [L, c_out]) or a batch
-    [B, L, c] (predicted as [B, L, c_out]); a batch runs as one
+    ``x`` is a batch of frames [B, L], predicted as [B, L]: it runs as one
     ``forward_hidden`` with ``lengths=[2L]*B``, and one ``take_rows`` gathers
     every sequence's second half.  Positions run 0..2L-1 by default;
     ``restart_positions`` replays 0..L-1 for the second copy (ablation: the
     copies become indistinguishable).
     """
-    frames, batched = frame_batch(x)
-    B, L, c = frames.shape
+    frames = as_batch(x)
+    B, L = frames.shape
     if 2 * L > model.config.max_positions:
         raise LengthError(f"sequence doubling needs max_positions >= {2 * L}")
-    doubled = np.concatenate([frames, frames], axis=1).reshape(B * 2 * L, c)
+    doubled = np.concatenate([frames, frames], axis=1)
     positions = np.tile(np.arange(L), 2 * B) if restart_positions else None
     hidden = forward_hidden(model, embedder(doubled), model.config.mask_policy,
                             positions=positions, lengths=[2 * L] * B)
     second_halves = (2 * L * np.arange(B)[:, None] + np.arange(L, 2 * L)).ravel()
-    return unbatch_rows(predictor(T.take_rows(hidden, second_halves), B), B, batched)
+    return predictor(T.take_rows(hidden, second_halves), B)

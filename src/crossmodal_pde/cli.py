@@ -124,10 +124,9 @@ def _cmd_pretrain(args) -> int:
                      learning_rate=args.learning_rate, batch_size=args.batch_size,
                      seed=args.seed)
     save_checkpoint(model, args.out)
-    first = float(np.mean(trace[:20])) if trace else float("nan")
-    last = float(np.mean(trace[-20:])) if trace else float("nan")
-    print(f"pretrained {args.arch} for {args.steps} steps "
-          f"(loss {first:.3f} -> {last:.3f}); checkpoint at {args.out}")
+    loss = (f" (loss {np.mean(trace[:20]):.3f} -> {np.mean(trace[-20:]):.3f})"
+            if trace else "")
+    print(f"pretrained {args.arch} for {args.steps} steps{loss}; checkpoint at {args.out}")
     return 0
 
 

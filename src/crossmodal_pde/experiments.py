@@ -12,17 +12,17 @@ import json
 import os
 import tempfile
 import time
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .adaptation import (
     BIDIR_NONE,
-    FPT,
     ORCA,
     PARALLEL_FLIPPING,
-    SEQUENCE_DOUBLING,
     AdaptationConfig,
     Pipeline,
     mean_nrmse,
@@ -101,38 +101,42 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
 
     def __post_init__(self):
-        if self.method not in (FPT, ORCA):
-            raise ContractError(f"unknown method {self.method!r}")
-        if self.bidir_method not in (BIDIR_NONE, PARALLEL_FLIPPING, SEQUENCE_DOUBLING):
-            raise ContractError(f"unknown bidir method {self.bidir_method!r}")
+        # build both once so that a bad model or adaptation value fails here
+        self.model_config(0)
+        self.adaptation_config(0)
+
+    def _shared(self, cls, seed: int):
+        """A ``cls`` config from this config's fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name != "seed"},
+                   seed=seed)
 
     def model_config(self, seed: int) -> ModelConfig:
-        return ModelConfig(arch=self.arch, d_model=self.d_model, n_heads=self.n_heads,
-                           n_layers=self.n_layers, d_ff=self.d_ff,
-                           max_positions=self.max_positions, vocab_size=self.vocab_size,
-                           seed=seed)
+        return self._shared(ModelConfig, seed)
 
     def adaptation_config(self, seed: int) -> AdaptationConfig:
-        return AdaptationConfig(method=self.method, bidir_method=self.bidir_method,
-                                optimizer=self.optimizer, learning_rate=self.learning_rate,
-                                weight_decay=self.weight_decay, epochs=self.epochs,
-                                batch_size=self.batch_size, stage1_steps=self.stage1_steps,
-                                stage1_lr=self.stage1_lr,
-                                stage1_batch_instances=self.stage1_batch_instances,
-                                otdd_batch=self.otdd_batch,
-                                pseudo_label_bins=self.pseudo_label_bins,
-                                sinkhorn_max_iters=self.sinkhorn_max_iters,
-                                stage1_through_body=self.stage1_through_body,
-                                restart_positions=self.restart_positions, seed=seed)
+        return self._shared(AdaptationConfig, seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build from a JSON object; an unknown or missing key, or a value that
+        does not match its field's type, raises ``ContractError`` naming the key."""
+        if not isinstance(d, dict):
+            raise ContractError(f"an experiment config is a JSON object, got {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ContractError(f"unknown experiment config keys: {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls) if f.name not in d
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ContractError(f"missing experiment config keys: {', '.join(missing)}")
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if f.name in d and not _matches(d[f.name], hints[f.name]):
+                raise ContractError(f"experiment config key {f.name!r} must be {f.type}, "
+                                    f"got {d[f.name]!r}")
         return cls(**d)
 
     @classmethod
@@ -141,6 +145,19 @@ class ExperimentConfig:
             raise DataFileError(f"experiment config file not found: {path}")
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _matches(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an int fits a float
+    field, and a bool only a bool field."""
+    if isinstance(hint, types.UnionType):
+        return any(_matches(value, a) for a in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_matches(v, typing.get_args(hint)[0])
+                                               for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
 def _derive_seed(*parts: int) -> int:
@@ -212,6 +229,17 @@ def _prepare_base_model(config: ExperimentConfig) -> TransformerModel | None:
     return model
 
 
+def _check_base_model(config: ExperimentConfig, model: TransformerModel) -> None:
+    """Raise ``ContractError`` naming every ``ModelConfig`` field (the seed
+    aside) and the ``pretrained`` flag where ``model`` differs from ``config``:
+    the record would otherwise describe another model than the one that ran."""
+    want = {**asdict(config.model_config(model.config.seed)), "pretrained": config.pretrained}
+    got = {**asdict(model.config), "pretrained": model.pretrained}
+    diff = ", ".join(f"{k} {got[k]!r} (config: {want[k]!r})" for k in want if got[k] != want[k])
+    if diff:
+        raise ContractError(f"base model does not match experiment {config.name!r}: {diff}")
+
+
 def _make_pipeline(config: ExperimentConfig, base: TransformerModel | None,
                    seed: int, role: int, out_length: int) -> Pipeline:
     if base is not None:
@@ -257,6 +285,8 @@ def _run_one(config: ExperimentConfig, seed: int,
     dataset = load_dataset(config.dataset_file)
     if base_model is None and config.pretrained:
         base_model = _prepare_base_model(config)
+    if base_model is not None:
+        _check_base_model(config, base_model)
     out_length = dataset.grid.n_x
 
     corpus = None
@@ -276,10 +306,8 @@ def _run_one(config: ExperimentConfig, seed: int,
                                                   proxy=proxy, proxy_reversed=proxy_rev)
         reports = {"forward": rep_f, "reversed": rep_r}
         f, r = rep_f.train, rep_r.train
-        initial = [combine_halves(a, b) for a, b in
-                   zip(f.initial_test_predictions, r.initial_test_predictions)]
-        predictions = [combine_halves(a, b) for a, b in
-                       zip(f.final_test_predictions, r.final_test_predictions)]
+        initial = combine_halves(f.initial_test_predictions, r.initial_test_predictions)
+        predictions = combine_halves(f.final_test_predictions, r.final_test_predictions)
     else:
         rep_f = run_adaptation(pipeline, dataset, adapt, proxy=proxy)
         reports = {"forward": rep_f}

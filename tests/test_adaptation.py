@@ -97,55 +97,55 @@ def test_pseudo_labels_monotone_invariant():
 
 def test_zero_predictor_gives_zeros():
     model = make_model()
-    emb = Embedder.create(1, 32, seed=0)
-    pred = Predictor.create(32, 1, seed=1)
+    emb = Embedder.create(32, seed=0)
+    pred = Predictor.create(32, seed=1)
     pred.w.data[:] = 0.0
     pred.b.data[:] = 0.0
-    out = predict_sequence(model, emb, pred, np.random.default_rng(0).normal(size=32))
-    np.testing.assert_array_equal(out.data, np.zeros((32, 1), dtype=np.float32))
+    out = predict_sequence(model, emb, pred, np.random.default_rng(0).normal(size=(1, 32)))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 32), dtype=np.float32))
 
 
 def test_predict_shapes_all_methods():
     model = make_model(max_positions=256)
-    emb = Embedder.create(1, 32, seed=0)
-    pred = Predictor.create(32, 1, seed=1)
-    x = np.random.default_rng(1).normal(size=128).astype(np.float32)
+    emb = Embedder.create(32, seed=0)
+    pred = Predictor.create(32, seed=1)
+    x = np.random.default_rng(1).normal(size=(1, 128)).astype(np.float32)
     for method in ("none", "sequence_doubling"):
         out = predict_sequence(model, emb, pred, x, bidir_method=method)
-        assert out.data.shape == (128, 1), method
+        assert out.data.shape == (1, 128), method
     partner = Pipeline.create(make_model(seed=9, max_positions=256), seed=5)
     pair = FlipPair(Pipeline(model, emb, pred), partner)
-    assert pair.predict(x).shape == (128, 1), "parallel_flipping"
+    assert pair.predict(x).shape == (1, 128), "parallel_flipping"
 
 
 def test_predict_odd_length_rejected():
     model = make_model()
-    emb = Embedder.create(1, 32, seed=0)
-    pred = Predictor.create(32, 1, seed=1)
+    emb = Embedder.create(32, seed=0)
+    pred = Predictor.create(32, seed=1)
     with pytest.raises(LengthError):
-        predict_sequence(model, emb, pred, np.zeros(31, dtype=np.float32))
+        predict_sequence(model, emb, pred, np.zeros((1, 31), dtype=np.float32))
 
 
 def test_parallel_flipping_needs_partner():
     model = make_model()
-    emb = Embedder.create(1, 32, seed=0)
-    pred = Predictor.create(32, 1, seed=1)
+    emb = Embedder.create(32, seed=0)
+    pred = Predictor.create(32, seed=1)
     with pytest.raises(ContractError, match="FlipPair"):
-        predict_sequence(model, emb, pred, np.zeros(32, dtype=np.float32),
+        predict_sequence(model, emb, pred, np.zeros((1, 32), dtype=np.float32),
                          bidir_method="parallel_flipping")
 
 
 def test_causal_prediction_ignores_future():
     model = make_model(arch=DECODER_ONLY)
-    emb = Embedder.create(1, 32, seed=2)
-    pred = Predictor.create(32, 1, seed=3)
+    emb = Embedder.create(32, seed=2)
+    pred = Predictor.create(32, seed=3)
     rng = np.random.default_rng(4)
-    x = rng.normal(size=32).astype(np.float32)
+    x = rng.normal(size=(1, 32)).astype(np.float32)
     x2 = x.copy()
-    x2[20:] += 1.0
+    x2[:, 20:] += 1.0
     a = predict_sequence(model, emb, pred, x).data
     b = predict_sequence(model, emb, pred, x2).data
-    np.testing.assert_array_equal(a[:20], b[:20])
+    np.testing.assert_array_equal(a[:, :20], b[:, :20])
 
 
 # -- optimizer mapping ------------------------------------------------------------
@@ -170,7 +170,7 @@ def _stage1_fixture(steps, arch=DECODER_ONLY, seed=0, pretrain_steps=0):
     if pretrain_steps:
         pretrain(model, [t for t, _ in corpus.sequences], steps=pretrain_steps,
                  learning_rate=1e-3, batch_size=8, seed=seed)
-    emb = Embedder.create(1, 32, seed=seed + 10)
+    emb = Embedder.create(32, seed=seed + 10)
     proxy = build_proxy_set(model, corpus)
     dataset = build_dataset("advection", 8, 2, GridSpec(n_x=32, t_out=0.5), seed=seed + 30)
     config = AdaptationConfig(method=ORCA, stage1_steps=steps, otdd_batch=64,
@@ -214,7 +214,7 @@ def test_stage1_dimension_mismatch():
     model, emb, proxy, dataset, config = _stage1_fixture(steps=1)
     other = make_model(d_model=64, seed=1)
     with pytest.raises(Exception):
-        orca_stage1(other, Embedder.create(1, 64, 0), proxy, dataset, config)
+        orca_stage1(other, Embedder.create(64, 0), proxy, dataset, config)
 
 
 # -- finetune ---------------------------------------------------------------------
@@ -222,8 +222,8 @@ def test_stage1_dimension_mismatch():
 
 def test_finetune_zero_epochs_only_initial_eval():
     model = make_model()
-    emb = Embedder.create(1, 32, seed=0)
-    pred = Predictor.create(32, 1, seed=1)
+    emb = Embedder.create(32, seed=0)
+    pred = Predictor.create(32, seed=1)
     dataset = identity_dataset()
     before = snapshot(model.params)
     config = AdaptationConfig(epochs=0, seed=0)
@@ -249,8 +249,8 @@ def assert_frozen_left_clean(model):
 
 def test_finetune_fpt_freeze_audit():
     model = make_model()
-    emb = Embedder.create(1, 32, seed=0)
-    pred = Predictor.create(32, 1, seed=1)
+    emb = Embedder.create(32, seed=0)
+    pred = Predictor.create(32, seed=1)
     dataset = identity_dataset(n_train=8, n_test=2)
     before = snapshot(model.params)
     stale = model.params["layer0.mlp.w1"]
@@ -270,7 +270,7 @@ def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
     dataset = identity_dataset(n_train=4, n_test=2)
     dataset.train[2].input.data[5] = np.nan
     config = AdaptationConfig(epochs=2, batch_size=4, optimizer="adam", seed=0)
-    report = finetune(model, Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1),
+    report = finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
                       dataset, FPT_FROZEN, config)
     assert report.aborted and report.epochs_run == 0
     assert_frozen_left_clean(model)
@@ -286,15 +286,15 @@ def test_finetune_fpt_freeze_audit_when_a_step_raises(monkeypatch):
 
     monkeypatch.setattr(ad.T, "optimizer_step", fail)
     with pytest.raises(RuntimeError, match="optimizer failed"):
-        finetune(model, Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1),
+        finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
                  dataset, FPT_FROZEN, config)
     assert_frozen_left_clean(model)
 
 
 def test_finetune_identity_task_converges():
     model = make_model(d_model=64, seed=11)
-    emb = Embedder.create(1, 64, seed=12)
-    pred = Predictor.create(64, 1, seed=13)
+    emb = Embedder.create(64, seed=12)
+    pred = Predictor.create(64, seed=13)
     dataset = identity_dataset(n_train=16, n_test=4, n_x=64)
     config = AdaptationConfig(epochs=50, batch_size=8, optimizer="adam", seed=1)
     report = finetune(model, emb, pred, dataset, ALL_TRAINABLE, config)
@@ -322,8 +322,8 @@ def test_pooled_predictor_variant_trains():
     assert isinstance(pipeline.predictor, ad.PooledPredictor)
     dataset = identity_dataset(n_train=8, n_test=2, n_x=32)
     out = predict_sequence(pipeline.model, pipeline.embedder, pipeline.predictor,
-                           dataset.test[0].input.data)
-    assert out.data.shape == (32, 1)
+                           dataset.test[0].input.data[None])
+    assert out.data.shape == (1, 32)
     config = AdaptationConfig(epochs=3, batch_size=4, optimizer="adam", seed=2)
     report = finetune(pipeline.model, pipeline.embedder, pipeline.predictor,
                       dataset, ALL_TRAINABLE, config)
@@ -336,8 +336,8 @@ def test_pooled_predictor_variant_trains():
 def _oracle_predict(model, emb, pred, frame, bidir_method="none", restart_positions=False):
     """One frame through the model as ``predict_sequence`` ran it before
     batching: an unbatched ``forward_hidden`` and, for Sequence Doubling, a
-    ``slice_rows`` of the second half."""
-    frame = ad._frame_matrix(frame)
+    ``slice_rows`` of the second half; returns [1, L]."""
+    frame = np.asarray(frame.data if isinstance(frame, Tensor) else frame, dtype=np.float32)
     L = frame.shape[0]
     if bidir_method == "none":
         return pred(forward_hidden(model, emb(frame), model.config.mask_policy))
@@ -354,7 +354,8 @@ def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
     losses = []
     for x, y in zip(frames, targets):
         out = _oracle_predict(model, emb, pred, x, bidir_method, restart_positions)
-        losses.append(T.tmean(T.square(T.sub(out, Tensor(ad._frame_matrix(y))))))
+        y = y.data if isinstance(y, Tensor) else y
+        losses.append(T.tmean(T.square(T.sub(out, Tensor(y[None])))))
     total = losses[0]
     for loss in losses[1:]:
         total = T.add(total, loss)
@@ -364,8 +365,8 @@ def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
 def _oracle_evaluate(model, emb, pred, instances, bidir_method="none",
                      restart_positions=False):
     with T.no_grad():
-        preds = [_oracle_predict(model, emb, pred, inst.input, bidir_method,
-                                 restart_positions).data[:, 0] for inst in instances]
+        preds = np.concatenate([_oracle_predict(model, emb, pred, inst.input, bidir_method,
+                                                restart_positions).data for inst in instances])
     return ad.mean_nrmse(preds, instances), preds
 
 
@@ -412,11 +413,11 @@ def _head16_pipeline(arch, seed=0):
     for p in model.params.values():
         if p.data.ndim == 2:
             p.data *= 10.0
-    return model, Embedder.create(1, 64, seed=seed + 1), Predictor.create(64, 1, seed=seed + 2)
+    return model, Embedder.create(64, seed=seed + 1), Predictor.create(64, seed=seed + 2)
 
 
 def _frames(n, L=64, seed=0):
-    return np.random.default_rng(seed).normal(size=(n, L, 1)).astype(np.float32)
+    return np.random.default_rng(seed).normal(size=(n, L)).astype(np.float32)
 
 
 @pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
@@ -429,12 +430,12 @@ def test_batched_prediction_rows_equal_per_instance_forward(arch, bidir_method, 
     with T.no_grad():
         got = predict_sequence(model, emb, pred, frames, bidir_method=bidir_method,
                                restart_positions=restart).data
-        assert got.shape == (5, 64, 1)
+        assert got.shape == (5, 64)
         for b, x in enumerate(frames):
-            want = _oracle_predict(model, emb, pred, x, bidir_method, restart).data
+            want = _oracle_predict(model, emb, pred, x, bidir_method, restart).data[0]
             assert np.array_equal(got[b], want), b
-            single = predict_sequence(model, emb, pred, x[:, 0], bidir_method=bidir_method,
-                                      restart_positions=restart).data
+            single = predict_sequence(model, emb, pred, x[None], bidir_method=bidir_method,
+                                      restart_positions=restart).data[0]
             assert np.array_equal(single, want), b
 
 
@@ -483,7 +484,7 @@ def test_finetune_step_is_one_forward_and_one_backward(monkeypatch):
     monkeypatch.setattr(Tensor, "backward", counted_backward)
     dataset = identity_dataset(n_train=8, n_test=3)
     config = AdaptationConfig(epochs=1, batch_size=8, optimizer="adam", seed=0)
-    finetune(make_model(), Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1),
+    finetune(make_model(), Embedder.create(32, seed=0), Predictor.create(32, seed=1),
              dataset, FPT_FROZEN, config)
     # one training step, plus the initial and final evaluation of 3 test
     # instances as one batch each
@@ -533,7 +534,7 @@ def _with_length(inst, n):
 
 def test_unequal_instance_lengths_raise_shape_error():
     model = make_model()
-    emb, pred = Embedder.create(1, 32, seed=0), Predictor.create(32, 1, seed=1)
+    emb, pred = Embedder.create(32, seed=0), Predictor.create(32, seed=1)
     dataset = identity_dataset(n_train=4, n_test=2)
     uneven = dataclasses.replace(dataset, train=dataset.train[:3] + [_with_length(dataset.train[3], 30)])
     with pytest.raises(ShapeError, match="one shape"):
@@ -550,9 +551,10 @@ def test_pooled_predictor_pools_each_sequence_on_its_own():
     frames = _frames(3, L=32, seed=4)
     with T.no_grad():
         got = predict_sequence(model, pipeline.embedder, pipeline.predictor, frames).data
-        assert got.shape == (3, 32, 1)
+        assert got.shape == (3, 32)
         for b, x in enumerate(frames):
-            want = predict_sequence(model, pipeline.embedder, pipeline.predictor, x).data
+            want = predict_sequence(model, pipeline.embedder, pipeline.predictor,
+                                    x[None]).data[0]
             # the hidden rows and their means are bitwise equal; OpenBLAS runs
             # a one-row product [1, d] @ [d, n] through another kernel than a
             # [B, d] one, so the head's output may differ in its last bits

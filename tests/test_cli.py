@@ -115,6 +115,23 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "epoch" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("epochs", "2"), ("seeds", 3)])
+def test_run_mistyped_config_value_is_usage_error(tmp_path, capsys, key, value):
+    # a runnable config but for the one value, which used to escape as a
+    # TypeError traceback once the run reached it
+    data = str(tmp_path / "adv.bin")
+    assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                     "--out", data, "--n-x", "32"]) == 0
+    config_path = str(tmp_path / "exp.json")
+    with open(config_path, "w") as fh:
+        json.dump({"name": "typed", "dataset_file": data, "out_dir": str(tmp_path / "records"),
+                   "pretrained": False, "method": "fpt", "d_model": 16, "n_layers": 1,
+                   "d_ff": 32, key: value}, fh)
+    assert cli_main(["run", "--config", config_path]) == 3
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "Traceback" not in err
+
+
 def _run_on_edited_dataset(tmp_path, edit):
     """Exit code of ``run`` on a 2 + 2 advection dataset rewritten by ``edit``."""
     data = str(tmp_path / "adv.bin")
@@ -160,6 +177,21 @@ def test_pretrain_count_below_floor_is_usage_error(tmp_path, capsys, flag, value
     err = capsys.readouterr().err
     assert flag in err and f"at least {floor}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_pretrain_prints_a_loss_only_when_a_step_ran(tmp_path, capsys, steps):
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "8"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
+                     "--out", str(out), "--steps", str(steps), "--d-model", "16",
+                     "--n-layers", "1", "--d-ff", "32", "--batch-size", "4"]) == 0
+    printed = capsys.readouterr().out
+    assert f"for {steps} steps" in printed and str(out) in printed and out.exists()
+    assert "nan" not in printed
+    assert ("(loss " in printed) == (steps > 0)
 
 
 def test_table_foreign_record_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
@@ -8,7 +9,7 @@ import pytest
 
 from crossmodal_pde import experiments
 from crossmodal_pde import tensor as T
-from crossmodal_pde.adaptation import instance_nrmse, predict_sequence
+from crossmodal_pde.adaptation import AdaptationConfig, instance_nrmse, predict_sequence
 from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.container import DataFileError
 from crossmodal_pde.experiments import (
@@ -29,6 +30,7 @@ from crossmodal_pde.figures import emit_figure
 from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
+from crossmodal_pde.transformer import ConfigError, ModelConfig, save_checkpoint
 
 
 # -- nrmse ----------------------------------------------------------------
@@ -141,12 +143,12 @@ def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_meth
     test = load_dataset(config.dataset_file).test
     if bidir_method == "parallel_flipping":
         pair = FlipPair(*made)
-        preds = [pair.predict(inst.input.data)[:, 0] for inst in test]
+        preds = [pair.predict(inst.input.data[None])[0] for inst in test]
     else:
         (p,) = made
         with T.no_grad():
-            preds = [predict_sequence(p.model, p.embedder, p.predictor, inst.input,
-                                      bidir_method=bidir_method).data[:, 0] for inst in test]
+            preds = [predict_sequence(p.model, p.embedder, p.predictor, inst.input.data[None],
+                                      bidir_method=bidir_method).data[0] for inst in test]
     assert rec.test_nrmse == float(np.mean([instance_nrmse(q, inst.target.data)
                                             for q, inst in zip(preds, test)]))
 
@@ -206,6 +208,32 @@ def test_random_init_never_reads_checkpoint(tmp_path):
                              checkpoint_file=str(tmp_path / "missing.ckpt"))
     rec = run_one(config, seed=0)  # would raise if the checkpoint were opened
     assert np.isfinite(rec.test_nrmse)
+
+
+def test_base_model_must_match_config(tmp_path):
+    # a decoder-only d_model-32 checkpoint run under a config that says
+    # encoder_only/64 would write a record that ``aggregate`` files under
+    # the wrong arch and width
+    config = tiny_experiment(tmp_path, pretrained=True, pretrain_steps=3)
+    base = experiments._prepare_base_model(config)
+    ckpt = str(tmp_path / "dec32.ckpt")
+    save_checkpoint(base, ckpt)
+    wrong = dataclasses.replace(config, arch="encoder_only", d_model=64, checkpoint_file=ckpt)
+    with pytest.raises(ContractError, match=r"arch 'decoder_only' \(config: 'encoder_only'\), "
+                                            r"d_model 32 \(config: 64\)$"):
+        run_one(wrong, seed=0)
+    with pytest.raises(ContractError, match=r": pretrained True \(config: False\)$"):
+        run_one(dataclasses.replace(config, pretrained=False), seed=0, base_model=base)
+    assert not (tmp_path / "records").exists()
+    # the model's own seed is not compared: a checkpoint keeps its pretraining seed
+    same = dataclasses.replace(config, checkpoint_file=ckpt, pretrain_seed=base.config.seed + 1)
+    assert np.isfinite(run_one(same, seed=0).test_nrmse)
+
+
+def test_zero_pretraining_steps_do_not_make_a_pretrained_record(tmp_path):
+    config = tiny_experiment(tmp_path, pretrained=True, pretrain_steps=0)
+    with pytest.raises(ContractError, match=r"pretrained False \(config: True\)$"):
+        run_one(config, seed=0)
 
 
 def test_orca_requires_corpus_file(tmp_path):
@@ -330,6 +358,64 @@ def test_load_records_rejects_foreign_json(tmp_path, text):
     (tmp_path / "records" / "zz_foreign.json").write_bytes(data)
     with pytest.raises(DataFileError, match="zz_foreign.json"):
         load_records(config.out_dir)
+
+
+# -- experiment config ----------------------------------------------------------
+
+_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out"}
+
+
+def test_experiment_config_holds_every_adaptation_and_model_field():
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for cls in (AdaptationConfig, ModelConfig):
+        missing = {f.name for f in dataclasses.fields(cls)} - {"seed"} - names
+        assert not missing, (cls.__name__, missing)
+
+
+def test_derived_configs_take_every_shared_field():
+    config = ExperimentConfig(**_MINIMAL, stage1_lr=0.25, restart_positions=True,
+                              vocab_size=32, arch="encoder_only", otdd_batch=7)
+    for derived, seed in ((config.adaptation_config(7), 7), (config.model_config(9), 9)):
+        for f in dataclasses.fields(derived):
+            want = seed if f.name == "seed" else getattr(config, f.name)
+            assert getattr(derived, f.name) == want, f.name
+
+
+@pytest.mark.parametrize("key, value, error, match", [
+    ("n_heads", 5, ConfigError, "n_heads=5"),
+    ("arch", "rnn", ConfigError, "rnn"),
+    ("d_ff", 0, ConfigError, "d_ff"),
+    ("method", "lora", ContractError, "lora"),
+    ("bidir_method", "both", ContractError, "both"),
+])
+def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error, match):
+    with pytest.raises(error, match=match):
+        ExperimentConfig.from_dict({**_MINIMAL, key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "2"), ("epochs", 2.0), ("epochs", True), ("seeds", 3), ("seeds", [0, "1"]),
+    ("pretrained", 1), ("learning_rate", "1e-3"), ("optimizer", 3), ("name", None),
+    ("checkpoint_file", ["a"]),
+])
+def test_from_dict_rejects_mistyped_values(key, value):
+    with pytest.raises(ContractError, match=f"key '{key}' must be"):
+        ExperimentConfig.from_dict({**_MINIMAL, key: value})
+
+
+def test_from_dict_accepts_json_values():
+    config = ExperimentConfig.from_dict({**_MINIMAL, "learning_rate": 1, "weight_decay": 0,
+                                         "optimizer": None, "checkpoint_file": "m.ckpt",
+                                         "seeds": []})
+    assert config.learning_rate == 1 and config.seeds == []
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("d, match", [({"name": "x"}, "missing .*dataset_file, out_dir"),
+                                      ([1, 2], "JSON object")])
+def test_from_dict_rejects_missing_keys_and_non_objects(d, match):
+    with pytest.raises(ContractError, match=match):
+        ExperimentConfig.from_dict(d)
 
 
 # -- table CSV ---------------------------------------------------------------

@@ -498,8 +498,9 @@ def _fpt_loss(model, emb, pred, batch, bidir_method):
     """The mean-squared-error batch loss ``finetune`` minimises."""
     losses = []
     for inst in batch:
-        out = ad.predict_sequence(model, emb, pred, inst.input, bidir_method=bidir_method)
-        losses.append(T.tmean(T.square(T.sub(out, Tensor(inst.target.data[:, None])))))
+        out = ad.predict_sequence(model, emb, pred, inst.input.data[None],
+                                  bidir_method=bidir_method)
+        losses.append(T.tmean(T.square(T.sub(out, Tensor(inst.target.data[None])))))
     return T.mul(T.add(losses[0], losses[1]), 0.5)
 
 
@@ -509,7 +510,7 @@ def _fpt_loss(model, emb, pred, batch, bidir_method):
                                                (tf.DECODER_ONLY, ad.SEQUENCE_DOUBLING)])
 def test_fpt_step_gradients_match_all_requires_grad_oracle(arch, bidir_method, L):
     model = make_model(arch=arch, max_positions=256, seed=5)
-    emb, pred = ad.Embedder.create(1, 32, seed=6), ad.Predictor.create(32, 1, seed=7)
+    emb, pred = ad.Embedder.create(32, seed=6), ad.Predictor.create(32, seed=7)
     batch = identity_dataset(n_train=2, n_test=1, n_x=L, seed=L).train
     trained = ad.adaptation_trainable_params(model, tf.FPT_FROZEN) + emb.params() + pred.params()
     frozen = [p for p in model.params.values() if not any(p is q for q in trained)]
