@@ -1,5 +1,6 @@
 """FPT and ORCA cross-modal adaptation: task-specific embedder/predictor,
-freeze policies, stage-1 OTDD alignment, and supervised fine-tuning.
+the model parameters each method trains, stage-1 OTDD alignment, and
+supervised fine-tuning.
 
 Stage 1 (ORCA) trains only the embedder, by default comparing its outputs
 directly to the proxy features; ``stage1_through_body`` pushes embeddings
@@ -31,14 +32,7 @@ from .pde_data import (
 )
 from .proxy_data import ProxyEmbeddingSet
 from .tensor import ContractError, OptimizerState, Tensor
-from .transformer import (
-    ALL_TRAINABLE,
-    FPT_FROZEN,
-    LengthError,
-    TransformerModel,
-    forward_hidden,
-    trainable_parameters,
-)
+from .transformer import LengthError, TransformerModel, forward_hidden
 
 FPT = "fpt"
 ORCA = "orca"
@@ -156,6 +150,20 @@ class AdaptationConfig:
             raise ContractError(f"unknown adaptation method {self.method!r}")
         if self.bidir_method not in BIDIR_METHODS:
             raise ContractError(f"unknown bidir method {self.bidir_method!r}")
+        if self.optimizer is not None and self.optimizer not in T.OPTIMIZER_KINDS:
+            raise ContractError(f"optimizer must be one of {', '.join(T.OPTIMIZER_KINDS)}, "
+                                f"got {self.optimizer!r}")
+        floors = {"epochs": 0, "stage1_steps": 0, "batch_size": 1, "stage1_batch_instances": 1,
+                  "otdd_batch": 1, "sinkhorn_max_iters": 1, "pseudo_label_bins": 2,
+                  "weight_decay": 0}
+        for name, floor in floors.items():
+            value = getattr(self, name)
+            if not value >= floor:  # also rejects a NaN
+                raise ContractError(f"{name} must be >= {floor}, got {value!r}")
+        for name in ("learning_rate", "stage1_lr"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ContractError(f"{name} must be > 0, got {value!r}")
 
     def resolve_optimizer(self, family: str) -> tuple[str, float, bool]:
         """Return (kind, learning rate, overridden?) per the family mapping."""
@@ -167,20 +175,20 @@ class AdaptationConfig:
         return kind, lr, overridden
 
 
-def freeze_policy_for(method: str) -> str:
-    return FPT_FROZEN if method == FPT else ALL_TRAINABLE
+def trained_parameters(model: TransformerModel, method: str) -> list[Tensor]:
+    """The model parameters fine-tuning under ``method`` trains, in model order.
 
-
-def adaptation_trainable_params(model: TransformerModel, policy: str) -> list[Tensor]:
-    """Model parameters trained during cross-modal fine-tuning.
-
-    The token embedding and lm head are the language-side input/output layers;
-    the task embedder/predictor replace them, so they sit outside the task
-    graph and receive no gradient.
+    FPT (Lu et al., AAAI 2022) trains the layer norms of a frozen body; ORCA
+    (Shen et al., ICML 2023) trains the whole body.  Neither trains the token
+    embedding or the lm head: the task embedder and predictor replace them,
+    so they sit outside the task graph.
     """
-    trainable_ids = {id(p) for p in trainable_parameters(model, policy)}
-    return [p for n, p in model.params.items()
-            if id(p) in trainable_ids and n not in ("tok_emb", "lm_head")]
+    if method == FPT:
+        return [p for n, p in model.params.items()
+                if ".ln1." in n or ".ln2." in n or n.startswith("final_ln.")]
+    if method == ORCA:
+        return [p for n, p in model.params.items() if n not in ("tok_emb", "lm_head")]
+    raise ContractError(f"unknown adaptation method {method!r}")
 
 
 @contextlib.contextmanager
@@ -273,8 +281,7 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
     if L % 2 != 0:
         raise LengthError("sequence length must be even")
     if bidir_method == BIDIR_NONE:
-        hidden = forward_hidden(model, embedder(frames), model.config.mask_policy,
-                                lengths=[L] * B)
+        hidden = forward_hidden(model, embedder(frames), lengths=[L] * B)
         return predictor(hidden, B)
     if bidir_method == SEQUENCE_DOUBLING:
         return bidir.sequence_doubling_forward(model, embedder, predictor, frames,
@@ -334,7 +341,7 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
 
             embedded = embedder(tokens)
             if config.stage1_through_body:
-                embedded = forward_hidden(model, embedded, model.config.mask_policy)
+                embedded = forward_hidden(model, embedded)
             target_cloud = LabeledPointCloud(points=embedded, labels=labels,
                                              class_count=pseudo.bins)
 
@@ -419,8 +426,12 @@ def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predi
 
 
 def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
-             dataset: PdeDataset, policy: str, config: AdaptationConfig) -> TrainReport:
-    """Minimize MSE on train frames under the freeze policy; report test nRMSE.
+             dataset: PdeDataset, config: AdaptationConfig) -> TrainReport:
+    """Minimize MSE on train frames; report test nRMSE.
+
+    It trains the embedder, the predictor and the model parameters
+    ``trained_parameters(model, config.method)`` names; every other model
+    parameter stays off the tape (``frozen_except``).
 
     Each step is one tape: the batch's frames go through one batched
     ``predict_sequence``, one MSE over the stacked targets and one
@@ -443,7 +454,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
     report.initial_test_nrmse, report.initial_test_predictions = evaluate()
     inputs = stack_frames([inst.input for inst in dataset.train])
     targets = stack_frames([inst.target for inst in dataset.train])
-    params = adaptation_trainable_params(model, policy) + embedder.params() + predictor.params()
+    params = trained_parameters(model, config.method) + embedder.params() + predictor.params()
     wd = config.weight_decay if kind == "adamw" else 0.0
     opt = OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 202)))
@@ -491,7 +502,5 @@ def run_adaptation(pipeline: Pipeline, dataset: PdeDataset, config: AdaptationCo
         if proxy is None:
             raise ContractError("ORCA needs a proxy embedding set")
         stage1 = orca_stage1(pipeline.model, pipeline.embedder, proxy, dataset, config)
-    policy = freeze_policy_for(config.method)
-    train = finetune(pipeline.model, pipeline.embedder, pipeline.predictor,
-                     dataset, policy, config)
+    train = finetune(pipeline.model, pipeline.embedder, pipeline.predictor, dataset, config)
     return AdaptationReport(stage1=stage1, train=train)

@@ -124,7 +124,7 @@ def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,
         raise LengthError(f"sequence doubling needs max_positions >= {2 * L}")
     doubled = np.concatenate([frames, frames], axis=1)
     positions = np.tile(np.arange(L), 2 * B) if restart_positions else None
-    hidden = forward_hidden(model, embedder(doubled), model.config.mask_policy,
-                            positions=positions, lengths=[2 * L] * B)
+    hidden = forward_hidden(model, embedder(doubled), positions=positions,
+                            lengths=[2 * L] * B)
     second_halves = (2 * L * np.arange(B)[:, None] + np.arange(L, 2 * L)).ravel()
     return predictor(T.take_rows(hidden, second_halves), B)

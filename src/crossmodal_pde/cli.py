@@ -221,17 +221,17 @@ def _doctor_gradients():
 def _doctor_causality():
     from . import tensor as T
     from .tensor import Tensor
-    from .transformer import CAUSAL, forward_hidden
+    from .transformer import forward_hidden
 
     model = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=2,
                                     d_ff=64, max_positions=32, vocab_size=16, seed=1))
     rng = np.random.default_rng(1)
     x = rng.normal(size=(10, 32)).astype(np.float32)
     with T.no_grad():
-        base = forward_hidden(model, Tensor(x), CAUSAL).data
+        base = forward_hidden(model, Tensor(x)).data
         x2 = x.copy()
         x2[-1] += 1.0
-        pert = forward_hidden(model, Tensor(x2), CAUSAL).data
+        pert = forward_hidden(model, Tensor(x2)).data
     if not np.array_equal(base[:-1], pert[:-1]):
         raise AssertionError("future position leaked into past outputs")
 

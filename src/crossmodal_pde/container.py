@@ -7,6 +7,7 @@ order.  Datasets, proxy sets, and model checkpoints all use this container.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -22,6 +23,19 @@ _ENTRY_KEYS = ("name", "dtype", "shape", "offset")
 
 class DataFileError(IOError):
     """A container file is missing, truncated, or malformed."""
+
+
+@contextlib.contextmanager
+def file_errors(path, what: str):
+    """Re-raise a ``KeyError`` (a header key or block the file lacks) and a
+    ``ValueError`` or ``TypeError`` (a value the file's own checks reject)
+    from the block as ``DataFileError`` naming ``what`` and ``path``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFileError(f"{what} {path} lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataFileError(f"{what} {path} holds invalid values: {exc}") from exc
 
 
 def _dtype_tag(arr: np.ndarray) -> str:

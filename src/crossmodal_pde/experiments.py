@@ -104,6 +104,10 @@ class ExperimentConfig:
         # build both once so that a bad model or adaptation value fails here
         self.model_config(0)
         self.adaptation_config(0)
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            # each seed's job writes the record file named after that seed
+            raise ContractError(f"seeds must be a non-empty list of distinct seeds, "
+                                f"got {self.seeds!r}")
 
     def _shared(self, cls, seed: int):
         """A ``cls`` config from this config's fields of the same names."""

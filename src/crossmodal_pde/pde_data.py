@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .container import DataFileError, read_container, write_container
+from .container import DataFileError, file_errors, read_container, write_container
 from .tensor import Tensor
 from .transformer import ConfigError
 
@@ -405,16 +405,12 @@ def load_dataset(path) -> PdeDataset:
     header, blocks = read_container(path)
     if header.get("kind") != "pde_dataset":
         raise DataFileError(f"{path} is not a pde dataset container")
-    try:
+    with file_errors(path, "pde dataset"):
         params = PdeParams.from_dict(header["params"])
         grid = GridSpec.from_dict(header["grid"])
         frames, seeds = blocks["frames"], header["instance_seeds"]
         n_train, n_test = header["n_train"], header["n_test"]
         family, seed = header["family"], header["seed"]
-    except KeyError as exc:
-        raise DataFileError(f"pde dataset {path} lacks {exc}") from exc
-    except ConfigError as exc:
-        raise DataFileError(f"pde dataset {path} holds invalid values: {exc}") from exc
     if family != params.family:
         raise DataFileError(f"pde dataset {path} has family {family!r} but params for "
                             f"{params.family!r}")

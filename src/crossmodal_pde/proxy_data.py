@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .container import DataFileError, read_container, write_container
+from .container import DataFileError, file_errors, read_container, write_container
 from .transformer import TransformerModel, embed_tokens, forward_hidden
 
 PAD_TOKEN = 0
-MASK_TOKEN = 1
-RESERVED_TOKENS = 2
+RESERVED_TOKENS = 2  # PAD_TOKEN and transformer.MASK_TOKEN; no grammar tag emits them
 
 PROXY_LENGTH = 32
 MIN_SEQ_LEN, MAX_SEQ_LEN = 8, 31
@@ -166,7 +165,7 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> ProxyEm
                 for row, tokens in zip(padded, chunk):
                     row[: len(tokens)] = tokens
                 hidden = forward_hidden(model, embed_tokens(model, padded.ravel()),
-                                        model.config.mask_policy, lengths=lengths)
+                                        lengths=lengths)
                 feats.append(hidden.data[(np.arange(PROXY_LENGTH) < lengths[:, None]).ravel()])
         features = np.concatenate(feats).astype(np.float32)
         labels = np.concatenate([tags for _, tags in corpus.sequences]).astype(np.int32)
@@ -211,14 +210,20 @@ def load_corpus(path) -> SyntheticCorpus:
     header, blocks = read_container(path)
     if header.get("kind") != "tagged_corpus":
         raise DataFileError(f"{path} is not a tagged corpus container")
-    lengths = blocks["lengths"]
-    sequences = [(blocks["tokens"][i, : n].astype(np.int64),
-                  blocks["tags"][i, : n].astype(np.int64))
-                 for i, n in enumerate(lengths)]
-    return SyntheticCorpus(vocab_size=header["vocab_size"], tag_count=header["tag_count"],
-                           seed=header["seed"], sequences=sequences,
-                           transition=blocks["transition"].astype(np.float64),
-                           state_tag_emission=blocks["state_tag_emission"].astype(np.float64))
+    with file_errors(path, "tagged corpus"):
+        tokens, tags, lengths = blocks["tokens"], blocks["tags"], blocks["lengths"]
+        if not (tokens.ndim == 2 and tags.shape == tokens.shape
+                and lengths.shape == tokens.shape[:1]
+                and np.all((lengths >= 1) & (lengths <= tokens.shape[1]))):
+            raise DataFileError(f"tagged corpus {path} holds tokens {list(tokens.shape)}, tags "
+                                f"{list(tags.shape)} and lengths {lengths.tolist()} that "
+                                f"do not match")
+        sequences = [(tokens[i, : n].astype(np.int64), tags[i, : n].astype(np.int64))
+                     for i, n in enumerate(lengths)]
+        return SyntheticCorpus(vocab_size=header["vocab_size"], tag_count=header["tag_count"],
+                               seed=header["seed"], sequences=sequences,
+                               transition=blocks["transition"].astype(np.float64),
+                               state_tag_emission=blocks["state_tag_emission"].astype(np.float64))
 
 
 def save_proxy_set(proxy: ProxyEmbeddingSet, path) -> None:
@@ -234,8 +239,9 @@ def load_proxy_set(path) -> ProxyEmbeddingSet:
     header, blocks = read_container(path)
     if header.get("kind") != "proxy_embedding_set":
         raise DataFileError(f"{path} is not a proxy embedding container")
-    return ProxyEmbeddingSet(features=blocks["features"], labels=blocks["labels"],
-                             tag_count=header["tag_count"],
-                             source_model_id=header["source_model_id"],
-                             source_pretrained=header["source_pretrained"],
-                             provenance=header.get("provenance", {}))
+    with file_errors(path, "proxy embedding set"):
+        return ProxyEmbeddingSet(features=blocks["features"], labels=blocks["labels"],
+                                 tag_count=header["tag_count"],
+                                 source_model_id=header["source_model_id"],
+                                 source_pretrained=header["source_pretrained"],
+                                 provenance=header.get("provenance", {}))

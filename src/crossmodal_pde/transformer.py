@@ -1,5 +1,6 @@
-"""Toy pre-norm transformer with encoder-only (bidirectional) and decoder-only
-(causal) attention policies, plus the matching pretraining objectives.
+"""Toy pre-norm transformer, encoder-only (bidirectional attention, MLM
+pretraining) or decoder-only (causal attention, next-token pretraining): the
+config's arch decides both.
 
 Forward on a length-L input yields the last hidden layer as an [L, d_model]
 tensor; a batch of B sequences runs as one [B*Lmax, d_model] forward.
@@ -10,21 +11,16 @@ evaluation batch equal-length frames, which need no padding.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
-from .container import read_container, write_container
+from .container import DataFileError, file_errors, read_container, write_container
 from .tensor import ContractError, Tensor
 
 ENCODER_ONLY = "encoder_only"
 DECODER_ONLY = "decoder_only"
-BIDIRECTIONAL = "bidirectional"
-CAUSAL = "causal"
-
-ALL_TRAINABLE = "all_trainable"
-FPT_FROZEN = "fpt_frozen"
 
 INIT_STD = 0.02
 
@@ -57,27 +53,14 @@ class ModelConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"n_heads={self.n_heads} must divide d_model={self.d_model}")
 
-    @property
-    def mask_policy(self) -> str:
-        return CAUSAL if self.arch == DECODER_ONLY else BIDIRECTIONAL
-
     def to_dict(self) -> dict:
-        return {
-            "arch": self.arch,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "max_positions": self.max_positions,
-            "vocab_size": self.vocab_size,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in (
-            "arch", "d_model", "n_heads", "n_layers", "d_ff",
-            "max_positions", "vocab_size", "seed")})
+        """The config of ``d``'s entries for every field; a missing one raises
+        ``KeyError``, an extra one is ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -85,9 +68,6 @@ class TransformerModel:
     config: ModelConfig
     params: dict[str, Tensor] = field(default_factory=dict)
     pretrained: bool = False
-
-    def parameters(self) -> list[Tensor]:
-        return list(self.params.values())
 
     def clone(self) -> "TransformerModel":
         m = TransformerModel(config=self.config, pretrained=self.pretrained)
@@ -117,10 +97,6 @@ def _param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _is_layer_norm_param(name: str) -> bool:
-    return ".ln1." in name or ".ln2." in name or name.startswith("final_ln.")
-
-
 def build_model(config: ModelConfig) -> TransformerModel:
     """Deterministically initialize a model from its config seed.
 
@@ -144,32 +120,6 @@ def parameter_census(model: TransformerModel) -> int:
     return sum(p.data.size for p in model.params.values())
 
 
-def trainable_parameter_census(model: TransformerModel, policy: str,
-                               extra_params: list[Tensor] | None = None) -> int:
-    """Count trainable parameters under a freeze policy.
-
-    ``extra_params`` carries the task-specific embedder/predictor tensors,
-    which are trainable under every policy.
-    """
-    if policy == ALL_TRAINABLE:
-        count = parameter_census(model)
-    elif policy == FPT_FROZEN:
-        count = sum(p.data.size for n, p in model.params.items() if _is_layer_norm_param(n))
-    else:
-        raise ContractError(f"unknown freeze policy {policy!r}")
-    if extra_params:
-        count += sum(p.data.size for p in extra_params)
-    return count
-
-
-def trainable_parameters(model: TransformerModel, policy: str) -> list[Tensor]:
-    if policy == ALL_TRAINABLE:
-        return model.parameters()
-    if policy == FPT_FROZEN:
-        return [p for n, p in model.params.items() if _is_layer_norm_param(n)]
-    raise ContractError(f"unknown freeze policy {policy!r}")
-
-
 @functools.lru_cache(maxsize=64)
 def causal_bias(L: int) -> np.ndarray:
     """Read-only [L, L] float32 additive attention bias: 0 on and below the
@@ -179,12 +129,13 @@ def causal_bias(L: int) -> np.ndarray:
     return bias
 
 
-def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
+def forward_hidden(model: TransformerModel, embedded_input: Tensor,
                    positions: np.ndarray | None = None,
                    lengths: np.ndarray | None = None) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
 
-    The input is one sequence, [L, d_model], or with ``lengths`` a padded
+    Attention is causal when the model is decoder-only and bidirectional when
+    it is encoder-only.  The input is one sequence, [L, d_model], or with ``lengths`` a padded
     batch: B = len(lengths) sequences of Lmax = rows / B rows each, stacked
     to [B*Lmax, d_model], where sequence b's rows from lengths[b] on are
     padding (a batch without padding gets no key bias at all).  Padded keys
@@ -198,8 +149,6 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
     per sequence (used by the doubled-sequence ablation).
     """
     cfg = model.config
-    if mask not in (BIDIRECTIONAL, CAUSAL):
-        raise ContractError(f"unknown mask policy {mask!r}")
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:
         raise T.ShapeError(f"embedded input must be [L, {cfg.d_model}]")
     rows = embedded_input.data.shape[0]
@@ -219,7 +168,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, mask: str,
 
     p = model.params
     H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
-    if mask == CAUSAL:  # padding follows the real rows, so this hides it from them too
+    if cfg.arch == DECODER_ONLY:  # padding follows the real rows, so this hides it from them too
         attn_bias = causal_bias(L)
     elif lengths is not None and lengths.min() < L:
         attn_bias = np.where(np.arange(L) < lengths[:, None], np.float32(0.0),
@@ -260,36 +209,31 @@ def lm_logits(model: TransformerModel, hidden: Tensor) -> Tensor:
     return T.matmul(hidden, model.params["lm_head"])
 
 
-MLM = "mlm"
-NEXT_TOKEN = "next_token"
 MLM_MASK_RATE = 0.15
+MASK_TOKEN = 1  # the id MLM puts in place of the tokens it hides
 
 
-def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: str,
+def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
                   rng: np.random.Generator | None = None,
-                  mask_rate: float = MLM_MASK_RATE, mask_token: int = 1) -> float:
+                  mask_rate: float = MLM_MASK_RATE) -> float:
     """Forward+backward one batch of token sequences; returns the mean loss in nats.
 
-    The batch runs as one tape: the sequences that have targets are padded
-    to the longest of them and go through one ``forward_hidden``.  MLM draws
-    each sequence's masked positions from ``rng`` in batch order.  Gradients
-    accumulate into the model parameters; the caller zeroes and steps.  MLM
-    requires an encoder-only model, next-token a decoder-only one.
+    The objective is the arch's: next-token prediction for a decoder-only
+    model, MLM (each sequence's ``mask_rate`` share of tokens replaced by
+    ``MASK_TOKEN``) for an encoder-only one.  The batch runs as one tape: the
+    sequences that have targets are padded to the longest of them and go
+    through one ``forward_hidden``.  MLM draws each sequence's masked
+    positions from ``rng`` in batch order.  Gradients accumulate into the
+    model parameters; the caller zeroes and steps.
     """
-    cfg = model.config
-    if objective == MLM and cfg.arch != ENCODER_ONLY:
-        raise ContractError("MLM objective requires an encoder-only model")
-    if objective == NEXT_TOKEN and cfg.arch != DECODER_ONLY:
-        raise ContractError("next-token objective requires a decoder-only model")
-    if objective not in (MLM, NEXT_TOKEN):
-        raise ContractError(f"unknown objective {objective!r}")
+    next_token = model.config.arch == DECODER_ONLY
     if rng is None:
         rng = np.random.default_rng(0)
 
     inputs, predict_pos, target_ids = [], [], []
     for ids in batch:
         ids = np.asarray(ids, dtype=np.int64)
-        if objective == NEXT_TOKEN:
+        if next_token:
             if len(ids) < 2:
                 continue
             inputs.append(ids)
@@ -302,7 +246,7 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: s
             pos = rng.choice(len(ids), size=n_mask, replace=False)
             pos.sort()
             corrupted = ids.copy()
-            corrupted[pos] = mask_token
+            corrupted[pos] = MASK_TOKEN
             inputs.append(corrupted)
             predict_pos.append(pos)
             target_ids.append(ids[pos])
@@ -313,8 +257,7 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: s
     padded = np.zeros((len(inputs), L), dtype=np.int64)  # the pad id does not reach a real row
     for row, ids in zip(padded, inputs):
         row[: len(ids)] = ids
-    hidden = forward_hidden(model, embed_tokens(model, padded.ravel()), cfg.mask_policy,
-                            lengths=lengths)
+    hidden = forward_hidden(model, embed_tokens(model, padded.ravel()), lengths=lengths)
     rows = np.concatenate([b * L + pos for b, pos in enumerate(predict_pos)])
     targets = np.concatenate(target_ids)
     logits = lm_logits(model, T.take_rows(hidden, rows))
@@ -325,8 +268,7 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray], objective: s
 
 
 def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
-             learning_rate: float = 1e-3, batch_size: int = 8, seed: int = 0,
-             mask_token: int = 1) -> list[float]:
+             learning_rate: float = 1e-3, batch_size: int = 8, seed: int = 0) -> list[float]:
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
     (``experiments.run_one``).  The model is marked pretrained once at least
@@ -334,18 +276,16 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
     if batch_size < 1 or steps < 0:
         raise ContractError(f"pretrain needs batch_size >= 1 and steps >= 0, "
                             f"got batch_size={batch_size}, steps={steps}")
-    objective = NEXT_TOKEN if model.config.arch == DECODER_ONLY else MLM
     rng = np.random.default_rng(seed)
     opt = T.OptimizerState(kind="adam", learning_rate=learning_rate)
-    params = model.parameters()
+    params = list(model.params.values())
     trace = []
     with T.blas_threads(1):
         for _ in range(steps):
             idx = rng.choice(len(sequences), size=min(batch_size, len(sequences)),
                              replace=False)
             T.zero_grads(params)
-            loss = pretrain_step(model, [sequences[i] for i in idx], objective, rng=rng,
-                                 mask_token=mask_token)
+            loss = pretrain_step(model, [sequences[i] for i in idx], rng=rng)
             for p in params:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)
@@ -370,16 +310,19 @@ def save_checkpoint(model: TransformerModel, path) -> None:
 
 
 def load_checkpoint(path) -> TransformerModel:
+    """The model a ``save_checkpoint`` file holds; a wrong kind, a missing
+    header key or parameter block, a config ``ModelConfig`` rejects and a
+    block of the wrong shape raise ``DataFileError`` naming the file."""
     header, blocks = read_container(path)
     if header.get("kind") != "model_checkpoint":
-        raise ContractError(f"{path} is not a model checkpoint")
-    cfg = ModelConfig.from_dict(header["config"])
-    model = build_model(cfg)
-    for name in model.params:
-        if name not in blocks:
-            raise ContractError(f"checkpoint missing parameter {name!r}")
-        if blocks[name].shape != model.params[name].data.shape:
-            raise ContractError(f"checkpoint shape mismatch for {name!r}")
-        model.params[name].data = blocks[name].astype(np.float32)
-    model.pretrained = bool(header.get("pretrained", False))
+        raise DataFileError(f"{path} is not a model checkpoint")
+    with file_errors(path, "model checkpoint"):
+        model = build_model(ModelConfig.from_dict(header["config"]))
+        pretrained = bool(header["pretrained"])
+        for name, p in model.params.items():
+            if blocks[name].shape != p.data.shape:
+                raise DataFileError(f"model checkpoint {path} holds {name!r} of shape "
+                                    f"{list(blocks[name].shape)}, not {list(p.data.shape)}")
+            p.data = blocks[name].astype(np.float32)
+    model.pretrained = pretrained
     return model

@@ -27,10 +27,8 @@ from crossmodal_pde.tensor import ContractError, ShapeError, Tensor
 from crossmodal_pde.transformer import (
     forward_hidden,
     pretrain,
-    ALL_TRAINABLE,
     DECODER_ONLY,
     ENCODER_ONLY,
-    FPT_FROZEN,
     LengthError,
 )
 
@@ -226,8 +224,8 @@ def test_finetune_zero_epochs_only_initial_eval():
     pred = Predictor.create(32, seed=1)
     dataset = identity_dataset()
     before = snapshot(model.params)
-    config = AdaptationConfig(epochs=0, seed=0)
-    report = finetune(model, emb, pred, dataset, ALL_TRAINABLE, config)
+    config = AdaptationConfig(method=ORCA, epochs=0, seed=0)
+    report = finetune(model, emb, pred, dataset, config)
     assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
     assert report.epoch_losses == []
     assert np.isfinite(report.initial_test_nrmse)
@@ -256,7 +254,7 @@ def test_finetune_fpt_freeze_audit():
     stale = model.params["layer0.mlp.w1"]
     stale.grad = np.ones_like(stale.data)  # as an earlier phase would leave it
     config = AdaptationConfig(epochs=10, batch_size=4, optimizer="adam", seed=0)
-    finetune(model, emb, pred, dataset, FPT_FROZEN, config)
+    finetune(model, emb, pred, dataset, config)
     frozen = _fpt_frozen_names(model)
     assert_bitwise_equal(before, snapshot(model.params), frozen)
     changed = any(not np.array_equal(before[n], model.params[n].data)
@@ -271,7 +269,7 @@ def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
     dataset.train[2].input.data[5] = np.nan
     config = AdaptationConfig(epochs=2, batch_size=4, optimizer="adam", seed=0)
     report = finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
-                      dataset, FPT_FROZEN, config)
+                      dataset, config)
     assert report.aborted and report.epochs_run == 0
     assert_frozen_left_clean(model)
 
@@ -287,7 +285,7 @@ def test_finetune_fpt_freeze_audit_when_a_step_raises(monkeypatch):
     monkeypatch.setattr(ad.T, "optimizer_step", fail)
     with pytest.raises(RuntimeError, match="optimizer failed"):
         finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
-                 dataset, FPT_FROZEN, config)
+                 dataset, config)
     assert_frozen_left_clean(model)
 
 
@@ -296,8 +294,8 @@ def test_finetune_identity_task_converges():
     emb = Embedder.create(64, seed=12)
     pred = Predictor.create(64, seed=13)
     dataset = identity_dataset(n_train=16, n_test=4, n_x=64)
-    config = AdaptationConfig(epochs=50, batch_size=8, optimizer="adam", seed=1)
-    report = finetune(model, emb, pred, dataset, ALL_TRAINABLE, config)
+    config = AdaptationConfig(method=ORCA, epochs=50, batch_size=8, optimizer="adam", seed=1)
+    report = finetune(model, emb, pred, dataset, config)
     train_nrmse, _ = evaluate_nrmse(model, emb, pred, dataset.train)
     assert train_nrmse < 0.05, f"train nRMSE {train_nrmse:.4f}"
     assert not report.aborted
@@ -324,9 +322,8 @@ def test_pooled_predictor_variant_trains():
     out = predict_sequence(pipeline.model, pipeline.embedder, pipeline.predictor,
                            dataset.test[0].input.data[None])
     assert out.data.shape == (1, 32)
-    config = AdaptationConfig(epochs=3, batch_size=4, optimizer="adam", seed=2)
-    report = finetune(pipeline.model, pipeline.embedder, pipeline.predictor,
-                      dataset, ALL_TRAINABLE, config)
+    config = AdaptationConfig(method=ORCA, epochs=3, batch_size=4, optimizer="adam", seed=2)
+    report = finetune(pipeline.model, pipeline.embedder, pipeline.predictor, dataset, config)
     assert report.epochs_run == 3 and not report.aborted
 
 
@@ -340,10 +337,10 @@ def _oracle_predict(model, emb, pred, frame, bidir_method="none", restart_positi
     frame = np.asarray(frame.data if isinstance(frame, Tensor) else frame, dtype=np.float32)
     L = frame.shape[0]
     if bidir_method == "none":
-        return pred(forward_hidden(model, emb(frame), model.config.mask_policy))
+        return pred(forward_hidden(model, emb(frame)))
     doubled = np.concatenate([frame, frame], axis=0)
     positions = np.concatenate([np.arange(L), np.arange(L)]) if restart_positions else None
-    hidden = forward_hidden(model, emb(doubled), model.config.mask_policy, positions=positions)
+    hidden = forward_hidden(model, emb(doubled), positions=positions)
     return pred(T.slice_rows(hidden, L, 2 * L))
 
 
@@ -370,14 +367,14 @@ def _oracle_evaluate(model, emb, pred, instances, bidir_method="none",
     return ad.mean_nrmse(preds, instances), preds
 
 
-def _oracle_finetune(model, emb, pred, dataset, policy, config):
+def _oracle_finetune(model, emb, pred, dataset, config):
     """``finetune`` as it was before batching: per-instance tapes per step."""
     kind, lr, overridden = config.resolve_optimizer(dataset.family)
     report = ad.TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
     evaluate = lambda: _oracle_evaluate(model, emb, pred, dataset.test, config.bidir_method,
                                         config.restart_positions)
     report.initial_test_nrmse, report.initial_test_predictions = evaluate()
-    params = ad.adaptation_trainable_params(model, policy) + emb.params() + pred.params()
+    params = ad.trained_parameters(model, config.method) + emb.params() + pred.params()
     wd = config.weight_decay if kind == "adamw" else 0.0
     opt = T.OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 202)))
@@ -485,7 +482,7 @@ def test_finetune_step_is_one_forward_and_one_backward(monkeypatch):
     dataset = identity_dataset(n_train=8, n_test=3)
     config = AdaptationConfig(epochs=1, batch_size=8, optimizer="adam", seed=0)
     finetune(make_model(), Embedder.create(32, seed=0), Predictor.create(32, seed=1),
-             dataset, FPT_FROZEN, config)
+             dataset, config)
     # one training step, plus the initial and final evaluation of 3 test
     # instances as one batch each
     assert calls == {"forward_hidden": 3, "backward": 1}
@@ -538,7 +535,7 @@ def test_unequal_instance_lengths_raise_shape_error():
     dataset = identity_dataset(n_train=4, n_test=2)
     uneven = dataclasses.replace(dataset, train=dataset.train[:3] + [_with_length(dataset.train[3], 30)])
     with pytest.raises(ShapeError, match="one shape"):
-        finetune(model, emb, pred, uneven, FPT_FROZEN, AdaptationConfig(epochs=1, batch_size=4))
+        finetune(model, emb, pred, uneven, AdaptationConfig(epochs=1, batch_size=4))
     with pytest.raises(ShapeError, match="one shape"):
         evaluate_nrmse(model, emb, pred, [dataset.test[0], _with_length(dataset.test[1], 30)])
     with pytest.raises(ShapeError):

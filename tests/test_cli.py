@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -98,8 +99,8 @@ def test_full_pipeline_smoke(tmp_path):
     assert cli_main(["table", "--records", records_dir, "--out", csv_path]) == 0
     assert cli_main(["plot", "--table", csv_path, "--out", svg_path]) == 0
 
-    svg = open(svg_path).read()
-    root = ET.fromstring(svg)
+    with open(svg_path) as fh:
+        root = ET.fromstring(fh.read())
     assert root.tag.endswith("svg")
     bars = [el for el in root.iter() if el.attrib.get("data-mean")]
     assert len(bars) == 1
@@ -130,6 +131,33 @@ def test_run_mistyped_config_value_is_usage_error(tmp_path, capsys, key, value):
     assert cli_main(["run", "--config", config_path]) == 3
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("epochs", -3), ("batch_size", 0),
+                                        ("optimizer", "foo"), ("seeds", [])])
+def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, value):
+    # the dataset file does not exist, so a run that read it would exit 2
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"name": "bad", "dataset_file": str(tmp_path / "none.bin"),
+                                       "out_dir": str(tmp_path / "records"),
+                                       "pretrained": False, key: value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. numpy's "Mean of empty slice"
+        assert cli_main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "records").exists()
+
+
+def test_corpus_embed_with_malformed_checkpoint_is_data_error(tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    write_container(ckpt, {"kind": "model_checkpoint", "pretrained": True}, [])
+    out = tmp_path / "proxy.bin"
+    assert cli_main(["corpus", "--out", str(out), "--n-sequences", "4",
+                     "--embed-with", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.ckpt" in err and "config" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _run_on_edited_dataset(tmp_path, edit):

@@ -1,9 +1,25 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from crossmodal_pde.container import DataFileError, read_container, write_container
+from crossmodal_pde.proxy_data import (
+    build_proxy_set,
+    gen_corpus,
+    load_corpus,
+    load_proxy_set,
+    save_corpus,
+    save_proxy_set,
+)
+from crossmodal_pde.transformer import (
+    DECODER_ONLY,
+    ModelConfig,
+    build_model,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def _blocks():
@@ -69,3 +85,59 @@ def test_bad_manifest_rejected(tmp_path, edit, extra, message):
     _rewrite(path, edit, extra)
     with pytest.raises(DataFileError, match=message):
         read_container(path)
+
+
+# -- typed errors from the checkpoint, corpus and proxy-set loaders ------------
+
+
+def _tiny_model():
+    return build_model(ModelConfig(arch=DECODER_ONLY, d_model=16, n_heads=2, n_layers=1,
+                                   d_ff=32, max_positions=32, vocab_size=16))
+
+
+def _tiny_corpus():
+    return gen_corpus(seed=0, n_sequences=4, vocab_size=16)
+
+
+LOADERS = {
+    "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), load_checkpoint),
+    "corpus": (lambda path: save_corpus(_tiny_corpus(), path), load_corpus),
+    "proxy": (lambda path: save_proxy_set(build_proxy_set(_tiny_model(), _tiny_corpus()), path),
+              load_proxy_set),
+}
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("checkpoint", lambda h, b: h.update(kind="tagged_corpus")),
+    ("checkpoint", lambda h, b: h.pop("config")),
+    ("checkpoint", lambda h, b: h["config"].pop("d_model")),
+    ("checkpoint", lambda h, b: h["config"].update(n_heads=3)),
+    ("checkpoint", lambda h, b: h["config"].update(arch="rnn")),
+    ("checkpoint", lambda h, b: h["config"].update(d_model="16")),
+    ("checkpoint", lambda h, b: h.pop("pretrained")),
+    ("checkpoint", lambda h, b: b.pop("lm_head")),
+    ("checkpoint", lambda h, b: b.update(pos_emb=b["pos_emb"][:-1])),
+    ("corpus", lambda h, b: h.update(kind="model_checkpoint")),
+    ("corpus", lambda h, b: h.pop("vocab_size")),
+    ("corpus", lambda h, b: b.pop("tags")),
+    ("corpus", lambda h, b: b.update(lengths=np.append(b["lengths"], 5).astype(np.int32))),
+    ("corpus", lambda h, b: b.update(tags=np.ascontiguousarray(b["tags"][:, :5]))),
+    ("proxy", lambda h, b: h.update(kind="tagged_corpus")),
+    ("proxy", lambda h, b: h.pop("tag_count")),
+    ("proxy", lambda h, b: b.pop("features")),
+], ids=["checkpoint_kind", "checkpoint_no_config", "config_lacks_d_model",
+        "config_heads_do_not_divide", "config_arch_unknown", "config_d_model_string",
+        "checkpoint_no_pretrained", "checkpoint_no_lm_head", "checkpoint_pos_emb_short",
+        "corpus_kind", "corpus_no_vocab_size", "corpus_no_tags", "corpus_lengths_longer",
+        "corpus_tags_narrower", "proxy_kind",
+        "proxy_no_tag_count", "proxy_no_features"])
+def test_malformed_file_is_data_file_error(tmp_path, kind, edit):
+    save, load = LOADERS[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(path)
+    load(path)  # the file as written loads
+    header, blocks = read_container(path)
+    edit(header, blocks)
+    write_container(path, header, list(blocks.items()))
+    with pytest.raises(DataFileError, match=re.escape(str(path))):
+        load(path)

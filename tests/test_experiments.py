@@ -387,10 +387,24 @@ def test_derived_configs_take_every_shared_field():
     ("d_ff", 0, ConfigError, "d_ff"),
     ("method", "lora", ContractError, "lora"),
     ("bidir_method", "both", ContractError, "both"),
+    *((key, value, ContractError, key) for key, value in (
+        ("epochs", -3), ("stage1_steps", -1), ("batch_size", 0), ("stage1_batch_instances", 0),
+        ("otdd_batch", 0), ("sinkhorn_max_iters", 0), ("pseudo_label_bins", 1),
+        ("optimizer", "foo"), ("learning_rate", 0), ("learning_rate", -1e-3),
+        ("stage1_lr", 0.0), ("weight_decay", -0.01), ("weight_decay", float("nan")))),
+    # two jobs of one seed would write one record file
+    ("seeds", [], ContractError, "seeds"),
+    ("seeds", [1, 2, 1], ContractError, "seeds"),
 ])
 def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error, match):
     with pytest.raises(error, match=match):
         ExperimentConfig.from_dict({**_MINIMAL, key: value})
+
+
+def test_adaptation_config_accepts_its_floors():
+    AdaptationConfig(epochs=0, stage1_steps=0, batch_size=1, stage1_batch_instances=1,
+                     otdd_batch=1, sinkhorn_max_iters=1, pseudo_label_bins=2,
+                     optimizer="sgd", learning_rate=1e-9, stage1_lr=1e-9, weight_decay=0.0)
 
 
 @pytest.mark.parametrize("key, value", [
@@ -406,8 +420,8 @@ def test_from_dict_rejects_mistyped_values(key, value):
 def test_from_dict_accepts_json_values():
     config = ExperimentConfig.from_dict({**_MINIMAL, "learning_rate": 1, "weight_decay": 0,
                                          "optimizer": None, "checkpoint_file": "m.ckpt",
-                                         "seeds": []})
-    assert config.learning_rate == 1 and config.seeds == []
+                                         "seeds": [7]})
+    assert config.learning_rate == 1 and config.seeds == [7]
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 

@@ -18,6 +18,7 @@ from crossmodal_pde import tensor as T
 from crossmodal_pde.transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
+    MASK_TOKEN,
     ModelConfig,
     build_model,
     embed_tokens,
@@ -174,7 +175,8 @@ def test_proxy_round_trip(tmp_path):
 
 
 def test_pad_token_reserved():
-    assert PAD_TOKEN == 0 and px.MASK_TOKEN == 1
+    # the grammar's tokens start after the pad and MLM mask ids
+    assert PAD_TOKEN == 0 and MASK_TOKEN == 1 and px.RESERVED_TOKENS == 2
 
 
 # -- the content-keyed proxy set ----------------------------------------------
@@ -265,7 +267,7 @@ def solo_forward(model, tokens, pad_to=None):
     ids = np.full(pad_to or len(tokens), PAD_TOKEN, dtype=np.int64)
     ids[: len(tokens)] = tokens
     with T.no_grad():
-        hidden = forward_hidden(model, embed_tokens(model, ids), model.config.mask_policy)
+        hidden = forward_hidden(model, embed_tokens(model, ids))
     return hidden.data[: len(tokens)]
 
 

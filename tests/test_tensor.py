@@ -224,8 +224,8 @@ def test_causal_bias_cached_read_only_and_exact_zeros(monkeypatch):
     model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY, d_model=16, n_heads=2,
                                           n_layers=1, d_ff=32, max_positions=16, seed=1))
     x = Tensor(np.random.default_rng(0).normal(size=(9, 16)).astype(np.float32))
-    tf.forward_hidden(model, x, tf.CAUSAL)
-    tf.forward_hidden(model, x, tf.CAUSAL)
+    tf.forward_hidden(model, x)
+    tf.forward_hidden(model, x)
     (bias1, probs), (bias2, _) = seen
     assert bias1 is bias2
     assert not bias1.flags.writeable
@@ -512,9 +512,9 @@ def test_fpt_step_gradients_match_all_requires_grad_oracle(arch, bidir_method, L
     model = make_model(arch=arch, max_positions=256, seed=5)
     emb, pred = ad.Embedder.create(32, seed=6), ad.Predictor.create(32, seed=7)
     batch = identity_dataset(n_train=2, n_test=1, n_x=L, seed=L).train
-    trained = ad.adaptation_trainable_params(model, tf.FPT_FROZEN) + emb.params() + pred.params()
+    trained = ad.trained_parameters(model, ad.FPT) + emb.params() + pred.params()
     frozen = [p for p in model.params.values() if not any(p is q for q in trained)]
-    everything = model.parameters() + emb.params() + pred.params()
+    everything = list(model.params.values()) + emb.params() + pred.params()
 
     T.zero_grads(everything)
     want_loss = _fpt_loss(model, emb, pred, batch, bidir_method)

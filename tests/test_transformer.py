@@ -3,17 +3,14 @@ import contextlib
 import numpy as np
 import pytest
 
+from crossmodal_pde import adaptation as ad
 from crossmodal_pde import tensor as T
 from crossmodal_pde import transformer as tf
 from crossmodal_pde.proxy_data import gen_corpus
 from crossmodal_pde.tensor import ContractError, Tensor
 from crossmodal_pde.transformer import (
-    ALL_TRAINABLE,
-    BIDIRECTIONAL,
-    CAUSAL,
     DECODER_ONLY,
     ENCODER_ONLY,
-    FPT_FROZEN,
     ConfigError,
     LengthError,
     ModelConfig,
@@ -22,7 +19,6 @@ from crossmodal_pde.transformer import (
     parameter_census,
     pretrain,
     pretrain_step,
-    trainable_parameter_census,
 )
 
 
@@ -33,9 +29,9 @@ def small_config(arch=DECODER_ONLY, **kw):
     return ModelConfig(**base)
 
 
-def run_hidden(model, x, mask):
+def run_hidden(model, x):
     with T.no_grad():
-        return forward_hidden(model, Tensor(x), mask).data
+        return forward_hidden(model, Tensor(x)).data
 
 
 def test_build_deterministic_bitwise():
@@ -70,10 +66,10 @@ def test_causal_future_perturbation_bitwise_invisible():
     rng = np.random.default_rng(0)
     L = 12
     x = rng.normal(size=(L, 32)).astype(np.float32)
-    base = run_hidden(model, x, CAUSAL)
+    base = run_hidden(model, x)
     x2 = x.copy()
     x2[L - 1] += 1.0
-    pert = run_hidden(model, x2, CAUSAL)
+    pert = run_hidden(model, x2)
     np.testing.assert_array_equal(base[: L - 1], pert[: L - 1])
     assert not np.array_equal(base[L - 1], pert[L - 1])
 
@@ -85,22 +81,24 @@ def test_bidirectional_future_perturbation_visible():
     x = rng.normal(size=(L, 32)).astype(np.float32)
     x2 = x.copy()
     x2[L - 1] += 1.0
-    assert not np.array_equal(run_hidden(model, x, BIDIRECTIONAL)[0],
-                              run_hidden(model, x2, BIDIRECTIONAL)[0])
+    assert not np.array_equal(run_hidden(model, x)[0], run_hidden(model, x2)[0])
 
 
 def test_single_token_masks_agree():
-    model = build_model(small_config())
+    # build_model draws the same weights for either arch from one seed
+    decoder = build_model(small_config())
+    encoder = build_model(small_config(arch=ENCODER_ONLY))
+    for name, p in decoder.params.items():
+        np.testing.assert_array_equal(p.data, encoder.params[name].data)
     x = np.random.default_rng(2).normal(size=(1, 32)).astype(np.float32)
-    np.testing.assert_array_equal(run_hidden(model, x, CAUSAL),
-                                  run_hidden(model, x, BIDIRECTIONAL))
+    np.testing.assert_array_equal(run_hidden(decoder, x), run_hidden(encoder, x))
 
 
 def test_length_error():
     model = build_model(small_config(max_positions=8))
     x = np.zeros((9, 32), dtype=np.float32)
     with pytest.raises(LengthError):
-        run_hidden(model, x, CAUSAL)
+        run_hidden(model, x)
 
 
 def test_no_positions_permutation_equivariance():
@@ -111,8 +109,8 @@ def test_no_positions_permutation_equivariance():
     L = 10
     x = rng.normal(size=(L, 32)).astype(np.float32)
     perm = rng.permutation(L)
-    base = run_hidden(model, x, BIDIRECTIONAL)
-    permuted = run_hidden(model, x[perm], BIDIRECTIONAL)
+    base = run_hidden(model, x)
+    permuted = run_hidden(model, x[perm])
     np.testing.assert_allclose(permuted, base[perm], atol=2e-5)
 
 
@@ -120,27 +118,18 @@ def test_init_loss_near_log_vocab():
     vocab = 64
     rng = np.random.default_rng(4)
     seqs = [rng.integers(2, vocab, size=16) for _ in range(4)]
-    for arch, objective in ((DECODER_ONLY, tf.NEXT_TOKEN), (ENCODER_ONLY, tf.MLM)):
+    for arch in (DECODER_ONLY, ENCODER_ONLY):  # next-token and MLM
         model = build_model(small_config(arch=arch, vocab_size=vocab))
-        T.zero_grads(model.parameters())
-        loss = pretrain_step(model, seqs, objective, rng=np.random.default_rng(0))
+        T.zero_grads(list(model.params.values()))
+        loss = pretrain_step(model, seqs, rng=np.random.default_rng(0))
         assert abs(loss - np.log(vocab)) < 0.1 * np.log(vocab)
 
 
 def test_mlm_zero_mask_rate_gives_zero_loss():
     model = build_model(small_config(arch=ENCODER_ONLY))
     seqs = [np.arange(2, 10)]
-    loss = pretrain_step(model, seqs, tf.MLM, rng=np.random.default_rng(0), mask_rate=0.0)
+    loss = pretrain_step(model, seqs, rng=np.random.default_rng(0), mask_rate=0.0)
     assert loss == 0.0
-
-
-def test_objective_arch_mismatch():
-    model = build_model(small_config(arch=DECODER_ONLY))
-    with pytest.raises(ContractError):
-        pretrain_step(model, [np.arange(4)], tf.MLM)
-    model = build_model(small_config(arch=ENCODER_ONLY))
-    with pytest.raises(ContractError):
-        pretrain_step(model, [np.arange(4)], tf.NEXT_TOKEN)
 
 
 def test_next_token_learns_repeating_cycle():
@@ -174,15 +163,24 @@ def test_census_policies():
     cfg = small_config(d_model=64, n_heads=4)
     model = build_model(cfg)
     total = parameter_census(model)
-    assert trainable_parameter_census(model, ALL_TRAINABLE) == total
+
+    def census(method):
+        return sum(p.data.size for p in ad.trained_parameters(model, method))
+
+    # ORCA trains the whole body, but not the language-side token embedding
+    # and lm head, which the task embedder and predictor replace
+    io = model.params["tok_emb"].data.size + model.params["lm_head"].data.size
+    assert census(ad.ORCA) == total - io
     ln_count = sum(p.data.size for n, p in model.params.items()
                    if ".ln1." in n or ".ln2." in n or n.startswith("final_ln."))
-    assert trainable_parameter_census(model, FPT_FROZEN) == ln_count
-    # frozen set is tiny relative to the full model at d_model >= 64
-    emb = [Tensor(np.zeros((1, 64))), Tensor(np.zeros(64))]
-    pred = [Tensor(np.zeros((64, 1))), Tensor(np.zeros(1))]
-    frozen_total = trainable_parameter_census(model, FPT_FROZEN, emb + pred)
-    assert frozen_total < 0.1 * total
+    assert census(ad.FPT) == ln_count
+    # the FPT set, with the task embedder and predictor, is tiny relative to
+    # the full model at d_model >= 64
+    task = ad.Pipeline.create(model, seed=0)
+    extra = sum(p.data.size for p in task.embedder.params() + task.predictor.params())
+    assert census(ad.FPT) + extra < 0.1 * total
+    with pytest.raises(ContractError, match="sideways"):
+        ad.trained_parameters(model, "sideways")
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -261,17 +259,15 @@ def test_pretrain_rejects_empty_batches_and_negative_steps():
 # -- one padded tape per pretraining step ------------------------------------
 
 
-def _per_sequence_step(model, batch, objective, rng=None, mask_rate=tf.MLM_MASK_RATE,
-                       mask_token=1):
+def _per_sequence_step(model, batch, rng=None, mask_rate=tf.MLM_MASK_RATE):
     """``pretrain_step`` as it was before batching, the oracle of the tests
     below: one tape per sequence, the per-sequence losses summed on the tape."""
     if rng is None:
         rng = np.random.default_rng(0)
-    mask = CAUSAL if objective == tf.NEXT_TOKEN else BIDIRECTIONAL
     losses, n_targets = [], 0
     for ids in batch:
         ids = np.asarray(ids, dtype=np.int64)
-        if objective == tf.NEXT_TOKEN:
+        if model.config.arch == DECODER_ONLY:  # next-token; else MLM
             if len(ids) < 2:
                 continue
             pos, inputs, targets = np.arange(len(ids) - 1), ids, ids[1:]
@@ -282,9 +278,9 @@ def _per_sequence_step(model, batch, objective, rng=None, mask_rate=tf.MLM_MASK_
             pos = rng.choice(len(ids), size=n_mask, replace=False)
             pos.sort()
             inputs = ids.copy()
-            inputs[pos] = mask_token
+            inputs[pos] = tf.MASK_TOKEN
             targets = ids[pos]
-        hidden = forward_hidden(model, tf.embed_tokens(model, inputs), mask)
+        hidden = forward_hidden(model, tf.embed_tokens(model, inputs))
         logits = tf.lm_logits(model, T.take_rows(hidden, pos))
         logp = T.sub(logits, T.logsumexp_lastdim(logits, keepdims=True))
         losses.append(T.neg(T.tsum(T.gather_lastdim(logp, targets))))
@@ -299,7 +295,9 @@ def _per_sequence_step(model, batch, objective, rng=None, mask_rate=tf.MLM_MASK_
     return mean_loss.item()
 
 
-OBJECTIVES = [(ENCODER_ONLY, tf.MLM), (DECODER_ONLY, tf.NEXT_TOKEN)]
+# each arch with the objective it pretrains on, named as in the test ids
+ARCH_OBJECTIVES = pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY],
+                                          ids=["encoder_only-mlm", "decoder_only-next_token"])
 
 
 def corpus_tokens(n=40, seed=4):
@@ -322,8 +320,7 @@ def padded_forward(model, seqs, pad):
     L = max(lengths)
     rows = np.concatenate([np.concatenate([x, pad(L - len(x))]) for x in seqs])
     with T.no_grad():
-        out = forward_hidden(model, Tensor(rows), model.config.mask_policy,
-                             lengths=np.array(lengths)).data
+        out = forward_hidden(model, Tensor(rows), lengths=np.array(lengths)).data
     return [out[b * L: b * L + n] for b, n in enumerate(lengths)]
 
 
@@ -339,7 +336,7 @@ def test_padded_rows_equal_standalone_forward(arch):
         seqs = [rng.normal(size=(n, 32)).astype(np.float32) for n in lengths]
         got = padded_forward(model, seqs, lambda n: np.zeros((n, 32), np.float32))
         for x, rows in zip(seqs, got):
-            assert np.array_equal(rows, run_hidden(model, x, model.config.mask_policy)), \
+            assert np.array_equal(rows, run_hidden(model, x)), \
                 f"length {len(x)} in batch {lengths}"
 
 
@@ -360,11 +357,11 @@ def test_padded_forward_lengths_contract():
     x = Tensor(np.zeros((12, 32), np.float32))
     for lengths in ([5, 4, 3, 1, 1], [], [4, 0, 4], [7, 2]):
         with pytest.raises(T.ShapeError):
-            forward_hidden(model, x, CAUSAL, lengths=np.array(lengths, dtype=np.int64))
+            forward_hidden(model, x, lengths=np.array(lengths, dtype=np.int64))
 
 
-@pytest.mark.parametrize("arch, objective", OBJECTIVES)
-def test_pretrain_step_is_one_forward_and_one_backward(arch, objective, monkeypatch):
+@ARCH_OBJECTIVES
+def test_pretrain_step_is_one_forward_and_one_backward(arch, monkeypatch):
     calls = {"forward_hidden": 0, "backward": 0}
     forward, backward = tf.forward_hidden, Tensor.backward
 
@@ -379,26 +376,26 @@ def test_pretrain_step_is_one_forward_and_one_backward(arch, objective, monkeypa
     monkeypatch.setattr(tf, "forward_hidden", counted_forward)
     monkeypatch.setattr(Tensor, "backward", counted_backward)
     model = build_model(small_config(arch=arch))
-    pretrain_step(model, corpus_tokens(8), objective, rng=np.random.default_rng(0))
+    pretrain_step(model, corpus_tokens(8), rng=np.random.default_rng(0))
     assert calls == {"forward_hidden": 1, "backward": 1}
 
 
-@pytest.mark.parametrize("arch, objective", OBJECTIVES)
-def test_pretrain_step_gradients_match_per_sequence_oracle(arch, objective):
+@ARCH_OBJECTIVES
+def test_pretrain_step_gradients_match_per_sequence_oracle(arch):
     # The sums over rows of the weight gradients now run over the whole padded
     # batch at once, so they may move in their last bits; nothing else does.
     model = build_model(small_config(arch=arch))
     tokens = corpus_tokens()
     pretrain(model, tokens, steps=10, seed=2)  # weights away from their init
-    params = model.parameters()
+    params = list(model.params.values())
     for step in range(3):
         batch = tokens[8 * step: 8 * step + 8]
         rng, oracle_rng = np.random.default_rng(step), np.random.default_rng(step)
         T.zero_grads(params)
-        loss = pretrain_step(model, batch, objective, rng=rng)
+        loss = pretrain_step(model, batch, rng=rng)
         grads = {name: p.grad for name, p in model.params.items()}
         T.zero_grads(params)
-        want = _per_sequence_step(model, batch, objective, rng=oracle_rng)
+        want = _per_sequence_step(model, batch, rng=oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         assert abs(loss - want) <= 1e-6 * abs(want)
         for name, p in model.params.items():
