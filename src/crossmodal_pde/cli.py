@@ -183,6 +183,7 @@ def _cmd_doctor(_args) -> int:
     check("flip involution and half combine", _doctor_bidir)
     check("softmax row sums", _doctor_softmax)
     check("masked softmax exact zeros", _doctor_masked_softmax)
+    check("GELU vs float64 erf", _doctor_gelu)
     failed = 0
     for name, ok, msg in checks:
         print(f"[{'ok' if ok else 'FAIL'}] {name}" + (f" ({msg})" if msg else ""))
@@ -295,6 +296,14 @@ def _doctor_masked_softmax():
         raise AssertionError("masked attention weights are not exactly 0.0")
     if np.abs(probs.sum(axis=-1, dtype=np.float64) - 1.0).max() >= 1e-6:
         raise AssertionError("masked softmax rows do not sum to 1")
+
+
+def _doctor_gelu():
+    from . import tensor as T
+
+    err = T._gelu_cdf_max_error()
+    if not err <= 3e-7:
+        raise AssertionError(f"GELU cdf is {err:.3g} from the float64 erf (bound 3e-7)")
 
 
 _COMMANDS = {

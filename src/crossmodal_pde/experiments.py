@@ -104,6 +104,13 @@ class ExperimentConfig:
         # build both once so that a bad model or adaptation value fails here
         self.model_config(0)
         self.adaptation_config(0)
+        # pretraining's own values, checked before any corpus is read
+        for name, floor in (("pretrain_steps", 0), ("pretrain_batch", 1)):
+            value = getattr(self, name)
+            if not value >= floor:
+                raise ContractError(f"{name} must be >= {floor}, got {value!r}")
+        if not self.pretrain_lr > 0:  # also rejects a NaN
+            raise ContractError(f"pretrain_lr must be > 0, got {self.pretrain_lr!r}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             # each seed's job writes the record file named after that seed
             raise ContractError(f"seeds must be a non-empty list of distinct seeds, "

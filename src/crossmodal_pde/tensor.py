@@ -1,9 +1,17 @@
 """Dense float32 tensors with reverse-mode autodiff and the SGD/Adam/AdamW optimizers.
 
-Storage is 32-bit; reductions (sum, mean, softmax/logsumexp normalizers,
-layer-norm statistics) accumulate in 64-bit before casting back.  The tape is
-built per forward pass and freed by ``backward``; there are no higher-order
-gradients.
+Storage is 32-bit.  Reductions accumulate in 64-bit before casting back: sum
+and mean, the softmax and logsumexp row sums, and the layer-norm statistics
+(mean and variance) with their normalisation.  Two hot elementwise kernels
+work in float32 throughout:
+
+- ``gelu`` takes its normal cdf from ``_erf32``, a rational approximation of
+  ``erf`` within 3e-7 of the float64 cdf (``_gelu_cdf_max_error``);
+- ``softmax_lastdim`` rounds its float64 row sum to float32 once and divides
+  in float32, within one float32 ulp of the rounded float64 quotient.
+
+The tape is built per forward pass and freed by ``backward``; there are no
+higher-order gradients.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 
 def _keep_freed_memory() -> None:
@@ -353,11 +360,75 @@ def log(a) -> Tensor:
 
 _INV_SQRT2 = np.float32(0.7071067811865476)
 _INV_SQRT_2PI = np.float32(0.3989422804014327)
+# Eigen's float32 erf on [-4, 4]: z * P(z^2) / Q(z^2), coefficients from the
+# highest power down
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+    -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+    -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+    -7.37332916720468e-03, -1.42647390514189e-02))
+
+
+def _erf32(z: np.ndarray) -> np.ndarray:
+    """erf of a float32 array in float32, within 5e-7 of float64 erf.
+
+    ``z`` is overwritten.  It is clamped to [-4, 4], where |erf| already
+    rounds to 1 in float32, and the result is clamped to [-1, 1]; +-inf give
+    +-1 and NaN stays NaN.
+    """
+    np.clip(z, np.float32(-4.0), np.float32(4.0), out=z)
+    z2 = z * z
+    p = z2 * _ERF_P[0]
+    for c in _ERF_P[1:-1]:
+        p += c
+        p *= z2
+    p += _ERF_P[-1]
+    p *= z
+    q = np.multiply(z2, _ERF_Q[0], out=z)
+    for c in _ERF_Q[1:-1]:
+        q += c
+        q *= z2
+    q += _ERF_Q[-1]
+    p /= q
+    return np.clip(p, np.float32(-1.0), np.float32(1.0), out=p)
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """The standard normal cdf of float32 ``x``, 0.5 * (1 + erf(x / sqrt(2))),
+    in float32 and in [0, 1]."""
+    cdf = _erf32(x * _INV_SQRT2)
+    cdf *= np.float32(0.5)
+    cdf += np.float32(0.5)
+    return cdf
+
+
+def _gelu_cdf_max_error(n: int = 1 << 20) -> float:
+    """Largest distance of ``_gelu_cdf`` from the float64 cdf formed with
+    ``scipy.special.erf``, over ``n + 1`` evenly spaced float32 points of
+    [-12, 12] and +-0, the smallest and largest subnormals and +-inf.  A cdf
+    outside [0, 1] counts as infinitely far."""
+    from scipy.special import erf
+
+    tiny = np.finfo(np.float32).smallest_subnormal
+    normal = np.finfo(np.float32).smallest_normal
+    special = np.array([0.0, -0.0, tiny, -tiny, normal - tiny, tiny - normal,
+                        np.inf, -np.inf], dtype=np.float32)
+    x = np.concatenate([np.linspace(-12.0, 12.0, n + 1, dtype=np.float32), special])
+    cdf = _gelu_cdf(x)
+    if not np.all((cdf >= 0.0) & (cdf <= 1.0)):
+        return np.inf
+    want = 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
+    return float(np.abs(cdf - want).max())
 
 
 def gelu(a) -> Tensor:
+    """Exact GELU, x * Phi(x), with the normal cdf Phi evaluated in float32
+    by ``_erf32`` (within 3e-7 of the float64 cdf).  GELU(+inf) is +inf;
+    GELU(-inf) and GELU(NaN) are NaN."""
     a = _as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data.astype(np.float64) * 0.7071067811865476)).astype(np.float32)
+    cdf = _gelu_cdf(a.data)
     out = a.data * cdf
 
     def bwd(g):
@@ -432,14 +503,21 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
 
 def take_rows(a, idx) -> Tensor:
-    """Gather rows (axis 0) by integer index; backward scatter-adds."""
+    """Gather rows (axis 0) by integer index; backward scatter-adds.
+
+    Strictly increasing indices cannot repeat, so their scatter is a plain
+    assignment; other indices go through ``np.add.at``.
+    """
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
 
     def bwd(g):
         acc = np.zeros_like(a.data)
-        np.add.at(acc, idx, g)
+        if np.all(np.diff(idx.ravel()) > 0):
+            acc[idx] = g
+        else:
+            np.add.at(acc, idx, g)
         return ((a, acc),)
 
     return _make(out, (a,), bwd)
@@ -532,23 +610,26 @@ def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Te
     0.0 and is left out of the normalizer, so it has bit-exact zero
     influence on the weights, provided its score is finite (inf or NaN plus
     -inf is NaN).  A row with every entry masked gives NaN.
+
+    The exponentials are float32.  Their row sum is taken in float64 and
+    rounded to float32 once, and the division is float32, so each weight is
+    within one float32 ulp of the float64 quotient rounded to float32.
     """
     x = _as_tensor(x)
     if x.data.ndim < 1 or x.data.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last dimension")
     scale = np.float32(scale)
-    e = x.data * scale
+    out = x.data * scale
     if bias is not None:
         bias = np.asarray(bias)
         if bias.dtype.kind != "f":
             raise ContractError(f"softmax bias must be a float array, got {bias.dtype}")
         if np.broadcast_shapes(bias.shape, x.data.shape) != x.data.shape:
             raise ShapeError(f"softmax bias {bias.shape} does not broadcast to {x.data.shape}")
-        e += bias
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)  # exp(-inf) == 0.0 exactly
-    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-    out = np.divide(e, denom, out=e, casting="unsafe")  # float64 quotient, rounded once
+        out += bias
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)  # exp(-inf) == 0.0 exactly
+    out /= out.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
 
     def bwd(g):
         dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)

@@ -1,5 +1,5 @@
+import contextlib
 import dataclasses
-import hashlib
 
 import numpy as np
 import pytest
@@ -196,16 +196,22 @@ def test_stage1_reduces_otdd_and_freezes_model():
     assert final <= 0.7 * initial, f"OTDD went {initial:.4f} -> {final:.4f}"
 
 
-def test_stage1_through_body_keeps_body_off_the_tape():
-    model, emb, proxy, dataset, config = _stage1_fixture(steps=4)
-    config = dataclasses.replace(config, stage1_through_body=True)
-    before = snapshot(model.params)
-    report = orca_stage1(model, emb, proxy, dataset, config)
-    assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
+def test_stage1_through_body_keeps_body_off_the_tape(monkeypatch):
+    def through_body():
+        model, emb, proxy, dataset, config = _stage1_fixture(steps=4)
+        config = dataclasses.replace(config, stage1_through_body=True)
+        before = snapshot(model.params)
+        report = orca_stage1(model, emb, proxy, dataset, config)
+        assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
+        return model, np.asarray(report.trace, dtype=np.float64)
+
+    model, trace = through_body()
     assert all(p.grad is None and p.requires_grad for p in model.params.values())
-    # sha256 of the float64 trace as formed when the body was still on the tape
-    digest = hashlib.sha256(np.asarray(report.trace, dtype=np.float64).tobytes()).hexdigest()
-    assert digest == "64d990df2c9e710160daad156f06fda2574a002a8c6fe8c4de0ebe5450149fc3"
+    # the reference leaves the body on the tape, where it collects gradients
+    monkeypatch.setattr(ad, "frozen_except", lambda model, trained: contextlib.nullcontext())
+    on_tape, want = through_body()
+    assert any(p.grad is not None for p in on_tape.params.values())
+    assert trace.tobytes() == want.tobytes()
 
 
 def test_stage1_dimension_mismatch():

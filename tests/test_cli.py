@@ -24,7 +24,9 @@ def test_missing_config_file_named(tmp_path, capsys):
 
 def test_doctor_healthy_build(capsys):
     assert cli_main(["doctor"]) == 0
-    assert "[ok] masked softmax exact zeros" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[ok] masked softmax exact zeros" in out
+    assert "[ok] GELU vs float64 erf" in out
 
 
 def test_gen_writes_dataset(tmp_path, capsys):
@@ -144,6 +146,21 @@ def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, v
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. numpy's "Mean of empty slice"
         assert cli_main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "records").exists()
+
+
+@pytest.mark.parametrize("key, value", [("pretrain_steps", -5), ("pretrain_batch", 0),
+                                        ("pretrain_lr", 0.0)])
+def test_run_bad_pretrain_value_exits_before_reading_corpus(tmp_path, capsys, key, value):
+    # neither file exists, so a run that read the dataset or the corpus would exit 2
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"name": "bad", "dataset_file": str(tmp_path / "none.bin"),
+                                       "out_dir": str(tmp_path / "records"),
+                                       "corpus_file": str(tmp_path / "none.corpus"),
+                                       "pretrained": True, key: value}))
+    assert cli_main(["run", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "records").exists()

@@ -395,6 +395,9 @@ def test_derived_configs_take_every_shared_field():
     # two jobs of one seed would write one record file
     ("seeds", [], ContractError, "seeds"),
     ("seeds", [1, 2, 1], ContractError, "seeds"),
+    *((key, value, ContractError, key) for key, value in (
+        ("pretrain_steps", -1), ("pretrain_batch", 0), ("pretrain_lr", 0.0),
+        ("pretrain_lr", -1e-3), ("pretrain_lr", float("nan")))),
 ])
 def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error, match):
     with pytest.raises(error, match=match):

@@ -146,14 +146,24 @@ def test_softmax_bias_contract():
 # -- bit pins: the kernels against their reference formulas ---------------
 
 
-def _softmax_oracle(x, mask=None):
-    """Masked softmax as first written: np.where over a bool mask, float64 quotient."""
+def _softmax_exponentials(x, mask=None):
+    """Row-max-shifted float32 exponentials, masked by np.where over a bool mask."""
     z = x
     if mask is not None:
         z = np.where(np.broadcast_to(mask, z.shape), z, -np.inf)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-    return (e / denom).astype(np.float32)
+    return np.exp(z - z.max(axis=-1, keepdims=True))
+
+
+def _softmax_oracle(x, mask=None):
+    """Masked softmax: float64 row sum rounded to float32 once, float32 quotient."""
+    e = _softmax_exponentials(x, mask)
+    return e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+
+
+def _softmax_f64_quotient(x, mask=None):
+    """Masked softmax as first written: float64 quotient, rounded to float32 once."""
+    e = _softmax_exponentials(x, mask)
+    return (e / e.sum(axis=-1, keepdims=True, dtype=np.float64)).astype(np.float32)
 
 
 def _softmax_grad_oracle(out, g):
@@ -190,11 +200,29 @@ def test_softmax_bits_match_reference(L, causal, scale):
     out = T.softmax_lastdim(x, bias=tf.causal_bias(L) if causal else None, scale=scale)
     T.tsum(T.mul(out, g)).backward()
     scale32 = np.asarray(scale, dtype=np.float32)
-    want = _softmax_oracle(scores * scale32, np.tri(L, dtype=bool) if causal else None)
+    mask = np.tri(L, dtype=bool) if causal else None
+    want = _softmax_oracle(scores * scale32, mask)
     assert np.array_equal(out.data, want)
     assert np.array_equal(x.grad, _softmax_grad_oracle(want, g) * scale32)
+    f64 = _softmax_f64_quotient(scores * scale32, mask)
+    ulps = np.abs(out.data.view(np.int32).astype(np.int64) - f64.view(np.int32))
+    assert ulps.max() <= 1
     if causal:
         assert np.all(out.data[:, ~np.tri(L, dtype=bool)] == 0.0)
+
+
+def test_gelu_cdf_within_bound_of_float64_erf():
+    assert T._gelu_cdf_max_error() <= 3e-7
+
+
+def test_gelu_special_values_match_exact_erf():
+    x = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-45, -1e-45], dtype=np.float32)
+    with np.errstate(invalid="ignore"):
+        out = T.gelu(Tensor(x)).data
+    # inf * 1, -inf * 0 and NaN, as with the float64 erf
+    assert out[0] == np.inf and np.isnan(out[1]) and np.isnan(out[2])
+    assert np.array_equal(np.signbit(out[3:]), np.signbit(x[3:]))
+    assert np.all(out[3:] == x[3:] * np.float32(0.5))
 
 
 @pytest.mark.parametrize("L", [7, 128])
@@ -405,6 +433,18 @@ def test_gradients_gather_and_slice():
         return T.add(T.tmean(T.square(rows)), T.tmean(T.square(T.slice_rows(e, 1, 3))))
 
     check_gradients(f, [emb])
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 3, 4], [4], [], [0, 2, 2, 4], [3, 0, 1], [4, 1, 1, 0]],
+                         ids=["unique", "one", "empty", "repeated", "unsorted", "unsorted_repeated"])
+def test_take_rows_grad_equals_add_at(idx):
+    rng = np.random.default_rng(len(idx))
+    a = Tensor(rng.normal(size=(5, 3)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(len(idx), 3)).astype(np.float32)
+    T.tsum(T.mul(T.take_rows(a, idx), g)).backward()
+    want = np.zeros_like(a.data)
+    np.add.at(want, np.asarray(idx, dtype=np.int64), g)
+    assert np.array_equal(a.grad, want)
 
 
 # -- copy-on-accumulate ----------------------------------------------------
