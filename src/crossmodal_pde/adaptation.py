@@ -27,8 +27,8 @@ from .pde_data import (
     BURGERS_NS,
     DIFFUSION_REACTION,
     DIFFUSION_SORPTION,
+    FrameSplit,
     PdeDataset,
-    PdeInstance,
 )
 from .proxy_data import ProxyEmbeddingSet
 from .tensor import ContractError, OptimizerState, Tensor
@@ -223,35 +223,25 @@ class PseudoLabels:
     degenerate: bool
 
 
-def pseudo_label_targets(instances: list[PdeInstance], bins: int = 10) -> PseudoLabels:
-    """Quantize target values into equal-mass bins fit on these instances.
+def pseudo_label_targets(targets: np.ndarray, bins: int = 10) -> PseudoLabels:
+    """Quantize target values ([n, L] frames) into equal-mass bins fit on them.
 
     Rank-based, so labels are invariant under strictly monotone transforms of
     the targets.  Constant targets collapse to bin 0 with the degenerate flag.
     """
     if bins < 2:
         raise ContractError("need at least 2 bins")
-    values = np.stack([inst.target.data for inst in instances])
-    if np.ptp(values) == 0.0:
-        return PseudoLabels(labels=np.zeros(values.shape, dtype=np.int64),
+    if np.ptp(targets) == 0.0:
+        return PseudoLabels(labels=np.zeros(targets.shape, dtype=np.int64),
                             edges=np.zeros(bins - 1, dtype=np.float64),
                             bins=bins, degenerate=True)
     qs = np.arange(1, bins) / bins
-    edges = np.quantile(values.astype(np.float64), qs)
-    labels = np.searchsorted(edges, values.astype(np.float64), side="right")
+    edges = np.quantile(targets.astype(np.float64), qs)
+    labels = np.searchsorted(edges, targets.astype(np.float64), side="right")
     return PseudoLabels(labels=labels.astype(np.int64), edges=edges, bins=bins, degenerate=False)
 
 
 # -- prediction --------------------------------------------------------------
-
-
-def stack_frames(frames: list[Tensor]) -> np.ndarray:
-    """Stack equal-length frames ([L] each) into one [B, L] float32 batch;
-    frames of different shapes raise ``ShapeError``."""
-    shapes = sorted({f.data.shape for f in frames})
-    if len(shapes) != 1:
-        raise T.ShapeError(f"a batch needs frames of one shape, got {shapes}")
-    return as_batch(np.stack([f.data for f in frames]))
 
 
 def as_batch(x: np.ndarray) -> np.ndarray:
@@ -318,8 +308,8 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
     """
     if proxy.features.shape[1] != model.config.d_model:
         raise T.ShapeError("proxy feature width != model d_model")
-    pseudo = pseudo_label_targets(dataset.train, bins=config.pseudo_label_bins)
-    inputs = stack_frames([inst.input for inst in dataset.train])
+    pseudo = pseudo_label_targets(dataset.train.targets, bins=config.pseudo_label_bins)
+    inputs = dataset.train.inputs
     n, L = inputs.shape
 
     proxy_cloud_full = _proxy_cloud(proxy)
@@ -396,33 +386,32 @@ def instance_nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(num / den)
 
 
-def mean_nrmse(predictions: np.ndarray, instances: list[PdeInstance]) -> float:
+def mean_nrmse(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Mean over instances of ``instance_nrmse`` of each prediction row
-    against its instance's target."""
-    return float(np.mean([instance_nrmse(p, inst.target.data)
-                          for p, inst in zip(predictions, instances)]))
+    against its target row."""
+    return float(np.mean([instance_nrmse(p, t) for p, t in zip(predictions, targets)]))
 
 
 def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predictor,
-                   instances: list[PdeInstance], bidir_method: str = BIDIR_NONE,
+                   split: FrameSplit, bidir_method: str = BIDIR_NONE,
                    restart_positions: bool = False,
                    batch_size: int = 16) -> tuple[float, np.ndarray]:
-    """Mean nRMSE over ``instances`` and the [n, L] predictions it scored.
+    """Mean nRMSE over the instances of ``split`` and the [n, L] predictions
+    it scored.
 
-    The instances are predicted as no-grad batches of ``batch_size`` (a
+    The inputs are predicted as no-grad batches of ``batch_size`` (a
     fine-tune step's size), not as one batch, so evaluation holds no more
     activations than a training step.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    inputs = stack_frames([inst.input for inst in instances])
     with T.no_grad():
         preds = np.concatenate([
-            predict_sequence(model, embedder, predictor, inputs[lo: lo + batch_size],
+            predict_sequence(model, embedder, predictor, split.inputs[lo: lo + batch_size],
                              bidir_method=bidir_method,
                              restart_positions=restart_positions).data
-            for lo in range(0, len(instances), batch_size)])
-    return mean_nrmse(preds, instances), preds
+            for lo in range(0, len(split), batch_size)])
+    return mean_nrmse(preds, split.targets), preds
 
 
 def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
@@ -452,8 +441,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                               batch_size=config.batch_size)
 
     report.initial_test_nrmse, report.initial_test_predictions = evaluate()
-    inputs = stack_frames([inst.input for inst in dataset.train])
-    targets = stack_frames([inst.target for inst in dataset.train])
+    inputs, targets = dataset.train.inputs, dataset.train.targets
     params = trained_parameters(model, config.method) + embedder.params() + predictor.params()
     wd = config.weight_decay if kind == "adamw" else 0.0
     opt = OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)

@@ -23,7 +23,7 @@ from .adaptation import (
     predict_sequence,
     run_adaptation,
 )
-from .pde_data import PdeDataset, PdeInstance
+from .pde_data import FrameSplit, PdeDataset
 from .proxy_data import ProxyEmbeddingSet
 from .tensor import Tensor
 from .transformer import LengthError, TransformerModel, forward_hidden
@@ -68,17 +68,12 @@ class FlipPair:
         return combine_halves(p_f, p_r)
 
 
-def flip_instance(inst: PdeInstance) -> PdeInstance:
-    return PdeInstance(input=Tensor(flip(inst.input.data)),
-                       target=Tensor(flip(inst.target.data)),
-                       params=inst.params, grid=inst.grid, seed=inst.seed)
-
-
 def flip_dataset(dataset: PdeDataset) -> PdeDataset:
-    return PdeDataset(family=dataset.family, params=dataset.params, grid=dataset.grid,
-                      seed=dataset.seed,
-                      train=[flip_instance(i) for i in dataset.train],
-                      test=[flip_instance(i) for i in dataset.test])
+    """``dataset`` with every input and target frame reversed; seeds are kept."""
+    def flipped(split: FrameSplit) -> FrameSplit:
+        return FrameSplit(flip(split.inputs), flip(split.targets), split.seeds)
+
+    return replace(dataset, train=flipped(dataset.train), test=flipped(dataset.test))
 
 
 def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipeline,

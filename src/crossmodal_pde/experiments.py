@@ -328,7 +328,7 @@ def _run_one(config: ExperimentConfig, seed: int,
     stage1_trace = {name: rep.stage1.trace for name, rep in reports.items()
                     if rep.stage1 is not None}
 
-    final = mean_nrmse(predictions, dataset.test)
+    final = mean_nrmse(predictions, dataset.test.targets)
     tv_pairs = [spikiness_diagnostic(p) for p in predictions]
     spikiness = {"first_half_tv": float(np.mean([a for a, _ in tv_pairs])),
                  "second_half_tv": float(np.mean([b for _, b in tv_pairs]))}
@@ -339,7 +339,7 @@ def _run_one(config: ExperimentConfig, seed: int,
         seed=seed,
         family=dataset.family,
         test_nrmse=final,
-        initial_test_nrmse=mean_nrmse(initial, dataset.test),
+        initial_test_nrmse=mean_nrmse(initial, dataset.test.targets),
         epoch_losses=epoch_losses,
         stage1_trace=stage1_trace,
         optimizer=rep_f.train.optimizer,

@@ -1,9 +1,11 @@
 """Generators for the four 1-D PDE task datasets, with solver-verified ground
 truth and a portable container file format.
 
-All solvers run in float64 internally; instance frames are stored float32.
-Advection targets are evaluated analytically (no solver), so they are exact up
-to storage precision.
+A dataset split is one ``FrameSplit``: a float32 [n, n_x] array of input
+frames, the [n, n_x] array of their target frames and the n instance seeds.
+All solvers run in float64 internally; frames are stored float32. Advection
+targets are evaluated analytically (no solver), so they are exact up to
+storage precision.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .container import DataFileError, file_errors, read_container, write_container
-from .tensor import Tensor
+from .tensor import ContractError
 from .transformer import ConfigError
 
 ADVECTION = "advection"
@@ -37,6 +39,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n_x <= 0 or self.n_x % 2 != 0:
             raise ConfigError("n_x must be positive and even")
+        if not (math.isfinite(self.t_in) and math.isfinite(self.t_out)):
+            raise ConfigError(f"t_in and t_out must be finite, got {self.t_in}, {self.t_out}")
         if self.t_out <= self.t_in:
             raise ConfigError("t_out must exceed t_in")
         if self.dt_solver is not None and not (0 < self.dt_solver < math.inf):
@@ -108,19 +112,6 @@ def default_grid(family: str, n_x: int = 128) -> GridSpec:
     return GridSpec(n_x=n_x, t_in=0.0, t_out=horizons[family])
 
 
-@dataclass
-class PdeInstance:
-    input: Tensor
-    target: Tensor
-    params: PdeParams
-    grid: GridSpec
-    seed: int
-
-    def __post_init__(self):
-        self.input.validate_finite()
-        self.target.validate_finite()
-
-
 def _fourier_coefficients(rng: np.random.Generator, n_modes: int = N_FOURIER_MODES):
     """Coefficients for a smooth random series: amplitude decays as 1/k."""
     ks = np.arange(1, n_modes + 1)
@@ -139,13 +130,6 @@ def periodic_x(n_x: int) -> np.ndarray:
     return np.arange(n_x, dtype=np.float64) / n_x
 
 
-def _instance(u0: np.ndarray, ut: np.ndarray, params: PdeParams, grid: GridSpec,
-              seed: int) -> PdeInstance:
-    return PdeInstance(input=Tensor(u0.astype(np.float32)),
-                       target=Tensor(ut.astype(np.float32)),
-                       params=params, grid=grid, seed=seed)
-
-
 # -- advection (analytic translation) ------------------------------------
 
 
@@ -156,14 +140,6 @@ def advection_frames_f64(grid: GridSpec, beta: float, seed: int):
     x = periodic_x(grid.n_x)
     shift = beta * (grid.t_out - grid.t_in)
     return _fourier_eval(a, b, x), _fourier_eval(a, b, x - shift)
-
-
-def gen_advection(grid: GridSpec, beta: float = 0.4, seed: int = 0,
-                  params: PdeParams | None = None) -> PdeInstance:
-    if params is None:
-        params = default_params(ADVECTION, beta=beta)
-    u0, ut = advection_frames_f64(grid, params.beta, seed)
-    return _instance(u0, ut, params, grid, seed)
 
 
 # The solvers below step every row of a [m, n_x] array at once (a [n_x] frame
@@ -307,41 +283,16 @@ def _solve(family: str, u0: np.ndarray, grid: GridSpec, params: PdeParams) -> np
     return burgers_solve(u0, grid, params.nu)
 
 
-def _generate(family: str, grid: GridSpec, params: PdeParams,
-              seeds: list[int]) -> list[PdeInstance]:
-    """One instance per seed; a solved family's frames are solved together."""
+def generate_frames(family: str, grid: GridSpec, params: PdeParams,
+                    seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 [len(seeds), n_x] input and target frames of one instance
+    per seed; a solved family's frames are solved together."""
     if family == ADVECTION:
-        frames = [advection_frames_f64(grid, params.beta, s) for s in seeds]
+        u0, ut = np.stack([advection_frames_f64(grid, params.beta, s) for s in seeds], axis=1)
     else:
         u0 = np.stack([_initial_frame(family, grid, s) for s in seeds])
-        frames = zip(u0, _solve(family, u0, grid, params))
-    return [_instance(a, b, params, grid, s) for (a, b), s in zip(frames, seeds)]
-
-
-def generate_instance(family: str, grid: GridSpec, params: PdeParams, seed: int) -> PdeInstance:
-    return _generate(family, grid, params, [seed])[0]
-
-
-def gen_diffusion_reaction(grid: GridSpec, nu: float = 0.5, rho: float = 1.0,
-                           seed: int = 0, params: PdeParams | None = None) -> PdeInstance:
-    if params is None:
-        params = default_params(DIFFUSION_REACTION, nu=nu, rho=rho)
-    return generate_instance(DIFFUSION_REACTION, grid, params, seed)
-
-
-def gen_diffusion_sorption(grid: GridSpec, sorption: SorptionParams | None = None,
-                           seed: int = 0, params: PdeParams | None = None) -> PdeInstance:
-    if params is None:
-        params = default_params(DIFFUSION_SORPTION,
-                                sorption=sorption or SorptionParams())
-    return generate_instance(DIFFUSION_SORPTION, grid, params, seed)
-
-
-def gen_burgers_ns_standin(grid: GridSpec, nu: float = 0.1, seed: int = 0,
-                           params: PdeParams | None = None) -> PdeInstance:
-    if params is None:
-        params = default_params(BURGERS_NS, nu=nu)
-    return generate_instance(BURGERS_NS, grid, params, seed)
+        ut = _solve(family, u0, grid, params)
+    return u0.astype(np.float32), ut.astype(np.float32)
 
 
 _TRAIN_STREAM, _TEST_STREAM = 0, 1
@@ -352,13 +303,48 @@ def _instance_seed(base_seed: int, stream: int, index: int) -> int:
 
 
 @dataclass
+class FrameSplit:
+    """The instances of one split: row i of ``inputs`` is instance i's input
+    frame, row i of ``targets`` its target frame, ``seeds[i]`` its seed."""
+
+    inputs: np.ndarray  # [n, n_x] float32, C-contiguous
+    targets: np.ndarray  # [n, n_x] float32, C-contiguous
+    seeds: list[int]
+
+    def __post_init__(self):
+        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float32)
+        self.targets = np.ascontiguousarray(self.targets, dtype=np.float32)
+        self.seeds = list(self.seeds)
+        if self.inputs.ndim != 2 or self.inputs.shape != self.targets.shape:
+            raise ContractError(f"a split needs [n, n_x] inputs and targets of one shape, "
+                                f"got {self.inputs.shape} and {self.targets.shape}")
+        if len(self.seeds) != len(self.inputs):
+            raise ContractError(f"a split of {len(self.inputs)} frame pairs has "
+                                f"{len(self.seeds)} seeds")
+        for name, frames in (("inputs", self.inputs), ("targets", self.targets)):
+            if not np.all(np.isfinite(frames)):
+                bad = int(np.count_nonzero(~np.isfinite(frames)))
+                raise ContractError(f"split {name} hold {bad} non-finite values")
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+
+def _splits(inputs: np.ndarray, targets: np.ndarray, seeds: list[int],
+            n_train: int) -> tuple[FrameSplit, FrameSplit]:
+    """The first ``n_train`` instances as the train split, the rest as test."""
+    return (FrameSplit(inputs[:n_train], targets[:n_train], seeds[:n_train]),
+            FrameSplit(inputs[n_train:], targets[n_train:], seeds[n_train:]))
+
+
+@dataclass
 class PdeDataset:
     family: str
     params: PdeParams
     grid: GridSpec
     seed: int
-    train: list[PdeInstance]
-    test: list[PdeInstance]
+    train: FrameSplit
+    test: FrameSplit
 
 
 def build_dataset(family: str, n_train: int, n_test: int, grid: GridSpec,
@@ -376,9 +362,9 @@ def build_dataset(family: str, n_train: int, n_test: int, grid: GridSpec,
         params = default_params(family)
     seeds = ([_instance_seed(seed, _TRAIN_STREAM, i) for i in range(n_train)]
              + [_instance_seed(seed, _TEST_STREAM, i) for i in range(n_test)])
-    instances = _generate(family, grid, params, seeds)
+    train, test = _splits(*generate_frames(family, grid, params, seeds), seeds, n_train)
     ds = PdeDataset(family=family, params=params, grid=grid, seed=seed,
-                    train=instances[:n_train], test=instances[n_train:])
+                    train=train, test=test)
     if out_path is not None:
         save_dataset(ds, out_path)
     return ds
@@ -386,8 +372,8 @@ def build_dataset(family: str, n_train: int, n_test: int, grid: GridSpec,
 
 def save_dataset(ds: PdeDataset, path) -> None:
     """Write the container: frames payload is ordered [instance][input|target][x]."""
-    instances = ds.train + ds.test
-    frames = np.stack([np.stack([inst.input.data, inst.target.data]) for inst in instances])
+    frames = np.stack([np.concatenate([ds.train.inputs, ds.test.inputs]),
+                       np.concatenate([ds.train.targets, ds.test.targets])], axis=1)
     header = {
         "kind": "pde_dataset",
         "family": ds.family,
@@ -396,7 +382,7 @@ def save_dataset(ds: PdeDataset, path) -> None:
         "n_train": len(ds.train),
         "n_test": len(ds.test),
         "seed": ds.seed,
-        "instance_seeds": [inst.seed for inst in instances],
+        "instance_seeds": ds.train.seeds + ds.test.seeds,
     }
     write_container(path, header, [("frames", frames)])
 
@@ -415,19 +401,16 @@ def load_dataset(path) -> PdeDataset:
         raise DataFileError(f"pde dataset {path} has family {family!r} but params for "
                             f"{params.family!r}")
     for name, n in (("n_train", n_train), ("n_test", n_test)):
-        if type(n) is not int or n < 0:  # bool is an int subclass; reject it too
+        if type(n) is not int or n < 1:  # bool is an int subclass; reject it too
             raise DataFileError(f"pde dataset {path} has {name} = {n!r}, "
-                                f"not a non-negative integer")
+                                f"not a positive integer")
     if frames.ndim != 3 or frames.shape[1:] != (2, grid.n_x):
         raise DataFileError(f"frames in {path} have shape {list(frames.shape)}, "
                             f"not [n, 2, {grid.n_x}]")
     if not len(seeds) == n_train + n_test == len(frames):
         raise DataFileError(f"{path} holds {len(frames)} frame pairs, {len(seeds)} "
                             f"instance seeds and n_train + n_test = {n_train} + {n_test}")
-    if not np.all(np.isfinite(frames)):
-        bad = int(np.count_nonzero(~np.isfinite(frames)))
-        raise DataFileError(f"frames in {path} hold {bad} non-finite values")
-    instances = [PdeInstance(input=Tensor(u0), target=Tensor(ut), params=params, grid=grid,
-                             seed=s) for (u0, ut), s in zip(frames, seeds)]
+    with file_errors(path, "pde dataset"):  # a non-finite frame fails here
+        train, test = _splits(frames[:, 0], frames[:, 1], seeds, n_train)
     return PdeDataset(family=family, params=params, grid=grid, seed=seed,
-                      train=instances[:n_train], test=instances[n_train:])
+                      train=train, test=test)

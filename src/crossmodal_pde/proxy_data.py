@@ -83,6 +83,8 @@ def _row_cdfs(table: np.ndarray) -> np.ndarray:
 def gen_corpus(seed: int, n_sequences: int, vocab_size: int = 64, tag_count: int = 9) -> SyntheticCorpus:
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
+    if tag_count < N_STATES:  # each grammar state emits its own block of tags
+        raise ValueError(f"tag_count must be >= {N_STATES}, got {tag_count}")
     rng = np.random.default_rng(seed)
     transition, emission, token_dist = _grammar_tables(rng, vocab_size, tag_count)
     cdf_state, cdf_tag, cdf_token = (_row_cdfs(t) for t in (transition, emission, token_dist))

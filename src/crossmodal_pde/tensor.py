@@ -164,12 +164,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def validate_finite(self) -> None:
-        """Raise if the payload contains NaN or Inf."""
-        if not np.all(np.isfinite(self.data)):
-            bad = int(np.count_nonzero(~np.isfinite(self.data)))
-            raise ContractError(f"tensor has {bad} non-finite entries")
-
     def copy(self) -> "Tensor":
         """Leaf copy of the current values (off the tape)."""
         t = Tensor(self.data.copy(), requires_grad=self.requires_grad)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from crossmodal_pde import proxy_data
-from crossmodal_pde.pde_data import GridSpec, PdeDataset, PdeInstance, build_dataset, default_params
-from crossmodal_pde.tensor import Tensor
+from crossmodal_pde.pde_data import FrameSplit, GridSpec, PdeDataset, build_dataset, default_params
 from crossmodal_pde.transformer import DECODER_ONLY, ModelConfig, build_model
 
 
@@ -18,19 +17,19 @@ def identity_dataset(n_train=12, n_test=4, n_x=32, seed=0):
     grid = GridSpec(n_x=n_x, t_out=0.5)
     params = default_params("advection", beta=0.0)
     rng = np.random.default_rng(seed)
+    x = np.arange(n_x) / n_x
 
-    def inst(s):
-        x = np.arange(n_x) / n_x
-        u = np.zeros(n_x)
-        for k in range(1, 4):
-            u += rng.normal() / k * np.sin(2 * np.pi * k * x) + rng.normal() / k * np.cos(2 * np.pi * k * x)
+    def split(seeds):
+        u = np.zeros((len(seeds), n_x))
+        for row in u:
+            for k in range(1, 4):
+                row += rng.normal() / k * np.sin(2 * np.pi * k * x) + rng.normal() / k * np.cos(2 * np.pi * k * x)
         u32 = u.astype(np.float32)
-        return PdeInstance(input=Tensor(u32), target=Tensor(u32.copy()), params=params,
-                           grid=grid, seed=s)
+        return FrameSplit(inputs=u32, targets=u32.copy(), seeds=seeds)
 
+    train = split(range(n_train))  # drawn before the test split
     return PdeDataset(family="advection", params=params, grid=grid, seed=seed,
-                      train=[inst(i) for i in range(n_train)],
-                      test=[inst(1000 + i) for i in range(n_test)])
+                      train=train, test=split(range(1000, 1000 + n_test)))
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from crossmodal_pde.adaptation import (
     run_adaptation,
 )
 from crossmodal_pde.bidir import FlipPair
-from crossmodal_pde.pde_data import GridSpec, PdeInstance, build_dataset, default_params
+from crossmodal_pde.pde_data import GridSpec, build_dataset
 from crossmodal_pde.proxy_data import build_proxy_set, gen_corpus
 from crossmodal_pde.tensor import ContractError, ShapeError, Tensor
 from crossmodal_pde.transformer import (
@@ -45,21 +45,14 @@ def assert_bitwise_equal(before: dict, after: dict, names):
 # -- pseudo labels ------------------------------------------------------------
 
 
-def _uniform_instances(n=40, L=64, seed=0):
+def _uniform_targets(n=40, L=64, seed=0):
     rng = np.random.default_rng(seed)
-    grid = GridSpec(n_x=L, t_out=0.5)
-    params = default_params("advection")
-    out = []
-    for i in range(n):
-        vals = rng.uniform(0.0, 1.0, size=L).astype(np.float32)
-        out.append(PdeInstance(input=Tensor(vals), target=Tensor(vals), params=params,
-                               grid=grid, seed=i))
-    return out
+    return rng.uniform(0.0, 1.0, size=(n, L)).astype(np.float32)
 
 
 def test_pseudo_labels_uniform_deciles():
-    instances = _uniform_instances(n=60, L=64)
-    pl = pseudo_label_targets(instances, bins=10)
+    targets = _uniform_targets(n=60, L=64)
+    pl = pseudo_label_targets(targets, bins=10)
     assert not pl.degenerate
     want = np.arange(1, 10) / 10
     assert np.abs(pl.edges - want).max() < 0.02
@@ -68,25 +61,15 @@ def test_pseudo_labels_uniform_deciles():
 
 
 def test_pseudo_labels_constant_degenerate():
-    grid = GridSpec(n_x=16, t_out=0.5)
-    params = default_params("advection")
-    inst = PdeInstance(input=Tensor(np.ones(16, dtype=np.float32)),
-                       target=Tensor(np.full(16, 2.5, dtype=np.float32)),
-                       params=params, grid=grid, seed=0)
-    pl = pseudo_label_targets([inst], bins=10)
+    pl = pseudo_label_targets(np.full((1, 16), 2.5, dtype=np.float32), bins=10)
     assert pl.degenerate
     assert (pl.labels == 0).all()
 
 
 def test_pseudo_labels_monotone_invariant():
-    instances = _uniform_instances(n=20, L=32, seed=3)
-    pl = pseudo_label_targets(instances, bins=8)
-    transformed = [
-        PdeInstance(input=i.input, target=Tensor(2.0 * i.target.data + 1.0),
-                    params=i.params, grid=i.grid, seed=i.seed)
-        for i in instances
-    ]
-    pl2 = pseudo_label_targets(transformed, bins=8)
+    targets = _uniform_targets(n=20, L=32, seed=3)
+    pl = pseudo_label_targets(targets, bins=8)
+    pl2 = pseudo_label_targets(2.0 * targets + 1.0, bins=8)
     np.testing.assert_array_equal(pl.labels, pl2.labels)
 
 
@@ -272,7 +255,7 @@ def test_finetune_fpt_freeze_audit():
 def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
     model = make_model()
     dataset = identity_dataset(n_train=4, n_test=2)
-    dataset.train[2].input.data[5] = np.nan
+    dataset.train.inputs[2, 5] = np.nan
     config = AdaptationConfig(epochs=2, batch_size=4, optimizer="adam", seed=0)
     report = finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
                       dataset, config)
@@ -326,7 +309,7 @@ def test_pooled_predictor_variant_trains():
     assert isinstance(pipeline.predictor, ad.PooledPredictor)
     dataset = identity_dataset(n_train=8, n_test=2, n_x=32)
     out = predict_sequence(pipeline.model, pipeline.embedder, pipeline.predictor,
-                           dataset.test[0].input.data[None])
+                           dataset.test.inputs[:1])
     assert out.data.shape == (1, 32)
     config = AdaptationConfig(method=ORCA, epochs=3, batch_size=4, optimizer="adam", seed=2)
     report = finetune(pipeline.model, pipeline.embedder, pipeline.predictor, dataset, config)
@@ -337,10 +320,9 @@ def test_pooled_predictor_variant_trains():
 
 
 def _oracle_predict(model, emb, pred, frame, bidir_method="none", restart_positions=False):
-    """One frame through the model as ``predict_sequence`` ran it before
+    """One [L] frame through the model as ``predict_sequence`` ran it before
     batching: an unbatched ``forward_hidden`` and, for Sequence Doubling, a
     ``slice_rows`` of the second half; returns [1, L]."""
-    frame = np.asarray(frame.data if isinstance(frame, Tensor) else frame, dtype=np.float32)
     L = frame.shape[0]
     if bidir_method == "none":
         return pred(forward_hidden(model, emb(frame)))
@@ -357,7 +339,6 @@ def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
     losses = []
     for x, y in zip(frames, targets):
         out = _oracle_predict(model, emb, pred, x, bidir_method, restart_positions)
-        y = y.data if isinstance(y, Tensor) else y
         losses.append(T.tmean(T.square(T.sub(out, Tensor(y[None])))))
     total = losses[0]
     for loss in losses[1:]:
@@ -365,12 +346,12 @@ def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
     return losses[0] if len(losses) == 1 else T.mul(total, 1.0 / len(losses))
 
 
-def _oracle_evaluate(model, emb, pred, instances, bidir_method="none",
+def _oracle_evaluate(model, emb, pred, split, bidir_method="none",
                      restart_positions=False):
     with T.no_grad():
-        preds = np.concatenate([_oracle_predict(model, emb, pred, inst.input, bidir_method,
-                                                restart_positions).data for inst in instances])
-    return ad.mean_nrmse(preds, instances), preds
+        preds = np.concatenate([_oracle_predict(model, emb, pred, x, bidir_method,
+                                                restart_positions).data for x in split.inputs])
+    return ad.mean_nrmse(preds, split.targets), preds
 
 
 def _oracle_finetune(model, emb, pred, dataset, config):
@@ -390,10 +371,10 @@ def _oracle_finetune(model, emb, pred, dataset, config):
             order = rng.permutation(n)
             epoch_loss, n_batches = 0.0, 0
             for lo in range(0, n, config.batch_size):
-                batch = [dataset.train[i] for i in order[lo: lo + config.batch_size]]
+                batch = order[lo: lo + config.batch_size]
                 T.zero_grads(params)
-                loss = _oracle_loss(model, emb, pred, [i.input for i in batch],
-                                    [i.target for i in batch], config.bidir_method,
+                loss = _oracle_loss(model, emb, pred, dataset.train.inputs[batch],
+                                    dataset.train.targets[batch], config.bidir_method,
                                     config.restart_positions)
                 loss.backward()
                 T.optimizer_step(opt, params)
@@ -530,20 +511,9 @@ def test_batched_record_close_to_oracle(tmp_path, monkeypatch):
     assert abs(got["test_nrmse"] - want["test_nrmse"]) <= 1e-5 * want["test_nrmse"]
 
 
-def _with_length(inst, n):
-    return PdeInstance(input=Tensor(inst.input.data[:n]), target=Tensor(inst.target.data[:n]),
-                       params=inst.params, grid=inst.grid, seed=inst.seed)
-
-
 def test_unequal_instance_lengths_raise_shape_error():
     model = make_model()
     emb, pred = Embedder.create(32, seed=0), Predictor.create(32, seed=1)
-    dataset = identity_dataset(n_train=4, n_test=2)
-    uneven = dataclasses.replace(dataset, train=dataset.train[:3] + [_with_length(dataset.train[3], 30)])
-    with pytest.raises(ShapeError, match="one shape"):
-        finetune(model, emb, pred, uneven, AdaptationConfig(epochs=1, batch_size=4))
-    with pytest.raises(ShapeError, match="one shape"):
-        evaluate_nrmse(model, emb, pred, [dataset.test[0], _with_length(dataset.test[1], 30)])
     with pytest.raises(ShapeError):
         predict_sequence(model, emb, pred, np.zeros((2, 2, 32, 1), dtype=np.float32))
 
@@ -572,11 +542,11 @@ def test_pooled_predictor_pools_each_sequence_on_its_own():
 
 def test_evaluation_batches_match_one_instance_at_a_time():
     model, emb, pred = _head16_pipeline(DECODER_ONLY, seed=5)
-    instances = identity_dataset(n_train=1, n_test=5, n_x=64).test
-    want = _oracle_evaluate(model, emb, pred, instances)
+    split = identity_dataset(n_train=1, n_test=5, n_x=64).test
+    want = _oracle_evaluate(model, emb, pred, split)
     for batch_size in (1, 2, 5, 16):
-        got = evaluate_nrmse(model, emb, pred, instances, batch_size=batch_size)
+        got = evaluate_nrmse(model, emb, pred, split, batch_size=batch_size)
         assert got[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
     with pytest.raises(ContractError, match="batch_size"):
-        evaluate_nrmse(model, emb, pred, instances, batch_size=0)
+        evaluate_nrmse(model, emb, pred, split, batch_size=0)

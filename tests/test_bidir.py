@@ -192,7 +192,7 @@ def test_parallel_flipping_trains_both_and_combines():
                               epochs=5, batch_size=4, optimizer="adam", seed=0)
     pair, rep_f, rep_r = parallel_flipping_train(fwd, rev, dataset, config)
     assert rep_f.train.epochs_run == 5 and rep_r.train.epochs_run == 5
-    pred = pair.predict(dataset.test[0].input.data[None])
+    pred = pair.predict(dataset.test.inputs[:1])
     assert pred.shape == (1, 32)
 
 
@@ -220,13 +220,11 @@ def test_parallel_flipping_untrained_reverse_ablation():
     run_adaptation(fwd, dataset, config)  # train the forward pipeline only
     pair = FlipPair(fwd, rev)
     errs_first, errs_second = [], []
-    for inst in dataset.test:
-        combined = pair.predict(inst.input.data[None])[0]
+    for x, truth in zip(dataset.test.inputs, dataset.test.targets):
+        combined = pair.predict(x[None])[0]
         with T.no_grad():
-            p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor,
-                                   inst.input.data[None]).data[0]
+            p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor, x[None]).data[0]
         np.testing.assert_array_equal(combined[16:], p_f[16:])
-        truth = inst.target.data
         errs_first.append(np.linalg.norm(combined[:16] - truth[:16]))
         errs_second.append(np.linalg.norm(combined[16:] - truth[16:]))
     assert np.mean(errs_first) > 2.0 * np.mean(errs_second)

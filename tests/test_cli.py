@@ -57,6 +57,15 @@ def test_corpus_and_embed_with(tmp_path):
     assert proxy.features.shape[1] == 32
 
 
+def test_corpus_tag_count_below_state_count_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "corpus.bin"
+    assert cli_main(["corpus", "--out", str(out), "--n-sequences", "4",
+                     "--tag-count", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "tag_count" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_full_pipeline_smoke(tmp_path):
     # gen -> corpus -> pretrain -> run -> table -> plot, from seeds alone
     data = str(tmp_path / "adv.bin")

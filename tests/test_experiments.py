@@ -143,14 +143,14 @@ def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_meth
     test = load_dataset(config.dataset_file).test
     if bidir_method == "parallel_flipping":
         pair = FlipPair(*made)
-        preds = [pair.predict(inst.input.data[None])[0] for inst in test]
+        preds = [pair.predict(x[None])[0] for x in test.inputs]
     else:
         (p,) = made
         with T.no_grad():
-            preds = [predict_sequence(p.model, p.embedder, p.predictor, inst.input.data[None],
-                                      bidir_method=bidir_method).data[0] for inst in test]
-    assert rec.test_nrmse == float(np.mean([instance_nrmse(q, inst.target.data)
-                                            for q, inst in zip(preds, test)]))
+            preds = [predict_sequence(p.model, p.embedder, p.predictor, x[None],
+                                      bidir_method=bidir_method).data[0] for x in test.inputs]
+    assert rec.test_nrmse == float(np.mean([instance_nrmse(q, y)
+                                            for q, y in zip(preds, test.targets)]))
 
 
 @pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling", "parallel_flipping"])

@@ -12,6 +12,7 @@ from crossmodal_pde.pde_data import (
     BURGERS_NS,
     DIFFUSION_REACTION,
     DIFFUSION_SORPTION,
+    FrameSplit,
     GridSpec,
     SorptionParams,
     advection_frames_f64,
@@ -22,16 +23,21 @@ from crossmodal_pde.pde_data import (
     default_params,
     diffusion_reaction_solve,
     diffusion_sorption_solve,
-    gen_advection,
-    gen_burgers_ns_standin,
-    gen_diffusion_reaction,
-    gen_diffusion_sorption,
+    generate_frames,
     load_dataset,
     periodic_x,
     sorption_x,
 )
 from crossmodal_pde.container import DataFileError, read_container, write_container
+from crossmodal_pde.tensor import ContractError
 from crossmodal_pde.transformer import ConfigError
+
+
+def _one_instance(family, grid, seed):
+    """The float32 (input, target) frames of one instance with the family's
+    default parameters."""
+    inputs, targets = generate_frames(family, grid, default_params(family), [seed])
+    return inputs[0], targets[0]
 
 
 # -- advection -------------------------------------------------------------
@@ -49,9 +55,9 @@ def test_advection_target_is_exact_translation():
     for k in range(1, 6):
         want += a[k - 1] * np.cos(2 * np.pi * k * (x - 0.2)) + b[k - 1] * np.sin(2 * np.pi * k * (x - 0.2))
     assert np.abs(ut - want).max() < 1e-12
-    inst = gen_advection(grid, seed=seed)
-    np.testing.assert_array_equal(inst.input.data, u0.astype(np.float32))
-    np.testing.assert_array_equal(inst.target.data, ut.astype(np.float32))
+    u_in, u_out = _one_instance(ADVECTION, grid, seed)
+    np.testing.assert_array_equal(u_in, u0.astype(np.float32))
+    np.testing.assert_array_equal(u_out, ut.astype(np.float32))
 
 
 def test_advection_sin_mode_translates():
@@ -99,13 +105,12 @@ def test_diffusion_reaction_fixed_points():
 def test_diffusion_reaction_stability_guard():
     grid = GridSpec(n_x=128, t_out=0.05, dt_solver=1.0)
     with pytest.raises(ConfigError):
-        gen_diffusion_reaction(grid, seed=0)
+        _one_instance(DIFFUSION_REACTION, grid, 0)
 
 
 def test_diffusion_reaction_step_refinement():
     grid = GridSpec(n_x=64, t_out=0.02)
-    inst = gen_diffusion_reaction(grid, seed=3)
-    u0 = inst.input.data.astype(np.float64)
+    u0 = _one_instance(DIFFUSION_REACTION, grid, 3)[0].astype(np.float64)
     dt_max = pd.DIFFUSION_STABILITY_LIMIT * grid.dx**2 / 0.5
     coarse = diffusion_reaction_solve(u0, GridSpec(n_x=64, t_out=0.02, dt_solver=0.5 * dt_max), 0.5, 1.0)
     fine = diffusion_reaction_solve(u0, GridSpec(n_x=64, t_out=0.02, dt_solver=0.25 * dt_max), 0.5, 1.0)
@@ -139,16 +144,15 @@ def test_sorption_steady_state():
 def test_sorption_maximum_principle_sweep():
     grid = GridSpec(n_x=64, t_out=20.0)
     for seed in range(100):
-        inst = gen_diffusion_sorption(grid, seed=seed)
-        assert inst.target.data.min() >= -1e-9
-        assert inst.target.data.max() <= 1.0 + 1e-9
+        u_out = _one_instance(DIFFUSION_SORPTION, grid, seed)[1]
+        assert u_out.min() >= -1e-9
+        assert u_out.max() <= 1.0 + 1e-9
 
 
 def test_sorption_step_refinement():
     sp = SorptionParams()
     grid = GridSpec(n_x=64, t_out=20.0)
-    inst = gen_diffusion_sorption(grid, seed=5)
-    u0 = inst.input.data.astype(np.float64)
+    u0 = _one_instance(DIFFUSION_SORPTION, grid, 5)[0].astype(np.float64)
     coarse = diffusion_sorption_solve(u0, GridSpec(n_x=64, t_out=20.0, dt_solver=0.05), sp)
     fine = diffusion_sorption_solve(u0, GridSpec(n_x=64, t_out=20.0, dt_solver=0.025), sp)
     rel = np.linalg.norm(coarse - fine) / np.linalg.norm(fine)
@@ -176,8 +180,7 @@ def test_burgers_mean_conserved_per_step():
 
 def test_burgers_step_refinement():
     grid = GridSpec(n_x=128, t_out=0.5)
-    inst = gen_burgers_ns_standin(grid, seed=2)
-    u0 = inst.input.data.astype(np.float64)
+    u0 = _one_instance(BURGERS_NS, grid, 2)[0].astype(np.float64)
     dt_max = pd.DIFFUSION_STABILITY_LIMIT * grid.dx**2 / 0.1
     coarse = burgers_solve(u0, GridSpec(n_x=128, t_out=0.5, dt_solver=0.5 * dt_max), 0.1)
     fine = burgers_solve(u0, GridSpec(n_x=128, t_out=0.5, dt_solver=0.25 * dt_max), 0.1)
@@ -188,7 +191,7 @@ def test_burgers_step_refinement():
 def test_burgers_stability_guard():
     grid = GridSpec(n_x=128, t_out=0.5, dt_solver=1.0)
     with pytest.raises(ConfigError):
-        gen_burgers_ns_standin(grid, seed=0)
+        _one_instance(BURGERS_NS, grid, 0)
 
 
 # -- dataset files --------------------------------------------------------------
@@ -221,26 +224,24 @@ def test_dataset_round_trip(tmp_path):
     back = load_dataset(path)
     assert back.family == ds.family
     assert len(back.train) == 4 and len(back.test) == 2
-    for a, b in zip(ds.train + ds.test, back.train + back.test):
-        np.testing.assert_array_equal(a.input.data, b.input.data)
-        np.testing.assert_array_equal(a.target.data, b.target.data)
-        assert a.seed == b.seed
+    for a, b in ((ds.train, back.train), (ds.test, back.test)):
+        np.testing.assert_array_equal(a.inputs, b.inputs)
+        np.testing.assert_array_equal(a.targets, b.targets)
+        assert a.seeds == b.seeds
 
 
 def test_train_test_seed_streams_disjoint():
     grid = GridSpec(n_x=32, t_out=0.5)
     ds = build_dataset(ADVECTION, 6, 6, grid, seed=4)
-    train_seeds = {i.seed for i in ds.train}
-    test_seeds = {i.seed for i in ds.test}
-    assert not train_seeds & test_seeds
+    assert not set(ds.train.seeds) & set(ds.test.seeds)
 
 
 def test_all_families_generate():
     for family in (ADVECTION, DIFFUSION_REACTION, DIFFUSION_SORPTION, BURGERS_NS):
         grid = pd.default_grid(family, n_x=32)
-        inst = pd.generate_instance(family, grid, default_params(family), seed=0)
-        assert inst.input.data.shape == (32,)
-        assert inst.target.data.shape == (32,)
+        u_in, u_out = _one_instance(family, grid, 0)
+        assert u_in.shape == (32,) and u_in.dtype == np.float32
+        assert u_out.shape == (32,) and u_out.dtype == np.float32
 
 
 @pytest.mark.parametrize("family", [ADVECTION, DIFFUSION_REACTION, DIFFUSION_SORPTION, BURGERS_NS])
@@ -250,6 +251,56 @@ def test_dt_solver_must_be_finite_and_positive(family):
         with pytest.raises(ConfigError, match="dt_solver"):
             dataclasses.replace(grid, dt_solver=bad)
     assert dataclasses.replace(grid, dt_solver=1e-6).dt_solver == 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_in", "t_out"])
+def test_grid_times_must_be_finite(name, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        GridSpec(n_x=32, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["t_in", "t_out"])
+def test_non_finite_grid_time_in_file_is_data_file_error(tmp_path, name, bad):
+    path = tmp_path / "adv.bin"
+    build_dataset(ADVECTION, 3, 2, GridSpec(n_x=16, t_out=0.5), seed=1, out_path=path)
+    _rewrite(path, lambda h, b: h["grid"].update({name: bad}))
+    with pytest.raises(DataFileError, match=str(path)):
+        load_dataset(path)
+
+
+# -- frame splits ------------------------------------------------------------------
+
+
+def test_frame_split_holds_contiguous_float32_rows():
+    inputs = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    split = FrameSplit(inputs, inputs + 1.0, seeds=(7, 8, 9))
+    assert len(split) == 3 and split.seeds == [7, 8, 9]
+    for got, want in ((split.inputs, inputs), (split.targets, inputs + 1.0)):
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def _with_value(shape, index, value):
+    frames = np.zeros(shape)
+    frames[index] = value
+    return frames
+
+
+@pytest.mark.parametrize("inputs, targets, seeds, match", [
+    (np.zeros(4), np.zeros(4), [0], "shape"),
+    (np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), [0], "shape"),
+    (np.zeros((2, 4)), np.zeros((2, 6)), [0, 1], "shape"),
+    (np.zeros((2, 4)), np.zeros((3, 4)), [0, 1], "shape"),
+    (np.zeros((2, 4)), np.zeros((2, 4)), [0], "seeds"),
+    (_with_value((2, 4), (1, 2), np.nan), np.zeros((2, 4)), [0, 1], "inputs hold 1 non-finite"),
+    (np.zeros((2, 4)), _with_value((2, 4), (0, 0), -np.inf), [0, 1],
+     "targets hold 1 non-finite"),
+], ids=["1d", "3d", "widths_differ", "counts_differ", "seed_count", "nan_input", "inf_target"])
+def test_frame_split_rejects(inputs, targets, seeds, match):
+    with pytest.raises(ContractError, match=match):
+        FrameSplit(inputs, targets, seeds)
 
 
 def _rewrite(path, edit):
@@ -280,12 +331,13 @@ def _rewrite(path, edit):
     lambda h, b: h.update(n_train=-1, n_test=h["n_train"] + h["n_test"] + 1),
     lambda h, b: b["frames"].__setitem__((0, 1, 3), np.nan),
     lambda h, b: b["frames"].__setitem__((4, 0, 0), -np.inf),
+    lambda h, b: h.update(n_train=h["n_train"] + h["n_test"], n_test=0),
 ], ids=["no_grid", "no_instance_seeds", "no_frames_block", "grid_lacks_n_x",
         "grid_dt_solver_zero", "unknown_family", "params_lack_sorption",
         "seeds_shorter_than_frames", "n_test_too_small", "n_train_too_large",
         "frames_2d", "frames_narrower_than_grid", "header_family_unknown",
         "header_family_not_params_family", "n_train_string", "n_test_float",
-        "n_train_bool", "n_train_negative", "nan_target", "inf_input"])
+        "n_train_bool", "n_train_negative", "nan_target", "inf_input", "n_test_zero"])
 def test_malformed_dataset_is_data_file_error(tmp_path, edit):
     path = tmp_path / "adv.bin"
     build_dataset(ADVECTION, 3, 2, GridSpec(n_x=16, t_out=0.5), seed=1, out_path=path)
@@ -382,12 +434,12 @@ def _old_instance_frames(family, grid, params, seed):
 def test_build_dataset_equals_one_instance_solves(family, grid):
     params = default_params(family)
     ds = build_dataset(family, 4, 3, grid, params=params, seed=9)
-    for inst in ds.train + ds.test:
-        u0, ut = _old_instance_frames(family, grid, params, inst.seed)
-        assert np.array_equal(inst.input.data, u0.astype(np.float32))
-        assert np.array_equal(inst.target.data, ut.astype(np.float32))
-        assert np.array_equal(pd.generate_instance(family, grid, params, inst.seed).target.data,
-                              inst.target.data)
+    for split in (ds.train, ds.test):
+        for u_in, u_out, seed in zip(split.inputs, split.targets, split.seeds):
+            u0, ut = _old_instance_frames(family, grid, params, seed)
+            assert np.array_equal(u_in, u0.astype(np.float32))
+            assert np.array_equal(u_out, ut.astype(np.float32))
+            assert np.array_equal(generate_frames(family, grid, params, [seed])[1][0], u_out)
 
 
 @pytest.mark.parametrize("family, grid", [

@@ -70,6 +70,12 @@ def test_corpus_equals_rng_choice_sampler(seed, vocab_size, tag_count):
         np.testing.assert_array_equal(gg, gw)
 
 
+@pytest.mark.parametrize("tag_count", [0, 1, 2])
+def test_corpus_needs_a_tag_per_grammar_state(tag_count):
+    with pytest.raises(ValueError, match=f"tag_count must be >= 3, got {tag_count}"):
+        gen_corpus(seed=0, n_sequences=4, tag_count=tag_count)
+
+
 def test_corpus_lengths_below_32():
     corpus = gen_corpus(seed=1, n_sequences=200)
     lengths = [len(t) for t, _ in corpus.sequences]

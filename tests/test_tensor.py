@@ -537,10 +537,9 @@ def test_copy_on_accumulate_matches_copy_always(case):
 def _fpt_loss(model, emb, pred, batch, bidir_method):
     """The mean-squared-error batch loss ``finetune`` minimises."""
     losses = []
-    for inst in batch:
-        out = ad.predict_sequence(model, emb, pred, inst.input.data[None],
-                                  bidir_method=bidir_method)
-        losses.append(T.tmean(T.square(T.sub(out, Tensor(inst.target.data[None])))))
+    for x, y in zip(batch.inputs, batch.targets):
+        out = ad.predict_sequence(model, emb, pred, x[None], bidir_method=bidir_method)
+        losses.append(T.tmean(T.square(T.sub(out, Tensor(y[None])))))
     return T.mul(T.add(losses[0], losses[1]), 0.5)
 
 
@@ -683,13 +682,6 @@ def test_in_place_optimizer_step_bit_identical_to_textbook_formulas(kind):
 
 
 # -- misc contracts -------------------------------------------------------
-
-
-def test_validate_finite():
-    t = Tensor(np.array([1.0, np.nan]))
-    with pytest.raises(ContractError):
-        t.validate_finite()
-    Tensor(np.array([1.0, 2.0])).validate_finite()
 
 
 def test_no_grad_blocks_tape():
