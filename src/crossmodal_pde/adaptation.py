@@ -2,9 +2,8 @@
 the model parameters each method trains, stage-1 OTDD alignment, and
 supervised fine-tuning.
 
-Stage 1 (ORCA) trains only the embedder, by default comparing its outputs
-directly to the proxy features; ``stage1_through_body`` pushes embeddings
-through the frozen transformer body first instead.
+Stage 1 (ORCA) trains only the embedder, comparing its outputs directly to
+the proxy features.
 """
 
 from __future__ import annotations
@@ -96,34 +95,17 @@ class Predictor(_Affine):
         return T.reshape(T.add(T.matmul(hidden, self.w), self.b), (batch, -1))
 
 
-class PooledPredictor(_Affine):
-    """Alternative output head: mean-pool the hidden states into one vector,
-    then map it to the whole output frame (flag-selected variant)."""
-
-    @classmethod
-    def create(cls, d_model: int, out_length: int, seed: int) -> "PooledPredictor":
-        return cls._draw(d_model, out_length, seed)
-
-    def __call__(self, hidden: Tensor, batch: int = 1) -> Tensor:
-        """Pool each of the ``batch`` equal-length sequences stacked in
-        ``hidden`` on its own; returns their frames as [batch, out_length]."""
-        pooled = T.tmean(T.reshape(hidden, (batch, -1, hidden.data.shape[1])), axis=1)
-        return T.add(T.matmul(pooled, self.w), self.b)
-
-
 @dataclass
 class Pipeline:
     model: TransformerModel
     embedder: Embedder
-    predictor: Predictor | PooledPredictor
+    predictor: Predictor
 
     @classmethod
-    def create(cls, model: TransformerModel, seed: int,
-               pooled_out_length: int | None = None) -> "Pipeline":
+    def create(cls, model: TransformerModel, seed: int) -> "Pipeline":
         d = model.config.d_model
-        predictor = (Predictor.create(d, seed + 1) if pooled_out_length is None
-                     else PooledPredictor.create(d, pooled_out_length, seed + 1))
-        return cls(model=model, embedder=Embedder.create(d, seed), predictor=predictor)
+        return cls(model=model, embedder=Embedder.create(d, seed),
+                   predictor=Predictor.create(d, seed + 1))
 
 
 @dataclass
@@ -141,8 +123,6 @@ class AdaptationConfig:
     otdd_batch: int = 128
     pseudo_label_bins: int = 10
     sinkhorn_max_iters: int = 300
-    stage1_through_body: bool = False
-    restart_positions: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -254,8 +234,7 @@ def as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Predictor,
-                     x: np.ndarray, bidir_method: str = BIDIR_NONE,
-                     restart_positions: bool = False) -> Tensor:
+                     x: np.ndarray, bidir_method: str = BIDIR_NONE) -> Tensor:
     """Predict an output frame per input frame; bidir methods wrap the base path.
 
     ``x`` is a batch of equal-length frames [B, L], predicted as [B, L] by one
@@ -274,8 +253,7 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
         hidden = forward_hidden(model, embedder(frames), lengths=[L] * B)
         return predictor(hidden, B)
     if bidir_method == SEQUENCE_DOUBLING:
-        return bidir.sequence_doubling_forward(model, embedder, predictor, frames,
-                                               restart_positions=restart_positions)
+        return bidir.sequence_doubling_forward(model, embedder, predictor, frames)
     if bidir_method == PARALLEL_FLIPPING:
         raise ContractError("parallel flipping combines two pipelines; predict with bidir.FlipPair")
     raise ContractError(f"unknown bidir method {bidir_method!r}")
@@ -302,9 +280,9 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
                 dataset: PdeDataset, config: AdaptationConfig) -> Stage1Report:
     """Train the embedder alone to minimize OTDD against the proxy features.
 
-    The transformer body and predictor are untouched; with
-    ``stage1_through_body`` the frozen body shapes the compared features but
-    still receives no updates.
+    Only the embedder's outputs and the proxy features reach OTDD, so no
+    model parameter enters the tape: the transformer body and predictor get
+    no gradient and no update.
     """
     if proxy.features.shape[1] != model.config.d_model:
         raise T.ShapeError("proxy feature width != model d_model")
@@ -321,34 +299,30 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
     emb_params = embedder.params()
     trace: list[float] = []
     converged = 0
-    with frozen_except(model, []):
-        for _ in range(config.stage1_steps):
-            inst_idx = rng.choice(n, size=min(config.stage1_batch_instances, n), replace=False)
-            flat_idx = rng.choice(len(inst_idx) * L,
-                                  size=min(config.otdd_batch, len(inst_idx) * L), replace=False)
-            tokens = inputs[inst_idx].reshape(-1)[flat_idx]
-            labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
+    for _ in range(config.stage1_steps):
+        inst_idx = rng.choice(n, size=min(config.stage1_batch_instances, n), replace=False)
+        flat_idx = rng.choice(len(inst_idx) * L,
+                              size=min(config.otdd_batch, len(inst_idx) * L), replace=False)
+        tokens = inputs[inst_idx].reshape(-1)[flat_idx]
+        labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
 
-            embedded = embedder(tokens)
-            if config.stage1_through_body:
-                embedded = forward_hidden(model, embedded)
-            target_cloud = LabeledPointCloud(points=embedded, labels=labels,
-                                             class_count=pseudo.bins)
+        target_cloud = LabeledPointCloud(points=embedder(tokens), labels=labels,
+                                         class_count=pseudo.bins)
 
-            prox_idx = rng.choice(len(proxy_cloud_full), size=min(config.otdd_batch,
-                                                                  len(proxy_cloud_full)),
-                                  replace=False)
-            proxy_batch = LabeledPointCloud(points=Tensor(proxy.features[prox_idx]),
-                                            labels=proxy.labels[prox_idx].astype(np.int64),
-                                            class_count=proxy.tag_count)
+        prox_idx = rng.choice(len(proxy_cloud_full), size=min(config.otdd_batch,
+                                                              len(proxy_cloud_full)),
+                              replace=False)
+        proxy_batch = LabeledPointCloud(points=Tensor(proxy.features[prox_idx]),
+                                        labels=proxy.labels[prox_idx].astype(np.int64),
+                                        class_count=proxy.tag_count)
 
-            T.zero_grads(emb_params)
-            res = otdd_distance(target_cloud, proxy_batch, sk_params,
-                                proxy_moments=proxy_moments)
-            res.cost.backward()
-            T.optimizer_step(opt, emb_params)
-            trace.append(res.cost.item())
-            converged += int(res.converged)
+        T.zero_grads(emb_params)
+        res = otdd_distance(target_cloud, proxy_batch, sk_params,
+                            proxy_moments=proxy_moments)
+        res.cost.backward()
+        T.optimizer_step(opt, emb_params)
+        trace.append(res.cost.item())
+        converged += int(res.converged)
     frac = converged / config.stage1_steps if config.stage1_steps else 1.0
     return Stage1Report(trace=trace, steps=config.stage1_steps, converged_fraction=frac,
                         degenerate_labels=pseudo.degenerate)
@@ -388,13 +362,14 @@ def instance_nrmse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def mean_nrmse(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Mean over instances of ``instance_nrmse`` of each prediction row
-    against its target row."""
+    against its target row; row counts that differ raise ``ShapeError``."""
+    if len(predictions) != len(targets):
+        raise T.ShapeError(f"{len(predictions)} predictions for {len(targets)} targets")
     return float(np.mean([instance_nrmse(p, t) for p, t in zip(predictions, targets)]))
 
 
 def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                    split: FrameSplit, bidir_method: str = BIDIR_NONE,
-                   restart_positions: bool = False,
                    batch_size: int = 16) -> tuple[float, np.ndarray]:
     """Mean nRMSE over the instances of ``split`` and the [n, L] predictions
     it scored.
@@ -408,8 +383,7 @@ def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predi
     with T.no_grad():
         preds = np.concatenate([
             predict_sequence(model, embedder, predictor, split.inputs[lo: lo + batch_size],
-                             bidir_method=bidir_method,
-                             restart_positions=restart_positions).data
+                             bidir_method=bidir_method).data
             for lo in range(0, len(split), batch_size)])
     return mean_nrmse(preds, split.targets), preds
 
@@ -436,9 +410,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
 
     def evaluate() -> tuple[float, np.ndarray]:
         return evaluate_nrmse(model, embedder, predictor, dataset.test,
-                              bidir_method=config.bidir_method,
-                              restart_positions=config.restart_positions,
-                              batch_size=config.batch_size)
+                              bidir_method=config.bidir_method, batch_size=config.batch_size)
 
     report.initial_test_nrmse, report.initial_test_predictions = evaluate()
     inputs, targets = dataset.train.inputs, dataset.train.targets
@@ -456,8 +428,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
                 batch = order[lo: lo + config.batch_size]
                 T.zero_grads(params)
                 pred = predict_sequence(model, embedder, predictor, inputs[batch],
-                                        bidir_method=config.bidir_method,
-                                        restart_positions=config.restart_positions)
+                                        bidir_method=config.bidir_method)
                 loss = T.tmean(T.square(T.sub(pred, Tensor(targets[batch]))))
                 if not np.isfinite(loss.data):
                     report.aborted = True

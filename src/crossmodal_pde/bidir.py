@@ -102,24 +102,19 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
 
 
 def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,
-                              predictor: Predictor, x: np.ndarray,
-                              restart_positions: bool = False) -> Tensor:
+                              predictor: Predictor, x: np.ndarray) -> Tensor:
     """Concatenate each frame with itself, run the model on 2L tokens, and
     predict from the second half of the last hidden layer.
 
     ``x`` is a batch of frames [B, L], predicted as [B, L]: it runs as one
     ``forward_hidden`` with ``lengths=[2L]*B``, and one ``take_rows`` gathers
-    every sequence's second half.  Positions run 0..2L-1 by default;
-    ``restart_positions`` replays 0..L-1 for the second copy (ablation: the
-    copies become indistinguishable).
+    every sequence's second half.  Positions run 0..2L-1.
     """
     frames = as_batch(x)
     B, L = frames.shape
     if 2 * L > model.config.max_positions:
         raise LengthError(f"sequence doubling needs max_positions >= {2 * L}")
     doubled = np.concatenate([frames, frames], axis=1)
-    positions = np.tile(np.arange(L), 2 * B) if restart_positions else None
-    hidden = forward_hidden(model, embedder(doubled), positions=positions,
-                            lengths=[2 * L] * B)
+    hidden = forward_hidden(model, embedder(doubled), lengths=[2 * L] * B)
     second_halves = (2 * L * np.arange(B)[:, None] + np.arange(L, 2 * L)).ravel()
     return predictor(T.take_rows(hidden, second_halves), B)

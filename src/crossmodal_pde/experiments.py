@@ -95,9 +95,6 @@ class ExperimentConfig:
     otdd_batch: int = 128
     pseudo_label_bins: int = 10
     sinkhorn_max_iters: int = 300
-    stage1_through_body: bool = False
-    restart_positions: bool = False
-    pooled_predictor: bool = False
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
 
     def __post_init__(self):
@@ -252,13 +249,12 @@ def _check_base_model(config: ExperimentConfig, model: TransformerModel) -> None
 
 
 def _make_pipeline(config: ExperimentConfig, base: TransformerModel | None,
-                   seed: int, role: int, out_length: int) -> Pipeline:
+                   seed: int, role: int) -> Pipeline:
     if base is not None:
         model = base.clone()
     else:
         model = build_model(config.model_config(_derive_seed(seed, 7, role)))
-    return Pipeline.create(model, seed=_derive_seed(seed, 11, role),
-                           pooled_out_length=out_length if config.pooled_predictor else None)
+    return Pipeline.create(model, seed=_derive_seed(seed, 11, role))
 
 
 def run_one(config: ExperimentConfig, seed: int,
@@ -298,7 +294,6 @@ def _run_one(config: ExperimentConfig, seed: int,
         base_model = _prepare_base_model(config)
     if base_model is not None:
         _check_base_model(config, base_model)
-    out_length = dataset.grid.n_x
 
     corpus = None
     if config.method == ORCA:
@@ -307,11 +302,11 @@ def _run_one(config: ExperimentConfig, seed: int,
         corpus = load_corpus(config.corpus_file)
 
     adapt = config.adaptation_config(seed)
-    pipeline = _make_pipeline(config, base_model, seed, role=0, out_length=out_length)
+    pipeline = _make_pipeline(config, base_model, seed, role=0)
     proxy = build_proxy_set(pipeline.model, corpus) if corpus is not None else None
 
     if config.bidir_method == PARALLEL_FLIPPING:
-        partner = _make_pipeline(config, base_model, seed, role=1, out_length=out_length)
+        partner = _make_pipeline(config, base_model, seed, role=1)
         proxy_rev = build_proxy_set(partner.model, corpus) if corpus is not None else None
         _, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
                                                   proxy=proxy, proxy_reversed=proxy_rev)

@@ -36,14 +36,12 @@ def _row_label(r: TableRow) -> str:
     return f"{r.dataset}|{r.arch}|{r.method}|{r.bidir_method}|{pre}|d{r.d_model}x{r.n_layers}"
 
 
-def emit_figure(table: ResultsTable, style: str = "bars_minmax", title: str = "test nRMSE") -> str:
+def emit_figure(table: ResultsTable, title: str = "test nRMSE") -> str:
     """Render the results table as a grouped bar chart with min/max whiskers.
 
     Each bar carries data-mean/data-min/data-max attributes so the geometry is
     machine-checkable against the linear y mapping.
     """
-    if style != "bars_minmax":
-        raise ContractError(f"unknown figure style {style!r}")
     if not table.rows:
         raise ContractError("cannot plot an empty results table")
 

@@ -37,8 +37,8 @@ class GridSpec:
     dt_solver: float | None = None  # None: generator picks a stable default
 
     def __post_init__(self):
-        if self.n_x <= 0 or self.n_x % 2 != 0:
-            raise ConfigError("n_x must be positive and even")
+        if type(self.n_x) is not int or self.n_x <= 0 or self.n_x % 2 != 0:
+            raise ConfigError(f"n_x must be a positive even int, got {self.n_x!r}")
         if not (math.isfinite(self.t_in) and math.isfinite(self.t_out)):
             raise ConfigError(f"t_in and t_out must be finite, got {self.t_in}, {self.t_out}")
         if self.t_out <= self.t_in:
@@ -404,6 +404,9 @@ def load_dataset(path) -> PdeDataset:
         if type(n) is not int or n < 1:  # bool is an int subclass; reject it too
             raise DataFileError(f"pde dataset {path} has {name} = {n!r}, "
                                 f"not a positive integer")
+    if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+        raise DataFileError(f"pde dataset {path} has instance_seeds that are not a list "
+                            f"of integers")
     if frames.ndim != 3 or frames.shape[1:] != (2, grid.n_x):
         raise DataFileError(f"frames in {path} have shape {list(frames.shape)}, "
                             f"not [n, 2, {grid.n_x}]")

@@ -577,19 +577,13 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64).astype(np.float32)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.data.shape[axis] if isinstance(axis, int) else int(np.prod([a.data.shape[i] for i in axis]))
+    out = a.data.mean(dtype=np.float64).astype(np.float32)
+    n = a.data.size
 
     def bwd(g):
-        if axis is None:
-            return ((a, np.broadcast_to(g / n, a.data.shape)),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg / n, a.data.shape)),)
+        return ((a, np.broadcast_to(g / n, a.data.shape)),)
 
     return _make(out, (a,), bwd)
 

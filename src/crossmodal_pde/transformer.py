@@ -130,7 +130,6 @@ def causal_bias(L: int) -> np.ndarray:
 
 
 def forward_hidden(model: TransformerModel, embedded_input: Tensor,
-                   positions: np.ndarray | None = None,
                    lengths: np.ndarray | None = None) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
 
@@ -144,9 +143,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     it equals the row its sequence's own forward gives up to the order in
     which BLAS sums the zero terms padding adds to ``probs @ v`` (bitwise
     with OpenBLAS's Haswell sgemm at head width 16, the default model's; not
-    at head width 8).
-    ``positions`` overrides the rows' default position indices, 0..Lmax-1
-    per sequence (used by the doubled-sequence ablation).
+    at head width 8).  Each sequence's rows take positions 0..Lmax-1.
     """
     cfg = model.config
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:
@@ -160,10 +157,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
         if B == 0 or rows % B or lengths.min() < 1 or lengths.max() > rows // B:
             raise T.ShapeError(f"lengths {lengths.tolist()} do not pad to {rows} rows")
         L = rows // B
-    if positions is None:
-        positions = np.tile(np.arange(L), B)
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.max(initial=0) >= cfg.max_positions or L > cfg.max_positions:
+    if L > cfg.max_positions:
         raise LengthError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
 
     p = model.params
@@ -176,7 +170,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     else:
         attn_bias = None
 
-    h = T.add(embedded_input, T.take_rows(p["pos_emb"], positions))
+    h = T.add(embedded_input, T.take_rows(p["pos_emb"], np.tile(np.arange(L), B)))
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
         a = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])

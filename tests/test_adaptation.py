@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -170,31 +169,22 @@ def test_stage1_zero_steps_noop():
 
 def test_stage1_reduces_otdd_and_freezes_model():
     model, emb, proxy, dataset, config = _stage1_fixture(steps=300, pretrain_steps=200)
+    model.params["tok_emb"].requires_grad = False
     before = snapshot(model.params)
+    # pretraining's last step left a gradient on every parameter it trained
+    grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
+    flags = {n: p.requires_grad for n, p in model.params.items()}
     report = orca_stage1(model, emb, proxy, dataset, config)
     assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
+    # no model parameter enters the stage-1 tape: no gradient is added or
+    # dropped, and every requires_grad flag is as it was
+    assert grads and {n for n, p in model.params.items() if p.grad is not None} == set(grads)
+    assert_bitwise_equal(grads, {n: model.params[n].grad for n in grads}, grads)
+    assert {n: p.requires_grad for n, p in model.params.items()} == flags
     # regression baseline on this seeded fixture: ratio 0.683
     initial = float(np.mean(report.trace[:10]))
     final = float(np.mean(report.trace[-10:]))
     assert final <= 0.7 * initial, f"OTDD went {initial:.4f} -> {final:.4f}"
-
-
-def test_stage1_through_body_keeps_body_off_the_tape(monkeypatch):
-    def through_body():
-        model, emb, proxy, dataset, config = _stage1_fixture(steps=4)
-        config = dataclasses.replace(config, stage1_through_body=True)
-        before = snapshot(model.params)
-        report = orca_stage1(model, emb, proxy, dataset, config)
-        assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
-        return model, np.asarray(report.trace, dtype=np.float64)
-
-    model, trace = through_body()
-    assert all(p.grad is None and p.requires_grad for p in model.params.values())
-    # the reference leaves the body on the tape, where it collects gradients
-    monkeypatch.setattr(ad, "frozen_except", lambda model, trained: contextlib.nullcontext())
-    on_tape, want = through_body()
-    assert any(p.grad is not None for p in on_tape.params.values())
-    assert trace.tobytes() == want.tobytes()
 
 
 def test_stage1_dimension_mismatch():
@@ -302,24 +292,10 @@ def test_nrmse_zero_truth_rejected():
         ad.instance_nrmse(np.ones(4), np.zeros(4))
 
 
-def test_pooled_predictor_variant_trains():
-    # flag-selected alternative head: mean-pooled hidden state -> whole frame
-    model = make_model(d_model=32, seed=31)
-    pipeline = Pipeline.create(model, seed=32, pooled_out_length=32)
-    assert isinstance(pipeline.predictor, ad.PooledPredictor)
-    dataset = identity_dataset(n_train=8, n_test=2, n_x=32)
-    out = predict_sequence(pipeline.model, pipeline.embedder, pipeline.predictor,
-                           dataset.test.inputs[:1])
-    assert out.data.shape == (1, 32)
-    config = AdaptationConfig(method=ORCA, epochs=3, batch_size=4, optimizer="adam", seed=2)
-    report = finetune(pipeline.model, pipeline.embedder, pipeline.predictor, dataset, config)
-    assert report.epochs_run == 3 and not report.aborted
-
-
 # -- one tape per fine-tune step, against the per-instance oracle ---------------
 
 
-def _oracle_predict(model, emb, pred, frame, bidir_method="none", restart_positions=False):
+def _oracle_predict(model, emb, pred, frame, bidir_method="none"):
     """One [L] frame through the model as ``predict_sequence`` ran it before
     batching: an unbatched ``forward_hidden`` and, for Sequence Doubling, a
     ``slice_rows`` of the second half; returns [1, L]."""
@@ -327,18 +303,16 @@ def _oracle_predict(model, emb, pred, frame, bidir_method="none", restart_positi
     if bidir_method == "none":
         return pred(forward_hidden(model, emb(frame)))
     doubled = np.concatenate([frame, frame], axis=0)
-    positions = np.concatenate([np.arange(L), np.arange(L)]) if restart_positions else None
-    hidden = forward_hidden(model, emb(doubled), positions=positions)
+    hidden = forward_hidden(model, emb(doubled))
     return pred(T.slice_rows(hidden, L, 2 * L))
 
 
-def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
-                 restart_positions=False):
+def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none"):
     """The old fine-tune loss: one tape per instance, the per-instance MSEs
     summed on the tape and scaled by 1/B."""
     losses = []
     for x, y in zip(frames, targets):
-        out = _oracle_predict(model, emb, pred, x, bidir_method, restart_positions)
+        out = _oracle_predict(model, emb, pred, x, bidir_method)
         losses.append(T.tmean(T.square(T.sub(out, Tensor(y[None])))))
     total = losses[0]
     for loss in losses[1:]:
@@ -346,11 +320,10 @@ def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none",
     return losses[0] if len(losses) == 1 else T.mul(total, 1.0 / len(losses))
 
 
-def _oracle_evaluate(model, emb, pred, split, bidir_method="none",
-                     restart_positions=False):
+def _oracle_evaluate(model, emb, pred, split, bidir_method="none"):
     with T.no_grad():
-        preds = np.concatenate([_oracle_predict(model, emb, pred, x, bidir_method,
-                                                restart_positions).data for x in split.inputs])
+        preds = np.concatenate([_oracle_predict(model, emb, pred, x, bidir_method).data
+                                for x in split.inputs])
     return ad.mean_nrmse(preds, split.targets), preds
 
 
@@ -358,8 +331,7 @@ def _oracle_finetune(model, emb, pred, dataset, config):
     """``finetune`` as it was before batching: per-instance tapes per step."""
     kind, lr, overridden = config.resolve_optimizer(dataset.family)
     report = ad.TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
-    evaluate = lambda: _oracle_evaluate(model, emb, pred, dataset.test, config.bidir_method,
-                                        config.restart_positions)
+    evaluate = lambda: _oracle_evaluate(model, emb, pred, dataset.test, config.bidir_method)
     report.initial_test_nrmse, report.initial_test_predictions = evaluate()
     params = ad.trained_parameters(model, config.method) + emb.params() + pred.params()
     wd = config.weight_decay if kind == "adamw" else 0.0
@@ -374,8 +346,7 @@ def _oracle_finetune(model, emb, pred, dataset, config):
                 batch = order[lo: lo + config.batch_size]
                 T.zero_grads(params)
                 loss = _oracle_loss(model, emb, pred, dataset.train.inputs[batch],
-                                    dataset.train.targets[batch], config.bidir_method,
-                                    config.restart_positions)
+                                    dataset.train.targets[batch], config.bidir_method)
                 loss.backward()
                 T.optimizer_step(opt, params)
                 epoch_loss += loss.item()
@@ -386,8 +357,10 @@ def _oracle_finetune(model, emb, pred, dataset, config):
     return report
 
 
-# (bidir method, restart_positions) of every batched prediction path
-PATHS = [("none", False), ("sequence_doubling", False), ("sequence_doubling", True)]
+# the bidir method of every batched prediction path; the ids keep the case
+# names these tests had while a second, since deleted, flag was parametrized
+PATHS = pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling"],
+                                ids=["none-False", "sequence_doubling-False"])
 
 
 def _head16_pipeline(arch, seed=0):
@@ -405,27 +378,26 @@ def _frames(n, L=64, seed=0):
 
 
 @pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
-@pytest.mark.parametrize("bidir_method, restart", PATHS)
-def test_batched_prediction_rows_equal_per_instance_forward(arch, bidir_method, restart):
+@PATHS
+def test_batched_prediction_rows_equal_per_instance_forward(arch, bidir_method):
     # At head width 16 OpenBLAS sums every row in the same order at any row
     # count, so a batch row is bitwise its frame's own (old, unbatched) forward.
     model, emb, pred = _head16_pipeline(arch)
     frames = _frames(5)
     with T.no_grad():
-        got = predict_sequence(model, emb, pred, frames, bidir_method=bidir_method,
-                               restart_positions=restart).data
+        got = predict_sequence(model, emb, pred, frames, bidir_method=bidir_method).data
         assert got.shape == (5, 64)
         for b, x in enumerate(frames):
-            want = _oracle_predict(model, emb, pred, x, bidir_method, restart).data[0]
+            want = _oracle_predict(model, emb, pred, x, bidir_method).data[0]
             assert np.array_equal(got[b], want), b
-            single = predict_sequence(model, emb, pred, x[None], bidir_method=bidir_method,
-                                      restart_positions=restart).data[0]
+            single = predict_sequence(model, emb, pred, x[None],
+                                      bidir_method=bidir_method).data[0]
             assert np.array_equal(single, want), b
 
 
 @pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
-@pytest.mark.parametrize("bidir_method, restart", PATHS)
-def test_batched_step_gradients_match_per_instance_oracle(arch, bidir_method, restart):
+@PATHS
+def test_batched_step_gradients_match_per_instance_oracle(arch, bidir_method):
     # The weight gradients now sum over all B*L rows at once, so they may move
     # in their last bits; the bound is the pretraining step's (1e-5 of each
     # parameter's max |grad|).
@@ -436,12 +408,12 @@ def test_batched_step_gradients_match_per_instance_oracle(arch, bidir_method, re
     frames, targets = _frames(4, seed=1), _frames(4, seed=2)
     T.zero_grads(params)
     loss = T.tmean(T.square(T.sub(
-        predict_sequence(model, emb, pred, frames, bidir_method=bidir_method,
-                         restart_positions=restart), Tensor(targets))))
+        predict_sequence(model, emb, pred, frames, bidir_method=bidir_method),
+        Tensor(targets))))
     loss.backward()
     grads = [p.grad for p in params]
     T.zero_grads(params)
-    want = _oracle_loss(model, emb, pred, frames, targets, bidir_method, restart)
+    want = _oracle_loss(model, emb, pred, frames, targets, bidir_method)
     want.backward()
     assert abs(loss.item() - want.item()) <= 1e-6 * abs(want.item())
     for name, g, p in zip(names, grads, params):
@@ -516,28 +488,6 @@ def test_unequal_instance_lengths_raise_shape_error():
     emb, pred = Embedder.create(32, seed=0), Predictor.create(32, seed=1)
     with pytest.raises(ShapeError):
         predict_sequence(model, emb, pred, np.zeros((2, 2, 32, 1), dtype=np.float32))
-
-
-def test_pooled_predictor_pools_each_sequence_on_its_own():
-    model = make_model(d_model=64, seed=31)
-    pipeline = Pipeline.create(model, seed=32, pooled_out_length=32)
-    frames = _frames(3, L=32, seed=4)
-    with T.no_grad():
-        got = predict_sequence(model, pipeline.embedder, pipeline.predictor, frames).data
-        assert got.shape == (3, 32)
-        for b, x in enumerate(frames):
-            want = predict_sequence(model, pipeline.embedder, pipeline.predictor,
-                                    x[None]).data[0]
-            # the hidden rows and their means are bitwise equal; OpenBLAS runs
-            # a one-row product [1, d] @ [d, n] through another kernel than a
-            # [B, d] one, so the head's output may differ in its last bits
-            np.testing.assert_allclose(got[b], want, rtol=1e-5, atol=1e-7)
-    # a sequence's pooled frame does not depend on the others in its batch
-    frames2 = frames.copy()
-    frames2[1:] += 1.0
-    with T.no_grad():
-        other = predict_sequence(model, pipeline.embedder, pipeline.predictor, frames2).data
-    assert np.array_equal(other[0], got[0]) and not np.array_equal(other[1], got[1])
 
 
 def test_evaluation_batches_match_one_instance_at_a_time():

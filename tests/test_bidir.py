@@ -168,19 +168,6 @@ def test_doubling_first_copy_matches_plain_causal_forward():
     np.testing.assert_allclose(full[:20], plain, atol=1e-5)
 
 
-def test_restart_positions_makes_copies_identical_for_causal_second_half():
-    # ablation: restarting positions 0..L-1 for the second copy means token L+i
-    # and token i share embeddings; outputs differ only through attention span
-    model = make_model(arch=DECODER_ONLY, max_positions=128)
-    emb = Embedder.create(32, seed=6)
-    pred = Predictor.create(32, seed=7)
-    x = np.random.default_rng(9).normal(size=(1, 16)).astype(np.float32)
-    with T.no_grad():
-        cont = sequence_doubling_forward(model, emb, pred, x, restart_positions=False).data
-        restart = sequence_doubling_forward(model, emb, pred, x, restart_positions=True).data
-    assert not np.array_equal(cont, restart)
-
-
 # -- parallel flipping training ----------------------------------------------------
 
 

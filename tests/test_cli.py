@@ -118,13 +118,16 @@ def test_full_pipeline_smoke(tmp_path):
 
 
 def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
+    # a typo, then three options that were deleted: none is read as its default
     config_path = str(tmp_path / "exp.json")
-    with open(config_path, "w") as fh:
-        json.dump({"name": "typo", "dataset_file": str(tmp_path / "adv.bin"),
-                   "out_dir": str(tmp_path / "records"), "epoch": 3}, fh)
-    assert cli_main(["run", "--config", config_path]) == 3
-    err = capsys.readouterr().err
-    assert "epoch" in err and "Traceback" not in err
+    for key, value in (("epoch", 3), ("stage1_through_body", True),
+                       ("restart_positions", True), ("pooled_predictor", True)):
+        with open(config_path, "w") as fh:
+            json.dump({"name": "typo", "dataset_file": str(tmp_path / "adv.bin"),
+                       "out_dir": str(tmp_path / "records"), key: value}, fh)
+        assert cli_main(["run", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert f"unknown experiment config keys: {key}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key, value", [("epochs", "2"), ("seeds", 3)])

@@ -9,7 +9,12 @@ import pytest
 
 from crossmodal_pde import experiments
 from crossmodal_pde import tensor as T
-from crossmodal_pde.adaptation import AdaptationConfig, instance_nrmse, predict_sequence
+from crossmodal_pde.adaptation import (
+    AdaptationConfig,
+    instance_nrmse,
+    mean_nrmse,
+    predict_sequence,
+)
 from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.container import DataFileError
 from crossmodal_pde.experiments import (
@@ -64,6 +69,13 @@ def test_nrmse_shape_mismatch_rejected():
     t = np.array([1.0, -2.0, 3.0])
     with pytest.raises(ContractError, match="shape mismatch"):
         instance_nrmse(t[:, None], t)
+
+
+@pytest.mark.parametrize("n_pred, n_true", [(2, 3), (3, 2)])
+def test_mean_nrmse_rejects_a_count_mismatch(n_pred, n_true):
+    # a zip over the rows would score the shorter count and drop the rest
+    with pytest.raises(T.ShapeError, match=f"{n_pred} predictions for {n_true} targets"):
+        mean_nrmse(np.ones((n_pred, 4)), np.ones((n_true, 4)))
 
 
 # -- spikiness --------------------------------------------------------------
@@ -365,15 +377,22 @@ def test_load_records_rejects_foreign_json(tmp_path, text):
 _MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out"}
 
 
+# the fields an experiment holds beside its model's and its adaptation's; a
+# new experiment option has to be added here on purpose
+_EXPERIMENT_ONLY = {"name", "dataset_file", "out_dir", "pretrained", "checkpoint_file",
+                    "corpus_file", "pretrain_steps", "pretrain_lr", "pretrain_batch",
+                    "pretrain_seed", "seeds"}
+
+
 def test_experiment_config_holds_every_adaptation_and_model_field():
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for cls in (AdaptationConfig, ModelConfig):
-        missing = {f.name for f in dataclasses.fields(cls)} - {"seed"} - names
-        assert not missing, (cls.__name__, missing)
+    shared = {f.name for cls in (AdaptationConfig, ModelConfig)
+              for f in dataclasses.fields(cls)} - {"seed"}
+    assert not shared & _EXPERIMENT_ONLY
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == shared | _EXPERIMENT_ONLY
 
 
 def test_derived_configs_take_every_shared_field():
-    config = ExperimentConfig(**_MINIMAL, stage1_lr=0.25, restart_positions=True,
+    config = ExperimentConfig(**_MINIMAL, stage1_lr=0.25, pseudo_label_bins=7,
                               vocab_size=32, arch="encoder_only", otdd_batch=7)
     for derived, seed in ((config.adaptation_config(7), 7), (config.model_config(9), 9)):
         for f in dataclasses.fields(derived):

@@ -346,6 +346,28 @@ def test_malformed_dataset_is_data_file_error(tmp_path, edit):
         load_dataset(path)
 
 
+def _load_edited(tmp_path, edit):
+    path = tmp_path / "adv.bin"
+    build_dataset(ADVECTION, 3, 2, GridSpec(n_x=16, t_out=0.5), seed=1, out_path=path)
+    _rewrite(path, lambda h, b: edit(h))
+    load_dataset(path)
+
+
+# a float, null, string or bool where the dataset needs an int
+@pytest.mark.parametrize("make, error, match", [
+    (lambda tmp: GridSpec(n_x=16.0), ConfigError, "n_x must be a positive even int"),
+    (lambda tmp: _load_edited(tmp, lambda h: h["grid"].update(n_x=16.0)),
+     DataFileError, "adv.bin"),
+    (lambda tmp: _load_edited(tmp, lambda h: h.update(
+        instance_seeds=["a", None, 1.5, *h["instance_seeds"][3:]])), DataFileError, "adv.bin"),
+    (lambda tmp: _load_edited(tmp, lambda h: h.update(
+        instance_seeds=[True, *h["instance_seeds"][1:]])), DataFileError, "adv.bin"),
+], ids=["grid_spec_n_x_float", "file_n_x_float", "file_seeds_str_null_float", "file_seed_bool"])
+def test_dataset_integers_must_be_ints(tmp_path, make, error, match):
+    with pytest.raises(error, match=match):
+        make(tmp_path)
+
+
 # -- batched solves against the one-instance code they replaced ------------------
 #
 # The solvers step all instances of a dataset as one [m, n_x] array. The
