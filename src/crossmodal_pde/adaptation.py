@@ -3,7 +3,7 @@ the model parameters each method trains, stage-1 OTDD alignment, and
 supervised fine-tuning.
 
 Stage 1 (ORCA) trains only the embedder, comparing its outputs directly to
-the proxy features.
+the model's own embedding of the source corpus.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .pde_data import (
     FrameSplit,
     PdeDataset,
 )
-from .proxy_data import ProxyEmbeddingSet
+from .proxy_data import SyntheticCorpus, build_proxy_set
 from .tensor import ContractError, OptimizerState, Tensor
 from .transformer import LengthError, TransformerModel, forward_hidden
 
@@ -270,28 +270,21 @@ class Stage1Report:
     degenerate_labels: bool
 
 
-def _proxy_cloud(proxy: ProxyEmbeddingSet) -> LabeledPointCloud:
-    return LabeledPointCloud(points=Tensor(proxy.features),
-                             labels=proxy.labels.astype(np.int64),
-                             class_count=proxy.tag_count)
-
-
-def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddingSet,
+def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCorpus,
                 dataset: PdeDataset, config: AdaptationConfig) -> Stage1Report:
-    """Train the embedder alone to minimize OTDD against the proxy features.
+    """Train the embedder alone to minimize OTDD between its outputs on the
+    train inputs and the model's embedding of ``corpus`` (``build_proxy_set``).
 
-    Only the embedder's outputs and the proxy features reach OTDD, so no
-    model parameter enters the tape: the transformer body and predictor get
-    no gradient and no update.
+    Only the embedder's outputs and the corpus embedding, built off the tape,
+    reach OTDD, so no model parameter enters the tape: the transformer body
+    and predictor get no gradient and no update.
     """
-    if proxy.features.shape[1] != model.config.d_model:
-        raise T.ShapeError("proxy feature width != model d_model")
     pseudo = pseudo_label_targets(dataset.train.targets, bins=config.pseudo_label_bins)
     inputs = dataset.train.inputs
     n, L = inputs.shape
 
-    proxy_cloud_full = _proxy_cloud(proxy)
-    proxy_moments: ClassMoments = compute_class_moments(proxy_cloud_full)
+    proxy = build_proxy_set(model, corpus)
+    proxy_moments: ClassMoments = compute_class_moments(proxy)
     sk_params = SinkhornParams(epsilon=0.0, max_iters=config.sinkhorn_max_iters)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 101)))
@@ -309,12 +302,11 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, proxy: ProxyEmbeddi
         target_cloud = LabeledPointCloud(points=embedder(tokens), labels=labels,
                                          class_count=pseudo.bins)
 
-        prox_idx = rng.choice(len(proxy_cloud_full), size=min(config.otdd_batch,
-                                                              len(proxy_cloud_full)),
+        prox_idx = rng.choice(len(proxy), size=min(config.otdd_batch, len(proxy)),
                               replace=False)
-        proxy_batch = LabeledPointCloud(points=Tensor(proxy.features[prox_idx]),
-                                        labels=proxy.labels[prox_idx].astype(np.int64),
-                                        class_count=proxy.tag_count)
+        proxy_batch = LabeledPointCloud(points=Tensor(proxy.points.data[prox_idx]),
+                                        labels=proxy.labels[prox_idx],
+                                        class_count=proxy.class_count)
 
         T.zero_grads(emb_params)
         res = otdd_distance(target_cloud, proxy_batch, sk_params,
@@ -454,12 +446,14 @@ class AdaptationReport:
 
 
 def run_adaptation(pipeline: Pipeline, dataset: PdeDataset, config: AdaptationConfig,
-                   proxy: ProxyEmbeddingSet | None = None) -> AdaptationReport:
-    """Full FPT or ORCA adaptation of one pipeline on one dataset."""
+                   corpus: SyntheticCorpus | None = None) -> AdaptationReport:
+    """Full FPT or ORCA adaptation of one pipeline on one dataset.  ORCA
+    needs the source ``corpus``: stage 1 aligns the embedder to the
+    pipeline's own model's embedding of it."""
     stage1 = None
     if config.method == ORCA:
-        if proxy is None:
-            raise ContractError("ORCA needs a proxy embedding set")
-        stage1 = orca_stage1(pipeline.model, pipeline.embedder, proxy, dataset, config)
+        if corpus is None:
+            raise ContractError("ORCA needs a source corpus")
+        stage1 = orca_stage1(pipeline.model, pipeline.embedder, corpus, dataset, config)
     train = finetune(pipeline.model, pipeline.embedder, pipeline.predictor, dataset, config)
     return AdaptationReport(stage1=stage1, train=train)

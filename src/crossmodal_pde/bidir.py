@@ -24,7 +24,7 @@ from .adaptation import (
     run_adaptation,
 )
 from .pde_data import FrameSplit, PdeDataset
-from .proxy_data import ProxyEmbeddingSet
+from .proxy_data import SyntheticCorpus
 from .tensor import Tensor
 from .transformer import LengthError, TransformerModel, forward_hidden
 
@@ -78,8 +78,7 @@ def flip_dataset(dataset: PdeDataset) -> PdeDataset:
 
 def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipeline,
                             dataset: PdeDataset, config: AdaptationConfig,
-                            proxy: ProxyEmbeddingSet | None = None,
-                            proxy_reversed: ProxyEmbeddingSet | None = None,
+                            corpus: SyntheticCorpus | None = None,
                             ) -> tuple[FlipPair, AdaptationReport, AdaptationReport]:
     """Run the full adaptation twice, one run after the other: on the original
     data, then on the flipped data (reversed pipeline).  The two runs share a
@@ -90,14 +89,13 @@ def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipel
     so ``combine_halves`` of the pair equals ``FlipPair.predict`` on the test
     inputs.
 
-    The proxy side is never flipped (language features carry no spatial
-    orientation); ``proxy_reversed`` is the reversed pipeline's own model
-    embedding of the corpus, which ORCA needs as well as ``proxy``.
+    Under ORCA each run aligns to its own model's embedding of ``corpus``,
+    which is never flipped (language features carry no spatial orientation).
     """
     sub = replace(config, bidir_method=BIDIR_NONE)
     sub_rev = replace(sub, seed=config.seed + 1)
-    rep_f = run_adaptation(forward_pipeline, dataset, sub, proxy)
-    rep_r = run_adaptation(reversed_pipeline, flip_dataset(dataset), sub_rev, proxy_reversed)
+    rep_f = run_adaptation(forward_pipeline, dataset, sub, corpus)
+    rep_r = run_adaptation(reversed_pipeline, flip_dataset(dataset), sub_rev, corpus)
     return FlipPair(forward_pipeline, reversed_pipeline), rep_f, rep_r
 
 

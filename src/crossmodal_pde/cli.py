@@ -1,6 +1,5 @@
-"""Command-line interface: dataset generation, corpus/proxy tooling,
-pretraining, experiment runs, aggregation, plotting, and the doctor
-self-check suite.
+"""Command-line interface: dataset and corpus generation, pretraining,
+experiment runs, aggregation, plotting, and the doctor self-check suite.
 """
 
 from __future__ import annotations
@@ -13,13 +12,12 @@ import numpy as np
 
 from .container import DataFileError
 from .pde_data import FAMILIES, GridSpec, build_dataset, default_grid
-from .proxy_data import build_proxy_set, gen_corpus, load_corpus, save_corpus, save_proxy_set
+from .proxy_data import gen_corpus, load_corpus, save_corpus
 from .transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
     ModelConfig,
     build_model,
-    load_checkpoint,
     pretrain,
     save_checkpoint,
 )
@@ -49,15 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--n-x", type=int, default=128)
 
-    p_corpus = sub.add_parser("corpus", help="generate the synthetic tagged corpus "
-                                             "(and optionally embed it into a proxy set)")
+    p_corpus = sub.add_parser("corpus", help="generate the synthetic tagged corpus")
     p_corpus.add_argument("--out", required=True)
     p_corpus.add_argument("--seed", type=int, default=0)
     p_corpus.add_argument("--n-sequences", type=int, default=2000)
     p_corpus.add_argument("--vocab-size", type=int, default=64)
     p_corpus.add_argument("--tag-count", type=int, default=9)
-    p_corpus.add_argument("--embed-with", default=None, metavar="CHECKPOINT",
-                          help="write a proxy embedding set using this model")
 
     p_pre = sub.add_parser("pretrain", help="pretrain a toy model on a corpus")
     p_pre.add_argument("--arch", required=True, choices=[ENCODER_ONLY, DECODER_ONLY])
@@ -102,14 +97,8 @@ def _cmd_gen(args) -> int:
 def _cmd_corpus(args) -> int:
     corpus = gen_corpus(seed=args.seed, n_sequences=args.n_sequences,
                         vocab_size=args.vocab_size, tag_count=args.tag_count)
-    if args.embed_with:
-        model = load_checkpoint(args.embed_with)
-        proxy = build_proxy_set(model, corpus)
-        save_proxy_set(proxy, args.out)
-        print(f"wrote proxy embedding set ({proxy.features.shape[0]} tokens) to {args.out}")
-    else:
-        save_corpus(corpus, args.out)
-        print(f"wrote corpus ({args.n_sequences} sequences) to {args.out}")
+    save_corpus(corpus, args.out)
+    print(f"wrote corpus ({args.n_sequences} sequences) to {args.out}")
     return 0
 
 

@@ -2,7 +2,7 @@
 
 The header's ``blocks`` manifest records name/dtype/shape/offset for each
 block; payload bytes are little-endian, row-major, concatenated in manifest
-order.  Datasets, proxy sets, and model checkpoints all use this container.
+order.  Datasets, tagged corpora and model checkpoints all use this container.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from .adaptation import (
 from .bidir import combine_halves, parallel_flipping_train
 from .container import DataFileError
 from .pde_data import load_dataset
-from .proxy_data import build_proxy_set, load_corpus
+from .proxy_data import load_corpus
 from .tensor import ContractError, blas_threads
 from .transformer import (
     DECODER_ONLY,
@@ -303,19 +303,17 @@ def _run_one(config: ExperimentConfig, seed: int,
 
     adapt = config.adaptation_config(seed)
     pipeline = _make_pipeline(config, base_model, seed, role=0)
-    proxy = build_proxy_set(pipeline.model, corpus) if corpus is not None else None
 
     if config.bidir_method == PARALLEL_FLIPPING:
         partner = _make_pipeline(config, base_model, seed, role=1)
-        proxy_rev = build_proxy_set(partner.model, corpus) if corpus is not None else None
         _, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
-                                                  proxy=proxy, proxy_reversed=proxy_rev)
+                                                  corpus=corpus)
         reports = {"forward": rep_f, "reversed": rep_r}
         f, r = rep_f.train, rep_r.train
         initial = combine_halves(f.initial_test_predictions, r.initial_test_predictions)
         predictions = combine_halves(f.final_test_predictions, r.final_test_predictions)
     else:
-        rep_f = run_adaptation(pipeline, dataset, adapt, proxy=proxy)
+        rep_f = run_adaptation(pipeline, dataset, adapt, corpus=corpus)
         reports = {"forward": rep_f}
         initial = rep_f.train.initial_test_predictions
         predictions = rep_f.train.final_test_predictions
@@ -413,8 +411,9 @@ _GROUP_KEYS = ("arch", "d_model", "n_layers", "pretrained", "method", "bidir_met
 
 def load_records(records_dir) -> list[dict]:
     """Every ``*.json`` run record in the directory; a file that is not a
-    record of this schema (not JSON, or lacking a field ``aggregate`` reads)
-    raises ``DataFileError`` naming it."""
+    record of this schema (not JSON, lacking a field ``aggregate`` reads, a
+    non-numeric ``test_nrmse`` or ``wallclock_s``, or a list or object where
+    ``aggregate`` groups by a scalar) raises ``DataFileError`` naming it."""
     if not os.path.isdir(records_dir):
         raise DataFileError(f"records directory not found: {records_dir}")
     records = []
@@ -439,6 +438,13 @@ def load_records(records_dir) -> list[dict]:
         missing = [k for k in _GROUP_KEYS if k not in cfg]
         if missing:
             raise DataFileError(f"{path} is not a run record: config lacks {', '.join(missing)}")
+        for k in ("test_nrmse", "wallclock_s"):
+            if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
+                raise DataFileError(f"{path} is not a run record: {k} is {rec[k]!r}, "
+                                    f"not a number")
+        for k, v in [("family", rec["family"]), *((k, cfg[k]) for k in _GROUP_KEYS)]:
+            if isinstance(v, (list, dict)):
+                raise DataFileError(f"{path} is not a run record: {k} is {v!r}, not a scalar")
         records.append(rec)
     return records
 
@@ -492,6 +498,8 @@ def table_from_csv(path) -> ResultsTable:
                                 f"{', '.join(missing)}")
         for rec in reader:
             try:
+                if rec["pretrained"] not in ("true", "false"):
+                    raise ValueError(f"pretrained is {rec['pretrained']!r}, not true or false")
                 rows.append(TableRow(dataset=rec["dataset"], arch=rec["arch"],
                                      d_model=int(rec["d_model"]),
                                      n_layers=int(rec["n_layers"]),

@@ -4,6 +4,8 @@ dependencies.  Output is deterministic: same table, same bytes.
 
 from __future__ import annotations
 
+import math
+
 from .experiments import ResultsTable, TableRow
 from .tensor import ContractError
 
@@ -40,10 +42,16 @@ def emit_figure(table: ResultsTable, title: str = "test nRMSE") -> str:
     """Render the results table as a grouped bar chart with min/max whiskers.
 
     Each bar carries data-mean/data-min/data-max attributes so the geometry is
-    machine-checkable against the linear y mapping.
+    machine-checkable against the linear y mapping.  An empty table, or a row
+    whose mean, min or max is NaN or infinite, raises ``ContractError``.
     """
     if not table.rows:
         raise ContractError("cannot plot an empty results table")
+    for r in table.rows:
+        if not all(map(math.isfinite, (r.nrmse_mean, r.nrmse_min, r.nrmse_max))):
+            raise ContractError(f"cannot plot bar {_row_label(r)}: nRMSE mean/min/max "
+                                f"{r.nrmse_mean!r}/{r.nrmse_min!r}/{r.nrmse_max!r} "
+                                f"is not finite")
 
     plot_left, plot_right = MARGIN_LEFT, WIDTH - MARGIN_RIGHT
     plot_top, plot_bottom = MARGIN_TOP, HEIGHT - MARGIN_BOTTOM

@@ -1,10 +1,13 @@
-"""Synthetic tagged corpus and the proxy embedding set used by ORCA stage 1.
+"""Synthetic tagged corpus, and the model's embedding of it that ORCA stage 1
+aligns the task embedder to.
 
 Sequences come from a seeded 3-state Markov grammar: each hidden state prefers
 a disjoint block of tags, and each tag owns a token sub-range, so class-
 conditional token (and embedding) distributions are distinct.  Sequences are
 shorter than 32 tokens, padded to 32 for embedding with the pad keys masked,
-and pad positions are excluded from the feature set.
+and pad positions are excluded from the embedding's point cloud
+(``build_proxy_set``).  Only the corpus is saved to a file; the cloud is
+built from the model in the job that uses it.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .container import DataFileError, file_errors, read_container, write_container
+from .otdd import LabeledPointCloud
 from .transformer import TransformerModel, embed_tokens, forward_hidden
 
 PAD_TOKEN = 0
@@ -105,23 +109,8 @@ def gen_corpus(seed: int, n_sequences: int, vocab_size: int = 64, tag_count: int
                            state_tag_emission=emission)
 
 
-@dataclass
-class ProxyEmbeddingSet:
-    features: np.ndarray  # [N, d_model] float32, one row per non-pad token
-    labels: np.ndarray  # [N] int32 tags
-    tag_count: int
-    source_model_id: str
-    source_pretrained: bool
-    provenance: dict = field(default_factory=dict)
-
-
-def model_id(model: TransformerModel) -> str:
-    cfg = model.config
-    return f"{cfg.arch}-d{cfg.d_model}h{cfg.n_heads}l{cfg.n_layers}-seed{cfg.seed}"
-
-
 def _proxy_key(model: TransformerModel, corpus: SyntheticCorpus) -> bytes:
-    """Digest of everything a proxy set depends on: the model's config, flag
+    """Digest of everything a proxy cloud depends on: the model's config, flag
     and weights, and the corpus's tag count, seed and sequences."""
     h = hashlib.blake2b(digest_size=32)
     h.update(repr((model.config, model.pretrained, corpus.tag_count, corpus.seed)).encode())
@@ -134,25 +123,26 @@ def _proxy_key(model: TransformerModel, corpus: SyntheticCorpus) -> bytes:
     return h.digest()
 
 
-# "last" -> (key, features, labels) of the last set built; the dict is updated
-# in place, so the module's attributes keep their identity
-_last_proxy: dict[str, tuple[bytes, np.ndarray, np.ndarray]] = {}
+# "last" -> (key, cloud) of the last cloud built; the dict is updated in
+# place, so the module's attributes keep their identity
+_last_proxy: dict[str, tuple[bytes, LabeledPointCloud]] = {}
 
 # sequences per no-grad forward (1024 rows): one call per chunk instead of
 # per sequence, while the chunk's activations stay below a job's peak memory
 PROXY_CHUNK = 32
 
 
-def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> ProxyEmbeddingSet:
-    """Embed every sequence with the model's native mask and collect
-    last-hidden vectors at non-pad positions, paired with tags.
+def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> LabeledPointCloud:
+    """The model's own embedding of the corpus: every sequence embedded with
+    the model's native mask, its last-hidden vectors at non-pad positions as
+    points [N, d_model] (float32) and their tags as labels.
 
     The corpus runs as padded batches of ``PROXY_CHUNK`` sequences, each
     padded to 32 with its pad keys masked (``forward_hidden(...,
     lengths=...)``), so a row is its sequence's own unpadded forward (bitwise
-    at head width 16) under either mask.  The last set built is kept, keyed by
-    the content of the model and the corpus, so identical clones of one model
-    share one read-only set."""
+    at head width 16) under either mask.  The last cloud built is kept, keyed
+    by the content of the model and the corpus, so identical clones of one
+    model share one cloud; its points and labels are read-only."""
     if model.config.max_positions < PROXY_LENGTH:
         raise ValueError(f"model max_positions must be >= {PROXY_LENGTH}")
     key = _proxy_key(model, corpus)
@@ -169,21 +159,12 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> ProxyEm
                 hidden = forward_hidden(model, embed_tokens(model, padded.ravel()),
                                         lengths=lengths)
                 feats.append(hidden.data[(np.arange(PROXY_LENGTH) < lengths[:, None]).ravel()])
-        features = np.concatenate(feats).astype(np.float32)
-        labels = np.concatenate([tags for _, tags in corpus.sequences]).astype(np.int32)
-        features.flags.writeable = labels.flags.writeable = False
-        last = _last_proxy["last"] = (key, features, labels)
-    _, features, labels = last
-    return ProxyEmbeddingSet(
-        features=features,
-        labels=labels,
-        tag_count=corpus.tag_count,
-        source_model_id=model_id(model),
-        source_pretrained=model.pretrained,
-        provenance={"layer": "last_hidden", "pads_excluded": True,
-                    "padded_length": PROXY_LENGTH, "corpus_seed": corpus.seed,
-                    "unpretrained_source": not model.pretrained},
-    )
+        cloud = LabeledPointCloud(points=T.Tensor(np.concatenate(feats)),
+                                  labels=np.concatenate([tags for _, tags in corpus.sequences]),
+                                  class_count=corpus.tag_count)
+        cloud.points.data.flags.writeable = cloud.labels.flags.writeable = False
+        last = _last_proxy["last"] = (key, cloud)
+    return last[1]
 
 
 # -- container I/O ---------------------------------------------------------
@@ -226,24 +207,3 @@ def load_corpus(path) -> SyntheticCorpus:
                                seed=header["seed"], sequences=sequences,
                                transition=blocks["transition"].astype(np.float64),
                                state_tag_emission=blocks["state_tag_emission"].astype(np.float64))
-
-
-def save_proxy_set(proxy: ProxyEmbeddingSet, path) -> None:
-    header = {"kind": "proxy_embedding_set", "tag_count": proxy.tag_count,
-              "source_model_id": proxy.source_model_id,
-              "source_pretrained": proxy.source_pretrained,
-              "provenance": proxy.provenance}
-    write_container(path, header, [("features", proxy.features),
-                                   ("labels", proxy.labels)])
-
-
-def load_proxy_set(path) -> ProxyEmbeddingSet:
-    header, blocks = read_container(path)
-    if header.get("kind") != "proxy_embedding_set":
-        raise DataFileError(f"{path} is not a proxy embedding container")
-    with file_errors(path, "proxy embedding set"):
-        return ProxyEmbeddingSet(features=blocks["features"], labels=blocks["labels"],
-                                 tag_count=header["tag_count"],
-                                 source_model_id=header["source_model_id"],
-                                 source_pretrained=header["source_pretrained"],
-                                 provenance=header.get("provenance", {}))

@@ -341,17 +341,6 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: ((a, g * out),))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: ((a, g / a.data),))
-
-
 _INV_SQRT2 = np.float32(0.7071067811865476)
 _INV_SQRT_2PI = np.float32(0.3989422804014327)
 # Eigen's float32 erf on [-4, 4]: z * P(z^2) / Q(z^2), coefficients from the

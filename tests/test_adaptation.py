@@ -21,7 +21,7 @@ from crossmodal_pde.adaptation import (
 )
 from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.pde_data import GridSpec, build_dataset
-from crossmodal_pde.proxy_data import build_proxy_set, gen_corpus
+from crossmodal_pde.proxy_data import gen_corpus
 from crossmodal_pde.tensor import ContractError, ShapeError, Tensor
 from crossmodal_pde.transformer import (
     forward_hidden,
@@ -151,30 +151,29 @@ def _stage1_fixture(steps, arch=DECODER_ONLY, seed=0, pretrain_steps=0):
         pretrain(model, [t for t, _ in corpus.sequences], steps=pretrain_steps,
                  learning_rate=1e-3, batch_size=8, seed=seed)
     emb = Embedder.create(32, seed=seed + 10)
-    proxy = build_proxy_set(model, corpus)
     dataset = build_dataset("advection", 8, 2, GridSpec(n_x=32, t_out=0.5), seed=seed + 30)
     config = AdaptationConfig(method=ORCA, stage1_steps=steps, otdd_batch=64,
                               sinkhorn_max_iters=200, stage1_lr=3e-3, seed=seed)
-    return model, emb, proxy, dataset, config
+    return model, emb, corpus, dataset, config
 
 
 def test_stage1_zero_steps_noop():
-    model, emb, proxy, dataset, config = _stage1_fixture(steps=0)
+    model, emb, corpus, dataset, config = _stage1_fixture(steps=0)
     before_w, before_b = emb.w.data.copy(), emb.b.data.copy()
-    report = orca_stage1(model, emb, proxy, dataset, config)
+    report = orca_stage1(model, emb, corpus, dataset, config)
     np.testing.assert_array_equal(emb.w.data, before_w)
     np.testing.assert_array_equal(emb.b.data, before_b)
     assert report.trace == []
 
 
 def test_stage1_reduces_otdd_and_freezes_model():
-    model, emb, proxy, dataset, config = _stage1_fixture(steps=300, pretrain_steps=200)
+    model, emb, corpus, dataset, config = _stage1_fixture(steps=300, pretrain_steps=200)
     model.params["tok_emb"].requires_grad = False
     before = snapshot(model.params)
     # pretraining's last step left a gradient on every parameter it trained
     grads = {n: p.grad.copy() for n, p in model.params.items() if p.grad is not None}
     flags = {n: p.requires_grad for n, p in model.params.items()}
-    report = orca_stage1(model, emb, proxy, dataset, config)
+    report = orca_stage1(model, emb, corpus, dataset, config)
     assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
     # no model parameter enters the stage-1 tape: no gradient is added or
     # dropped, and every requires_grad flag is as it was
@@ -188,10 +187,11 @@ def test_stage1_reduces_otdd_and_freezes_model():
 
 
 def test_stage1_dimension_mismatch():
-    model, emb, proxy, dataset, config = _stage1_fixture(steps=1)
-    other = make_model(d_model=64, seed=1)
-    with pytest.raises(Exception):
-        orca_stage1(other, Embedder.create(64, 0), proxy, dataset, config)
+    model, emb, corpus, dataset, config = _stage1_fixture(steps=1)
+    # an embedder wider than the model: its points and the model's corpus
+    # embedding differ in width
+    with pytest.raises(ShapeError):
+        orca_stage1(model, Embedder.create(64, 0), corpus, dataset, config)
 
 
 # -- finetune ---------------------------------------------------------------------
@@ -284,7 +284,7 @@ def test_run_adaptation_orca_requires_proxy(small_advection_dataset):
     pipeline = Pipeline.create(make_model(), seed=0)
     config = AdaptationConfig(method=ORCA, epochs=1, stage1_steps=1)
     with pytest.raises(ContractError):
-        run_adaptation(pipeline, small_advection_dataset, config, proxy=None)
+        run_adaptation(pipeline, small_advection_dataset, config, corpus=None)
 
 
 def test_nrmse_zero_truth_rejected():

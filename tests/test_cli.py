@@ -40,7 +40,7 @@ def test_gen_writes_dataset(tmp_path, capsys):
     assert len(ds.train) == 4 and len(ds.test) == 2
 
 
-def test_corpus_and_embed_with(tmp_path):
+def test_corpus_and_embed_with(tmp_path, capsys):
     corpus_path = str(tmp_path / "corpus.bin")
     assert cli_main(["corpus", "--out", corpus_path, "--seed", "2",
                      "--n-sequences", "20"]) == 0
@@ -48,13 +48,12 @@ def test_corpus_and_embed_with(tmp_path):
     assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus_path,
                      "--out", ckpt, "--steps", "5", "--d-model", "32", "--n-layers", "2",
                      "--d-ff", "64", "--max-positions", "64"]) == 0
-    proxy_path = str(tmp_path / "proxy.bin")
-    assert cli_main(["corpus", "--out", proxy_path, "--seed", "2", "--n-sequences", "20",
-                     "--embed-with", ckpt]) == 0
-    from crossmodal_pde.proxy_data import load_proxy_set
-
-    proxy = load_proxy_set(proxy_path)
-    assert proxy.features.shape[1] == 32
+    # an ORCA job embeds the corpus itself; no command writes the embedding
+    proxy_path = tmp_path / "proxy.bin"
+    assert cli_main(["corpus", "--out", str(proxy_path), "--seed", "2", "--n-sequences", "20",
+                     "--embed-with", ckpt]) == 2
+    assert "--embed-with" in capsys.readouterr().err
+    assert not proxy_path.exists()
 
 
 def test_corpus_tag_count_below_state_count_is_usage_error(tmp_path, capsys):
@@ -178,15 +177,21 @@ def test_run_bad_pretrain_value_exits_before_reading_corpus(tmp_path, capsys, ke
     assert not (tmp_path / "records").exists()
 
 
-def test_corpus_embed_with_malformed_checkpoint_is_data_error(tmp_path, capsys):
+def test_run_malformed_checkpoint_is_data_error(tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt"
     write_container(ckpt, {"kind": "model_checkpoint", "pretrained": True}, [])
-    out = tmp_path / "proxy.bin"
-    assert cli_main(["corpus", "--out", str(out), "--n-sequences", "4",
-                     "--embed-with", str(ckpt)]) == 2
+    data = str(tmp_path / "adv.bin")
+    assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                     "--out", data, "--seed", "1", "--n-x", "32"]) == 0
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"name": "bad", "dataset_file": data,
+                                       "out_dir": str(tmp_path / "records"),
+                                       "checkpoint_file": str(ckpt), "method": "fpt"}))
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert "bad.ckpt" in err and "config" in err and "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "records").exists()
 
 
 def _run_on_edited_dataset(tmp_path, edit):
@@ -273,6 +278,33 @@ def test_table_malformed_record_is_usage_error(tmp_path, capsys, text):
     assert "b.json" in err and "Traceback" not in err
 
 
+_GROUPS = {"arch": "decoder_only", "d_model": 8, "n_layers": 1, "pretrained": False,
+           "method": "fpt", "bidir_method": "none"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("test_nrmse", None), ("test_nrmse", "0.5"), ("test_nrmse", True),
+    ("wallclock_s", "1"), ("wallclock_s", None),
+    ("arch", ["x"]), ("pretrained", {"a": 1}), ("family", ["advection"]),
+], ids=["nrmse_null", "nrmse_string", "nrmse_bool", "wallclock_string", "wallclock_null",
+        "arch_list", "pretrained_object", "family_list"])
+def test_table_bad_record_value_is_data_error(tmp_path, capsys, key, value):
+    rec = {"schema_version": 1, "config": dict(_GROUPS), "family": "advection",
+           "test_nrmse": 0.5, "wallclock_s": 1.0}
+    if key in _GROUPS:
+        rec["config"][key] = value
+    else:
+        rec[key] = value
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "b.json").write_text(json.dumps(rec))
+    out = tmp_path / "t.csv"
+    assert cli_main(["table", "--records", str(records), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "b.json" in err and key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -286,6 +318,32 @@ def test_plot_malformed_table_is_usage_error(tmp_path, capsys, text, named):
     assert cli_main(["plot", "--table", str(table), "--out", str(tmp_path / "f.svg")]) == 2
     err = capsys.readouterr().err
     assert "bad.csv" in err and named in err and "Traceback" not in err
+    assert not (tmp_path / "f.svg").exists()
+
+
+ROW = "advection,decoder_only,8,1,true,fpt,none,2,{},0.4,{},12.5\n"
+
+
+@pytest.mark.parametrize("mean, high", [("nan", "0.7"), ("0.5", "inf"), ("-inf", "0.7")],
+                         ids=["mean_nan", "max_inf", "mean_minus_inf"])
+def test_plot_non_finite_row_is_contract_error(tmp_path, capsys, mean, high):
+    table = tmp_path / "t.csv"
+    table.write_text(HEADER + ROW.format("0.5", "0.7").replace("none", "sequence_doubling")
+                     + ROW.format(mean, high))
+    assert cli_main(["plot", "--table", str(table), "--out", str(tmp_path / "f.svg")]) == 3
+    err = capsys.readouterr().err
+    assert "advection|decoder_only|fpt|none|pre|d8x1" in err and "Traceback" not in err
+    assert "sequence_doubling" not in err
+    assert not (tmp_path / "f.svg").exists()
+
+
+@pytest.mark.parametrize("cell", ["yes", "True", ""])
+def test_plot_pretrained_cell_not_true_or_false_is_data_error(tmp_path, capsys, cell):
+    table = tmp_path / "bad.csv"
+    table.write_text(HEADER + ROW.format("0.5", "0.7").replace("true", cell))
+    assert cli_main(["plot", "--table", str(table), "--out", str(tmp_path / "f.svg")]) == 2
+    err = capsys.readouterr().err
+    assert "bad.csv line 2" in err and "pretrained" in err and "Traceback" not in err
     assert not (tmp_path / "f.svg").exists()
 
 

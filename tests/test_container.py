@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from crossmodal_pde.container import DataFileError, read_container, write_container
-from crossmodal_pde.proxy_data import (
-    build_proxy_set,
-    gen_corpus,
-    load_corpus,
-    load_proxy_set,
-    save_corpus,
-    save_proxy_set,
-)
+from crossmodal_pde.proxy_data import gen_corpus, load_corpus, save_corpus
 from crossmodal_pde.transformer import (
     DECODER_ONLY,
     ModelConfig,
@@ -87,7 +80,7 @@ def test_bad_manifest_rejected(tmp_path, edit, extra, message):
         read_container(path)
 
 
-# -- typed errors from the checkpoint, corpus and proxy-set loaders ------------
+# -- typed errors from the checkpoint and corpus loaders ------------------------
 
 
 def _tiny_model():
@@ -102,8 +95,6 @@ def _tiny_corpus():
 LOADERS = {
     "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), load_checkpoint),
     "corpus": (lambda path: save_corpus(_tiny_corpus(), path), load_corpus),
-    "proxy": (lambda path: save_proxy_set(build_proxy_set(_tiny_model(), _tiny_corpus()), path),
-              load_proxy_set),
 }
 
 
@@ -122,15 +113,11 @@ LOADERS = {
     ("corpus", lambda h, b: b.pop("tags")),
     ("corpus", lambda h, b: b.update(lengths=np.append(b["lengths"], 5).astype(np.int32))),
     ("corpus", lambda h, b: b.update(tags=np.ascontiguousarray(b["tags"][:, :5]))),
-    ("proxy", lambda h, b: h.update(kind="tagged_corpus")),
-    ("proxy", lambda h, b: h.pop("tag_count")),
-    ("proxy", lambda h, b: b.pop("features")),
 ], ids=["checkpoint_kind", "checkpoint_no_config", "config_lacks_d_model",
         "config_heads_do_not_divide", "config_arch_unknown", "config_d_model_string",
         "checkpoint_no_pretrained", "checkpoint_no_lm_head", "checkpoint_pos_emb_short",
         "corpus_kind", "corpus_no_vocab_size", "corpus_no_tags", "corpus_lengths_longer",
-        "corpus_tags_narrower", "proxy_kind",
-        "proxy_no_tag_count", "proxy_no_features"])
+        "corpus_tags_narrower"])
 def test_malformed_file_is_data_file_error(tmp_path, kind, edit):
     save, load = LOADERS[kind]
     path = tmp_path / f"{kind}.bin"

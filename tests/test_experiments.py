@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from crossmodal_pde import experiments
+from crossmodal_pde import adaptation, experiments, proxy_data
 from crossmodal_pde import tensor as T
 from crossmodal_pde.adaptation import (
     AdaptationConfig,
@@ -195,24 +195,26 @@ def test_orca_record_same_with_cached_proxy(tmp_path, proxy_forwards):
 
 @pytest.mark.parametrize("pretrained", [False, True])
 def test_parallel_flipping_orca_proxy_sets(tmp_path, monkeypatch, pretrained):
-    # a random-init partner is a different model and embeds the corpus
-    # differently; a clone of the pretrained base shares the forward set
+    # each pipeline aligns to its own model's embedding of the corpus: a
+    # random-init partner is a different model and embeds the corpus
+    # differently; a clone of the pretrained base shares the forward cloud
     config = tiny_experiment(tmp_path, method="orca", bidir_method="parallel_flipping",
                              pretrained=pretrained)
-    seen, train = {}, experiments.parallel_flipping_train
+    clouds, build = [], adaptation.build_proxy_set
 
     def keep(*args, **kwargs):
-        seen.update(kwargs)
-        return train(*args, **kwargs)
+        clouds.append(build(*args, **kwargs))
+        return clouds[-1]
 
-    monkeypatch.setattr(experiments, "parallel_flipping_train", keep)
+    monkeypatch.setattr(adaptation, "build_proxy_set", keep)
+    monkeypatch.setattr(proxy_data, "_last_proxy", {})
     run_one(config, seed=0)
-    fwd, rev = seen["proxy"], seen["proxy_reversed"]
+    fwd, rev = clouds  # forward pipeline first, then the reversed one
     if pretrained:
-        assert rev.features is fwd.features
+        assert rev.points.data is fwd.points.data
     else:
-        assert fwd.features.shape == rev.features.shape
-        assert not np.array_equal(fwd.features, rev.features)
+        assert fwd.points.shape == rev.points.shape
+        assert not np.array_equal(fwd.points.data, rev.points.data)
 
 
 def test_random_init_never_reads_checkpoint(tmp_path):

@@ -10,9 +10,7 @@ from crossmodal_pde.proxy_data import (
     build_proxy_set,
     gen_corpus,
     load_corpus,
-    load_proxy_set,
     save_corpus,
-    save_proxy_set,
 )
 from crossmodal_pde import tensor as T
 from crossmodal_pde.transformer import (
@@ -103,8 +101,10 @@ def test_proxy_feature_count_equals_token_count():
     model = tiny_model()
     proxy = build_proxy_set(model, corpus)
     n_tokens = sum(len(t) for t, _ in corpus.sequences)
-    assert proxy.features.shape == (n_tokens, 32)
-    assert proxy.labels.shape == (n_tokens,)
+    assert proxy.points.shape == (n_tokens, 32) and proxy.points.data.dtype == np.float32
+    assert proxy.labels.shape == (n_tokens,) and proxy.labels.dtype == np.int64
+    np.testing.assert_array_equal(proxy.labels, np.concatenate([g for _, g in corpus.sequences]))
+    assert proxy.class_count == corpus.tag_count
 
 
 def test_proxy_pad_positions_excluded():
@@ -119,7 +119,7 @@ def test_proxy_pad_positions_excluded():
                               transition=corpus.transition,
                               state_tag_emission=corpus.state_tag_emission)
     proxy_solo = build_proxy_set(model, solo)
-    np.testing.assert_array_equal(proxy.features[: len(tokens0)], proxy_solo.features)
+    np.testing.assert_array_equal(proxy.points.data[: len(tokens0)], proxy_solo.points.data)
 
 
 def test_proxy_deterministic(monkeypatch):
@@ -128,8 +128,8 @@ def test_proxy_deterministic(monkeypatch):
     a = build_proxy_set(model, corpus)
     monkeypatch.setattr(px, "_last_proxy", {})  # two real builds, not one cached set
     b = build_proxy_set(model, corpus)
-    assert a.features is not b.features
-    np.testing.assert_array_equal(a.features, b.features)
+    assert a.points.data is not b.points.data
+    np.testing.assert_array_equal(a.points.data, b.points.data)
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
@@ -138,8 +138,8 @@ def test_per_class_means_distinct():
     model = tiny_model(arch=ENCODER_ONLY)
     proxy = build_proxy_set(model, corpus)
     means = []
-    for k in range(proxy.tag_count):
-        rows = proxy.features[proxy.labels == k]
+    for k in range(proxy.class_count):
+        rows = proxy.points.data[proxy.labels == k]
         if len(rows) >= 2:
             means.append(rows.mean(axis=0))
     means = np.stack(means)
@@ -149,11 +149,13 @@ def test_per_class_means_distinct():
 
 
 def test_unpretrained_source_recorded_not_error():
+    # the random-init ablation embeds the corpus with its untrained model
     corpus = gen_corpus(seed=12, n_sequences=5)
     model = tiny_model()
     assert not model.pretrained
     proxy = build_proxy_set(model, corpus)
-    assert proxy.provenance["unpretrained_source"] is True
+    assert len(proxy) == sum(len(t) for t, _ in corpus.sequences)
+    assert np.isfinite(proxy.points.data).all()
 
 
 def test_corpus_round_trip(tmp_path):
@@ -167,17 +169,6 @@ def test_corpus_round_trip(tmp_path):
         np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(ga, gb)
     np.testing.assert_allclose(back.transition, corpus.transition, atol=1e-7)
-
-
-def test_proxy_round_trip(tmp_path):
-    corpus = gen_corpus(seed=14, n_sequences=8)
-    proxy = build_proxy_set(tiny_model(), corpus)
-    path = tmp_path / "proxy.bin"
-    save_proxy_set(proxy, path)
-    back = load_proxy_set(path)
-    np.testing.assert_array_equal(back.features, proxy.features)
-    np.testing.assert_array_equal(back.labels, proxy.labels)
-    assert back.source_model_id == proxy.source_model_id
 
 
 def test_pad_token_reserved():
@@ -202,12 +193,11 @@ def test_proxy_cache_hit_equals_fresh_build(proxy_forwards, monkeypatch):
     monkeypatch.setattr(px, "_last_proxy", {})
     again = build_proxy_set(model, corpus)
     assert len(proxy_forwards) == 2 * forwards_per_build(corpus)
-    for a in (hit, again):
-        assert a.features.tobytes() == fresh.features.tobytes()
-        assert a.labels.tobytes() == fresh.labels.tobytes()
-        assert a.features.dtype == fresh.features.dtype and a.labels.dtype == fresh.labels.dtype
-        assert a.provenance == fresh.provenance and a.provenance is not fresh.provenance
-        assert a.source_model_id == fresh.source_model_id
+    assert hit is fresh and again is not fresh
+    assert again.points.data.tobytes() == fresh.points.data.tobytes()
+    assert again.labels.tobytes() == fresh.labels.tobytes()
+    assert again.points.data.dtype == fresh.points.data.dtype
+    assert again.labels.dtype == fresh.labels.dtype and again.class_count == fresh.class_count
 
 
 def _change(change, model, corpus):
@@ -233,7 +223,7 @@ def test_proxy_cache_misses_on_any_change(proxy_forwards, change):
     model, corpus = _change(change, model, corpus)
     second = build_proxy_set(model, corpus)
     assert len(proxy_forwards) == n + forwards_per_build(corpus)
-    assert second.features is not first.features
+    assert second.points.data is not first.points.data
 
 
 def test_proxy_arrays_read_only(proxy_forwards):
@@ -241,7 +231,7 @@ def test_proxy_arrays_read_only(proxy_forwards):
     model = tiny_model()
     for proxy in (build_proxy_set(model, corpus), build_proxy_set(model, corpus)):
         with pytest.raises(ValueError):
-            proxy.features[0, 0] = 1.0
+            proxy.points.data[0, 0] = 1.0
         with pytest.raises(ValueError):
             proxy.labels[0] = 1
 
@@ -283,7 +273,7 @@ def test_encoder_proxy_rows_equal_unpadded_forward(proxy_forwards):
     proxy = build_proxy_set(model, corpus)
     offset, moved = 0, 0.0
     for tokens, _ in corpus.sequences:
-        rows = proxy.features[offset: offset + len(tokens)]
+        rows = proxy.points.data[offset: offset + len(tokens)]
         assert np.array_equal(rows, solo_forward(model, tokens))
         moved = max(moved, np.abs(rows - solo_forward(model, tokens, pad_to=32)).max())
         offset += len(tokens)
@@ -295,5 +285,5 @@ def test_decoder_proxy_set_unchanged_by_padded_batches(proxy_forwards):
     model = head16_model(DECODER_ONLY, corpus)
     proxy = build_proxy_set(model, corpus)
     want = np.concatenate([solo_forward(model, t, pad_to=32) for t, _ in corpus.sequences])
-    assert proxy.features.tobytes() == want.tobytes()
+    assert proxy.points.data.tobytes() == want.tobytes()
     assert len(proxy_forwards) == 2

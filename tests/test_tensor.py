@@ -373,7 +373,9 @@ def _graph_norm_chain(params):
 
 def _graph_mixed(params):
     a, b = params
-    out = T.add(T.mul(T.exp(T.mul(a, 0.3)), T.gelu(b)), T.sqrt(T.add(T.square(a), 1.0)))
+    # a tensor denominator, so both of div's gradients are checked
+    out = T.add(T.div(T.gelu(b), T.add(T.square(T.mul(a, 0.3)), 1.0)),
+                T.sqrt(T.add(T.square(a), 1.0)))
     return T.tmean(out)
 
 
