@@ -23,6 +23,7 @@ from .adaptation import (
     BIDIR_NONE,
     ORCA,
     PARALLEL_FLIPPING,
+    SEQUENCE_DOUBLING,
     AdaptationConfig,
     Pipeline,
     mean_nrmse,
@@ -31,11 +32,12 @@ from .adaptation import (
 from .bidir import combine_halves, parallel_flipping_train
 from .container import DataFileError
 from .pde_data import load_dataset
-from .proxy_data import load_corpus
+from .proxy_data import PROXY_LENGTH, load_corpus
 from .tensor import ContractError, blas_threads
 from .transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
+    LengthError,
     ModelConfig,
     TransformerModel,
     build_model,
@@ -216,6 +218,22 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _check_lengths(config: ExperimentConfig, n_x: int) -> None:
+    """Raise ``LengthError`` naming ``max_positions`` where a sequence the run
+    gives the model is longer than its position table: a frame of ``n_x``
+    points, doubled under Sequence Doubling, and under ORCA the proxy
+    corpus's padded sequences."""
+    needs = [(f"a frame of {n_x} points", n_x)]
+    if config.bidir_method == SEQUENCE_DOUBLING:
+        needs = [(f"sequence doubling of a frame of {n_x} points", 2 * n_x)]
+    if config.method == ORCA:
+        needs.append(("ORCA's proxy corpus", PROXY_LENGTH))
+    for what, length in needs:
+        if length > config.max_positions:
+            raise LengthError(f"{what} needs max_positions >= {length}, "
+                              f"got max_positions={config.max_positions}")
+
+
 def _prepare_base_model(config: ExperimentConfig) -> TransformerModel | None:
     """Resolve the shared pretrained model (checkpoint or in-process pretraining).
 
@@ -290,6 +308,7 @@ def _run_one(config: ExperimentConfig, seed: int,
              base_model: TransformerModel | None) -> RunRecord:
     t0 = time.time()
     dataset = load_dataset(config.dataset_file)
+    _check_lengths(config, dataset.grid.n_x)
     if base_model is None and config.pretrained:
         base_model = _prepare_base_model(config)
     if base_model is not None:
@@ -364,6 +383,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
     """
     if workers < 1:
         raise ContractError(f"workers must be at least 1, got {workers}")
+    _check_lengths(config, load_dataset(config.dataset_file).grid.n_x)
     if workers > 1:
         ckpt = None
         if config.pretrained and not config.checkpoint_file:

@@ -11,7 +11,11 @@ work in float32 throughout:
   in float32, within one float32 ulp of the rounded float64 quotient.
 
 The tape is built per forward pass and freed by ``backward``; there are no
-higher-order gradients.
+higher-order gradients.  Besides elementary ops it has two transformer
+sub-block nodes, ``self_attention`` and ``gelu_mlp``.  Each runs its op
+chain's numpy operations in the chain's order (bitwise the chain's result and
+gradients), shares its softmax or GELU kernels with ``softmax_lastdim`` or
+``gelu``, and keeps for backward only the arrays its backward reads.
 """
 
 from __future__ import annotations
@@ -406,6 +410,13 @@ def _gelu_cdf_max_error(n: int = 1 << 20) -> float:
     return float(np.abs(cdf - want).max())
 
 
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The derivative of GELU at float32 ``x`` whose cdf is ``cdf``:
+    Phi(x) + x * phi(x), in float32."""
+    pdf = _INV_SQRT_2PI * np.exp(np.float32(-0.5) * x * x)
+    return cdf + x * pdf
+
+
 def gelu(a) -> Tensor:
     """Exact GELU, x * Phi(x), with the normal cdf Phi evaluated in float32
     by ``_erf32`` (within 3e-7 of the float64 cdf).  GELU(+inf) is +inf;
@@ -415,8 +426,7 @@ def gelu(a) -> Tensor:
     out = a.data * cdf
 
     def bwd(g):
-        pdf = _INV_SQRT_2PI * np.exp(np.float32(-0.5) * a.data * a.data)
-        return ((a, g * (cdf + a.data * pdf)),)
+        return ((a, g * _gelu_slope(a.data, cdf)),)
 
     return _make(out, (a,), bwd)
 
@@ -522,18 +532,6 @@ def take_cols(a, idx) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data[start:stop].copy()
-
-    def bwd(g):
-        acc = np.zeros_like(a.data)
-        acc[start:stop] = g
-        return ((a, acc),)
-
-    return _make(out, (a,), bwd)
-
-
 def gather_lastdim(a, idx) -> Tensor:
     """Pick one entry per row along the last dim: out[...] = a[..., idx[...]]."""
     a = _as_tensor(a)
@@ -577,6 +575,38 @@ def tmean(a) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def _softmax_bias(bias, shape: tuple[int, ...]) -> np.ndarray:
+    """``bias`` as an array, checked to be float and to broadcast to ``shape``."""
+    bias = np.asarray(bias)
+    if bias.dtype.kind != "f":
+        raise ContractError(f"softmax bias must be a float array, got {bias.dtype}")
+    if np.broadcast_shapes(bias.shape, shape) != shape:
+        raise ShapeError(f"softmax bias {bias.shape} does not broadcast to {shape}")
+    return bias
+
+
+def _softmax_(z: np.ndarray, scale: np.float32, bias: np.ndarray | None) -> np.ndarray:
+    """Overwrite float32 ``z`` with the softmax of ``z * scale + bias`` over
+    its last dim and return it (the forward kernel of ``softmax_lastdim``)."""
+    z *= scale
+    if bias is not None:
+        z += bias
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)  # exp(-inf) == 0.0 exactly
+    z /= z.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    return z
+
+
+def _softmax_grad(g: np.ndarray, probs: np.ndarray, scale: np.float32) -> np.ndarray:
+    """The gradient of ``z`` for the gradient ``g`` of ``probs = _softmax_(z,
+    scale, bias)`` (the backward kernel of ``softmax_lastdim``)."""
+    dot = (g * probs).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    dz = g - dot
+    dz *= probs
+    dz *= scale
+    return dz
+
+
 def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Tensor:
     """Stable softmax of ``x * scale + bias`` over the last dim.
 
@@ -591,29 +621,18 @@ def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Te
     The exponentials are float32.  Their row sum is taken in float64 and
     rounded to float32 once, and the division is float32, so each weight is
     within one float32 ulp of the float64 quotient rounded to float32.
+    ``self_attention`` runs the same two kernels.
     """
     x = _as_tensor(x)
     if x.data.ndim < 1 or x.data.shape[-1] < 1:
         raise ShapeError("softmax needs a non-empty last dimension")
     scale = np.float32(scale)
-    out = x.data * scale
     if bias is not None:
-        bias = np.asarray(bias)
-        if bias.dtype.kind != "f":
-            raise ContractError(f"softmax bias must be a float array, got {bias.dtype}")
-        if np.broadcast_shapes(bias.shape, x.data.shape) != x.data.shape:
-            raise ShapeError(f"softmax bias {bias.shape} does not broadcast to {x.data.shape}")
-        out += bias
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)  # exp(-inf) == 0.0 exactly
-    out /= out.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        bias = _softmax_bias(bias, x.data.shape)
+    out = _softmax_(x.data.copy(), scale, bias)
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-        dx = g - dot
-        dx *= out
-        dx *= scale
-        return ((x, dx),)
+        return ((x, _softmax_grad(g, out, scale)),)
 
     return _make(out, (x,), bwd)
 
@@ -666,6 +685,135 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         return ((x, dx), (gain, dgain), (bias, dbias))
 
     return _make(out, (x, gain, bias), bwd)
+
+
+# -- transformer sub-blocks, one tape node each ---------------------------
+#
+# Each runs the numpy operations of its op chain (matmul, add, reshape,
+# transpose, softmax_lastdim or gelu) in the chain's order, so its output and
+# gradients are bitwise the chain's, and keeps only the arrays its backward
+# reads instead of every intermediate.  A projection is ``y = x @ w; y += b``.
+
+
+def _weight_grads(x: np.ndarray | None, g: np.ndarray, w: Tensor, b: Tensor) -> list:
+    """The (parameter, gradient) pairs of ``y = x @ w + b`` for gradient ``g``
+    of ``y``, for the parameters that train; ``x`` is None where ``w`` was
+    frozen when the node was built, and ``w`` then gets no gradient."""
+    grads = []
+    if b.requires_grad:
+        grads.append((b, _unbroadcast(g, b.data.shape)))
+    if w.requires_grad and x is not None:
+        grads.append((w, np.swapaxes(x, -1, -2) @ g))
+    return grads
+
+
+def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
+                   bias: np.ndarray | None = None) -> Tensor:
+    """Multi-head self-attention over ``batch`` sequences of equal length L
+    stacked as the rows of ``x`` [batch * L, d]: the q, k and v projections,
+    the split into ``heads`` heads of width dh, ``softmax_lastdim(q @ k^T,
+    bias, scale=1 / sqrt(dh))``, ``probs @ v``, the merge of the heads and
+    the output projection, as one tape node.
+
+    ``bias`` broadcasts to the scores [batch, heads, L, L] (a causal [L, L]
+    or a key-padding [batch, 1, 1, L] mask, see ``softmax_lastdim``).  The
+    node keeps q and k^T in head layout, v, the probabilities (formed in
+    place in the ``q @ k^T`` product) and, if ``wo`` trains, the merged
+    context.  The input gradient sums its three paths as (q + k) + v, the
+    order in which the op chain's backward adds them.
+    """
+    x, wq, bq, wk, bk, wv, bv, wo, bo = (
+        _as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    if x.data.ndim != 2:
+        raise ShapeError(f"self_attention input must be [rows, d], got {x.data.shape}")
+    rows, d = x.data.shape
+    if batch < 1 or heads < 1 or rows % batch or d % heads:
+        raise ShapeError(f"{rows} x {d} input does not split into {batch} sequences "
+                         f"of {heads} heads")
+    for w, b in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
+        if w.data.shape != (d, d) or b.data.shape != (d,):
+            raise ShapeError(f"projection {w.data.shape} + {b.data.shape} does not fit d={d}")
+    B, H, L, dh = batch, heads, rows // batch, d // heads
+    scale = np.float32(1.0 / np.sqrt(dh))
+    if bias is not None:
+        bias = _softmax_bias(bias, (B, H, L, L))
+
+    def heads_of(w, b, axes):
+        y = x.data @ w.data
+        y += b.data
+        return np.ascontiguousarray(y.reshape(B, L, H, dh).transpose(axes))
+
+    q = heads_of(wq, bq, (0, 2, 1, 3))  # [B, H, L, dh]
+    kt = heads_of(wk, bk, (0, 2, 3, 1))  # [B, H, dh, L]
+    v = heads_of(wv, bv, (0, 2, 1, 3))
+    probs = _softmax_(q @ kt, scale, bias)
+    ctx = np.ascontiguousarray((probs @ v).transpose(0, 2, 1, 3)).reshape(rows, d)
+    out = ctx @ wo.data
+    out += bo.data
+    if not wo.requires_grad:
+        ctx = None
+
+    def bwd(g):
+        grads = _weight_grads(ctx, g, wo, bo)
+        dctx = g @ np.swapaxes(wo.data, -1, -2)
+        dctx = np.ascontiguousarray(dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3))
+        dscores = _softmax_grad(dctx @ np.swapaxes(v, -1, -2), probs, scale)
+        dv = np.swapaxes(probs, -1, -2) @ dctx
+        del dctx
+        dq = dscores @ np.swapaxes(kt, -1, -2)
+        dkt = np.swapaxes(q, -1, -2) @ dscores
+        del dscores
+        dx = None
+        # each path's gradient back in [rows, d] layout, then through its projection
+        for w, b, dy, axes in ((wq, bq, dq, (0, 2, 1, 3)), (wk, bk, dkt, (0, 3, 1, 2)),
+                               (wv, bv, dv, (0, 2, 1, 3))):
+            dy = np.ascontiguousarray(dy.transpose(axes)).reshape(rows, d)
+            grads += _weight_grads(x.data, dy, w, b)
+            if x.requires_grad:
+                path = dy @ np.swapaxes(w.data, -1, -2)
+                if dx is None:
+                    dx = path
+                else:
+                    dx += path
+        if dx is not None:
+            grads.append((x, dx))
+        return grads
+
+    return _make(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
+
+
+def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2`` as one tape node.
+
+    The node keeps the pre-activation and its cdf and, if ``w2`` trains, the
+    GELU output; ``gelu`` supplies the cdf and the derivative.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    if x.data.ndim != 2 or w2.data.ndim != 2:
+        raise ShapeError("gelu_mlp needs a 2-D input and 2-D weights")
+    d, (f, e) = x.data.shape[1], w2.data.shape
+    if (w1.data.shape, b1.data.shape, b2.data.shape) != ((d, f), (f,), (e,)):
+        raise ShapeError(f"MLP shapes do not chain: x {x.data.shape}, w1 {w1.data.shape}, "
+                         f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}")
+    pre = x.data @ w1.data
+    pre += b1.data
+    cdf = _gelu_cdf(pre)
+    act = pre * cdf
+    out = act @ w2.data
+    out += b2.data
+    if not w2.requires_grad:
+        act = None
+
+    def bwd(g):
+        grads = _weight_grads(act, g, w2, b2)
+        dpre = g @ np.swapaxes(w2.data, -1, -2)
+        dpre *= _gelu_slope(pre, cdf)
+        grads += _weight_grads(x.data, dpre, w1, b1)
+        if x.requires_grad:
+            grads.append((x, dpre @ np.swapaxes(w1.data, -1, -2)))
+        return grads
+
+    return _make(out, (x, w1, b1, w2, b2), bwd)
 
 
 def transport_cost(cost, plan: np.ndarray, eps: float) -> Tensor:

@@ -5,7 +5,9 @@ config's arch decides both.
 Forward on a length-L input yields the last hidden layer as an [L, d_model]
 tensor; a batch of B sequences runs as one [B*Lmax, d_model] forward.
 Pretraining pads each batch to its longest sequence; fine-tuning and
-evaluation batch equal-length frames, which need no padding.
+evaluation batch equal-length frames, which need no padding.  Each layer puts
+six nodes on the tape: layer norm, ``tensor.self_attention``, the residual
+add, layer norm, ``tensor.gelu_mlp`` and the residual add.
 """
 
 from __future__ import annotations
@@ -129,11 +131,17 @@ def causal_bias(L: int) -> np.ndarray:
     return bias
 
 
+_ATTN_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # self_attention's order
+_MLP_PARAMS = ("w1", "b1", "w2", "b2")
+
+
 def forward_hidden(model: TransformerModel, embedded_input: Tensor,
                    lengths: np.ndarray | None = None) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
 
-    Attention is causal when the model is decoder-only and bidirectional when
+    Each pre-norm layer is LN -> ``T.self_attention`` -> residual add -> LN
+    -> ``T.gelu_mlp`` -> residual add, six tape nodes, and a final layer norm
+    follows the stack.  Attention is causal when the model is decoder-only and bidirectional when
     it is encoder-only.  The input is one sequence, [L, d_model], or with ``lengths`` a padded
     batch: B = len(lengths) sequences of Lmax = rows / B rows each, stacked
     to [B*Lmax, d_model], where sequence b's rows from lengths[b] on are
@@ -161,7 +169,6 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
         raise LengthError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
 
     p = model.params
-    H, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
     if cfg.arch == DECODER_ONLY:  # padding follows the real rows, so this hides it from them too
         attn_bias = causal_bias(L)
     elif lengths is not None and lengths.min() < L:
@@ -174,21 +181,10 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
         a = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = T.add(T.matmul(a, p[pre + "attn.wq"]), p[pre + "attn.bq"])
-        k = T.add(T.matmul(a, p[pre + "attn.wk"]), p[pre + "attn.bk"])
-        v = T.add(T.matmul(a, p[pre + "attn.wv"]), p[pre + "attn.bv"])
-        q = T.transpose(T.reshape(q, (B, L, H, dh)), (0, 2, 1, 3))
-        k = T.transpose(T.reshape(k, (B, L, H, dh)), (0, 2, 1, 3))
-        v = T.transpose(T.reshape(v, (B, L, H, dh)), (0, 2, 1, 3))
-        scores = T.matmul(q, T.transpose_last2(k))
-        probs = T.softmax_lastdim(scores, bias=attn_bias, scale=1.0 / np.sqrt(dh))
-        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (rows, cfg.d_model))
-        o = T.add(T.matmul(ctx, p[pre + "attn.wo"]), p[pre + "attn.bo"])
-        h = T.add(h, o)
+        h = T.add(h, T.self_attention(a, *(p[pre + "attn." + n] for n in _ATTN_PARAMS),
+                                      batch=B, heads=cfg.n_heads, bias=attn_bias))
         m = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        f = T.add(T.matmul(T.gelu(T.add(T.matmul(m, p[pre + "mlp.w1"]), p[pre + "mlp.b1"])),
-                           p[pre + "mlp.w2"]), p[pre + "mlp.b2"])
-        h = T.add(h, f)
+        h = T.add(h, T.gelu_mlp(m, *(p[pre + "mlp." + n] for n in _MLP_PARAMS)))
     return T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
 
 

@@ -298,13 +298,13 @@ def test_nrmse_zero_truth_rejected():
 def _oracle_predict(model, emb, pred, frame, bidir_method="none"):
     """One [L] frame through the model as ``predict_sequence`` ran it before
     batching: an unbatched ``forward_hidden`` and, for Sequence Doubling, a
-    ``slice_rows`` of the second half; returns [1, L]."""
+    ``take_rows`` of the second half's rows; returns [1, L]."""
     L = frame.shape[0]
     if bidir_method == "none":
         return pred(forward_hidden(model, emb(frame)))
     doubled = np.concatenate([frame, frame], axis=0)
     hidden = forward_hidden(model, emb(doubled))
-    return pred(T.slice_rows(hidden, L, 2 * L))
+    return pred(T.take_rows(hidden, np.arange(L, 2 * L)))
 
 
 def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none"):

@@ -352,3 +352,32 @@ def test_run_fewer_than_one_worker_is_usage_error(tmp_path, capsys, workers):
     assert cli_main(["run", "--config", str(tmp_path / "exp.json"), "--workers", workers]) == 2
     err = capsys.readouterr().err
     assert "--workers" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("n_x, max_positions, method, bidir_method", [
+    (64, 100, "fpt", "sequence_doubling"),  # 2 * 64 tokens
+    (64, 48, "fpt", "none"),
+    (16, 24, "orca", "none"),  # the proxy corpus pads to 32
+], ids=["doubled_frame", "frame", "orca_proxy"])
+def test_run_frame_longer_than_max_positions_fails_before_pretraining(
+        tmp_path, capsys, monkeypatch, n_x, max_positions, method, bidir_method, workers):
+    def no_pretraining(*args, **kwargs):
+        raise AssertionError("pretrained before checking the lengths")
+
+    monkeypatch.setattr("crossmodal_pde.experiments.pretrain", no_pretraining)
+    data, corpus = str(tmp_path / "adv.bin"), str(tmp_path / "corpus.bin")
+    assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                     "--out", data, "--seed", "1", "--n-x", str(n_x)]) == 0
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({
+        "name": "long", "dataset_file": data, "corpus_file": corpus,
+        "out_dir": str(tmp_path / "records"), "d_model": 16, "n_layers": 1, "d_ff": 32,
+        "max_positions": max_positions, "method": method, "bidir_method": bidir_method,
+        "arch": "decoder_only"}))
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(config_path), "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert "max_positions" in err and "Traceback" not in err
+    assert not (tmp_path / "records").exists()

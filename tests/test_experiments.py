@@ -35,7 +35,7 @@ from crossmodal_pde.figures import emit_figure
 from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
-from crossmodal_pde.transformer import ConfigError, ModelConfig, save_checkpoint
+from crossmodal_pde.transformer import ConfigError, LengthError, ModelConfig, save_checkpoint
 
 
 # -- nrmse ----------------------------------------------------------------
@@ -126,6 +126,15 @@ def test_run_record_reproducible(tmp_path):
     a, b = strip_wallclock(json.loads(rec1.to_json())), strip_wallclock(json.loads(rec2.to_json()))
     assert a == b
     assert rec1.test_nrmse == pytest.approx(rec2.test_nrmse, abs=1e-6)
+
+
+def test_run_one_checks_the_doubled_frame_length_before_pretraining(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "pretrain", lambda *a, **k: pytest.fail("pretrained"))
+    config = tiny_experiment(tmp_path, pretrained=True, bidir_method="sequence_doubling",
+                             max_positions=63)  # one short of twice the 32 points
+    with pytest.raises(LengthError, match="max_positions >= 64"):
+        run_one(config, seed=0)
+    assert not (tmp_path / "records").exists()
 
 
 def test_run_record_persisted_and_loadable(tmp_path):

@@ -240,15 +240,16 @@ def test_layer_norm_bits_match_reference(L):
 
 
 def test_causal_bias_cached_read_only_and_exact_zeros(monkeypatch):
+    """The attention node's softmax kernel sees the one cached causal bias."""
     seen = []
-    softmax = T.softmax_lastdim
+    softmax = T._softmax_
 
-    def recording(x, bias=None, **kwargs):
-        out = softmax(x, bias=bias, **kwargs)
-        seen.append((bias, out.data))
+    def recording(z, scale, bias):
+        out = softmax(z, scale, bias)
+        seen.append((bias, out.copy()))
         return out
 
-    monkeypatch.setattr(T, "softmax_lastdim", recording)
+    monkeypatch.setattr(T, "_softmax_", recording)
     model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY, d_model=16, n_heads=2,
                                           n_layers=1, d_ff=32, max_positions=16, seed=1))
     x = Tensor(np.random.default_rng(0).normal(size=(9, 16)).astype(np.float32))
@@ -404,6 +405,31 @@ def test_gradients_attention(seed):
     check_gradients(_graph_attention, params)
 
 
+def _graph_self_attention(params, bias):
+    # two sequences of 3 rows, two heads of width 2
+    return T.tmean(T.square(T.self_attention(*params, batch=2, heads=2, bias=bias)))
+
+
+@pytest.mark.parametrize("bias", ["none", "causal", "key_padding"])
+def test_gradients_self_attention_node(bias):
+    rng = np.random.default_rng(len(bias))
+    bias = {"none": None, "causal": tf.causal_bias(3),
+            "key_padding": np.array([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0],
+                                    dtype=np.float32).reshape(2, 1, 1, 3)}[bias]
+    shapes = [(6, 4)] + [(4, 4), (4,)] * 4
+    params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
+              for s in shapes]
+    check_gradients(lambda p: _graph_self_attention(p, bias), params)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradients_gelu_mlp_node(seed):
+    rng = np.random.default_rng(seed)
+    params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
+              for s in [(4, 6), (6, 5), (5,), (5, 3), (3,)]]
+    check_gradients(lambda p: T.tmean(T.square(T.gelu_mlp(*p))), params)
+
+
 def test_gradients_norm_chain():
     rng = np.random.default_rng(5)
     params = [
@@ -432,7 +458,7 @@ def test_gradients_gather_and_slice():
     def f(params):
         (e,) = params
         rows = T.take_rows(e, idx)
-        return T.add(T.tmean(T.square(rows)), T.tmean(T.square(T.slice_rows(e, 1, 3))))
+        return T.add(T.tmean(T.square(rows)), T.tmean(T.square(T.take_rows(e, [1, 2]))))
 
     check_gradients(f, [emb])
 
