@@ -10,14 +10,14 @@ storage precision.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .container import DataFileError, file_errors, read_container, write_container
-from .tensor import ContractError
+from .tensor import ContractError, ShapeError, _openblas
 from .transformer import ConfigError
 
 ADVECTION = "advection"
@@ -192,15 +192,56 @@ def _retardation(u: np.ndarray, c: float, n: float) -> np.ndarray:
     return 1.0 + c * np.maximum(u, SORPTION_U_FLOOR) ** (n - 1.0)
 
 
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
+          b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve the tridiagonal system with sub-diagonal ``dl``, diagonal ``d``
+    and super-diagonal ``du`` for one right-hand side ``b``; returns
+    ``(x, info)`` as LAPACK's ``dgtsv`` reports them.
+
+    The routine is ``scipy_dgtsv_64_`` of numpy's OpenBLAS
+    (``tensor._openblas``), called through the Fortran ABI with 64-bit
+    integers, so the solver loads no second BLAS.  Like scipy's wrapper it
+    works on float64 copies and leaves its arguments unchanged.  ``info > 0``
+    is the row of a pivot that is exactly zero (a singular system).  ctypes
+    checks nothing, so the dtypes and the lengths ``n-1, n, n-1, n`` are
+    checked here, before the call.  Where numpy's OpenBLAS or the symbol is
+    not found, scipy's ``dgtsv`` solves instead.
+    """
+    args = (dl, d, du, b)
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 for a in args):
+        raise ContractError("gtsv needs float64 arrays, got "
+                            f"{[getattr(a, 'dtype', type(a)) for a in args]}")
+    n = d.shape[0] if d.ndim == 1 else 0
+    shapes = tuple(a.shape for a in args)
+    if n < 1 or shapes != ((n - 1,), (n,), (n - 1,), (n,)):
+        raise ShapeError(f"gtsv needs lengths n-1, n, n-1, n with n >= 1, got {shapes}")
+    solve = getattr(_openblas(), "scipy_dgtsv_64_", None)
+    if solve is None:
+        from scipy.linalg.lapack import dgtsv
+
+        if n == 1:  # scipy's wrapper rejects empty off-diagonals; LAPACK reads none
+            dl = du = np.zeros(1)
+        _, _, _, x, info = dgtsv(dl, d, du, b)
+        return x, int(info)
+    copies = [a.copy() for a in args]
+    size, nrhs, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
+    solve.restype = None
+    solve(ctypes.byref(size), ctypes.byref(nrhs),
+          *(ctypes.c_void_p(a.ctypes.data) for a in copies),
+          ctypes.byref(size), ctypes.byref(info))
+    return copies[3], info.value
+
+
 def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams) -> np.ndarray:
     """Implicit diffusion with the retardation coefficient frozen per step.
 
     Dirichlet boundaries u(0)=1, u(1)=0 are enforced every step; the frozen
     coefficient makes each step an M-matrix solve, preserving [0, 1] bounds.
-    All rows form one block-diagonal tridiagonal system per step: the
-    couplings between blocks are exact zeros, so LAPACK's ``gtsv`` (the
-    routine behind ``solve_banded((1, 1), ...)``) never pivots across a block
-    and solves each row as it would alone.
+    All rows form one block-diagonal tridiagonal system per step, solved by
+    ``_gtsv`` (LAPACK's ``dgtsv`` from numpy's OpenBLAS, the routine behind
+    ``solve_banded((1, 1), ...)``): the couplings between blocks are exact
+    zeros, so it never pivots across a block and solves each row as it
+    would alone.
     """
     n_x = grid.n_x
     dx = 1.0 / (n_x - 1)
@@ -220,7 +261,7 @@ def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams)
         rhs = u.copy()
         rhs[..., 0], rhs[..., -1] = 1.0, 0.0
         flat = off.reshape(-1)  # gtsv copies its inputs, so one array serves both
-        _, _, _, x, info = dgtsv(flat[1:], main.reshape(-1), flat[:-1], rhs.reshape(-1))
+        x, info = _gtsv(flat[1:], main.reshape(-1), flat[:-1], rhs.reshape(-1))
         if info != 0:
             raise np.linalg.LinAlgError(f"sorption step is singular (gtsv info {info})")
         u = x.reshape(u.shape)

@@ -58,13 +58,15 @@ _keep_freed_memory()
 
 
 @functools.cache
-def _openblas_threads():
-    """numpy's OpenBLAS thread-count (getter, setter), or None where it is not
-    loaded or its setter cannot be found.
+def _openblas():
+    """numpy's OpenBLAS as a ``ctypes.CDLL``, or None where it is not loaded.
 
     The library behind ``matmul`` and ``np.linalg.solve`` is found among the
-    mapped shared objects whose path names BLAS, by the symbols of numpy's
-    wheel build; scipy's own OpenBLAS exports other names and is left alone.
+    mapped shared objects whose path names BLAS, by the thread-count setter
+    numpy's wheel build exports (``scipy_openblas_set_num_threads64_``).  The
+    same library carries LAPACK under ``scipy_``-prefixed 64-bit-integer
+    names, which ``pde_data`` calls for its tridiagonal solves, so no second
+    BLAS needs to be loaded.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -75,12 +77,26 @@ def _openblas_threads():
     for path in paths:
         lib = ctypes.CDLL(path)
         if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            getter = lib.scipy_openblas_get_num_threads64_
-            setter = lib.scipy_openblas_set_num_threads64_
-            getter.argtypes, getter.restype = (), ctypes.c_int
-            setter.argtypes, setter.restype = (ctypes.c_int,), None
-            return getter, setter
+            return lib
     return None
+
+
+@functools.cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count (getter, setter), or None where
+    ``_openblas`` finds no such library.
+
+    Any other BLAS the process maps (scipy's, once something imports
+    ``scipy.linalg``) keeps its own pool and count.
+    """
+    lib = _openblas()
+    if lib is None:
+        return None
+    getter = lib.scipy_openblas_get_num_threads64_
+    setter = lib.scipy_openblas_set_num_threads64_
+    getter.argtypes, getter.restype = (), ctypes.c_int
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    return getter, setter
 
 
 class blas_threads:
@@ -181,8 +197,9 @@ class Tensor:
         Leaves are tensors without a backward closure (parameters and
         inputs); interior nodes only pass their gradient on and keep
         ``grad`` None.  Repeated calls (on fresh tapes) accumulate into
-        existing ``grad`` buffers.  The tape below this node is freed
-        afterwards.
+        existing ``grad`` buffers.  The tape below this node is freed: each
+        node drops its closure, and so the arrays it saved, as soon as the
+        closure has run, and nodes no gradient reached drop theirs at the end.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -232,7 +249,10 @@ class Tensor:
                         buf = flowing[key] = buf.copy(order="K")
                         buf += pg
                         owned.add(key)
-        # free the tape
+                # the node's closure has run: free the arrays it saved now
+                node._parents = ()
+                node._backward = None
+        # free the nodes no gradient reached
         for node in topo:
             node._parents = ()
             node._backward = None

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from crossmodal_pde import pde_data as pd
 from crossmodal_pde.pde_data import (
@@ -29,7 +30,7 @@ from crossmodal_pde.pde_data import (
     sorption_x,
 )
 from crossmodal_pde.container import DataFileError, read_container, write_container
-from crossmodal_pde.tensor import ContractError
+from crossmodal_pde.tensor import ContractError, ShapeError
 from crossmodal_pde.transformer import ConfigError
 
 
@@ -157,6 +158,110 @@ def test_sorption_step_refinement():
     fine = diffusion_sorption_solve(u0, GridSpec(n_x=64, t_out=20.0, dt_solver=0.025), sp)
     rel = np.linalg.norm(coarse - fine) / np.linalg.norm(fine)
     assert rel < 1e-3
+
+
+def _scipy_gtsv(dl, d, du, b):
+    """scipy's ``dgtsv`` as an oracle; its wrapper rejects the empty
+    off-diagonals of a one-unknown system, so those get an unread dummy."""
+    if d.shape[0] == 1:
+        dl = du = np.zeros(1)
+    _, _, _, x, info = dgtsv(dl, d, du, b)
+    return x, info
+
+
+def _diagonally_dominant_system(n, seed):
+    rng = np.random.default_rng(seed)
+    dl, du = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    return dl, rng.uniform(3.0, 4.0, n), du, rng.standard_normal(n)
+
+
+def _sorption_step_system(rows, n_x, seed):
+    """One step's block-diagonal M-matrix system as ``diffusion_sorption_solve``
+    forms it: ``rows`` blocks of ``n_x`` unknowns, zero couplings between them."""
+    rng = np.random.default_rng(seed)
+    coef = rng.uniform(0.5, 80.0, (rows, n_x))
+    main = 1.0 + 2.0 * coef
+    main[:, 0] = main[:, -1] = 1.0
+    off = np.zeros((rows, n_x))
+    off[:, 1:-1] = -coef[:, 1:-1]
+    flat = off.reshape(-1)
+    return flat[1:], main.reshape(-1), flat[:-1], rng.uniform(0.0, 1.0, rows * n_x)
+
+
+@pytest.fixture(params=["openblas", "scipy_fallback"])
+def gtsv_path(request, monkeypatch):
+    if request.param == "openblas":
+        if getattr(pd._openblas(), "scipy_dgtsv_64_", None) is None:
+            pytest.skip("numpy's OpenBLAS with scipy_dgtsv_64_ is not loaded")
+    else:
+        monkeypatch.setattr(pd, "_openblas", lambda: None)
+    return request.param
+
+
+@pytest.mark.parametrize("n", [1, 2, 128])
+def test_gtsv_bits_match_scipy(n, gtsv_path):
+    args = _diagonally_dominant_system(n, seed=n)
+    before = [a.copy() for a in args]
+    x, info = pd._gtsv(*args)
+    want, want_info = _scipy_gtsv(*args)
+    assert info == want_info == 0
+    assert x.dtype == np.float64 and np.array_equal(x, want)
+    assert all(np.array_equal(a, b) for a, b in zip(args, before))  # arguments untouched
+
+
+def test_gtsv_block_diagonal_m_matrix_matches_scipy(gtsv_path):
+    args = _sorption_step_system(24, 128, seed=4)
+    x, info = pd._gtsv(*args)
+    want, want_info = _scipy_gtsv(*args)
+    assert info == want_info == 0 and np.array_equal(x, want)
+    # zero couplings: each block is solved as it would be alone
+    for r in (0, 11, 23):
+        block, links = slice(128 * r, 128 * (r + 1)), slice(128 * r, 128 * r + 127)
+        alone = pd._gtsv(args[0][links], args[1][block], args[2][links], args[3][block])
+        assert np.array_equal(alone[0], x[block])
+
+
+def test_gtsv_singular_system_reports_info_and_the_solver_raises(gtsv_path, monkeypatch):
+    d = np.array([2.0, 0.0, 1.0])
+    zeros = np.zeros(2)
+    _, info = pd._gtsv(zeros, d, zeros, np.ones(3))
+    assert info == _scipy_gtsv(zeros, d, zeros, np.ones(3))[1] == 2
+    gtsv = pd._gtsv
+    # the solver's own system with a zeroed diagonal has a zero pivot
+    monkeypatch.setattr(pd, "_gtsv", lambda dl, d, du, b: gtsv(dl, np.zeros_like(d), du, b))
+    with pytest.raises(np.linalg.LinAlgError, match=r"singular \(gtsv info [1-9][0-9]*\)"):
+        diffusion_sorption_solve(sorption_x(16), GridSpec(n_x=16, t_out=1.0), SorptionParams())
+
+
+class _NoForeignCall:
+    def __getattr__(self, name):
+        raise AssertionError(f"foreign call {name} reached")
+
+
+_F64 = np.zeros(4)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((_F64[:3], _F64, _F64[:2], _F64), ShapeError),
+    ((_F64[:3], _F64, _F64[:3], _F64[:3]), ShapeError),
+    ((_F64[:3], _F64.reshape(2, 2), _F64[:3], _F64), ShapeError),
+    ((_F64[:0], _F64[:0], _F64[:0], _F64[:0]), ShapeError),
+    ((_F64[:3], _F64, _F64[:3], _F64.astype(np.float32)), ContractError),
+    ((_F64[:3], _F64.astype(np.int64), _F64[:3], _F64), ContractError),
+    ((list(_F64[:3]), _F64, _F64[:3], _F64), ContractError),
+], ids=["du_short", "b_short", "d_2d", "empty", "b_float32", "d_int64", "dl_list"])
+def test_gtsv_checks_arguments_before_any_foreign_call(args, error, monkeypatch):
+    monkeypatch.setattr(pd, "_openblas", lambda: _NoForeignCall())
+    with pytest.raises(error):
+        pd._gtsv(*args)
+
+
+def test_build_dataset_scipy_fallback_writes_the_same_file(tmp_path, monkeypatch):
+    grid = GridSpec(n_x=32, t_out=20.0)
+    build_dataset(DIFFUSION_SORPTION, 6, 4, grid, seed=11, out_path=tmp_path / "default.bin")
+    monkeypatch.setattr(pd, "_openblas", lambda: None)
+    build_dataset(DIFFUSION_SORPTION, 6, 4, grid, seed=11, out_path=tmp_path / "fallback.bin")
+    assert (tmp_path / "default.bin").read_bytes() == (tmp_path / "fallback.bin").read_bytes()
 
 
 # -- Burgers stand-in ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,31 @@ def test_backward_stores_grad_on_leaves_only():
     assert w.grad is not None and w.grad.shape == (4, 2)
     assert x.grad is None
     assert h.grad is None and loss.grad is None
+
+
+def test_backward_frees_each_closure_once_it_has_run():
+    """On the chain x -> a -> b -> loss, the array loss's closure saved is
+    gone by the time a's closure runs, and every node ends off the tape."""
+    seen_alive = []
+
+    def node(parent, saved, on_backward=None):
+        def backward(g):
+            if on_backward is not None:
+                on_backward()
+            return [(parent, g * saved)]
+        return T._make(parent.data * saved, (parent,), backward)
+
+    x = Tensor(np.ones(1), requires_grad=True)
+    saved_last = np.full(1, 2.0, np.float32)
+    saved_ref = weakref.ref(saved_last)
+    a = node(x, np.full(1, 3.0, np.float32), lambda: seen_alive.append(saved_ref() is not None))
+    b = node(a, np.full(1, 5.0, np.float32))
+    loss = node(b, saved_last)
+    del saved_last
+    loss.backward()
+    assert seen_alive == [False]
+    np.testing.assert_array_equal(x.grad, np.full(1, 30.0, np.float32))
+    assert all(t._backward is None and t._parents == () for t in (a, b, loss))
 
 
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
@@ -736,11 +763,13 @@ def test_blas_threads_scope_restores_the_previous_count():
 
 def test_blas_threads_is_a_noop_without_openblas(monkeypatch):
     monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())
+    T._openblas.cache_clear()
     T._openblas_threads.cache_clear()
     try:
-        assert T._openblas_threads() is None
+        assert T._openblas() is None and T._openblas_threads() is None
         with T.blas_threads(1):
             product = np.ones((2, 3), np.float32) @ np.ones((3, 2), np.float32)
         np.testing.assert_array_equal(product, np.full((2, 2), 3.0, np.float32))
     finally:
+        T._openblas.cache_clear()
         T._openblas_threads.cache_clear()
