@@ -50,7 +50,16 @@ OPTIMIZER_BY_FAMILY = {
 }
 
 DEFAULT_LR = {"adam": 1e-3, "adamw": 1e-3, "sgd": 1e-2}
-DEFAULT_WEIGHT_DECAY = 0.01
+ADAMW_WEIGHT_DECAY = 0.01
+
+# ORCA stage 1's one recipe (Shen et al., ICML 2023): the embedder's Adam
+# learning rate, train instances per step, OTDD points drawn from each side,
+# pseudo-label bins of the targets and the Sinkhorn iteration cap
+STAGE1_LR = 3e-3
+STAGE1_BATCH_INSTANCES = 8
+OTDD_BATCH = 128
+PSEUDO_LABEL_BINS = 10
+SINKHORN_MAX_ITERS = 300
 
 
 @dataclass
@@ -112,17 +121,10 @@ class Pipeline:
 class AdaptationConfig:
     method: str = FPT
     bidir_method: str = BIDIR_NONE
-    optimizer: str | None = None  # None: family mapping; override is recorded in reports
     learning_rate: float | None = None  # None: per-optimizer default
-    weight_decay: float = DEFAULT_WEIGHT_DECAY
     epochs: int = 100
     batch_size: int = 16
     stage1_steps: int = 100
-    stage1_lr: float = 1e-3
-    stage1_batch_instances: int = 8
-    otdd_batch: int = 128
-    pseudo_label_bins: int = 10
-    sinkhorn_max_iters: int = 300
     seed: int = 0
 
     def __post_init__(self):
@@ -130,29 +132,18 @@ class AdaptationConfig:
             raise ContractError(f"unknown adaptation method {self.method!r}")
         if self.bidir_method not in BIDIR_METHODS:
             raise ContractError(f"unknown bidir method {self.bidir_method!r}")
-        if self.optimizer is not None and self.optimizer not in T.OPTIMIZER_KINDS:
-            raise ContractError(f"optimizer must be one of {', '.join(T.OPTIMIZER_KINDS)}, "
-                                f"got {self.optimizer!r}")
-        floors = {"epochs": 0, "stage1_steps": 0, "batch_size": 1, "stage1_batch_instances": 1,
-                  "otdd_batch": 1, "sinkhorn_max_iters": 1, "pseudo_label_bins": 2,
-                  "weight_decay": 0}
-        for name, floor in floors.items():
+        for name, floor in (("epochs", 0), ("stage1_steps", 0), ("batch_size", 1)):
             value = getattr(self, name)
             if not value >= floor:  # also rejects a NaN
                 raise ContractError(f"{name} must be >= {floor}, got {value!r}")
-        for name in ("learning_rate", "stage1_lr"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ContractError(f"{name} must be > 0, got {value!r}")
+        if self.learning_rate is not None and not self.learning_rate > 0:
+            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate!r}")
 
-    def resolve_optimizer(self, family: str) -> tuple[str, float, bool]:
-        """Return (kind, learning rate, overridden?) per the family mapping."""
-        if self.optimizer is not None:
-            kind, overridden = self.optimizer, self.optimizer != OPTIMIZER_BY_FAMILY.get(family)
-        else:
-            kind, overridden = OPTIMIZER_BY_FAMILY[family], False
-        lr = self.learning_rate if self.learning_rate is not None else DEFAULT_LR[kind]
-        return kind, lr, overridden
+    def resolve_optimizer(self, family: str) -> tuple[str, float]:
+        """Return (kind, learning rate): the family's optimizer and
+        ``learning_rate``, or that optimizer's default rate where it is None."""
+        kind = OPTIMIZER_BY_FAMILY[family]
+        return kind, self.learning_rate if self.learning_rate is not None else DEFAULT_LR[kind]
 
 
 def trained_parameters(model: TransformerModel, method: str) -> list[Tensor]:
@@ -203,7 +194,7 @@ class PseudoLabels:
     degenerate: bool
 
 
-def pseudo_label_targets(targets: np.ndarray, bins: int = 10) -> PseudoLabels:
+def pseudo_label_targets(targets: np.ndarray, bins: int = PSEUDO_LABEL_BINS) -> PseudoLabels:
     """Quantize target values ([n, L] frames) into equal-mass bins fit on them.
 
     Rank-based, so labels are invariant under strictly monotone transforms of
@@ -279,31 +270,30 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
     reach OTDD, so no model parameter enters the tape: the transformer body
     and predictor get no gradient and no update.
     """
-    pseudo = pseudo_label_targets(dataset.train.targets, bins=config.pseudo_label_bins)
+    pseudo = pseudo_label_targets(dataset.train.targets)
     inputs = dataset.train.inputs
     n, L = inputs.shape
 
     proxy = build_proxy_set(model, corpus)
     proxy_moments: ClassMoments = compute_class_moments(proxy)
-    sk_params = SinkhornParams(epsilon=0.0, max_iters=config.sinkhorn_max_iters)
+    sk_params = SinkhornParams(epsilon=0.0, max_iters=SINKHORN_MAX_ITERS)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 101)))
-    opt = OptimizerState(kind="adam", learning_rate=config.stage1_lr)
+    opt = OptimizerState(kind="adam", learning_rate=STAGE1_LR)
     emb_params = embedder.params()
     trace: list[float] = []
     converged = 0
     for _ in range(config.stage1_steps):
-        inst_idx = rng.choice(n, size=min(config.stage1_batch_instances, n), replace=False)
+        inst_idx = rng.choice(n, size=min(STAGE1_BATCH_INSTANCES, n), replace=False)
         flat_idx = rng.choice(len(inst_idx) * L,
-                              size=min(config.otdd_batch, len(inst_idx) * L), replace=False)
+                              size=min(OTDD_BATCH, len(inst_idx) * L), replace=False)
         tokens = inputs[inst_idx].reshape(-1)[flat_idx]
         labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
 
         target_cloud = LabeledPointCloud(points=embedder(tokens), labels=labels,
                                          class_count=pseudo.bins)
 
-        prox_idx = rng.choice(len(proxy), size=min(config.otdd_batch, len(proxy)),
-                              replace=False)
+        prox_idx = rng.choice(len(proxy), size=min(OTDD_BATCH, len(proxy)), replace=False)
         proxy_batch = LabeledPointCloud(points=Tensor(proxy.points.data[prox_idx]),
                                         labels=proxy.labels[prox_idx],
                                         class_count=proxy.class_count)
@@ -333,7 +323,6 @@ class TrainReport:
     final_test_predictions: np.ndarray | None = field(default=None, repr=False)
     optimizer: str = ""
     learning_rate: float = 0.0
-    optimizer_overridden: bool = False
     epochs_run: int = 0
     aborted: bool = False
     abort_reason: str = ""
@@ -397,8 +386,8 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
         raise ContractError("finetune trains a single pipeline; use parallel_flipping_train")
     if not dataset.train:
         raise ContractError("empty training set")
-    kind, lr, overridden = config.resolve_optimizer(dataset.family)
-    report = TrainReport(optimizer=kind, learning_rate=lr, optimizer_overridden=overridden)
+    kind, lr = config.resolve_optimizer(dataset.family)
+    report = TrainReport(optimizer=kind, learning_rate=lr)
 
     def evaluate() -> tuple[float, np.ndarray]:
         return evaluate_nrmse(model, embedder, predictor, dataset.test,
@@ -407,7 +396,7 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
     report.initial_test_nrmse, report.initial_test_predictions = evaluate()
     inputs, targets = dataset.train.inputs, dataset.train.targets
     params = trained_parameters(model, config.method) + embedder.params() + predictor.params()
-    wd = config.weight_decay if kind == "adamw" else 0.0
+    wd = ADAMW_WEIGHT_DECAY if kind == "adamw" else 0.0
     opt = OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 202)))
     n = len(dataset.train)

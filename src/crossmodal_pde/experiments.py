@@ -86,17 +86,10 @@ class ExperimentConfig:
     pretrain_seed: int = 1234
     method: str = ORCA
     bidir_method: str = BIDIR_NONE
-    optimizer: str | None = None
     learning_rate: float | None = None
-    weight_decay: float = 0.01
     epochs: int = 100
     batch_size: int = 16
     stage1_steps: int = 100
-    stage1_lr: float = 3e-3
-    stage1_batch_instances: int = 8
-    otdd_batch: int = 128
-    pseudo_label_bins: int = 10
-    sinkhorn_max_iters: int = 300
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
 
     def __post_init__(self):
@@ -186,7 +179,6 @@ class RunRecord:
     stage1_trace: dict
     optimizer: str
     learning_rate: float
-    optimizer_overridden: bool
     stage1_converged_fraction: float | None
     aborted: bool
     spikiness: dict
@@ -356,7 +348,6 @@ def _run_one(config: ExperimentConfig, seed: int,
         stage1_trace=stage1_trace,
         optimizer=rep_f.train.optimizer,
         learning_rate=rep_f.train.learning_rate,
-        optimizer_overridden=rep_f.train.optimizer_overridden,
         stage1_converged_fraction=rep_f.stage1.converged_fraction if rep_f.stage1 else None,
         aborted=any(rep.train.aborted for rep in reports.values()),
         spikiness=spikiness,

@@ -248,20 +248,20 @@ def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams)
     dt = grid.dt_solver if grid.dt_solver is not None else (grid.t_out - grid.t_in) / 400.0
     steps = max(1, int(np.ceil((grid.t_out - grid.t_in) / dt)))
     dt = (grid.t_out - grid.t_in) / steps
-    u = u0.astype(np.float64).copy()
-    u[..., 0], u[..., -1] = 1.0, 0.0
+    u = u0.astype(np.float64)
     # row i couples to i-1 and i+1 by -coef[i]; boundary rows and the links
     # between rows of u are zero
     off = np.zeros_like(u)
     for _ in range(steps):
+        # u is the right-hand side, its boundaries pinned in place: a solve
+        # returns them exactly only where gtsv did not pivot (coef <= 1)
+        u[..., 0], u[..., -1] = 1.0, 0.0
         coef = dt * sp.diffusivity / (_retardation(u, sp.c, sp.n) * dx * dx)
         main = 1.0 + 2.0 * coef
         main[..., 0] = main[..., -1] = 1.0  # boundary rows pinned
         off[..., 1:-1] = -coef[..., 1:-1]
-        rhs = u.copy()
-        rhs[..., 0], rhs[..., -1] = 1.0, 0.0
         flat = off.reshape(-1)  # gtsv copies its inputs, so one array serves both
-        x, info = _gtsv(flat[1:], main.reshape(-1), flat[:-1], rhs.reshape(-1))
+        x, info = _gtsv(flat[1:], main.reshape(-1), flat[:-1], u.reshape(-1))
         if info != 0:
             raise np.linalg.LinAlgError(f"sorption step is singular (gtsv info {info})")
         u = x.reshape(u.shape)

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .container import DataFileError, file_errors, read_container, write_container
 from .otdd import LabeledPointCloud
-from .transformer import TransformerModel, embed_tokens, forward_hidden
+from .transformer import LengthError, TransformerModel, embed_tokens, forward_hidden
 
 PAD_TOKEN = 0
 RESERVED_TOKENS = 2  # PAD_TOKEN and transformer.MASK_TOKEN; no grammar tag emits them
@@ -144,7 +144,8 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> Labeled
     by the content of the model and the corpus, so identical clones of one
     model share one cloud; its points and labels are read-only."""
     if model.config.max_positions < PROXY_LENGTH:
-        raise ValueError(f"model max_positions must be >= {PROXY_LENGTH}")
+        raise LengthError(f"the proxy corpus needs max_positions >= {PROXY_LENGTH}, "
+                          f"got max_positions={model.config.max_positions}")
     key = _proxy_key(model, corpus)
     last = _last_proxy.get("last")
     if last is None or last[0] != key:
@@ -190,10 +191,14 @@ def save_corpus(corpus: SyntheticCorpus, path) -> None:
 
 
 def load_corpus(path) -> SyntheticCorpus:
+    """Read a corpus ``save_corpus`` wrote; a header value that is not an
+    integer, or a token or tag outside ``[0, vocab_size)`` or ``[0,
+    tag_count)``, raises ``DataFileError`` naming the file."""
     header, blocks = read_container(path)
     if header.get("kind") != "tagged_corpus":
         raise DataFileError(f"{path} is not a tagged corpus container")
     with file_errors(path, "tagged corpus"):
+        ints = {k: header[k] for k in ("vocab_size", "tag_count", "seed")}
         tokens, tags, lengths = blocks["tokens"], blocks["tags"], blocks["lengths"]
         if not (tokens.ndim == 2 and tags.shape == tokens.shape
                 and lengths.shape == tokens.shape[:1]
@@ -201,9 +206,16 @@ def load_corpus(path) -> SyntheticCorpus:
             raise DataFileError(f"tagged corpus {path} holds tokens {list(tokens.shape)}, tags "
                                 f"{list(tags.shape)} and lengths {lengths.tolist()} that "
                                 f"do not match")
+        for k, v in ints.items():
+            if type(v) is not int:  # bool is an int subclass; reject it too
+                raise DataFileError(f"tagged corpus {path} has {k} = {v!r}, not an integer")
+        held = np.arange(tokens.shape[1]) < lengths[:, None]  # pad positions aside
+        for what, ids, count in (("token", tokens, "vocab_size"), ("tag", tags, "tag_count")):
+            if not np.all((ids[held] >= 0) & (ids[held] < ints[count])):
+                raise DataFileError(f"tagged corpus {path} holds a {what} outside "
+                                    f"[0, {count}={ints[count]})")
         sequences = [(tokens[i, : n].astype(np.int64), tags[i, : n].astype(np.int64))
                      for i, n in enumerate(lengths)]
-        return SyntheticCorpus(vocab_size=header["vocab_size"], tag_count=header["tag_count"],
-                               seed=header["seed"], sequences=sequences,
+        return SyntheticCorpus(**ints, sequences=sequences,
                                transition=blocks["transition"].astype(np.float64),
                                state_tag_emission=blocks["state_tag_emission"].astype(np.float64))

@@ -176,7 +176,7 @@ def test_parallel_flipping_trains_both_and_combines():
     fwd = Pipeline.create(make_model(seed=11), seed=12)
     rev = Pipeline.create(make_model(seed=13), seed=14)
     config = AdaptationConfig(method="fpt", bidir_method="parallel_flipping",
-                              epochs=5, batch_size=4, optimizer="adam", seed=0)
+                              epochs=5, batch_size=4, seed=0)
     pair, rep_f, rep_r = parallel_flipping_train(fwd, rev, dataset, config)
     assert rep_f.train.epochs_run == 5 and rep_r.train.epochs_run == 5
     pred = pair.predict(dataset.test.inputs[:1])
@@ -191,7 +191,7 @@ def test_parallel_flipping_starts_no_thread(monkeypatch):
     dataset = identity_dataset(n_train=4, n_test=2, n_x=32)
     fwd = Pipeline.create(make_model(seed=11), seed=12)
     rev = Pipeline.create(make_model(seed=13), seed=14)
-    config = AdaptationConfig(method="fpt", epochs=1, batch_size=4, optimizer="adam", seed=0)
+    config = AdaptationConfig(method="fpt", epochs=1, batch_size=4, seed=0)
     _, rep_f, rep_r = parallel_flipping_train(fwd, rev, dataset, config)
     assert rep_f.train.epochs_run == 1 and rep_r.train.epochs_run == 1
 
@@ -202,8 +202,7 @@ def test_parallel_flipping_untrained_reverse_ablation():
     dataset = identity_dataset(n_train=12, n_test=4, n_x=32)
     fwd = Pipeline.create(make_model(d_model=64, seed=21), seed=22)
     rev = Pipeline.create(make_model(d_model=64, seed=23), seed=24)
-    config = AdaptationConfig(method="fpt", epochs=30, batch_size=6, optimizer="adam",
-                              learning_rate=3e-3, seed=1)
+    config = AdaptationConfig(method="fpt", epochs=30, batch_size=6, learning_rate=3e-3, seed=1)
     run_adaptation(fwd, dataset, config)  # train the forward pipeline only
     pair = FlipPair(fwd, rev)
     errs_first, errs_second = [], []
@@ -232,8 +231,8 @@ def test_flipped_advection_equivalent_to_negated_beta():
     scores_flip, scores_neg = [], []
     for seed in (0, 1, 2):
         # ORCA's fine-tune (no stage 1 runs in ``finetune``) trains the whole body
-        cfg = AdaptationConfig(method="orca", epochs=40, batch_size=8, optimizer="adam",
-                               learning_rate=3e-3, seed=seed)
+        cfg = AdaptationConfig(method="orca", epochs=40, batch_size=8, learning_rate=3e-3,
+                               seed=seed)
         p1 = Pipeline.create(make_model(seed=50 + seed), seed=60 + seed)
         scores_flip.append(finetune(p1.model, p1.embedder, p1.predictor, flipped,
                                     cfg).final_test_nrmse)

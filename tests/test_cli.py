@@ -98,8 +98,6 @@ def test_full_pipeline_smoke(tmp_path):
         "epochs": 2,
         "batch_size": 4,
         "stage1_steps": 2,
-        "otdd_batch": 32,
-        "sinkhorn_max_iters": 60,
         "seeds": [0, 1],
     }
     config_path = str(tmp_path / "exp.json")
@@ -117,10 +115,14 @@ def test_full_pipeline_smoke(tmp_path):
 
 
 def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
-    # a typo, then three options that were deleted: none is read as its default
+    # a typo, then the keys of deleted options and of the ORCA and optimizer
+    # recipe, now module constants, each at its old default: none is ignored
     config_path = str(tmp_path / "exp.json")
     for key, value in (("epoch", 3), ("stage1_through_body", True),
-                       ("restart_positions", True), ("pooled_predictor", True)):
+                       ("restart_positions", True), ("pooled_predictor", True),
+                       ("optimizer", None), ("weight_decay", 0.01), ("stage1_lr", 3e-3),
+                       ("stage1_batch_instances", 8), ("otdd_batch", 128),
+                       ("pseudo_label_bins", 10), ("sinkhorn_max_iters", 300)):
         with open(config_path, "w") as fh:
             json.dump({"name": "typo", "dataset_file": str(tmp_path / "adv.bin"),
                        "out_dir": str(tmp_path / "records"), key: value}, fh)
@@ -146,6 +148,7 @@ def test_run_mistyped_config_value_is_usage_error(tmp_path, capsys, key, value):
     assert f"'{key}'" in err and "Traceback" not in err
 
 
+# optimizer is a deleted key: unknown keys are rejected before any file is read too
 @pytest.mark.parametrize("key, value", [("epochs", -3), ("batch_size", 0),
                                         ("optimizer", "foo"), ("seeds", [])])
 def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, value):
@@ -226,6 +229,37 @@ def test_run_on_bad_dataset_values_is_data_error(tmp_path, capsys, edit):
     assert _run_on_edited_dataset(tmp_path, edit) == 2
     err = capsys.readouterr().err
     assert "adv.bin" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h, b: h.update(tag_count="9"),
+    lambda h, b: h.update(vocab_size=True),
+    lambda h, b: h.update(seed=1.5),
+    lambda h, b: b["tokens"].__setitem__((1, 0), 64),
+    lambda h, b: b["tokens"].__setitem__((1, 0), -2),
+    lambda h, b: b["tags"].__setitem__((2, 0), 9),
+    lambda h, b: b["tags"].__setitem__((2, 0), -1),
+], ids=["tag_count_string", "vocab_size_bool", "seed_float", "token_past_vocab",
+        "token_negative", "tag_past_tag_count", "tag_negative"])
+def test_run_on_bad_corpus_values_is_data_error(tmp_path, capsys, edit):
+    # the ORCA job reads the corpus before it trains, so a bad value stops it
+    # there with the file's name, not inside stage 1
+    data, corpus = str(tmp_path / "adv.bin"), str(tmp_path / "corpus.bin")
+    assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                     "--out", data, "--n-x", "32"]) == 0
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
+    header, blocks = read_container(corpus)
+    edit(header, blocks)
+    write_container(corpus, header, list(blocks.items()))
+    config_path = str(tmp_path / "exp.json")
+    with open(config_path, "w") as fh:
+        json.dump({"name": "bad-corpus", "dataset_file": data, "corpus_file": corpus,
+                   "pretrained": False, "method": "orca", "d_model": 16, "n_layers": 1,
+                   "d_ff": 32, "out_dir": str(tmp_path / "records")}, fh)
+    capsys.readouterr()
+    assert cli_main(["run", "--config", config_path]) == 2
+    err = capsys.readouterr().err
+    assert "corpus.bin" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value, floor", [("--batch-size", "0", 1),

@@ -107,8 +107,8 @@ def tiny_experiment(tmp_path, name="exp", **overrides) -> ExperimentConfig:
     base = dict(name=name, dataset_file=dataset_file, out_dir=str(tmp_path / "records"),
                 arch="decoder_only", d_model=32, n_heads=4, n_layers=2, d_ff=64,
                 max_positions=64, pretrained=False, corpus_file=corpus_file,
-                method="fpt", epochs=2, batch_size=4, stage1_steps=3, otdd_batch=32,
-                sinkhorn_max_iters=100, pretrain_steps=30, seeds=[0])
+                method="fpt", epochs=2, batch_size=4, stage1_steps=3, pretrain_steps=30,
+                seeds=[0])
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -359,6 +359,28 @@ def test_load_records_round_trip(tmp_path):
     assert {r["seed"] for r in records} == {0, 1}
 
 
+def test_records_with_the_deleted_recipe_keys_still_aggregate(tmp_path):
+    # a record written while the ORCA recipe and the optimizer were config
+    # fields holds them in its config snapshot, and optimizer_overridden
+    config = tiny_experiment(tmp_path, seeds=[0, 1])
+    run_experiment(config)
+    want = aggregate(load_records(config.out_dir))
+    old_keys = {"optimizer": None, "weight_decay": 0.01, "stage1_lr": 3e-3,
+                "stage1_batch_instances": 8, "otdd_batch": 128, "pseudo_label_bins": 10,
+                "sinkhorn_max_iters": 300}
+    for seed in config.seeds:
+        path = record_path(config, seed)
+        with open(path) as fh:
+            rec = json.load(fh)
+        rec["config"].update(old_keys)
+        rec["optimizer_overridden"] = False
+        with open(path, "w") as fh:
+            json.dump(rec, fh)
+    records = load_records(config.out_dir)
+    assert all(r["config"]["otdd_batch"] == 128 and "optimizer_overridden" in r for r in records)
+    assert aggregate(records) == want
+
+
 _GROUPS = ('"arch": "decoder_only", "d_model": 8, "n_layers": 1, "pretrained": false, '
            '"method": "fpt", "bidir_method": "none"')
 
@@ -400,11 +422,20 @@ def test_experiment_config_holds_every_adaptation_and_model_field():
               for f in dataclasses.fields(cls)} - {"seed"}
     assert not shared & _EXPERIMENT_ONLY
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} == shared | _EXPERIMENT_ONLY
+    assert len(dataclasses.fields(ExperimentConfig)) == 24
+
+
+def test_adaptation_config_holds_one_recipe():
+    # ORCA stage 1's recipe and the family's optimizer are module constants,
+    # not fields: a new adaptation option has to be added here on purpose
+    assert {f.name for f in dataclasses.fields(AdaptationConfig)} == {
+        "method", "bidir_method", "learning_rate", "epochs", "batch_size", "stage1_steps",
+        "seed"}
 
 
 def test_derived_configs_take_every_shared_field():
-    config = ExperimentConfig(**_MINIMAL, stage1_lr=0.25, pseudo_label_bins=7,
-                              vocab_size=32, arch="encoder_only", otdd_batch=7)
+    config = ExperimentConfig(**_MINIMAL, learning_rate=0.25, stage1_steps=7,
+                              vocab_size=32, arch="encoder_only", batch_size=7)
     for derived, seed in ((config.adaptation_config(7), 7), (config.model_config(9), 9)):
         for f in dataclasses.fields(derived):
             want = seed if f.name == "seed" else getattr(config, f.name)
@@ -418,6 +449,9 @@ def test_derived_configs_take_every_shared_field():
     ("method", "lora", ContractError, "lora"),
     ("bidir_method", "both", ContractError, "both"),
     *((key, value, ContractError, key) for key, value in (
+        # stage1_batch_instances, otdd_batch, sinkhorn_max_iters, pseudo_label_bins,
+        # optimizer, stage1_lr and weight_decay are fields no more: each is an
+        # unknown key now, rejected by name whatever its value
         ("epochs", -3), ("stage1_steps", -1), ("batch_size", 0), ("stage1_batch_instances", 0),
         ("otdd_batch", 0), ("sinkhorn_max_iters", 0), ("pseudo_label_bins", 1),
         ("optimizer", "foo"), ("learning_rate", 0), ("learning_rate", -1e-3),
@@ -435,14 +469,12 @@ def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error
 
 
 def test_adaptation_config_accepts_its_floors():
-    AdaptationConfig(epochs=0, stage1_steps=0, batch_size=1, stage1_batch_instances=1,
-                     otdd_batch=1, sinkhorn_max_iters=1, pseudo_label_bins=2,
-                     optimizer="sgd", learning_rate=1e-9, stage1_lr=1e-9, weight_decay=0.0)
+    AdaptationConfig(epochs=0, stage1_steps=0, batch_size=1, learning_rate=1e-9)
 
 
 @pytest.mark.parametrize("key, value", [
     ("epochs", "2"), ("epochs", 2.0), ("epochs", True), ("seeds", 3), ("seeds", [0, "1"]),
-    ("pretrained", 1), ("learning_rate", "1e-3"), ("optimizer", 3), ("name", None),
+    ("pretrained", 1), ("learning_rate", "1e-3"), ("method", 3), ("name", None),
     ("checkpoint_file", ["a"]),
 ])
 def test_from_dict_rejects_mistyped_values(key, value):
@@ -451,9 +483,8 @@ def test_from_dict_rejects_mistyped_values(key, value):
 
 
 def test_from_dict_accepts_json_values():
-    config = ExperimentConfig.from_dict({**_MINIMAL, "learning_rate": 1, "weight_decay": 0,
-                                         "optimizer": None, "checkpoint_file": "m.ckpt",
-                                         "seeds": [7]})
+    config = ExperimentConfig.from_dict({**_MINIMAL, "learning_rate": 1, "corpus_file": None,
+                                         "checkpoint_file": "m.ckpt", "seeds": [7]})
     assert config.learning_rate == 1 and config.seeds == [7]
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 

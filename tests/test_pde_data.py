@@ -569,6 +569,19 @@ def test_build_dataset_equals_one_instance_solves(family, grid):
             assert np.array_equal(generate_frames(family, grid, params, [seed])[1][0], u_out)
 
 
+def test_sorption_steps_that_pivot_equal_row_solves():
+    # without retardation at this step size coef > 1, so gtsv swaps each
+    # boundary row with its neighbour and returns the pinned 1 off by ~1e-12;
+    # every step must still solve against the exact boundary values
+    sp = SorptionParams(c=0.0)
+    grid = GridSpec(n_x=128, t_out=500.0)
+    rows = np.random.default_rng(6).uniform(0.0, 1.0, size=(3, 128))
+    got = diffusion_sorption_solve(rows, grid, sp)
+    assert np.any(got[:, 0] != 1.0)  # the last solve pivoted
+    want = np.stack([_old_sorption_solve(r, grid, sp) for r in rows])
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("family, grid", [
     (DIFFUSION_REACTION, GridSpec(n_x=32, t_out=0.05)),
     (DIFFUSION_SORPTION, GridSpec(n_x=32, t_out=20.0, dt_solver=0.3)),

@@ -17,6 +17,7 @@ from crossmodal_pde.transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
     MASK_TOKEN,
+    LengthError,
     ModelConfig,
     build_model,
     embed_tokens,
@@ -241,7 +242,7 @@ def test_proxy_max_positions_checked_before_lookup(proxy_forwards):
     short = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=1,
                                     d_ff=64, max_positions=16, vocab_size=64, seed=0))
     for _ in range(2):
-        with pytest.raises(ValueError, match="max_positions"):
+        with pytest.raises(LengthError, match="max_positions"):
             build_proxy_set(short, corpus)
     assert px._last_proxy == {}
 
