@@ -105,14 +105,15 @@ def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,
     predict from the second half of the last hidden layer.
 
     ``x`` is a batch of frames [B, L], predicted as [B, L]: it runs as one
-    ``forward_hidden`` with ``lengths=[2L]*B``, and one ``take_rows`` gathers
-    every sequence's second half.  Positions run 0..2L-1.
+    ``forward_hidden`` with ``lengths=[2L]*B`` and ``keep_from=L``, so the last
+    layer computes only the second halves it predicts from (every row still
+    serves as a key and value), bitwise the full forward's rows.  Positions
+    run 0..2L-1.
     """
     frames = as_batch(x)
     B, L = frames.shape
     if 2 * L > model.config.max_positions:
         raise LengthError(f"sequence doubling needs max_positions >= {2 * L}")
     doubled = np.concatenate([frames, frames], axis=1)
-    hidden = forward_hidden(model, embedder(doubled), lengths=[2 * L] * B)
-    second_halves = (2 * L * np.arange(B)[:, None] + np.arange(L, 2 * L)).ravel()
-    return predictor(T.take_rows(hidden, second_halves), B)
+    hidden = forward_hidden(model, embedder(doubled), lengths=[2 * L] * B, keep_from=L)
+    return predictor(hidden, B)

@@ -213,17 +213,24 @@ def _doctor_causality():
     from .tensor import Tensor
     from .transformer import forward_hidden
 
+    # three row blocks of causal attention, the last one of 10 rows
+    L = 2 * T._CAUSAL_BLOCK + 10
     model = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=2,
-                                    d_ff=64, max_positions=32, vocab_size=16, seed=1))
+                                    d_ff=64, max_positions=L, vocab_size=16, seed=1))
+    for p in model.params.values():  # weights at 10x their init scale: a leak shows
+        if p.data.ndim == 2:
+            p.data *= 10.0
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(10, 32)).astype(np.float32)
+    x = rng.normal(size=(L, 32)).astype(np.float32)
     with T.no_grad():
         base = forward_hidden(model, Tensor(x)).data
-        x2 = x.copy()
-        x2[-1] += 1.0
-        pert = forward_hidden(model, Tensor(x2)).data
-    if not np.array_equal(base[:-1], pert[:-1]):
-        raise AssertionError("future position leaked into past outputs")
+        # the last row, then the first row of the last block
+        for row in (L - 1, 2 * T._CAUSAL_BLOCK):
+            x2 = x.copy()
+            x2[row] += 1.0
+            pert = forward_hidden(model, Tensor(x2)).data
+            if not np.array_equal(base[:row], pert[:row]):
+                raise AssertionError(f"position {row} leaked into earlier outputs")
 
 
 def _doctor_advection():

@@ -223,13 +223,15 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray,
             dl = du = np.zeros(1)
         _, _, _, x, info = dgtsv(dl, d, du, b)
         return x, int(info)
-    copies = [a.copy() for a in args]
+    # the copies back to back in one buffer: dl, d, du, b start at these offsets
+    copies = np.concatenate(args)
+    base, offsets = copies.ctypes.data, (0, n - 1, 2 * n - 1, 3 * n - 2)
     size, nrhs, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
     solve.restype = None
     solve(ctypes.byref(size), ctypes.byref(nrhs),
-          *(ctypes.c_void_p(a.ctypes.data) for a in copies),
+          *(ctypes.c_void_p(base + 8 * k) for k in offsets),
           ctypes.byref(size), ctypes.byref(info))
-    return copies[3], info.value
+    return copies[3 * n - 2:], info.value
 
 
 def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams) -> np.ndarray:

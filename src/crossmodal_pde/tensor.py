@@ -15,7 +15,8 @@ higher-order gradients.  Besides elementary ops it has two transformer
 sub-block nodes, ``self_attention`` and ``gelu_mlp``.  Each runs its op
 chain's numpy operations in the chain's order (bitwise the chain's result and
 gradients), shares its softmax or GELU kernels with ``softmax_lastdim`` or
-``gelu``, and keeps for backward only the arrays its backward reads.
+``gelu``, and keeps for backward only the arrays its backward reads.  Causal
+attention skips, by row blocks, the keys a query cannot see.
 """
 
 from __future__ import annotations
@@ -611,7 +612,9 @@ def _softmax_(z: np.ndarray, scale: np.float32, bias: np.ndarray | None) -> np.n
     z *= scale
     if bias is not None:
         z += bias
-    z -= z.max(axis=-1, keepdims=True)
+    # fmax skips NaN where max propagates it, but a NaN entry stays in z and
+    # turns its row's sum, and so the whole row, into NaN all the same
+    z -= np.fmax.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)  # exp(-inf) == 0.0 exactly
     z /= z.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
     return z
@@ -673,14 +676,64 @@ def logsumexp_lastdim(x, keepdims: bool = False) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize each trailing-dim row to zero mean / unit variance, then affine."""
+# Rows dropped from a batch.  ``dropped_rows=(batch, n)`` (``queries_from=n``
+# for ``self_attention``) marks a 2-D input that holds only the rows from n on
+# of each of ``batch`` equal-length sequences, as the last layer of a trimmed
+# ``transformer.forward_hidden`` computes them.  Row-wise work runs on those
+# rows alone.  Every product and reduction of backward that sums over rows
+# (weight gradients, bias and layer-norm gain sums) sees the dropped rows again,
+# as exact zeros, so the gradients are bitwise those of the full rows with a
+# zero gradient there: OpenBLAS splits a long inner dimension into chunks at
+# points set by its length, and dropping the zero rows would move them.
+# ``gelu_mlp`` runs its whole backward on the full rows: OpenBLAS also rounds a
+# product by a transposed weight differently at small row counts (3 to 18 rows
+# against twice as many).
+
+
+def _check_dropped(x: np.ndarray, dropped_rows) -> tuple[int, int] | None:
+    """``dropped_rows`` checked against the rows of ``x``; None where no row
+    was dropped."""
+    if dropped_rows is None:
+        return None
+    batch, n = dropped_rows
+    if x.ndim != 2 or batch < 1 or n < 0 or x.shape[0] % batch:
+        raise ShapeError(f"{x.shape} input does not hold the rows from {n} on of "
+                         f"{batch} sequences")
+    return (batch, n) if n else None
+
+
+def _pad_rows(a: np.ndarray | None, dropped: tuple[int, int] | None) -> np.ndarray | None:
+    """[batch * k, c] rows of ``a`` with each sequence's ``n`` dropped rows put
+    back in front as exact zeros, [batch * (n + k), c] (``dropped = (batch,
+    n)``); ``a`` itself where it is None or nothing was dropped."""
+    if a is None or dropped is None:
+        return a
+    batch, n = dropped
+    k = a.shape[0] // batch
+    full = np.zeros((batch, n + k, a.shape[1]), a.dtype)
+    full[:, n:] = a.reshape(batch, k, -1)
+    return full.reshape(batch * (n + k), -1)
+
+
+def _kept_rows(a: np.ndarray, dropped: tuple[int, int] | None) -> np.ndarray:
+    """The rows of ``a`` that ``_pad_rows`` did not put back."""
+    if dropped is None:
+        return a
+    batch, n = dropped
+    return a.reshape(batch, a.shape[0] // batch, -1)[:, n:].reshape(-1, a.shape[1])
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5, dropped_rows=None) -> Tensor:
+    """Normalize each trailing-dim row to zero mean / unit variance, then
+    affine.  With ``dropped_rows`` the gain and bias gradients sum the
+    dropped rows as zeros (see ``_pad_rows``)."""
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"gain/bias must have shape ({d},)")
+    dropped = _check_dropped(x.data, dropped_rows)
     # one float64 buffer, centred in place and then scaled; the mean of its
     # squares is the sum np.var forms, so the statistics keep their bits
     xc = x.data.astype(np.float64)
@@ -700,9 +753,9 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         dx -= xhat * m2
         dx *= inv
         axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
-        dbias = g.sum(axis=axes, dtype=np.float64).astype(np.float32)
-        return ((x, dx), (gain, dgain), (bias, dbias))
+        dgain = _pad_rows(g * xhat, dropped).sum(axis=axes, dtype=np.float64)
+        dbias = _pad_rows(g, dropped).sum(axis=axes, dtype=np.float64)
+        return ((x, dx), (gain, dgain.astype(np.float32)), (bias, dbias.astype(np.float32)))
 
     return _make(out, (x, gain, bias), bwd)
 
@@ -727,22 +780,56 @@ def _weight_grads(x: np.ndarray | None, g: np.ndarray, w: Tensor, b: Tensor) -> 
     return grads
 
 
+_CAUSAL_BLOCK = 64  # query rows per block of causal attention
+
+
+@functools.lru_cache(maxsize=64)
+def _causal_bias(L: int) -> np.ndarray:
+    """Read-only [L, L] float32 additive attention bias: 0 on and below the
+    diagonal, -inf above it.  Built once per length and shared by every call
+    (``transformer.causal_bias``)."""
+    bias = np.where(np.tri(L, dtype=bool), np.float32(0.0), np.float32(-np.inf))
+    bias.flags.writeable = False
+    return bias
+
+
 def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
-                   bias: np.ndarray | None = None) -> Tensor:
+                   bias: np.ndarray | None = None, causal: bool = False,
+                   queries_from: int = 0) -> Tensor:
     """Multi-head self-attention over ``batch`` sequences of equal length L
     stacked as the rows of ``x`` [batch * L, d]: the q, k and v projections,
     the split into ``heads`` heads of width dh, ``softmax_lastdim(q @ k^T,
     bias, scale=1 / sqrt(dh))``, ``probs @ v``, the merge of the heads and
     the output projection, as one tape node.
 
-    ``bias`` broadcasts to the scores [batch, heads, L, L] (a causal [L, L]
-    or a key-padding [batch, 1, 1, L] mask, see ``softmax_lastdim``).  The
-    node keeps q and k^T in head layout, v, the probabilities (formed in
-    place in the ``q @ k^T`` product) and, if ``wo`` trains, the merged
-    context.  The input gradient sums its three paths as (q + k) + v, the
-    order in which the op chain's backward adds them.
+    ``bias`` broadcasts to the scores [batch, heads, L, L] (a key-padding
+    [batch, 1, 1, L] mask, see ``softmax_lastdim``).  ``causal=True`` takes
+    the causal bias ``_causal_bias(L)`` instead, by row blocks: the queries
+    run in blocks of ``_CAUSAL_BLOCK`` rows, and each block is scored only
+    against the keys up to its last row, with the matching slice of the
+    bias.  The keys a block skips would get weight exactly 0.0 and add exact
+    zeros to the row sums and products, so each weight, the output and the
+    gradients are bitwise those of one [L, L] product
+    (``tests/test_block_nodes.py`` pins L from 8 to 256).  Up to L =
+    ``_CAUSAL_BLOCK`` + 1 the node runs that one product.
+
+    ``queries_from=n`` computes the queries of rows n..L-1 of each sequence
+    only, and the output [batch * (L - n), d] holds just those rows.  Keys
+    and values still come from every row, and backward sums over the dropped
+    rows as zeros (see ``_pad_rows``).  One row left per sequence (n = L - 1)
+    is multiplied as a vector, and so matches the full node's row only to
+    rounding.
+
+    On the tape the node keeps q and k^T in head layout, v, each block's
+    probabilities and, if ``wo`` trains, the merged context.  Backward runs
+    the softmax gradient per block and puts the blocks' probabilities and
+    score gradients into [batch, heads, L, L] buffers, zero where a block or
+    a dropped row skipped them, so that its dv, dq and dk^T products get the
+    one product's operands.  Off the tape each block's scores are scratch.
+    The input gradient sums its three paths as (q + k) + v, the order in
+    which the op chain's backward adds them.
     """
-    x, wq, bq, wk, bk, wv, bv, wo, bo = (
+    x, wq, bq, wk, bk, wv, bv, wo, bo = params = tuple(
         _as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
     if x.data.ndim != 2:
         raise ShapeError(f"self_attention input must be [rows, d], got {x.data.shape}")
@@ -754,35 +841,77 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
         if w.data.shape != (d, d) or b.data.shape != (d,):
             raise ShapeError(f"projection {w.data.shape} + {b.data.shape} does not fit d={d}")
     B, H, L, dh = batch, heads, rows // batch, d // heads
+    qf = queries_from
+    if not 0 <= qf < L:
+        raise ShapeError(f"queries_from={qf} is outside sequences of length {L}")
+    if causal and bias is not None:
+        raise ContractError("causal attention builds its own bias; pass bias=None")
     scale = np.float32(1.0 / np.sqrt(dh))
     if bias is not None:
         bias = _softmax_bias(bias, (B, H, L, L))
+        if qf:
+            bias = np.broadcast_to(bias, (B, H, L, L))[:, :, qf:]
+    # (first query row, end row, keys seen, bias) of each block of queries
+    if causal:
+        # an edge every _CAUSAL_BLOCK rows, but none that leaves a block one
+        # query row: numpy multiplies a single row as a vector, which sums its
+        # products in another order than the matrix product does
+        edges = [0] + [e for e in range(_CAUSAL_BLOCK, L - 1, _CAUSAL_BLOCK) if e != qf + 1]
+        spans = [(max(s, qf), e) for s, e in zip(edges, edges[1:] + [L]) if e > qf]
+        full = _causal_bias(L)
+        blocks = [(s, e, e, full if (s, e) == (0, L) else full[s:e, :e]) for s, e in spans]
+    else:
+        blocks = [(qf, L, L, bias)]
+    single = blocks[0][:3] == (0, L, L)  # one product over every query and key
+    taped = grad_enabled() and any(p.requires_grad for p in params)
 
-    def heads_of(w, b, axes):
-        y = x.data @ w.data
+    def heads_of(y, w, b, axes):
+        y = y @ w.data
         y += b.data
-        return np.ascontiguousarray(y.reshape(B, L, H, dh).transpose(axes))
+        return np.ascontiguousarray(y.reshape(B, -1, H, dh).transpose(axes))
 
-    q = heads_of(wq, bq, (0, 2, 1, 3))  # [B, H, L, dh]
-    kt = heads_of(wk, bk, (0, 2, 3, 1))  # [B, H, dh, L]
-    v = heads_of(wv, bv, (0, 2, 1, 3))
-    probs = _softmax_(q @ kt, scale, bias)
-    ctx = np.ascontiguousarray((probs @ v).transpose(0, 2, 1, 3)).reshape(rows, d)
+    queries = x.data.reshape(B, L, d)[:, qf:].reshape(-1, d) if qf else x.data
+    q = heads_of(queries, wq, bq, (0, 2, 1, 3))  # [B, H, L - qf, dh]
+    kt = heads_of(x.data, wk, bk, (0, 2, 3, 1))  # [B, H, dh, L]
+    v = heads_of(x.data, wv, bv, (0, 2, 1, 3))
+    probs = []  # each block's probabilities, kept on the tape
+    ctx = np.empty((B, L - qf, H, dh), np.float32)
+    for s, e, n, block_bias in blocks:
+        z = _softmax_(q[:, :, s - qf:e - qf] @ kt[..., :n], scale, block_bias)
+        ctx[:, s - qf:e - qf] = (z @ v[:, :, :n]).transpose(0, 2, 1, 3)
+        if taped:
+            probs.append(z)
+    ctx = ctx.reshape(-1, d)
     out = ctx @ wo.data
     out += bo.data
     if not wo.requires_grad:
         ctx = None
+    dropped = (B, qf) if qf else None
 
     def bwd(g):
-        grads = _weight_grads(ctx, g, wo, bo)
+        g = _pad_rows(g, dropped)
+        grads = _weight_grads(_pad_rows(ctx, dropped), g, wo, bo)
         dctx = g @ np.swapaxes(wo.data, -1, -2)
         dctx = np.ascontiguousarray(dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3))
-        dscores = _softmax_grad(dctx @ np.swapaxes(v, -1, -2), probs, scale)
-        dv = np.swapaxes(probs, -1, -2) @ dctx
+        vt = np.swapaxes(v, -1, -2)
+        if single:
+            p_all, = probs
+            dscores = _softmax_grad(dctx @ vt, p_all, scale)
+        else:
+            p_all = np.zeros((B, H, L, L), np.float32)
+            dscores = np.zeros((B, H, L, L), np.float32)
+            for (s, e, n, _), p in zip(blocks, probs):
+                p_all[:, :, s:e, :n] = p
+                dscores[:, :, s:e, :n] = _softmax_grad(dctx[:, :, s:e] @ vt[..., :n], p, scale)
+        dv = np.swapaxes(p_all, -1, -2) @ dctx
         del dctx
+        q_all = q
+        if qf:
+            q_all = np.zeros((B, H, L, dh), np.float32)
+            q_all[:, :, qf:] = q
         dq = dscores @ np.swapaxes(kt, -1, -2)
-        dkt = np.swapaxes(q, -1, -2) @ dscores
-        del dscores
+        dkt = np.swapaxes(q_all, -1, -2) @ dscores
+        del dscores, q_all, p_all
         dx = None
         # each path's gradient back in [rows, d] layout, then through its projection
         for w, b, dy, axes in ((wq, bq, dq, (0, 2, 1, 3)), (wk, bk, dkt, (0, 3, 1, 2)),
@@ -799,14 +928,16 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
             grads.append((x, dx))
         return grads
 
-    return _make(out, (x, wq, bq, wk, bk, wv, bv, wo, bo), bwd)
+    return _make(out, params, bwd)
 
 
-def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
+def gelu_mlp(x, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
     """``gelu(x @ w1 + b1) @ w2 + b2`` as one tape node.
 
     The node keeps the pre-activation and its cdf and, if ``w2`` trains, the
-    GELU output; ``gelu`` supplies the cdf and the derivative.
+    GELU output; ``gelu`` supplies the cdf and the derivative.  With
+    ``dropped_rows`` backward runs on the full rows, the dropped ones as
+    zeros (see ``_pad_rows``).
     """
     x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
     if x.data.ndim != 2 or w2.data.ndim != 2:
@@ -815,6 +946,7 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
     if (w1.data.shape, b1.data.shape, b2.data.shape) != ((d, f), (f,), (e,)):
         raise ShapeError(f"MLP shapes do not chain: x {x.data.shape}, w1 {w1.data.shape}, "
                          f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}")
+    dropped = _check_dropped(x.data, dropped_rows)
     pre = x.data @ w1.data
     pre += b1.data
     cdf = _gelu_cdf(pre)
@@ -825,12 +957,13 @@ def gelu_mlp(x, w1, b1, w2, b2) -> Tensor:
         act = None
 
     def bwd(g):
-        grads = _weight_grads(act, g, w2, b2)
+        g = _pad_rows(g, dropped)
+        grads = _weight_grads(_pad_rows(act, dropped), g, w2, b2)
         dpre = g @ np.swapaxes(w2.data, -1, -2)
-        dpre *= _gelu_slope(pre, cdf)
-        grads += _weight_grads(x.data, dpre, w1, b1)
+        dpre *= _pad_rows(_gelu_slope(pre, cdf), dropped)
+        grads += _weight_grads(_pad_rows(x.data, dropped), dpre, w1, b1)
         if x.requires_grad:
-            grads.append((x, dpre @ np.swapaxes(w1.data, -1, -2)))
+            grads.append((x, _kept_rows(dpre @ np.swapaxes(w1.data, -1, -2), dropped)))
         return grads
 
     return _make(out, (x, w1, b1, w2, b2), bwd)

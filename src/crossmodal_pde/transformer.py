@@ -7,12 +7,13 @@ tensor; a batch of B sequences runs as one [B*Lmax, d_model] forward.
 Pretraining pads each batch to its longest sequence; fine-tuning and
 evaluation batch equal-length frames, which need no padding.  Each layer puts
 six nodes on the tape: layer norm, ``tensor.self_attention``, the residual
-add, layer norm, ``tensor.gelu_mlp`` and the residual add.
+add, layer norm, ``tensor.gelu_mlp`` and the residual add.  Decoder attention
+runs in causal row blocks, and a forward may trim its last layer to the rows
+the caller reads (``forward_hidden(keep_from=...)``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -122,36 +123,40 @@ def parameter_census(model: TransformerModel) -> int:
     return sum(p.data.size for p in model.params.values())
 
 
-@functools.lru_cache(maxsize=64)
-def causal_bias(L: int) -> np.ndarray:
-    """Read-only [L, L] float32 additive attention bias: 0 on and below the
-    diagonal, -inf above it.  Built once per length and shared by every call."""
-    bias = np.where(np.tri(L, dtype=bool), np.float32(0.0), np.float32(-np.inf))
-    bias.flags.writeable = False
-    return bias
-
+# the read-only [L, L] float32 causal bias of decoder attention, built once per
+# length: 0 on and below the diagonal, -inf above it
+causal_bias = T._causal_bias
 
 _ATTN_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")  # self_attention's order
 _MLP_PARAMS = ("w1", "b1", "w2", "b2")
 
 
 def forward_hidden(model: TransformerModel, embedded_input: Tensor,
-                   lengths: np.ndarray | None = None) -> Tensor:
+                   lengths: np.ndarray | None = None, keep_from: int = 0) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
 
     Each pre-norm layer is LN -> ``T.self_attention`` -> residual add -> LN
     -> ``T.gelu_mlp`` -> residual add, six tape nodes, and a final layer norm
-    follows the stack.  Attention is causal when the model is decoder-only and bidirectional when
-    it is encoder-only.  The input is one sequence, [L, d_model], or with ``lengths`` a padded
-    batch: B = len(lengths) sequences of Lmax = rows / B rows each, stacked
-    to [B*Lmax, d_model], where sequence b's rows from lengths[b] on are
-    padding (a batch without padding gets no key bias at all).  Padded keys
-    get a -inf attention bias and so weight exactly
-    0.0: a real row does not depend on what the (finite) padding holds, and
-    it equals the row its sequence's own forward gives up to the order in
-    which BLAS sums the zero terms padding adds to ``probs @ v`` (bitwise
-    with OpenBLAS's Haswell sgemm at head width 16, the default model's; not
-    at head width 8).  Each sequence's rows take positions 0..Lmax-1.
+    follows the stack.  Attention is causal when the model is decoder-only
+    (``causal=True``: row blocks that skip the keys a query cannot see) and
+    bidirectional when it is encoder-only.  The input is one sequence, [L,
+    d_model], or with ``lengths`` a padded batch: B = len(lengths) sequences
+    of Lmax = rows / B rows each, stacked to [B*Lmax, d_model], where sequence
+    b's rows from lengths[b] on are padding (a batch without padding gets no
+    key bias at all).  Padded keys get a -inf attention bias and so weight
+    exactly 0.0: a real row does not depend on what the (finite) padding
+    holds, and it equals the row its sequence's own forward gives up to the
+    order in which BLAS sums the zero terms padding adds to ``probs @ v``
+    (bitwise with OpenBLAS's Haswell sgemm at head width 16, the default
+    model's; not at head width 8).  Each sequence's rows take positions
+    0..Lmax-1.
+
+    ``keep_from=n`` returns only rows n..Lmax-1 of each sequence, [B*(Lmax-n),
+    d_model].  The last layer then forms attention queries, the residual, its
+    second layer norm, the MLP and the final layer norm for those rows alone
+    (keys and values still come from every row), and its nodes sum the
+    dropped rows as zeros in backward.  Output and gradients are bitwise
+    those of the full forward followed by a ``take_rows`` of the kept rows.
     """
     cfg = model.config
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:
@@ -167,25 +172,33 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
         L = rows // B
     if L > cfg.max_positions:
         raise LengthError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
+    if not 0 <= keep_from < L:
+        raise T.ShapeError(f"keep_from={keep_from} is outside sequences of length {L}")
 
     p = model.params
-    if cfg.arch == DECODER_ONLY:  # padding follows the real rows, so this hides it from them too
-        attn_bias = causal_bias(L)
-    elif lengths is not None and lengths.min() < L:
-        attn_bias = np.where(np.arange(L) < lengths[:, None], np.float32(0.0),
-                             np.float32(-np.inf))[:, None, None, :]
-    else:
-        attn_bias = None
+    # decoder padding follows the real rows, so the causal mask hides it from them too
+    causal = cfg.arch == DECODER_ONLY
+    key_bias = None
+    if not causal and lengths is not None and lengths.min() < L:
+        key_bias = np.where(np.arange(L) < lengths[:, None], np.float32(0.0),
+                            np.float32(-np.inf))[:, None, None, :]
 
     h = T.add(embedded_input, T.take_rows(p["pos_emb"], np.tile(np.arange(L), B)))
+    trim = {}
     for i in range(cfg.n_layers):
         pre = f"layer{i}."
+        if keep_from and i == cfg.n_layers - 1:
+            trim = {"dropped_rows": (B, keep_from)}
         a = T.layer_norm(h, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        h = T.add(h, T.self_attention(a, *(p[pre + "attn." + n] for n in _ATTN_PARAMS),
-                                      batch=B, heads=cfg.n_heads, bias=attn_bias))
-        m = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        h = T.add(h, T.gelu_mlp(m, *(p[pre + "mlp." + n] for n in _MLP_PARAMS)))
-    return T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
+        att = T.self_attention(a, *(p[pre + "attn." + n] for n in _ATTN_PARAMS), batch=B,
+                               heads=cfg.n_heads, bias=key_bias, causal=causal,
+                               queries_from=keep_from if trim else 0)
+        if trim:
+            h = T.take_rows(h, (L * np.arange(B)[:, None] + np.arange(keep_from, L)).ravel())
+        h = T.add(h, att)
+        m = T.layer_norm(h, p[pre + "ln2.g"], p[pre + "ln2.b"], **trim)
+        h = T.add(h, T.gelu_mlp(m, *(p[pre + "mlp." + n] for n in _MLP_PARAMS), **trim))
+    return T.layer_norm(h, p["final_ln.g"], p["final_ln.b"], **trim)
 
 
 def embed_tokens(model: TransformerModel, ids: np.ndarray) -> Tensor:

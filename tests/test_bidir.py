@@ -12,8 +12,10 @@ from crossmodal_pde.adaptation import (
     Pipeline,
     Predictor,
     evaluate_nrmse,
+    frozen_except,
     predict_sequence,
     run_adaptation,
+    trained_parameters,
 )
 from crossmodal_pde.bidir import (
     FlipPair,
@@ -120,6 +122,43 @@ def test_doubling_length_guard():
     pred = Predictor.create(32, seed=1)
     with pytest.raises(LengthError):
         sequence_doubling_forward(model, emb, pred, np.zeros((1, 48), dtype=np.float32))
+
+
+@pytest.mark.parametrize("trained", ["fpt", "orca", "all"])
+@pytest.mark.parametrize("B", [1, 4])
+def test_doubling_trims_last_layer_bitwise(B, trained):
+    """The forward that computes only the second halves in its last layer
+    equals the full 2L forward followed by a ``take_rows`` of those rows, for
+    the predictions and every trained gradient."""
+    model = make_model(arch=DECODER_ONLY, d_model=64, max_positions=256, seed=B)
+    for p in model.params.values():  # nonzero biases and gains, so every term counts
+        p.data += np.random.default_rng(p.data.size).normal(0.0, 0.05, p.data.shape
+                                                            ).astype(np.float32)
+    emb, pred = Embedder.create(64, seed=1), Predictor.create(64, seed=2)
+    rng = np.random.default_rng(B)
+    L = 128
+    frames = rng.normal(size=(B, L)).astype(np.float32)
+    G = rng.normal(size=(B, L)).astype(np.float32)
+    body = (list(model.params.values()) if trained == "all"
+            else trained_parameters(model, trained))
+    params = body + emb.params() + pred.params()
+
+    def untrimmed(model, emb, pred, x):
+        hidden = forward_hidden(model, emb(np.concatenate([x, x], axis=1)),
+                                lengths=[2 * L] * B)
+        return pred(T.take_rows(hidden, (2 * L * np.arange(B)[:, None]
+                                         + np.arange(L, 2 * L)).ravel()), B)
+
+    def run(forward):
+        T.zero_grads(params)
+        with frozen_except(model, params):
+            out = forward(model, emb, pred, frames)
+            T.tsum(T.mul(out, Tensor(G))).backward()
+        return [out.data] + [p.grad for p in params]
+
+    got, want = run(sequence_doubling_forward), run(untrimmed)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), i
 
 
 def test_doubling_causal_full_context():

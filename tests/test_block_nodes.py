@@ -4,7 +4,9 @@
 (``tensor.self_attention``, ``tensor.gelu_mlp``).  The oracle below is each
 sub-block as the chain of elementary tape ops it was built from; swapped in for
 the nodes, it must give the same output and gradients bit for bit, while the
-nodes keep less of the forward pass for backward.
+nodes keep less of the forward pass for backward.  Causal attention runs in
+row blocks; it must match the one [L, L] product it replaces the same way, and
+so must ``forward_hidden(keep_from=...)`` the full forward it trims.
 """
 
 import contextlib
@@ -21,9 +23,13 @@ from crossmodal_pde.proxy_data import gen_corpus
 from crossmodal_pde.tensor import Tensor
 
 
-def _chain_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch, heads, bias=None):
+def _chain_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch, heads, bias=None,
+                     causal=False, queries_from=0):
+    assert queries_from == 0  # these tests run untrimmed forwards
     rows, d = x.data.shape
     B, H, L, dh = batch, heads, rows // batch, d // heads
+    if causal:
+        bias = tf.causal_bias(L)
 
     def split(w, b):
         return T.transpose(T.reshape(T.add(T.matmul(x, w), b), (B, L, H, dh)), (0, 2, 1, 3))
@@ -65,25 +71,112 @@ def _forward_backward(model, x, G, B, trained):
     return [out.data, x.grad] + [p.grad for p in trained]
 
 
-@pytest.mark.parametrize("weights", [ad.FPT, ad.ORCA, "all"])
-@pytest.mark.parametrize("B,L", [(1, 8), (4, 8), (1, 128), (4, 128), (1, 256), (4, 256)])
-@pytest.mark.parametrize("arch", [tf.ENCODER_ONLY, tf.DECODER_ONLY])
-def test_nodes_match_op_chain_bitwise(arch, B, L, weights):
+def _model_and_inputs(arch, B, L, out_rows=None):
+    """A default-width model with nonzero biases and gains, so every term
+    counts, a [B * L, 64] input and a gradient for ``out_rows`` output rows."""
     model = make_model(arch=arch, d_model=64, max_positions=256, seed=L + B)
-    for p in model.params.values():  # nonzero biases and gains, so every term counts
+    for p in model.params.values():
         p.data += np.random.default_rng(p.data.size).normal(0.0, 0.05, p.data.shape
                                                             ).astype(np.float32)
     rng = np.random.default_rng(B * L)
     x = rng.normal(size=(B * L, 64)).astype(np.float32)
-    G = rng.normal(size=(B * L, 64)).astype(np.float32)
+    G = rng.normal(size=(B * L if out_rows is None else out_rows, 64)).astype(np.float32)
+    return model, x, G
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), i
+        assert a is None or np.array_equal(a, b), i
+
+
+@pytest.mark.parametrize("weights", [ad.FPT, ad.ORCA, "all"])
+@pytest.mark.parametrize("B,L", [(1, 8), (4, 8), (1, 128), (4, 128), (1, 256), (4, 256)])
+@pytest.mark.parametrize("arch", [tf.ENCODER_ONLY, tf.DECODER_ONLY])
+def test_nodes_match_op_chain_bitwise(arch, B, L, weights):
+    model, x, G = _model_and_inputs(arch, B, L)
     trained = _trained(model, weights)
     got = _forward_backward(model, x, G, B, trained)
     with op_chain():
         want = _forward_backward(model, x, G, B, trained)
-    assert len(got) == len(want) == 2 + len(trained)
-    for i, (a, b) in enumerate(zip(got, want)):
-        assert (a is None) == (b is None), i
-        assert a is None or np.array_equal(a, b), i
+    assert len(got) == 2 + len(trained)
+    _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("mode", [ad.FPT, ad.ORCA, "all", "no_grad"])
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("L", [8, 63, 64, 65, 128, 200, 256])
+def test_causal_blocks_match_one_product_bitwise(L, B, mode, monkeypatch):
+    """Row blocks against one [L, L] product (a block size no length reaches),
+    for the output and every trained gradient, and off the tape."""
+    model, x, G = _model_and_inputs(tf.DECODER_ONLY, B, L)
+    if mode == "no_grad":
+        def run():
+            with T.no_grad():
+                return [tf.forward_hidden(model, Tensor(x), lengths=[L] * B).data]
+    else:
+        trained = _trained(model, mode)
+        run = lambda: _forward_backward(model, x, G, B, trained)  # noqa: E731
+    got = run()
+    monkeypatch.setattr(T, "_CAUSAL_BLOCK", 1 << 30)
+    _assert_bitwise(got, run())
+
+
+def _trimmed_forward_backward(model, x, G, lengths, trained, keep_from, trim):
+    """``_forward_backward`` of rows keep_from.. of each sequence, by
+    ``keep_from`` or by a ``take_rows`` of the full forward's output."""
+    x = Tensor(x, requires_grad=True)
+    B = len(lengths)
+    L = len(x.data) // B
+    T.zero_grads(list(model.params.values()))
+    with ad.frozen_except(model, trained):
+        if trim:
+            out = tf.forward_hidden(model, x, lengths=lengths, keep_from=keep_from)
+        else:
+            out = T.take_rows(tf.forward_hidden(model, x, lengths=lengths),
+                              (L * np.arange(B)[:, None] + np.arange(keep_from, L)).ravel())
+        T.tsum(T.mul(out, G)).backward()
+    return [out.data, x.grad] + [p.grad for p in trained]
+
+
+@pytest.mark.parametrize("weights", [ad.FPT, "all"])
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("L,keep_from", [(16, 8), (200, 63), (256, 128)])
+@pytest.mark.parametrize("arch", [tf.ENCODER_ONLY, tf.DECODER_ONLY])
+def test_trimmed_last_layer_matches_full_forward_bitwise(arch, L, keep_from, B, weights):
+    model, x, G = _model_and_inputs(arch, B, L, out_rows=B * (L - keep_from))
+    trained = _trained(model, weights)
+    got = _trimmed_forward_backward(model, x, G, [L] * B, trained, keep_from, trim=True)
+    want = _trimmed_forward_backward(model, x, G, [L] * B, trained, keep_from, trim=False)
+    _assert_bitwise(got, want)
+
+
+def test_trimmed_padded_encoder_batch_matches_full_forward_bitwise():
+    """The key-padding bias of a padded batch applies to the kept queries."""
+    lengths, L, keep_from = [40, 25, 33, 21], 40, 20
+    model, x, G = _model_and_inputs(tf.ENCODER_ONLY, 4, L, out_rows=4 * (L - keep_from))
+    trained = _trained(model, "all")
+    got = _trimmed_forward_backward(model, x, G, lengths, trained, keep_from, trim=True)
+    want = _trimmed_forward_backward(model, x, G, lengths, trained, keep_from, trim=False)
+    _assert_bitwise(got, want)
+
+
+def test_no_grad_causal_attention_peaks_below_one_score_array():
+    """Off the tape each row block's scores are scratch, so a causal forward
+    at L=256 never holds a [B, 4, L, L] float32 array."""
+    B, L = 4, 256
+    model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY))
+    attn = [model.params["layer0.attn." + n] for n in tf._ATTN_PARAMS]
+    x = Tensor(np.random.default_rng(0).normal(size=(B * L, 64)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        with T.no_grad():
+            T.self_attention(x, *attn, batch=B, heads=4, causal=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < B * 4 * L * L * 4, peak / 2**20
 
 
 @pytest.mark.parametrize("arch", [tf.ENCODER_ONLY, tf.DECODER_ONLY])

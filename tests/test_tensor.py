@@ -213,6 +213,45 @@ def test_softmax_bits_match_reference(L, causal, scale):
         assert np.all(out.data[:, ~np.tri(L, dtype=bool)] == 0.0)
 
 
+def _softmax_kernel_with_max(z, scale, bias):
+    """``T._softmax_`` as it took the row max with ``ndarray.max``, which
+    propagates NaN where ``np.fmax`` skips it."""
+    z *= scale
+    if bias is not None:
+        z += bias
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    return z
+
+
+def test_softmax_kernel_special_rows_match_max_kernel():
+    """A row holding a NaN, a +inf or only -inf still comes out all-NaN, and
+    every other row keeps its bits."""
+    nan, inf = np.nan, np.inf
+    special = np.array([
+        [1.0, -2.0, 3.5, 0.0],
+        [1.0, nan, 3.5, 0.0],
+        [nan, -inf, -inf, -inf],
+        [1.0, inf, 3.5, 0.0],
+        [inf, inf, -inf, 0.0],
+        [-inf, -inf, -inf, -inf],
+        [-inf, 2.0, -inf, -inf],
+        [nan, inf, -inf, 1.0],
+    ], dtype=np.float32)
+    dense = (np.random.default_rng(0).normal(size=(8, 4)) * 30.0).astype(np.float32)
+    x = np.concatenate([special, dense])
+    masked_last = np.where(np.arange(4) < 3, np.float32(0.0), np.float32(-np.inf))
+    for bias in (None, masked_last):
+        with np.errstate(invalid="ignore"):
+            got = T._softmax_(x.copy(), np.float32(0.5), bias)
+            want = _softmax_kernel_with_max(x.copy(), np.float32(0.5), bias)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got[~np.isnan(got)], want[~np.isnan(want)])
+        assert np.isnan(got[[1, 2, 3, 4, 5, 7]]).all()
+        assert not np.isnan(got[[0, 6]]).any() and not np.isnan(got[8:]).any()
+
+
 def test_gelu_cdf_within_bound_of_float64_erf():
     assert T._gelu_cdf_max_error() <= 3e-7
 
@@ -432,21 +471,47 @@ def test_gradients_attention(seed):
     check_gradients(_graph_attention, params)
 
 
-def _graph_self_attention(params, bias):
-    # two sequences of 3 rows, two heads of width 2
-    return T.tmean(T.square(T.self_attention(*params, batch=2, heads=2, bias=bias)))
+def _graph_self_attention(params, mask):
+    # two sequences, two heads of width 2
+    return T.tmean(T.square(T.self_attention(*params, batch=2, heads=2, **mask)))
 
 
-@pytest.mark.parametrize("bias", ["none", "causal", "key_padding"])
+@pytest.mark.parametrize("bias", ["none", "causal", "key_padding", "causal_blocks"])
 def test_gradients_self_attention_node(bias):
     rng = np.random.default_rng(len(bias))
-    bias = {"none": None, "causal": tf.causal_bias(3),
-            "key_padding": np.array([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0],
-                                    dtype=np.float32).reshape(2, 1, 1, 3)}[bias]
-    shapes = [(6, 4)] + [(4, 4), (4,)] * 4
+    # sequences of 3 rows; causal blocks: two row blocks, the second of 6 rows
+    L = T._CAUSAL_BLOCK + 6 if bias == "causal_blocks" else 3
+    mask = {"none": {}, "causal": {"bias": tf.causal_bias(3)},
+            "key_padding": {"bias": np.array([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0],
+                                             dtype=np.float32).reshape(2, 1, 1, 3)},
+            "causal_blocks": {"causal": True}}[bias]
+    shapes = [(2 * L, 4)] + [(4, 4), (4,)] * 4
     params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
               for s in shapes]
-    check_gradients(lambda p: _graph_self_attention(p, bias), params)
+    check_gradients(lambda p: _graph_self_attention(p, mask), params)
+
+
+def test_self_attention_and_trimmed_nodes_contract():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(8, 4)).astype(np.float32))
+    attn = [Tensor(rng.normal(size=s).astype(np.float32)) for s in [(4, 4), (4,)] * 4]
+    with pytest.raises(ContractError):
+        T.self_attention(x, *attn, batch=2, heads=2, causal=True, bias=tf.causal_bias(4))
+    for queries_from in (-1, 4):
+        with pytest.raises(ShapeError):
+            T.self_attention(x, *attn, batch=2, heads=2, queries_from=queries_from)
+    # a bias with a row per query loses the dropped rows with them
+    full = T.self_attention(x, *attn, batch=2, heads=2, bias=tf.causal_bias(4)).data
+    kept = T.self_attention(x, *attn, batch=2, heads=2, bias=tf.causal_bias(4),
+                            queries_from=2).data
+    assert np.array_equal(kept, full.reshape(2, 4, 4)[:, 2:].reshape(4, 4))
+    mlp = [Tensor(rng.normal(size=s).astype(np.float32)) for s in [(4, 6), (6,), (6, 4), (4,)]]
+    gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    for dropped_rows in ((3, 2), (0, 2), (2, -1)):  # 8 rows are not 3 sequences
+        with pytest.raises(ShapeError):
+            T.gelu_mlp(x, *mlp, dropped_rows=dropped_rows)
+        with pytest.raises(ShapeError):
+            T.layer_norm(x, gain, bias, dropped_rows=dropped_rows)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
