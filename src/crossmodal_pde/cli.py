@@ -44,12 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n-train", type=int, required=True)
     p_gen.add_argument("--n-test", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_at_least(0), default=0)
     p_gen.add_argument("--n-x", type=int, default=128)
 
     p_corpus = sub.add_parser("corpus", help="generate the synthetic tagged corpus")
     p_corpus.add_argument("--out", required=True)
-    p_corpus.add_argument("--seed", type=int, default=0)
+    p_corpus.add_argument("--seed", type=_at_least(0), default=0)
     p_corpus.add_argument("--n-sequences", type=int, default=2000)
     p_corpus.add_argument("--vocab-size", type=int, default=64)
     p_corpus.add_argument("--tag-count", type=int, default=9)
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pre.add_argument("--corpus", required=True)
     p_pre.add_argument("--out", required=True)
     p_pre.add_argument("--steps", type=_at_least(0), default=1500)
-    p_pre.add_argument("--seed", type=int, default=0)
+    p_pre.add_argument("--seed", type=_at_least(0), default=0)
     p_pre.add_argument("--d-model", type=int, default=64)
     p_pre.add_argument("--n-heads", type=int, default=4)
     p_pre.add_argument("--n-layers", type=int, default=4)

@@ -62,14 +62,19 @@ def write_container(path, header: dict, blocks: list[tuple[str, np.ndarray]]) ->
     full_header["format_version"] = FORMAT_VERSION
     full_header["blocks"] = manifest
     line = json.dumps(full_header, sort_keys=True, separators=(",", ":")) + "\n"
+    write_atomic(path, [line.encode("utf-8"), *payloads], prefix=".tmp-container-")
+
+
+def write_atomic(path, chunks: list[bytes], prefix: str) -> None:
+    """Write ``chunks`` to a temp file beside ``path`` whose name starts with
+    ``prefix``, then rename it over ``path``: a reader sees the old file or
+    the whole new one, and a failed write leaves no temp file."""
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-container-")
+    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=prefix)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(line.encode("utf-8"))
-            for raw in payloads:
-                fh.write(raw)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 import time
 import types
 import typing
@@ -30,20 +29,17 @@ from .adaptation import (
     run_adaptation,
 )
 from .bidir import combine_halves, parallel_flipping_train
-from .container import DataFileError
+from .container import DataFileError, write_atomic
 from .pde_data import load_dataset
 from .proxy_data import PROXY_LENGTH, load_corpus
 from .tensor import ContractError, blas_threads
 from .transformer import (
     DECODER_ONLY,
-    ENCODER_ONLY,
     LengthError,
     ModelConfig,
     TransformerModel,
     build_model,
     load_checkpoint,
-    pretrain,
-    save_checkpoint,
 )
 
 SCHEMA_VERSION = 1
@@ -80,10 +76,6 @@ class ExperimentConfig:
     pretrained: bool = True
     checkpoint_file: str | None = None
     corpus_file: str | None = None
-    pretrain_steps: int = 1500
-    pretrain_lr: float = 1e-3
-    pretrain_batch: int = 8
-    pretrain_seed: int = 1234
     method: str = ORCA
     bidir_method: str = BIDIR_NONE
     learning_rate: float | None = None
@@ -96,17 +88,14 @@ class ExperimentConfig:
         # build both once so that a bad model or adaptation value fails here
         self.model_config(0)
         self.adaptation_config(0)
-        # pretraining's own values, checked before any corpus is read
-        for name, floor in (("pretrain_steps", 0), ("pretrain_batch", 1)):
-            value = getattr(self, name)
-            if not value >= floor:
-                raise ContractError(f"{name} must be >= {floor}, got {value!r}")
-        if not self.pretrain_lr > 0:  # also rejects a NaN
-            raise ContractError(f"pretrain_lr must be > 0, got {self.pretrain_lr!r}")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            # each seed's job writes the record file named after that seed
-            raise ContractError(f"seeds must be a non-empty list of distinct seeds, "
-                                f"got {self.seeds!r}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            # each seed's job writes the record file named after that seed, and
+            # derives its model and pipeline seeds from it
+            raise ContractError(f"seeds must be a non-empty list of distinct non-negative "
+                                f"seeds, got {self.seeds!r}")
+        if self.pretrained and not self.checkpoint_file:
+            raise ContractError("pretrained: true needs a checkpoint_file; write one with "
+                                "`crossmodal-pde pretrain`")
 
     def _shared(self, cls, seed: int):
         """A ``cls`` config from this config's fields of the same names."""
@@ -196,20 +185,6 @@ def record_path(config: ExperimentConfig, seed: int) -> str:
     return os.path.join(config.out_dir, f"{config.name}_seed{seed}.json")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    out_dir = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-record-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _check_lengths(config: ExperimentConfig, n_x: int) -> None:
     """Raise ``LengthError`` naming ``max_positions`` where a sequence the run
     gives the model is longer than its position table: a frame of ``n_x``
@@ -224,27 +199,6 @@ def _check_lengths(config: ExperimentConfig, n_x: int) -> None:
         if length > config.max_positions:
             raise LengthError(f"{what} needs max_positions >= {length}, "
                               f"got max_positions={config.max_positions}")
-
-
-def _prepare_base_model(config: ExperimentConfig) -> TransformerModel | None:
-    """Resolve the shared pretrained model (checkpoint or in-process pretraining).
-
-    The random-init ablation (pretrained=False) returns None and never touches
-    a checkpoint file; models are then built per seed.
-    """
-    if not config.pretrained:
-        return None
-    if config.checkpoint_file:
-        return load_checkpoint(config.checkpoint_file)
-    if not config.corpus_file:
-        raise DataFileError("pretrained=true needs checkpoint_file or corpus_file "
-                            "(in-process pretraining uses the corpus)")
-    corpus = load_corpus(config.corpus_file)
-    model = build_model(config.model_config(config.pretrain_seed))
-    pretrain(model, [t for t, _ in corpus.sequences], steps=config.pretrain_steps,
-             learning_rate=config.pretrain_lr, batch_size=config.pretrain_batch,
-             seed=config.pretrain_seed)
-    return model
 
 
 def _check_base_model(config: ExperimentConfig, model: TransformerModel) -> None:
@@ -302,7 +256,7 @@ def _run_one(config: ExperimentConfig, seed: int,
     dataset = load_dataset(config.dataset_file)
     _check_lengths(config, dataset.grid.n_x)
     if base_model is None and config.pretrained:
-        base_model = _prepare_base_model(config)
+        base_model = load_checkpoint(config.checkpoint_file)
     if base_model is not None:
         _check_base_model(config, base_model)
 
@@ -353,39 +307,23 @@ def _run_one(config: ExperimentConfig, seed: int,
         spikiness=spikiness,
         wallclock_s=round(time.time() - t0, 3),
     )
-    _write_atomic(record_path(config, seed), record.to_json())
+    write_atomic(record_path(config, seed), [record.to_json().encode("utf-8")],
+                 prefix=".tmp-record-")
     return record
 
 
-def _run_job(args: tuple) -> dict:
-    config_dict, seed, checkpoint = args
-    base = load_checkpoint(checkpoint) if checkpoint else None
-    record = run_one(ExperimentConfig.from_dict(config_dict), seed, base_model=base)
-    return asdict(record)
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
-    """Run every seed of the experiment; seeds are independent jobs.
-
-    With multiple workers the shared pretrained model is materialized once as
-    a checkpoint, passed to the worker processes beside the config (which
-    stays as the user wrote it), so they load instead of re-pretraining.
-    ``workers`` below 1 raises ``ContractError``.
+    """Run every seed of the experiment as its own ``run_one(config, seed)``
+    job, in this process or, with ``workers`` above 1, in a pool of that many
+    processes.  Each job loads the config's checkpoint itself; the pool writes
+    nothing beside the records.  ``workers`` below 1 raises ``ContractError``.
     """
     if workers < 1:
         raise ContractError(f"workers must be at least 1, got {workers}")
-    _check_lengths(config, load_dataset(config.dataset_file).grid.n_x)
-    if workers > 1:
-        ckpt = None
-        if config.pretrained and not config.checkpoint_file:
-            ckpt = os.path.join(config.out_dir, f"{config.name}_pretrained.ckpt")
-            save_checkpoint(_prepare_base_model(config), ckpt)
-        jobs = [(config.to_dict(), seed, ckpt) for seed in config.seeds]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            dicts = list(pool.map(_run_job, jobs))
-        return [RunRecord.from_dict(d) for d in dicts]
-    base = _prepare_base_model(config) if config.pretrained else None
-    return [run_one(config, seed, base_model=base) for seed in config.seeds]
+    if workers == 1:
+        return [run_one(config, seed) for seed in config.seeds]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_one, [config] * len(config.seeds), config.seeds))
 
 
 # -- aggregation ---------------------------------------------------------------

@@ -192,8 +192,9 @@ def save_corpus(corpus: SyntheticCorpus, path) -> None:
 
 def load_corpus(path) -> SyntheticCorpus:
     """Read a corpus ``save_corpus`` wrote; a header value that is not an
-    integer, or a token or tag outside ``[0, vocab_size)`` or ``[0,
-    tag_count)``, raises ``DataFileError`` naming the file."""
+    integer, a token or tag outside ``[0, vocab_size)`` or ``[0,
+    tag_count)``, or no sequence at all raises ``DataFileError`` naming the
+    file."""
     header, blocks = read_container(path)
     if header.get("kind") != "tagged_corpus":
         raise DataFileError(f"{path} is not a tagged corpus container")
@@ -206,6 +207,8 @@ def load_corpus(path) -> SyntheticCorpus:
             raise DataFileError(f"tagged corpus {path} holds tokens {list(tokens.shape)}, tags "
                                 f"{list(tags.shape)} and lengths {lengths.tolist()} that "
                                 f"do not match")
+        if len(lengths) == 0:
+            raise DataFileError(f"tagged corpus {path} holds no sequences")
         for k, v in ints.items():
             if type(v) is not int:  # bool is an int subclass; reject it too
                 raise DataFileError(f"tagged corpus {path} has {k} = {v!r}, not an integer")

@@ -275,10 +275,12 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
     (``experiments.run_one``).  The model is marked pretrained once at least
-    one step has run."""
+    one step has run; a step needs at least one sequence."""
     if batch_size < 1 or steps < 0:
         raise ContractError(f"pretrain needs batch_size >= 1 and steps >= 0, "
                             f"got batch_size={batch_size}, steps={steps}")
+    if steps and len(sequences) == 0:
+        raise ContractError(f"pretrain needs at least one sequence for its {steps} steps")
     rng = np.random.default_rng(seed)
     opt = T.OptimizerState(kind="adam", learning_rate=learning_rate)
     params = list(model.params.values())

@@ -115,14 +115,17 @@ def test_full_pipeline_smoke(tmp_path):
 
 
 def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
-    # a typo, then the keys of deleted options and of the ORCA and optimizer
-    # recipe, now module constants, each at its old default: none is ignored
+    # a typo, then the keys of deleted options, of the ORCA and optimizer
+    # recipe, now module constants, and of in-process pretraining, each at its
+    # old default: none is ignored
     config_path = str(tmp_path / "exp.json")
     for key, value in (("epoch", 3), ("stage1_through_body", True),
                        ("restart_positions", True), ("pooled_predictor", True),
                        ("optimizer", None), ("weight_decay", 0.01), ("stage1_lr", 3e-3),
                        ("stage1_batch_instances", 8), ("otdd_batch", 128),
-                       ("pseudo_label_bins", 10), ("sinkhorn_max_iters", 300)):
+                       ("pseudo_label_bins", 10), ("sinkhorn_max_iters", 300),
+                       ("pretrain_steps", 1500), ("pretrain_lr", 1e-3), ("pretrain_batch", 8),
+                       ("pretrain_seed", 1234)):
         with open(config_path, "w") as fh:
             json.dump({"name": "typo", "dataset_file": str(tmp_path / "adv.bin"),
                        "out_dir": str(tmp_path / "records"), key: value}, fh)
@@ -150,7 +153,7 @@ def test_run_mistyped_config_value_is_usage_error(tmp_path, capsys, key, value):
 
 # optimizer is a deleted key: unknown keys are rejected before any file is read too
 @pytest.mark.parametrize("key, value", [("epochs", -3), ("batch_size", 0),
-                                        ("optimizer", "foo"), ("seeds", [])])
+                                        ("optimizer", "foo"), ("seeds", []), ("seeds", [0, -5])])
 def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, value):
     # the dataset file does not exist, so a run that read it would exit 2
     config_path = tmp_path / "exp.json"
@@ -165,18 +168,17 @@ def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, v
     assert not (tmp_path / "records").exists()
 
 
-@pytest.mark.parametrize("key, value", [("pretrain_steps", -5), ("pretrain_batch", 0),
-                                        ("pretrain_lr", 0.0)])
-def test_run_bad_pretrain_value_exits_before_reading_corpus(tmp_path, capsys, key, value):
+def test_run_pretrained_without_checkpoint_exits_before_reading_data(tmp_path, capsys):
     # neither file exists, so a run that read the dataset or the corpus would exit 2
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({"name": "bad", "dataset_file": str(tmp_path / "none.bin"),
                                        "out_dir": str(tmp_path / "records"),
                                        "corpus_file": str(tmp_path / "none.corpus"),
-                                       "pretrained": True, key: value}))
+                                       "pretrained": True}))
     assert cli_main(["run", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err
+    assert "checkpoint_file" in err and "crossmodal-pde pretrain" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "records").exists()
 
 
@@ -239,8 +241,9 @@ def test_run_on_bad_dataset_values_is_data_error(tmp_path, capsys, edit):
     lambda h, b: b["tokens"].__setitem__((1, 0), -2),
     lambda h, b: b["tags"].__setitem__((2, 0), 9),
     lambda h, b: b["tags"].__setitem__((2, 0), -1),
+    lambda h, b: b.update({k: b[k][:0] for k in ("lengths", "tokens", "tags")}),
 ], ids=["tag_count_string", "vocab_size_bool", "seed_float", "token_past_vocab",
-        "token_negative", "tag_past_tag_count", "tag_negative"])
+        "token_negative", "tag_past_tag_count", "tag_negative", "no_sequences"])
 def test_run_on_bad_corpus_values_is_data_error(tmp_path, capsys, edit):
     # the ORCA job reads the corpus before it trains, so a bad value stops it
     # there with the file's name, not inside stage 1
@@ -273,6 +276,37 @@ def test_pretrain_count_below_floor_is_usage_error(tmp_path, capsys, flag, value
     err = capsys.readouterr().err
     assert flag in err and f"at least {floor}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "advection", "--n-train", "2", "--n-test", "2"],
+    ["corpus", "--n-sequences", "4"],
+    ["pretrain", "--arch", "decoder_only", "--corpus", "corpus.bin"],
+], ids=lambda command: command[0])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out.bin"
+    assert cli_main([*command, "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "at least 0" in err
+    assert not out.exists()
+
+
+def test_pretrain_on_an_empty_corpus_is_data_error(tmp_path, capsys):
+    # pretraining would run its steps at loss 0.0 and flag the unchanged
+    # weights pretrained
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
+    header, blocks = read_container(corpus)
+    for name in ("lengths", "tokens", "tags"):
+        blocks[name] = blocks[name][:0]
+    write_container(corpus, header, list(blocks.items()))
+    ckpt = tmp_path / "m.ckpt"
+    capsys.readouterr()
+    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
+                     "--out", str(ckpt), "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "corpus.bin holds no sequences" in err and "Traceback" not in err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("steps", [0, 2])
@@ -395,11 +429,9 @@ def test_run_fewer_than_one_worker_is_usage_error(tmp_path, capsys, workers):
     (16, 24, "orca", "none"),  # the proxy corpus pads to 32
 ], ids=["doubled_frame", "frame", "orca_proxy"])
 def test_run_frame_longer_than_max_positions_fails_before_pretraining(
-        tmp_path, capsys, monkeypatch, n_x, max_positions, method, bidir_method, workers):
-    def no_pretraining(*args, **kwargs):
-        raise AssertionError("pretrained before checking the lengths")
-
-    monkeypatch.setattr("crossmodal_pde.experiments.pretrain", no_pretraining)
+        tmp_path, capsys, n_x, max_positions, method, bidir_method, workers):
+    # every job checks the lengths before it reads the checkpoint, which does
+    # not exist (reading it would exit 2), and before it writes a record
     data, corpus = str(tmp_path / "adv.bin"), str(tmp_path / "corpus.bin")
     assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
                      "--out", data, "--seed", "1", "--n-x", str(n_x)]) == 0
@@ -407,6 +439,7 @@ def test_run_frame_longer_than_max_positions_fails_before_pretraining(
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({
         "name": "long", "dataset_file": data, "corpus_file": corpus,
+        "checkpoint_file": str(tmp_path / "none.ckpt"),
         "out_dir": str(tmp_path / "records"), "d_model": 16, "n_layers": 1, "d_ff": 32,
         "max_positions": max_positions, "method": method, "bidir_method": bidir_method,
         "arch": "decoder_only"}))

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -13,6 +14,21 @@ from crossmodal_pde.transformer import (
     load_checkpoint,
     save_checkpoint,
 )
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "c.bin"
+    write_container(path, {"kind": "x"}, _blocks())
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_container(path, {"kind": "y"}, _blocks()[:1])
+    assert os.listdir(tmp_path) == ["c.bin"]
+    assert path.read_bytes() == before
 
 
 def _blocks():

@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
+import functools
 import json
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -33,9 +35,17 @@ from crossmodal_pde.experiments import (
 )
 from crossmodal_pde.figures import emit_figure
 from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
-from crossmodal_pde.proxy_data import gen_corpus, save_corpus
+from crossmodal_pde.proxy_data import gen_corpus, load_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
-from crossmodal_pde.transformer import ConfigError, LengthError, ModelConfig, save_checkpoint
+from crossmodal_pde.transformer import (
+    ConfigError,
+    LengthError,
+    ModelConfig,
+    build_model,
+    load_checkpoint,
+    pretrain,
+    save_checkpoint,
+)
 
 
 # -- nrmse ----------------------------------------------------------------
@@ -107,10 +117,25 @@ def tiny_experiment(tmp_path, name="exp", **overrides) -> ExperimentConfig:
     base = dict(name=name, dataset_file=dataset_file, out_dir=str(tmp_path / "records"),
                 arch="decoder_only", d_model=32, n_heads=4, n_layers=2, d_ff=64,
                 max_positions=64, pretrained=False, corpus_file=corpus_file,
-                method="fpt", epochs=2, batch_size=4, stage1_steps=3, pretrain_steps=30,
-                seeds=[0])
+                method="fpt", epochs=2, batch_size=4, stage1_steps=3, seeds=[0])
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+@pytest.fixture
+def pretrained_experiment(tmp_path):
+    """``tiny_experiment`` with ``pretrained=True`` and the checkpoint that
+    ``crossmodal-pde pretrain`` would write for its model: ``steps`` steps
+    on its corpus."""
+    def make(steps=3, **overrides):
+        config = tiny_experiment(tmp_path, **overrides)
+        model = build_model(config.model_config(1234))
+        pretrain(model, [t for t, _ in load_corpus(config.corpus_file).sequences],
+                 steps=steps, seed=1234)
+        ckpt = str(tmp_path / f"pretrained-{steps}.ckpt")
+        save_checkpoint(model, ckpt)
+        return dataclasses.replace(config, pretrained=True, checkpoint_file=ckpt)
+    return make
 
 
 def strip_wallclock(d: dict) -> dict:
@@ -128,9 +153,10 @@ def test_run_record_reproducible(tmp_path):
     assert rec1.test_nrmse == pytest.approx(rec2.test_nrmse, abs=1e-6)
 
 
-def test_run_one_checks_the_doubled_frame_length_before_pretraining(tmp_path, monkeypatch):
-    monkeypatch.setattr(experiments, "pretrain", lambda *a, **k: pytest.fail("pretrained"))
+def test_run_one_checks_the_doubled_frame_length_before_reading_the_checkpoint(tmp_path):
+    # the checkpoint file does not exist: reading it would raise DataFileError
     config = tiny_experiment(tmp_path, pretrained=True, bidir_method="sequence_doubling",
+                             checkpoint_file=str(tmp_path / "missing.ckpt"),
                              max_positions=63)  # one short of twice the 32 points
     with pytest.raises(LengthError, match="max_positions >= 64"):
         run_one(config, seed=0)
@@ -183,18 +209,18 @@ def test_initial_nrmse_scores_the_same_predictor_as_test_nrmse(tmp_path, bidir_m
     assert rec.initial_test_nrmse == rec.test_nrmse
 
 
-def test_orca_seeds_of_one_base_model_embed_corpus_once(tmp_path, proxy_forwards):
-    config = tiny_experiment(tmp_path, method="orca", pretrained=True, seeds=[0, 1])
-    base = experiments._prepare_base_model(config)
+def test_orca_seeds_of_one_base_model_embed_corpus_once(pretrained_experiment, proxy_forwards):
+    config = pretrained_experiment(method="orca", seeds=[0, 1])
+    base = load_checkpoint(config.checkpoint_file)
     run_one(config, seed=0, base_model=base)
     assert len(proxy_forwards) == 1  # tiny_experiment's 30 sequences are one chunk
     run_one(config, seed=1, base_model=base)
     assert len(proxy_forwards) == 1  # the second seed reuses the set
 
 
-def test_orca_record_same_with_cached_proxy(tmp_path, proxy_forwards):
-    config = tiny_experiment(tmp_path, method="orca", pretrained=True)
-    base = experiments._prepare_base_model(config)
+def test_orca_record_same_with_cached_proxy(pretrained_experiment, proxy_forwards):
+    config = pretrained_experiment(method="orca")
+    base = load_checkpoint(config.checkpoint_file)
     built = strip_wallclock(json.loads(run_one(config, seed=0, base_model=base).to_json()))
     n = len(proxy_forwards)
     cached = strip_wallclock(json.loads(run_one(config, seed=0, base_model=base).to_json()))
@@ -203,12 +229,13 @@ def test_orca_record_same_with_cached_proxy(tmp_path, proxy_forwards):
 
 
 @pytest.mark.parametrize("pretrained", [False, True])
-def test_parallel_flipping_orca_proxy_sets(tmp_path, monkeypatch, pretrained):
+def test_parallel_flipping_orca_proxy_sets(tmp_path, monkeypatch, pretrained_experiment,
+                                          pretrained):
     # each pipeline aligns to its own model's embedding of the corpus: a
     # random-init partner is a different model and embeds the corpus
     # differently; a clone of the pretrained base shares the forward cloud
-    config = tiny_experiment(tmp_path, method="orca", bidir_method="parallel_flipping",
-                             pretrained=pretrained)
+    make = pretrained_experiment if pretrained else functools.partial(tiny_experiment, tmp_path)
+    config = make(method="orca", bidir_method="parallel_flipping")
     clouds, build = [], adaptation.build_proxy_set
 
     def keep(*args, **kwargs):
@@ -233,28 +260,27 @@ def test_random_init_never_reads_checkpoint(tmp_path):
     assert np.isfinite(rec.test_nrmse)
 
 
-def test_base_model_must_match_config(tmp_path):
+def test_base_model_must_match_config(tmp_path, pretrained_experiment):
     # a decoder-only d_model-32 checkpoint run under a config that says
     # encoder_only/64 would write a record that ``aggregate`` files under
     # the wrong arch and width
-    config = tiny_experiment(tmp_path, pretrained=True, pretrain_steps=3)
-    base = experiments._prepare_base_model(config)
-    ckpt = str(tmp_path / "dec32.ckpt")
-    save_checkpoint(base, ckpt)
-    wrong = dataclasses.replace(config, arch="encoder_only", d_model=64, checkpoint_file=ckpt)
+    config = pretrained_experiment()
+    base = load_checkpoint(config.checkpoint_file)
+    wrong = dataclasses.replace(config, arch="encoder_only", d_model=64)
     with pytest.raises(ContractError, match=r"arch 'decoder_only' \(config: 'encoder_only'\), "
                                             r"d_model 32 \(config: 64\)$"):
         run_one(wrong, seed=0)
     with pytest.raises(ContractError, match=r": pretrained True \(config: False\)$"):
         run_one(dataclasses.replace(config, pretrained=False), seed=0, base_model=base)
     assert not (tmp_path / "records").exists()
-    # the model's own seed is not compared: a checkpoint keeps its pretraining seed
-    same = dataclasses.replace(config, checkpoint_file=ckpt, pretrain_seed=base.config.seed + 1)
-    assert np.isfinite(run_one(same, seed=0).test_nrmse)
+    # the model's own seed is not compared: a checkpoint keeps its pretraining
+    # seed, which no config field names
+    assert base.config.seed == 1234
+    assert np.isfinite(run_one(config, seed=0).test_nrmse)
 
 
-def test_zero_pretraining_steps_do_not_make_a_pretrained_record(tmp_path):
-    config = tiny_experiment(tmp_path, pretrained=True, pretrain_steps=0)
+def test_zero_pretraining_steps_do_not_make_a_pretrained_record(pretrained_experiment):
+    config = pretrained_experiment(steps=0)
     with pytest.raises(ContractError, match=r"pretrained False \(config: True\)$"):
         run_one(config, seed=0)
 
@@ -272,6 +298,18 @@ def test_missing_dataset_file_named(tmp_path):
         run_one(config, seed=0)
 
 
+def test_a_failed_record_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    config = tiny_experiment(tmp_path)
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        run_one(config, seed=0)
+    assert os.listdir(config.out_dir) == []
+
+
 def test_run_experiment_multi_seed_stats(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1, 2])
     records = run_experiment(config)
@@ -283,16 +321,16 @@ def test_run_experiment_multi_seed_stats(tmp_path):
     assert row.nrmse_min <= row.nrmse_mean <= row.nrmse_max
 
 
-def test_two_workers_match_one_worker(tmp_path):
-    # the materialised checkpoint reaches the workers beside the config, so
-    # the records' config snapshots stay as written
-    config = tiny_experiment(tmp_path, pretrained=True, pretrain_steps=3, seeds=[0, 1])
+def test_two_workers_match_one_worker(pretrained_experiment):
+    # every worker loads the config's checkpoint and writes its record; the
+    # pool writes no file of its own
+    config = pretrained_experiment(seeds=[0, 1])
     serial = run_experiment(config, workers=1)
     pooled = run_experiment(config, workers=2)
-    assert config.checkpoint_file is None
+    assert sorted(os.listdir(config.out_dir)) == ["exp_seed0.json", "exp_seed1.json"]
     for a, b in zip(serial, pooled):
         assert a.config == b.config == config.to_dict()
-        assert a.test_nrmse == b.test_nrmse
+        assert strip_wallclock(dataclasses.asdict(a)) == strip_wallclock(dataclasses.asdict(b))
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -303,13 +341,13 @@ def test_run_experiment_rejects_fewer_than_one_worker(tmp_path, workers):
     assert not (tmp_path / "records").exists()
 
 
-def test_run_one_record_is_bit_identical_at_one_and_two_blas_threads(tmp_path, monkeypatch):
+def test_run_one_record_is_bit_identical_at_one_and_two_blas_threads(monkeypatch,
+                                                                     pretrained_experiment):
     if T._openblas_threads() is None:
         pytest.skip("no OpenBLAS thread setter is loaded")
+    config = pretrained_experiment(d_model=64, d_ff=256)
     # let the outer scope decide the pool width for the d_model-64 model
     monkeypatch.setattr(experiments, "blas_threads", lambda n: contextlib.nullcontext())
-    config = tiny_experiment(tmp_path, d_model=64, d_ff=256, pretrained=True,
-                             pretrain_steps=3)
     records = []
     for n in (1, 2):
         with T.blas_threads(n):
@@ -332,7 +370,6 @@ def test_jobs_run_on_one_blas_thread_at_any_width(tmp_path, monkeypatch, d_model
     config = tiny_experiment(tmp_path, d_model=d_model)
     with T.blas_threads(2):
         assert run_one(config, seed=0).threads == 1
-        assert experiments._run_job((config.to_dict(), 0, None)) == {"threads": 1}
         assert get_threads() == 2
 
 
@@ -360,14 +397,16 @@ def test_load_records_round_trip(tmp_path):
 
 
 def test_records_with_the_deleted_recipe_keys_still_aggregate(tmp_path):
-    # a record written while the ORCA recipe and the optimizer were config
-    # fields holds them in its config snapshot, and optimizer_overridden
+    # a record written while the ORCA recipe, the optimizer and in-process
+    # pretraining were config fields holds them in its config snapshot, and
+    # optimizer_overridden
     config = tiny_experiment(tmp_path, seeds=[0, 1])
     run_experiment(config)
     want = aggregate(load_records(config.out_dir))
     old_keys = {"optimizer": None, "weight_decay": 0.01, "stage1_lr": 3e-3,
                 "stage1_batch_instances": 8, "otdd_batch": 128, "pseudo_label_bins": 10,
-                "sinkhorn_max_iters": 300}
+                "sinkhorn_max_iters": 300, "pretrain_steps": 1500, "pretrain_lr": 1e-3,
+                "pretrain_batch": 8, "pretrain_seed": 1234}
     for seed in config.seeds:
         path = record_path(config, seed)
         with open(path) as fh:
@@ -377,7 +416,8 @@ def test_records_with_the_deleted_recipe_keys_still_aggregate(tmp_path):
         with open(path, "w") as fh:
             json.dump(rec, fh)
     records = load_records(config.out_dir)
-    assert all(r["config"]["otdd_batch"] == 128 and "optimizer_overridden" in r for r in records)
+    assert all(r["config"]["otdd_batch"] == 128 and r["config"]["pretrain_steps"] == 1500
+               and "optimizer_overridden" in r for r in records)
     assert aggregate(records) == want
 
 
@@ -407,14 +447,13 @@ def test_load_records_rejects_foreign_json(tmp_path, text):
 
 # -- experiment config ----------------------------------------------------------
 
-_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out"}
+_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out", "pretrained": False}
 
 
 # the fields an experiment holds beside its model's and its adaptation's; a
 # new experiment option has to be added here on purpose
 _EXPERIMENT_ONLY = {"name", "dataset_file", "out_dir", "pretrained", "checkpoint_file",
-                    "corpus_file", "pretrain_steps", "pretrain_lr", "pretrain_batch",
-                    "pretrain_seed", "seeds"}
+                    "corpus_file", "seeds"}
 
 
 def test_experiment_config_holds_every_adaptation_and_model_field():
@@ -422,7 +461,7 @@ def test_experiment_config_holds_every_adaptation_and_model_field():
               for f in dataclasses.fields(cls)} - {"seed"}
     assert not shared & _EXPERIMENT_ONLY
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} == shared | _EXPERIMENT_ONLY
-    assert len(dataclasses.fields(ExperimentConfig)) == 24
+    assert len(dataclasses.fields(ExperimentConfig)) == 20
 
 
 def test_adaptation_config_holds_one_recipe():
@@ -459,9 +498,13 @@ def test_derived_configs_take_every_shared_field():
     # two jobs of one seed would write one record file
     ("seeds", [], ContractError, "seeds"),
     ("seeds", [1, 2, 1], ContractError, "seeds"),
+    # a run pretrains no model itself now: the four pretraining keys are
+    # unknown keys, rejected by name whatever their value
     *((key, value, ContractError, key) for key, value in (
         ("pretrain_steps", -1), ("pretrain_batch", 0), ("pretrain_lr", 0.0),
         ("pretrain_lr", -1e-3), ("pretrain_lr", float("nan")))),
+    # a job derives its model and pipeline seeds from a non-negative seed
+    ("seeds", [0, -5], ContractError, "seeds"),
 ])
 def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error, match):
     with pytest.raises(error, match=match):
@@ -487,6 +530,17 @@ def test_from_dict_accepts_json_values():
                                          "checkpoint_file": "m.ckpt", "seeds": [7]})
     assert config.learning_rate == 1 and config.seeds == [7]
     assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("d", [{**_MINIMAL, "pretrained": True},
+                               {k: v for k, v in _MINIMAL.items() if k != "pretrained"}],
+                         ids=["pretrained", "pretrained_by_default"])
+def test_pretrained_needs_a_checkpoint_file(d):
+    # a run pretrains no model itself: the error names the key and the
+    # command that writes a checkpoint
+    with pytest.raises(ContractError, match="checkpoint_file.*`crossmodal-pde pretrain`"):
+        ExperimentConfig.from_dict(d)
+    assert ExperimentConfig.from_dict({**d, "checkpoint_file": "m.ckpt"}).pretrained
 
 
 @pytest.mark.parametrize("d, match", [({"name": "x"}, "missing .*dataset_file, out_dir"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crossmodal_pde import proxy_data as px
+from crossmodal_pde.container import DataFileError
 from crossmodal_pde.proxy_data import (
     MAX_SEQ_LEN,
     PAD_TOKEN,
@@ -170,6 +171,13 @@ def test_corpus_round_trip(tmp_path):
         np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(ga, gb)
     np.testing.assert_allclose(back.transition, corpus.transition, atol=1e-7)
+
+
+def test_empty_corpus_is_a_data_file_error(tmp_path):
+    path = tmp_path / "empty.bin"
+    save_corpus(dataclasses.replace(gen_corpus(seed=13, n_sequences=2), sequences=[]), path)
+    with pytest.raises(DataFileError, match="empty.bin holds no sequences"):
+        load_corpus(path)
 
 
 def test_pad_token_reserved():

@@ -256,6 +256,16 @@ def test_pretrain_rejects_empty_batches_and_negative_steps():
     assert not model.pretrained
 
 
+def test_pretrain_rejects_an_empty_corpus():
+    # a step over no sequence would leave every weight as it was and still
+    # flag the model pretrained
+    model = build_model(small_config())
+    with pytest.raises(ContractError, match="at least one sequence"):
+        pretrain(model, [], steps=2)
+    assert not model.pretrained
+    assert pretrain(model, [], steps=0) == [] and not model.pretrained
+
+
 # -- one padded tape per pretraining step ------------------------------------
 
 
