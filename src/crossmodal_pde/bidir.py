@@ -108,12 +108,10 @@ def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,
     ``forward_hidden`` with ``lengths=[2L]*B`` and ``keep_from=L``, so the last
     layer computes only the second halves it predicts from (every row still
     serves as a key and value), bitwise the full forward's rows.  Positions
-    run 0..2L-1.
+    run 0..2L-1, so 2L above ``max_positions`` raises ``LengthError`` there.
     """
     frames = as_batch(x)
     B, L = frames.shape
-    if 2 * L > model.config.max_positions:
-        raise LengthError(f"sequence doubling needs max_positions >= {2 * L}")
     doubled = np.concatenate([frames, frames], axis=1)
     hidden = forward_hidden(model, embedder(doubled), lengths=[2 * L] * B, keep_from=L)
     return predictor(hidden, B)

@@ -98,7 +98,9 @@ def _cmd_corpus(args) -> int:
     corpus = gen_corpus(seed=args.seed, n_sequences=args.n_sequences,
                         vocab_size=args.vocab_size, tag_count=args.tag_count)
     save_corpus(corpus, args.out)
-    print(f"wrote corpus ({args.n_sequences} sequences) to {args.out}")
+    lengths = [len(t) for t, _ in corpus.sequences]
+    print(f"wrote corpus ({len(lengths)} sequences, {min(lengths)}-{max(lengths)} tokens) "
+          f"to {args.out}")
     return 0
 
 

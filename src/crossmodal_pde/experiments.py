@@ -30,8 +30,8 @@ from .adaptation import (
 )
 from .bidir import combine_halves, parallel_flipping_train
 from .container import DataFileError, write_atomic
-from .pde_data import load_dataset
-from .proxy_data import PROXY_LENGTH, load_corpus
+from .pde_data import derive_seed, load_dataset
+from .proxy_data import SyntheticCorpus, load_corpus
 from .tensor import ContractError, blas_threads
 from .transformer import (
     DECODER_ONLY,
@@ -152,10 +152,6 @@ def _matches(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _derive_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(entropy=tuple(parts)).generate_state(1)[0])
-
-
 @dataclass
 class RunRecord:
     schema_version: int
@@ -185,16 +181,17 @@ def record_path(config: ExperimentConfig, seed: int) -> str:
     return os.path.join(config.out_dir, f"{config.name}_seed{seed}.json")
 
 
-def _check_lengths(config: ExperimentConfig, n_x: int) -> None:
+def _check_lengths(config: ExperimentConfig, n_x: int,
+                   corpus: SyntheticCorpus | None) -> None:
     """Raise ``LengthError`` naming ``max_positions`` where a sequence the run
     gives the model is longer than its position table: a frame of ``n_x``
-    points, doubled under Sequence Doubling, and under ORCA the proxy
-    corpus's padded sequences."""
+    points, doubled under Sequence Doubling, and the longest sequence of
+    ORCA's proxy ``corpus``."""
     needs = [(f"a frame of {n_x} points", n_x)]
     if config.bidir_method == SEQUENCE_DOUBLING:
         needs = [(f"sequence doubling of a frame of {n_x} points", 2 * n_x)]
-    if config.method == ORCA:
-        needs.append(("ORCA's proxy corpus", PROXY_LENGTH))
+    if corpus is not None:
+        needs.append(("ORCA's proxy corpus", max(len(t) for t, _ in corpus.sequences)))
     for what, length in needs:
         if length > config.max_positions:
             raise LengthError(f"{what} needs max_positions >= {length}, "
@@ -217,8 +214,8 @@ def _make_pipeline(config: ExperimentConfig, base: TransformerModel | None,
     if base is not None:
         model = base.clone()
     else:
-        model = build_model(config.model_config(_derive_seed(seed, 7, role)))
-    return Pipeline.create(model, seed=_derive_seed(seed, 11, role))
+        model = build_model(config.model_config(derive_seed(seed, 7, role)))
+    return Pipeline.create(model, seed=derive_seed(seed, 11, role))
 
 
 def run_one(config: ExperimentConfig, seed: int,
@@ -254,17 +251,16 @@ def _run_one(config: ExperimentConfig, seed: int,
              base_model: TransformerModel | None) -> RunRecord:
     t0 = time.time()
     dataset = load_dataset(config.dataset_file)
-    _check_lengths(config, dataset.grid.n_x)
-    if base_model is None and config.pretrained:
-        base_model = load_checkpoint(config.checkpoint_file)
-    if base_model is not None:
-        _check_base_model(config, base_model)
-
     corpus = None
     if config.method == ORCA:
         if not config.corpus_file:
             raise DataFileError("ORCA runs need corpus_file for the proxy dataset")
         corpus = load_corpus(config.corpus_file)
+    _check_lengths(config, dataset.grid.n_x, corpus)
+    if base_model is None and config.pretrained:
+        base_model = load_checkpoint(config.checkpoint_file)
+    if base_model is not None:
+        _check_base_model(config, base_model)
 
     adapt = config.adaptation_config(seed)
     pipeline = _make_pipeline(config, base_model, seed, role=0)
@@ -283,8 +279,9 @@ def _run_one(config: ExperimentConfig, seed: int,
         initial = rep_f.train.initial_test_predictions
         predictions = rep_f.train.final_test_predictions
     epoch_losses = {name: rep.train.epoch_losses for name, rep in reports.items()}
-    stage1_trace = {name: rep.stage1.trace for name, rep in reports.items()
-                    if rep.stage1 is not None}
+    stage1 = {name: rep.stage1 for name, rep in reports.items() if rep.stage1 is not None}
+    # both pipelines take config.stage1_steps, so the mean is the share over all their steps
+    converged = [s.converged_fraction for s in stage1.values()]
 
     final = mean_nrmse(predictions, dataset.test.targets)
     tv_pairs = [spikiness_diagnostic(p) for p in predictions]
@@ -299,10 +296,10 @@ def _run_one(config: ExperimentConfig, seed: int,
         test_nrmse=final,
         initial_test_nrmse=mean_nrmse(initial, dataset.test.targets),
         epoch_losses=epoch_losses,
-        stage1_trace=stage1_trace,
+        stage1_trace={name: s.trace for name, s in stage1.items()},
         optimizer=rep_f.train.optimizer,
         learning_rate=rep_f.train.learning_rate,
-        stage1_converged_fraction=rep_f.stage1.converged_fraction if rep_f.stage1 else None,
+        stage1_converged_fraction=sum(converged) / len(converged) if converged else None,
         aborted=any(rep.train.aborted for rep in reports.values()),
         spikiness=spikiness,
         wallclock_s=round(time.time() - t0, 3),

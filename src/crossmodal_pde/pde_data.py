@@ -78,8 +78,6 @@ class PdeParams:
     beta: float = 0.4
     nu: float = 0.5
     rho: float = 1.0
-    eta: float = 0.1
-    zeta: float = 0.1
     sorption: SorptionParams = field(default_factory=SorptionParams)
 
     def __post_init__(self):
@@ -88,7 +86,6 @@ class PdeParams:
 
     def to_dict(self) -> dict:
         return {"family": self.family, "beta": self.beta, "nu": self.nu, "rho": self.rho,
-                "eta": self.eta, "zeta": self.zeta,
                 "sorption": {"diffusivity": self.sorption.diffusivity,
                              "c": self.sorption.c, "n": self.sorption.n}}
 
@@ -96,13 +93,12 @@ class PdeParams:
     def from_dict(cls, d: dict) -> "PdeParams":
         s = d["sorption"]
         return cls(family=d["family"], beta=d["beta"], nu=d["nu"], rho=d["rho"],
-                   eta=d["eta"], zeta=d["zeta"],
                    sorption=SorptionParams(diffusivity=s["diffusivity"], c=s["c"], n=s["n"]))
 
 
 def default_params(family: str, **overrides) -> PdeParams:
     if family == BURGERS_NS:
-        overrides.setdefault("nu", 0.1)  # matched to eta = zeta = 0.1
+        overrides.setdefault("nu", 0.1)
     return PdeParams(family=family, **overrides)
 
 
@@ -341,8 +337,10 @@ def generate_frames(family: str, grid: GridSpec, params: PdeParams,
 _TRAIN_STREAM, _TEST_STREAM = 0, 1
 
 
-def _instance_seed(base_seed: int, stream: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=(base_seed, stream, index)).generate_state(1)[0])
+def derive_seed(*parts: int) -> int:
+    """A 32-bit seed drawn from ``SeedSequence(entropy=parts)``: each tuple of
+    parts, such as (dataset seed, split stream, instance index), gets its own."""
+    return int(np.random.SeedSequence(entropy=parts).generate_state(1)[0])
 
 
 @dataclass
@@ -403,8 +401,8 @@ def build_dataset(family: str, n_train: int, n_test: int, grid: GridSpec,
         raise ConfigError("n_train and n_test must be >= 1")
     if params is None:
         params = default_params(family)
-    seeds = ([_instance_seed(seed, _TRAIN_STREAM, i) for i in range(n_train)]
-             + [_instance_seed(seed, _TEST_STREAM, i) for i in range(n_test)])
+    seeds = ([derive_seed(seed, _TRAIN_STREAM, i) for i in range(n_train)]
+             + [derive_seed(seed, _TEST_STREAM, i) for i in range(n_test)])
     train, test = _splits(*generate_frames(family, grid, params, seeds), seeds, n_train)
     ds = PdeDataset(family=family, params=params, grid=grid, seed=seed,
                     train=train, test=test)

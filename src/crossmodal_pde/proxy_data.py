@@ -3,51 +3,40 @@ aligns the task embedder to.
 
 Sequences come from a seeded 3-state Markov grammar: each hidden state prefers
 a disjoint block of tags, and each tag owns a token sub-range, so class-
-conditional token (and embedding) distributions are distinct.  Sequences are
-shorter than 32 tokens, padded to 32 for embedding with the pad keys masked,
-and pad positions are excluded from the embedding's point cloud
-(``build_proxy_set``).  Only the corpus is saved to a file; the cloud is
-built from the model in the job that uses it.
+conditional token (and embedding) distributions are distinct.  For
+embedding, each batch of sequences is padded to its longest with the pad keys
+masked, and pad positions are excluded from the embedding's point cloud
+(``build_proxy_set``).  Only the corpus is saved to a file, as wide as its
+longest sequence; the cloud is built from the model in the job that uses it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .container import DataFileError, file_errors, read_container, write_container
 from .otdd import LabeledPointCloud
-from .transformer import LengthError, TransformerModel, embed_tokens, forward_hidden
+from .transformer import TransformerModel, embed_tokens, forward_hidden, pad_batch
 
-PAD_TOKEN = 0
+PAD_TOKEN = 0  # the id transformer.pad_batch pads with
 RESERVED_TOKENS = 2  # PAD_TOKEN and transformer.MASK_TOKEN; no grammar tag emits them
 
-PROXY_LENGTH = 32
 MIN_SEQ_LEN, MAX_SEQ_LEN = 8, 31
 N_STATES = 3
 
 
 @dataclass
 class SyntheticCorpus:
-    """A sample of (token, tag) sequences plus the grammar that produced them."""
+    """A sample of (token, tag) sequences and the seed of the grammar that drew them."""
 
     vocab_size: int
     tag_count: int
     seed: int
-    sequences: list[tuple[np.ndarray, np.ndarray]]  # (tokens, tags), equal length < 32
-    transition: np.ndarray = field(repr=False, default=None)  # [S, S]
-    state_tag_emission: np.ndarray = field(repr=False, default=None)  # [S, tag_count]
-
-    def stationary_tag_distribution(self) -> np.ndarray:
-        """Tag marginals implied by the chain's stationary state distribution."""
-        vals, vecs = np.linalg.eig(self.transition.T)
-        i = int(np.argmin(np.abs(vals - 1.0)))
-        pi = np.real(vecs[:, i])
-        pi = pi / pi.sum()
-        return pi @ self.state_tag_emission
+    sequences: list[tuple[np.ndarray, np.ndarray]]  # (tokens, tags) of equal length
 
 
 def _grammar_tables(rng: np.random.Generator, vocab_size: int, tag_count: int):
@@ -105,8 +94,7 @@ def gen_corpus(seed: int, n_sequences: int, vocab_size: int = 64, tag_count: int
             tokens[i] = int(cdf_token[tag].searchsorted(rng.random(), side="right"))
         sequences.append((tokens, tags))
     return SyntheticCorpus(vocab_size=vocab_size, tag_count=tag_count, seed=seed,
-                           sequences=sequences, transition=transition,
-                           state_tag_emission=emission)
+                           sequences=sequences)
 
 
 def _proxy_key(model: TransformerModel, corpus: SyntheticCorpus) -> bytes:
@@ -138,28 +126,22 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> Labeled
     points [N, d_model] (float32) and their tags as labels.
 
     The corpus runs as padded batches of ``PROXY_CHUNK`` sequences, each
-    padded to 32 with its pad keys masked (``forward_hidden(...,
-    lengths=...)``), so a row is its sequence's own unpadded forward (bitwise
-    at head width 16) under either mask.  The last cloud built is kept, keyed
-    by the content of the model and the corpus, so identical clones of one
-    model share one cloud; its points and labels are read-only."""
-    if model.config.max_positions < PROXY_LENGTH:
-        raise LengthError(f"the proxy corpus needs max_positions >= {PROXY_LENGTH}, "
-                          f"got max_positions={model.config.max_positions}")
+    padded to its longest sequence with its pad keys masked
+    (``forward_hidden(..., lengths=...)``), so a row is its sequence's own
+    unpadded forward (bitwise at head width 16) under either mask, and a
+    sequence longer than ``max_positions`` raises ``LengthError`` there.  The
+    last cloud built is kept, keyed by the content of the model and the
+    corpus, so identical clones of one model share one cloud; its points and
+    labels are read-only."""
     key = _proxy_key(model, corpus)
     last = _last_proxy.get("last")
     if last is None or last[0] != key:
         feats = []
         with T.no_grad():
             for lo in range(0, len(corpus.sequences), PROXY_CHUNK):
-                chunk = [tokens for tokens, _ in corpus.sequences[lo: lo + PROXY_CHUNK]]
-                lengths = np.array([len(tokens) for tokens in chunk])
-                padded = np.full((len(chunk), PROXY_LENGTH), PAD_TOKEN, dtype=np.int64)
-                for row, tokens in zip(padded, chunk):
-                    row[: len(tokens)] = tokens
-                hidden = forward_hidden(model, embed_tokens(model, padded.ravel()),
-                                        lengths=lengths)
-                feats.append(hidden.data[(np.arange(PROXY_LENGTH) < lengths[:, None]).ravel()])
+                ids, lengths = pad_batch([t for t, _ in corpus.sequences[lo: lo + PROXY_CHUNK]])
+                hidden = forward_hidden(model, embed_tokens(model, ids.ravel()), lengths=lengths)
+                feats.append(hidden.data[(np.arange(ids.shape[1]) < lengths[:, None]).ravel()])
         cloud = LabeledPointCloud(points=T.Tensor(np.concatenate(feats)),
                                   labels=np.concatenate([tags for _, tags in corpus.sequences]),
                                   class_count=corpus.tag_count)
@@ -172,21 +154,16 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> Labeled
 
 
 def save_corpus(corpus: SyntheticCorpus, path) -> None:
-    n = len(corpus.sequences)
-    lengths = np.array([len(t) for t, _ in corpus.sequences], dtype=np.int32)
-    tokens = np.full((n, PROXY_LENGTH), PAD_TOKEN, dtype=np.int32)
-    tags = np.full((n, PROXY_LENGTH), -1, dtype=np.int32)
-    for i, (tok, tag) in enumerate(corpus.sequences):
-        tokens[i, : len(tok)] = tok
-        tags[i, : len(tag)] = tag
+    """Write the corpus as its ``lengths`` and its ``tokens`` and ``tags``
+    padded to its longest sequence."""
+    tokens, lengths = pad_batch([t for t, _ in corpus.sequences])
+    tags, _ = pad_batch([g for _, g in corpus.sequences])
     header = {"kind": "tagged_corpus", "vocab_size": corpus.vocab_size,
               "tag_count": corpus.tag_count, "seed": corpus.seed}
     write_container(path, header, [
-        ("lengths", lengths),
-        ("tokens", tokens),
-        ("tags", tags),
-        ("transition", corpus.transition.astype(np.float32)),
-        ("state_tag_emission", corpus.state_tag_emission.astype(np.float32)),
+        ("lengths", lengths.astype(np.int32)),
+        ("tokens", tokens.astype(np.int32)),
+        ("tags", tags.astype(np.int32)),
     ])
 
 
@@ -219,6 +196,4 @@ def load_corpus(path) -> SyntheticCorpus:
                                     f"[0, {count}={ints[count]})")
         sequences = [(tokens[i, : n].astype(np.int64), tags[i, : n].astype(np.int64))
                      for i, n in enumerate(lengths)]
-        return SyntheticCorpus(**ints, sequences=sequences,
-                               transition=blocks["transition"].astype(np.float64),
-                               state_tag_emission=blocks["state_tag_emission"].astype(np.float64))
+        return SyntheticCorpus(**ints, sequences=sequences)

@@ -4,12 +4,13 @@ config's arch decides both.
 
 Forward on a length-L input yields the last hidden layer as an [L, d_model]
 tensor; a batch of B sequences runs as one [B*Lmax, d_model] forward.
-Pretraining pads each batch to its longest sequence; fine-tuning and
-evaluation batch equal-length frames, which need no padding.  Each layer puts
-six nodes on the tape: layer norm, ``tensor.self_attention``, the residual
-add, layer norm, ``tensor.gelu_mlp`` and the residual add.  Decoder attention
-runs in causal row blocks, and a forward may trim its last layer to the rows
-the caller reads (``forward_hidden(keep_from=...)``).
+Pretraining and the ORCA proxy build pad each batch to its longest sequence
+(``pad_batch``); fine-tuning and evaluation batch equal-length frames, which
+need no padding.  Each layer puts six nodes on the tape: layer norm,
+``tensor.self_attention``, the residual add, layer norm, ``tensor.gelu_mlp``
+and the residual add.  Decoder attention runs in causal row blocks, and a
+forward may trim its last layer to the rows the caller reads
+(``forward_hidden(keep_from=...)``).
 """
 
 from __future__ import annotations
@@ -201,6 +202,17 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     return T.layer_norm(h, p["final_ln.g"], p["final_ln.b"], **trim)
 
 
+def pad_batch(sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack token sequences into [B, Lmax] int64 ids, each row zero past its
+    sequence's length, with Lmax the longest length; returns ``(ids,
+    lengths)``, the padding ``forward_hidden(..., lengths=...)`` takes."""
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    ids = np.zeros((len(sequences), int(lengths.max(initial=0))), dtype=np.int64)
+    for row, s in zip(ids, sequences):
+        row[: len(s)] = s
+    return ids, lengths
+
+
 def embed_tokens(model: TransformerModel, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= model.config.vocab_size:
@@ -255,11 +267,8 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
             target_ids.append(ids[pos])
     if not inputs:
         return 0.0  # loss over an empty target set
-    lengths = np.array([len(ids) for ids in inputs])
-    L = int(lengths.max())
-    padded = np.zeros((len(inputs), L), dtype=np.int64)  # the pad id does not reach a real row
-    for row, ids in zip(padded, inputs):
-        row[: len(ids)] = ids
+    padded, lengths = pad_batch(inputs)  # the pad id does not reach a real row
+    L = padded.shape[1]
     hidden = forward_hidden(model, embed_tokens(model, padded.ravel()), lengths=lengths)
     rows = np.concatenate([b * L + pos for b, pos in enumerate(predict_pos)])
     targets = np.concatenate(target_ids)

@@ -56,6 +56,13 @@ def test_corpus_and_embed_with(tmp_path, capsys):
     assert not proxy_path.exists()
 
 
+def test_corpus_prints_its_length_range(tmp_path, capsys):
+    # the longest sequence is the length an ORCA run's max_positions must hold
+    out = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", out, "--n-sequences", "4"]) == 0  # lengths 17, 26, 21, 21
+    assert capsys.readouterr().out == f"wrote corpus (4 sequences, 17-26 tokens) to {out}\n"
+
+
 def test_corpus_tag_count_below_state_count_is_usage_error(tmp_path, capsys):
     out = tmp_path / "corpus.bin"
     assert cli_main(["corpus", "--out", str(out), "--n-sequences", "4",
@@ -426,7 +433,7 @@ def test_run_fewer_than_one_worker_is_usage_error(tmp_path, capsys, workers):
 @pytest.mark.parametrize("n_x, max_positions, method, bidir_method", [
     (64, 100, "fpt", "sequence_doubling"),  # 2 * 64 tokens
     (64, 48, "fpt", "none"),
-    (16, 24, "orca", "none"),  # the proxy corpus pads to 32
+    (16, 24, "orca", "none"),  # the corpus's longest sequence is 26 tokens
 ], ids=["doubled_frame", "frame", "orca_proxy"])
 def test_run_frame_longer_than_max_positions_fails_before_pretraining(
         tmp_path, capsys, n_x, max_positions, method, bidir_method, workers):

@@ -163,6 +163,21 @@ def test_run_one_checks_the_doubled_frame_length_before_reading_the_checkpoint(t
     assert not (tmp_path / "records").exists()
 
 
+def test_run_one_checks_the_orca_corpus_length_before_reading_the_checkpoint(tmp_path):
+    # the corpus's longest sequence decides the length ORCA's proxy build needs
+    config = tiny_experiment(tmp_path, pretrained=True, method="orca", max_positions=32,
+                             checkpoint_file=str(tmp_path / "missing.ckpt"))
+    corpus = load_corpus(config.corpus_file)
+    tokens, tags = corpus.sequences[0]
+    long = (np.resize(tokens, 48), np.resize(tags, 48))
+    save_corpus(dataclasses.replace(corpus, sequences=[*corpus.sequences, long]),
+                config.corpus_file)
+    with pytest.raises(LengthError, match="ORCA's proxy corpus needs max_positions >= 48, "
+                                          "got max_positions=32"):
+        run_one(config, seed=0)
+    assert not (tmp_path / "records").exists()
+
+
 def test_run_record_persisted_and_loadable(tmp_path):
     config = tiny_experiment(tmp_path)
     rec = run_one(config, seed=0)
@@ -251,6 +266,22 @@ def test_parallel_flipping_orca_proxy_sets(tmp_path, monkeypatch, pretrained_exp
     else:
         assert fwd.points.shape == rev.points.shape
         assert not np.array_equal(fwd.points.data, rev.points.data)
+
+
+def test_parallel_flipping_orca_records_both_pipelines_convergence(tmp_path, monkeypatch):
+    fractions = iter([1.0, 0.0])  # the forward pipeline's stage 1, then the reversed one's
+
+    def stage1(model, embedder, corpus, dataset, config):
+        return adaptation.Stage1Report(trace=[0.5] * config.stage1_steps,
+                                       steps=config.stage1_steps,
+                                       converged_fraction=next(fractions),
+                                       degenerate_labels=False)
+
+    monkeypatch.setattr(adaptation, "orca_stage1", stage1)
+    config = tiny_experiment(tmp_path, method="orca", bidir_method="parallel_flipping")
+    rec = run_one(config, seed=0)
+    assert sorted(rec.stage1_trace) == ["forward", "reversed"]
+    assert rec.stage1_converged_fraction == 0.5
 
 
 def test_random_init_never_reads_checkpoint(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crossmodal_pde import proxy_data as px
-from crossmodal_pde.container import DataFileError
+from crossmodal_pde.container import DataFileError, read_container, write_container
 from crossmodal_pde.proxy_data import (
     MAX_SEQ_LEN,
     PAD_TOKEN,
@@ -92,7 +92,11 @@ def test_corpus_tokens_avoid_reserved_ids():
 
 def test_empirical_tag_distribution_matches_stationary():
     corpus = gen_corpus(seed=5, n_sequences=2000)
-    want = corpus.stationary_tag_distribution()
+    # the grammar tables are gen_corpus's first draws from its rng
+    transition, emission, _ = px._grammar_tables(np.random.default_rng(5), 64, 9)
+    vals, vecs = np.linalg.eig(transition.T)
+    pi = np.real(vecs[:, int(np.argmin(np.abs(vals - 1.0)))])
+    want = (pi / pi.sum()) @ emission
     tags = np.concatenate([g for _, g in corpus.sequences])
     got = np.bincount(tags, minlength=corpus.tag_count) / len(tags)
     assert np.abs(got - want).max() < 0.05
@@ -117,9 +121,7 @@ def test_proxy_pad_positions_excluded():
     proxy = build_proxy_set(model, corpus)
     tokens0, tags0 = corpus.sequences[0]
     solo = px.SyntheticCorpus(vocab_size=corpus.vocab_size, tag_count=corpus.tag_count,
-                              seed=corpus.seed, sequences=[(tokens0, tags0)],
-                              transition=corpus.transition,
-                              state_tag_emission=corpus.state_tag_emission)
+                              seed=corpus.seed, sequences=[(tokens0, tags0)])
     proxy_solo = build_proxy_set(model, solo)
     np.testing.assert_array_equal(proxy.points.data[: len(tokens0)], proxy_solo.points.data)
 
@@ -170,7 +172,57 @@ def test_corpus_round_trip(tmp_path):
     for (ta, ga), (tb, gb) in zip(corpus.sequences, back.sequences):
         np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(ga, gb)
-    np.testing.assert_allclose(back.transition, corpus.transition, atol=1e-7)
+    # the file holds the corpus alone, as wide as its longest sequence
+    _, blocks = read_container(path)
+    assert sorted(blocks) == ["lengths", "tags", "tokens"]
+    assert blocks["tokens"].shape == (15, max(len(t) for t, _ in corpus.sequences))
+
+
+def with_long_sequence(corpus, length=48):
+    """``corpus`` with one more sequence of ``length`` tokens, longer than
+    the grammar draws."""
+    tokens, tags = corpus.sequences[0]
+    long = (np.resize(tokens, length), np.resize(tags, length))
+    return dataclasses.replace(corpus, sequences=[*corpus.sequences, long])
+
+
+def test_long_corpus_saves_loads_and_embeds_within_max_positions(tmp_path, proxy_forwards):
+    corpus = with_long_sequence(gen_corpus(seed=14, n_sequences=5))
+    path = tmp_path / "long.bin"
+    save_corpus(corpus, path)
+    back = load_corpus(path)
+    for (ta, ga), (tb, gb) in zip(corpus.sequences, back.sequences, strict=True):
+        np.testing.assert_array_equal(ta, tb)
+        np.testing.assert_array_equal(ga, gb)
+    assert read_container(path)[1]["tokens"].shape == (6, 48)
+    proxy = build_proxy_set(tiny_model(), back)  # max_positions=64
+    assert len(proxy) == sum(len(t) for t, _ in corpus.sequences)
+    short = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=2,
+                                    d_ff=64, max_positions=32, vocab_size=64, seed=3))
+    with pytest.raises(LengthError, match="sequence length 48 exceeds max_positions=32"):
+        build_proxy_set(short, back)
+
+
+def test_corpus_file_of_the_old_layout_loads(tmp_path):
+    # the grammar's two tables beside the corpus, every block 32 wide, tags padded with -1
+    corpus = gen_corpus(seed=18, n_sequences=6)
+    n = len(corpus.sequences)
+    tokens = np.full((n, 32), PAD_TOKEN, dtype=np.int32)
+    tags = np.full((n, 32), -1, dtype=np.int32)
+    for i, (tok, tag) in enumerate(corpus.sequences):
+        tokens[i, : len(tok)], tags[i, : len(tag)] = tok, tag
+    path = tmp_path / "old.bin"
+    write_container(path, {"kind": "tagged_corpus", "vocab_size": 64, "tag_count": 9,
+                           "seed": 18}, [
+        ("lengths", np.array([len(t) for t, _ in corpus.sequences], dtype=np.int32)),
+        ("tokens", tokens), ("tags", tags),
+        ("transition", np.full((3, 3), 1 / 3, dtype=np.float32)),
+        ("state_tag_emission", np.full((3, 9), 1 / 9, dtype=np.float32))])
+    back = load_corpus(path)
+    assert (back.vocab_size, back.tag_count, back.seed) == (64, 9, 18)
+    for (ta, ga), (tb, gb) in zip(corpus.sequences, back.sequences, strict=True):
+        np.testing.assert_array_equal(ta, tb)
+        np.testing.assert_array_equal(ga, gb)
 
 
 def test_empty_corpus_is_a_data_file_error(tmp_path):
@@ -245,13 +297,14 @@ def test_proxy_arrays_read_only(proxy_forwards):
             proxy.labels[0] = 1
 
 
-def test_proxy_max_positions_checked_before_lookup(proxy_forwards):
-    corpus = gen_corpus(seed=20, n_sequences=3)
+def test_proxy_too_long_for_max_positions_fails_in_forward(proxy_forwards):
+    corpus = gen_corpus(seed=20, n_sequences=3)  # lengths 13, 9 and 19
     short = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=1,
                                     d_ff=64, max_positions=16, vocab_size=64, seed=0))
-    for _ in range(2):
-        with pytest.raises(LengthError, match="max_positions"):
+    for attempt in range(1, 3):
+        with pytest.raises(LengthError, match="sequence length 19 exceeds max_positions=16"):
             build_proxy_set(short, corpus)
+        assert len(proxy_forwards) == attempt  # nothing cached: each call forwards again
     assert px._last_proxy == {}
 
 
