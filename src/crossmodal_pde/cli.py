@@ -11,11 +11,12 @@ import sys
 import numpy as np
 
 from .container import DataFileError
-from .pde_data import FAMILIES, GridSpec, build_dataset, default_grid
+from .pde_data import FAMILIES, build_dataset, default_grid
 from .proxy_data import gen_corpus, load_corpus, save_corpus
 from .transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
+    LengthError,
     ModelConfig,
     build_model,
     pretrain,
@@ -110,6 +111,10 @@ def _cmd_pretrain(args) -> int:
                          n_layers=args.n_layers, d_ff=args.d_ff,
                          max_positions=args.max_positions,
                          vocab_size=corpus.vocab_size, seed=args.seed)
+    longest = max(len(t) for t, _ in corpus.sequences)
+    if longest > args.max_positions:
+        raise LengthError(f"corpus {args.corpus} holds a sequence of {longest} tokens, "
+                          f"more than --max-positions {args.max_positions}")
     model = build_model(config)
     trace = pretrain(model, [t for t, _ in corpus.sequences], steps=args.steps,
                      learning_rate=args.learning_rate, batch_size=args.batch_size,
@@ -158,150 +163,17 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_doctor(_args) -> int:
-    checks = []
+    from . import invariants
 
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - doctor reports everything
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    check("autodiff gradient check", _doctor_gradients)
-    check("causal mask bit-exactness", _doctor_causality)
-    check("advection analytic target", _doctor_advection)
-    check("sinkhorn vs permutation oracle", _doctor_sinkhorn)
-    check("flip involution and half combine", _doctor_bidir)
-    check("softmax row sums", _doctor_softmax)
-    check("masked softmax exact zeros", _doctor_masked_softmax)
-    check("GELU vs float64 erf", _doctor_gelu)
     failed = 0
-    for name, ok, msg in checks:
-        print(f"[{'ok' if ok else 'FAIL'}] {name}" + (f" ({msg})" if msg else ""))
-        failed += 0 if ok else 1
+    for name, check in invariants.CHECKS:
+        try:
+            check()
+            print(f"[ok] {name}")
+        except Exception as exc:  # noqa: BLE001 - doctor reports everything
+            print(f"[FAIL] {name} ({type(exc).__name__}: {exc})")
+            failed += 1
     return 1 if failed else 0
-
-
-def _doctor_gradients():
-    from . import tensor as T
-    from .tensor import Tensor
-
-    rng = np.random.default_rng(0)
-    w = Tensor(rng.normal(scale=0.5, size=(6, 4)).astype(np.float32), requires_grad=True)
-    x = Tensor(rng.normal(size=(3, 6)).astype(np.float32))
-    loss = T.tmean(T.square(T.gelu(T.matmul(x, w))))
-    loss.backward()
-    flat = w.data.reshape(-1)
-    gflat = w.grad.reshape(-1)
-    h = 1e-3
-    for i in range(0, flat.size, 5):
-        orig = flat[i]
-        flat[i] = np.float32(float(orig) + h)
-        with T.no_grad():
-            hi = T.tmean(T.square(T.gelu(T.matmul(x, w)))).item()
-        hi_x = float(flat[i])
-        flat[i] = np.float32(float(orig) - h)
-        with T.no_grad():
-            lo = T.tmean(T.square(T.gelu(T.matmul(x, w)))).item()
-        lo_x = float(flat[i])
-        flat[i] = orig
-        fd = (hi - lo) / (hi_x - lo_x)
-        if abs(fd - gflat[i]) > 1e-4 * max(1.0, abs(fd), abs(gflat[i])):
-            raise AssertionError(f"grad mismatch at {i}: {gflat[i]} vs {fd}")
-
-
-def _doctor_causality():
-    from . import tensor as T
-    from .tensor import Tensor
-    from .transformer import forward_hidden
-
-    # three row blocks of causal attention, the last one of 10 rows
-    L = 2 * T._CAUSAL_BLOCK + 10
-    model = build_model(ModelConfig(arch=DECODER_ONLY, d_model=32, n_heads=4, n_layers=2,
-                                    d_ff=64, max_positions=L, vocab_size=16, seed=1))
-    for p in model.params.values():  # weights at 10x their init scale: a leak shows
-        if p.data.ndim == 2:
-            p.data *= 10.0
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(L, 32)).astype(np.float32)
-    with T.no_grad():
-        base = forward_hidden(model, Tensor(x)).data
-        # the last row, then the first row of the last block
-        for row in (L - 1, 2 * T._CAUSAL_BLOCK):
-            x2 = x.copy()
-            x2[row] += 1.0
-            pert = forward_hidden(model, Tensor(x2)).data
-            if not np.array_equal(base[:row], pert[:row]):
-                raise AssertionError(f"position {row} leaked into earlier outputs")
-
-
-def _doctor_advection():
-    from .pde_data import advection_frames_f64
-
-    grid = GridSpec(n_x=64, t_out=2.5)
-    u0, ut = advection_frames_f64(grid, beta=0.4, seed=3)
-    if np.abs(u0 - ut).max() >= 1e-12:
-        raise AssertionError("full-wrap advection should reproduce the input")
-
-
-def _doctor_sinkhorn():
-    from .otdd import SinkhornParams, exact_transport_cost, sinkhorn
-    from .tensor import Tensor
-
-    rng = np.random.default_rng(2)
-    cost = ((rng.normal(size=(5, 1, 2)) - rng.normal(size=(1, 5, 2))) ** 2).sum(-1)
-    res = sinkhorn(Tensor(cost.astype(np.float32)),
-                   SinkhornParams(epsilon=0.01 * float(np.median(cost)), max_iters=5000))
-    opt = exact_transport_cost(cost)
-    if not (0.98 * opt - 1e-9 <= res.cost.item() <= 1.02 * opt + 1e-9):
-        raise AssertionError(f"sinkhorn {res.cost.item()} vs oracle {opt}")
-
-
-def _doctor_bidir():
-    from .bidir import combine_halves, flip
-
-    x = np.arange(8, dtype=np.float32)
-    if not np.array_equal(flip(flip(x)), x):
-        raise AssertionError("flip is not an involution")
-    out = combine_halves(np.array([1.0, 2.0, 3.0, 4.0]), np.array([9.0, 8.0, 7.0, 6.0]))
-    if not np.array_equal(out, np.array([6.0, 7.0, 3.0, 4.0])):
-        raise AssertionError("combine_halves definition drifted")
-
-
-def _doctor_softmax():
-    from . import tensor as T
-    from .tensor import Tensor
-
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-1e4, 1e4, size=(8, 16)).astype(np.float32)
-    s = T.softmax_lastdim(Tensor(x)).data.sum(axis=-1, dtype=np.float64)
-    if np.abs(s - 1.0).max() >= 1e-6:
-        raise AssertionError("softmax rows do not sum to 1")
-
-
-def _doctor_masked_softmax():
-    from . import tensor as T
-    from .tensor import Tensor
-    from .transformer import causal_bias
-
-    L = 16
-    bias = causal_bias(L)
-    if causal_bias(L) is not bias or bias.flags.writeable:
-        raise AssertionError("causal bias is not a cached read-only array")
-    x = np.random.default_rng(4).uniform(-50, 50, size=(2, L, L)).astype(np.float32)
-    probs = T.softmax_lastdim(Tensor(x), bias=bias).data
-    if not np.all(probs[:, ~np.tri(L, dtype=bool)] == 0.0):
-        raise AssertionError("masked attention weights are not exactly 0.0")
-    if np.abs(probs.sum(axis=-1, dtype=np.float64) - 1.0).max() >= 1e-6:
-        raise AssertionError("masked softmax rows do not sum to 1")
-
-
-def _doctor_gelu():
-    from . import tensor as T
-
-    err = T._gelu_cdf_max_error()
-    if not err <= 3e-7:
-        raise AssertionError(f"GELU cdf is {err:.3g} from the float64 erf (bound 3e-7)")
 
 
 _COMMANDS = {

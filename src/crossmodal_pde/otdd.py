@@ -72,20 +72,6 @@ def compute_class_moments(cloud: LabeledPointCloud) -> ClassMoments:
     return ClassMoments(mean=mean, var=var, classes=classes, degenerate=counts < 2)
 
 
-def gaussian_w2_sq(m1, v1, m2, v2) -> float:
-    """Squared 2-Wasserstein distance between diagonal Gaussians:
-    ||m1-m2||^2 + sum_j (sqrt(v1_j) - sqrt(v2_j))^2, evaluated at 64-bit.
-
-    This is the scalar reference form; the tape-differentiable vectorized
-    version used inside ``otdd_distance`` is ``label_distance_matrix``.
-    """
-    m1, v1, m2, v2 = (np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-                      for x in (m1, v1, m2, v2))
-    if np.any(v1 < 0) or np.any(v2 < 0):
-        raise DomainError("variances must be nonnegative")
-    return float(((m1 - m2) ** 2).sum() + ((np.sqrt(v1) - np.sqrt(v2)) ** 2).sum())
-
-
 def _pairwise_sq_dists(a: Tensor, b: Tensor) -> Tensor:
     """[N, M] squared euclidean distances, clamped at 0 against cancellation."""
     a2 = T.tsum(T.square(a), axis=1, keepdims=True)  # [N, 1]
@@ -233,20 +219,6 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
     return SinkhornResult(coupling=Tensor(p), cost=T.transport_cost(cost, p, eps_reached),
                           converged=solver_converged, iterations=iterations,
                           marginal_violation=float(violation))
-
-
-def exact_transport_cost(cost: np.ndarray) -> float:
-    """Brute-force optimum over permutations (uniform marginals, N == M <= 8)."""
-    from itertools import permutations
-
-    n, m = cost.shape
-    if n != m or n > 8:
-        raise ContractError("exact oracle needs square cost with N <= 8")
-    best = np.inf
-    for perm in permutations(range(n)):
-        total = sum(float(cost[i, j]) for i, j in enumerate(perm))
-        best = min(best, total / n)
-    return best
 
 
 def otdd_distance(target: LabeledPointCloud, proxy: LabeledPointCloud,

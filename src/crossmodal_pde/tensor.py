@@ -6,7 +6,7 @@ and mean, the softmax and logsumexp row sums, and the layer-norm statistics
 work in float32 throughout:
 
 - ``gelu`` takes its normal cdf from ``_erf32``, a rational approximation of
-  ``erf`` within 3e-7 of the float64 cdf (``_gelu_cdf_max_error``);
+  ``erf`` within 3e-7 of the float64 cdf (``invariants.gelu_vs_float64_erf``);
 - ``softmax_lastdim`` rounds its float64 row sum to float32 once and divides
   in float32, within one float32 ulp of the rounded float64 quotient.
 
@@ -410,25 +410,6 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     cdf *= np.float32(0.5)
     cdf += np.float32(0.5)
     return cdf
-
-
-def _gelu_cdf_max_error(n: int = 1 << 20) -> float:
-    """Largest distance of ``_gelu_cdf`` from the float64 cdf formed with
-    ``scipy.special.erf``, over ``n + 1`` evenly spaced float32 points of
-    [-12, 12] and +-0, the smallest and largest subnormals and +-inf.  A cdf
-    outside [0, 1] counts as infinitely far."""
-    from scipy.special import erf
-
-    tiny = np.finfo(np.float32).smallest_subnormal
-    normal = np.finfo(np.float32).smallest_normal
-    special = np.array([0.0, -0.0, tiny, -tiny, normal - tiny, tiny - normal,
-                        np.inf, -np.inf], dtype=np.float32)
-    x = np.concatenate([np.linspace(-12.0, 12.0, n + 1, dtype=np.float32), special])
-    cdf = _gelu_cdf(x)
-    if not np.all((cdf >= 0.0) & (cdf <= 1.0)):
-        return np.inf
-    want = 0.5 * (1.0 + erf(x.astype(np.float64) / np.sqrt(2.0)))
-    return float(np.abs(cdf - want).max())
 
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -1019,10 +1000,10 @@ class OptimizerState:
     def __post_init__(self):
         if self.kind not in OPTIMIZER_KINDS:
             raise ContractError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ContractError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ContractError("weight_decay must be nonnegative")
+        if not 0 < self.learning_rate < np.inf:
+            raise ContractError(f"learning_rate {self.learning_rate} is not finite and > 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ContractError(f"weight_decay {self.weight_decay} is not finite and >= 0")
 
 
 def optimizer_step(state: OptimizerState, params: list[Tensor]) -> None:

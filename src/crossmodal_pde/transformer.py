@@ -37,6 +37,10 @@ class LengthError(ValueError):
     """A sequence is longer than the model's position table allows."""
 
 
+class NonFiniteLossError(ValueError):
+    """Pretraining reached a loss that is NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     arch: str
@@ -118,10 +122,6 @@ def build_model(config: ModelConfig) -> TransformerModel:
             data = rng.normal(0.0, INIT_STD, size=shape).astype(np.float32)
         model.params[name] = Tensor(data, requires_grad=True)
     return model
-
-
-def parameter_census(model: TransformerModel) -> int:
-    return sum(p.data.size for p in model.params.values())
 
 
 # the read-only [L, L] float32 causal bias of decoder attention, built once per
@@ -284,7 +284,8 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
     (``experiments.run_one``).  The model is marked pretrained once at least
-    one step has run; a step needs at least one sequence."""
+    one step has run; a step needs at least one sequence.  A NaN or infinite
+    loss raises ``NonFiniteLossError`` before its step updates the weights."""
     if batch_size < 1 or steps < 0:
         raise ContractError(f"pretrain needs batch_size >= 1 and steps >= 0, "
                             f"got batch_size={batch_size}, steps={steps}")
@@ -295,11 +296,13 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
     params = list(model.params.values())
     trace = []
     with T.blas_threads(1):
-        for _ in range(steps):
+        for step in range(1, steps + 1):
             idx = rng.choice(len(sequences), size=min(batch_size, len(sequences)),
                              replace=False)
             T.zero_grads(params)
             loss = pretrain_step(model, [sequences[i] for i in idx], rng=rng)
+            if not np.isfinite(loss):
+                raise NonFiniteLossError(f"pretraining loss is {loss} at step {step} of {steps}")
             for p in params:
                 if p.grad is None:
                     p.grad = np.zeros_like(p.data)

@@ -2,8 +2,10 @@ import json
 import warnings
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from crossmodal_pde import transformer
 from crossmodal_pde.cli import cli_main
 from crossmodal_pde.container import read_container, write_container
 from crossmodal_pde.experiments import CSV_COLUMNS
@@ -27,6 +29,31 @@ def test_doctor_healthy_build(capsys):
     out = capsys.readouterr().out
     assert "[ok] masked softmax exact zeros" in out
     assert "[ok] GELU vs float64 erf" in out
+
+
+def test_doctor_reports_a_failing_check_and_runs_the_rest(capsys, monkeypatch):
+    from crossmodal_pde import invariants
+
+    def broken():
+        raise AssertionError("planted failure")
+
+    checks = list(invariants.CHECKS)
+    checks[3] = (checks[3][0], broken)  # the slow Sinkhorn check, with checks on both sides
+    monkeypatch.setattr(invariants, "CHECKS", tuple(checks))
+    assert cli_main(["doctor"]) == 1
+    want = [f"[ok] {name}" for name, _ in checks]
+    want[3] = f"[FAIL] {checks[3][0]} (AssertionError: planted failure)"
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_doctor_prints_the_names_of_checks_in_order(capsys, monkeypatch):
+    from crossmodal_pde import invariants
+
+    names = [name for name, _ in invariants.CHECKS]
+    # the checks themselves run in test_doctor_healthy_build
+    monkeypatch.setattr(invariants, "CHECKS", tuple((n, lambda: None) for n in names))
+    assert cli_main(["doctor"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"[ok] {n}" for n in names]
 
 
 def test_gen_writes_dataset(tmp_path, capsys):
@@ -314,6 +341,35 @@ def test_pretrain_on_an_empty_corpus_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "corpus.bin holds no sequences" in err and "Traceback" not in err
     assert not ckpt.exists()
+
+
+def test_pretrain_checks_the_corpus_length_before_its_first_step(tmp_path, capsys,
+                                                                 monkeypatch):
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--seed", "2", "--n-sequences", "20"]) == 0
+    assert "-31 tokens" in capsys.readouterr().out
+    monkeypatch.setattr(transformer, "pretrain_step", None)  # no step may run
+    out = tmp_path / "m.ckpt"
+    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
+                     "--out", str(out), "--max-positions", "16"]) == 3
+    err = capsys.readouterr().err
+    assert "corpus.bin" in err and "31 tokens" in err and "--max-positions 16" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lr, message", [("nan", "learning_rate nan is not finite"),
+                                         ("1e30", "loss is nan at step 2 of 3")])
+def test_pretrain_with_a_non_finite_loss_writes_no_checkpoint(tmp_path, capsys, lr, message):
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "8"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "m.ckpt"
+    with np.errstate(over="ignore", invalid="ignore"):  # the weights overflow at 1e30
+        assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
+                         "--out", str(out), "--steps", "3", "--d-model", "16",
+                         "--n-layers", "1", "--d-ff", "32", "--learning-rate", lr]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("steps", [0, 2])

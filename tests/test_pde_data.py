@@ -76,12 +76,6 @@ def test_advection_beta_zero_identity():
     np.testing.assert_array_equal(u0, ut)
 
 
-def test_advection_full_wrap_period():
-    grid = GridSpec(n_x=64, t_out=2.5)  # beta * dt = 1: one full domain wrap
-    u0, ut = advection_frames_f64(grid, beta=0.4, seed=9)
-    assert np.abs(u0 - ut).max() < 1e-12
-
-
 # -- diffusion-reaction ------------------------------------------------------
 
 
