@@ -30,6 +30,12 @@ from crossmodal_pde.tensor import Tensor
 from crossmodal_pde.transformer import DECODER_ONLY, ENCODER_ONLY, LengthError, forward_hidden
 
 
+def test_flip_involution():
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 16)).astype(np.float32)
+    np.testing.assert_array_equal(flip(flip(x)), x)
+
+
 def test_flip_example():
     np.testing.assert_array_equal(flip(np.array([1, 2, 3, 4])), np.array([4, 3, 2, 1]))
 
@@ -37,6 +43,11 @@ def test_flip_example():
 def test_flip_palindrome():
     x = np.array([1.0, 2.0, 2.0, 1.0])
     np.testing.assert_array_equal(flip(x), x)
+
+
+def test_combine_halves_example():
+    out = combine_halves(np.array([1.0, 2.0, 3.0, 4.0]), np.array([9.0, 8.0, 7.0, 6.0]))
+    np.testing.assert_array_equal(out, np.array([6.0, 7.0, 3.0, 4.0]))
 
 
 def test_combine_halves_second_half_bitwise():
