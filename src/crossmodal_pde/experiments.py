@@ -14,7 +14,7 @@ import time
 import types
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class ExperimentConfig:
     d_ff: int = 256
     max_positions: int = 256
     vocab_size: int = 64
-    pretrained: bool = True
     checkpoint_file: str | None = None
     corpus_file: str | None = None
     method: str = ORCA
@@ -93,9 +92,9 @@ class ExperimentConfig:
             # derives its model and pipeline seeds from it
             raise ContractError(f"seeds must be a non-empty list of distinct non-negative "
                                 f"seeds, got {self.seeds!r}")
-        if self.pretrained and not self.checkpoint_file:
-            raise ContractError("pretrained: true needs a checkpoint_file; write one with "
-                                "`crossmodal-pde pretrain`")
+        if self.corpus_file is not None and self.method != ORCA:
+            raise ContractError(f"corpus_file {self.corpus_file!r} is ORCA's proxy corpus, "
+                                f"which a {self.method!r} run never reads")
 
     def _shared(self, cls, seed: int):
         """A ``cls`` config from this config's fields of the same names."""
@@ -198,15 +197,28 @@ def _check_lengths(config: ExperimentConfig, n_x: int,
                               f"got max_positions={config.max_positions}")
 
 
-def _check_base_model(config: ExperimentConfig, model: TransformerModel) -> None:
-    """Raise ``ContractError`` naming every ``ModelConfig`` field (the seed
-    aside) and the ``pretrained`` flag where ``model`` differs from ``config``:
-    the record would otherwise describe another model than the one that ran."""
-    want = {**asdict(config.model_config(model.config.seed)), "pretrained": config.pretrained}
-    got = {**asdict(model.config), "pretrained": model.pretrained}
+def _base_model(config: ExperimentConfig,
+                model: TransformerModel | None) -> TransformerModel | None:
+    """The model a run starts from: ``model``, else its checkpoint's, or None
+    for a random-init run, which takes no ``model``.  A model the record would
+    misdescribe (given to a random-init run, of 0 pretraining steps, or unlike
+    ``config`` in a ``ModelConfig`` field but the seed) raises ``ContractError``."""
+    if config.checkpoint_file is None:
+        if model is not None:
+            raise ContractError(f"experiment {config.name!r} names no checkpoint_file, so it "
+                                f"builds its models from the seed and takes no base_model")
+        return None
+    model = model or load_checkpoint(config.checkpoint_file)
+    if not model.pretrained:
+        raise ContractError(f"checkpoint {config.checkpoint_file} holds a model of 0 "
+                            f"pretraining steps (pretrained: false); a random-init run "
+                            f"names no checkpoint_file")
+    want = asdict(config.model_config(model.config.seed))
+    got = asdict(model.config)
     diff = ", ".join(f"{k} {got[k]!r} (config: {want[k]!r})" for k in want if got[k] != want[k])
     if diff:
         raise ContractError(f"base model does not match experiment {config.name!r}: {diff}")
+    return model
 
 
 def _make_pipeline(config: ExperimentConfig, base: TransformerModel | None,
@@ -226,22 +238,8 @@ def run_one(config: ExperimentConfig, seed: int,
     record does not depend on numpy's pool size or on ``run_experiment``'s
     ``workers``: on more threads ORCA's ``np.linalg.solve`` and its class means
     over the proxy cloud sum in another order.  At the default width the pool
-    only spins beside small products.  Median wall time per job of the
-    benchmark's ``finetune`` jobs (d_ff = 4 d_model, 4 heads, 4 layers, L=128;
-    2-core x86-64 VM, OpenBLAS 0.3.31), alternating rounds at one and two
-    threads:
-
-    ====================  =========  ==========  =========================
-    d_model / d_ff        1 thread   2 threads   2 threads' wall saving
-    ====================  =========  ==========  =========================
-    64 / 256              0.55 s     0.56 s      -3% (CPU 0.54 -> 1.09 s)
-    128 / 512             0.97 s     0.99 s      -2% and +1% (two sweeps)
-    192 / 768             1.61 s     1.78 s      -10%
-    256 / 1024            2.23 s     1.83 s      +18%
-    ====================  =========  ==========  =========================
-
-    A serial job at d_model 256 gives up that 18%; no benchmark workload is
-    that wide, and the cross-over moves with the core count.
+    only spins beside small products; README.md gives the measured wall times
+    per job at one and two threads.
     """
     with blas_threads(1):
         return _run_one(config, seed, base_model)
@@ -251,16 +249,11 @@ def _run_one(config: ExperimentConfig, seed: int,
              base_model: TransformerModel | None) -> RunRecord:
     t0 = time.time()
     dataset = load_dataset(config.dataset_file)
-    corpus = None
-    if config.method == ORCA:
-        if not config.corpus_file:
-            raise DataFileError("ORCA runs need corpus_file for the proxy dataset")
-        corpus = load_corpus(config.corpus_file)
+    if config.method == ORCA and not config.corpus_file:
+        raise DataFileError("ORCA runs need corpus_file for the proxy dataset")
+    corpus = load_corpus(config.corpus_file) if config.corpus_file else None
     _check_lengths(config, dataset.grid.n_x, corpus)
-    if base_model is None and config.pretrained:
-        base_model = load_checkpoint(config.checkpoint_file)
-    if base_model is not None:
-        _check_base_model(config, base_model)
+    base_model = _base_model(config, base_model)
 
     adapt = config.adaptation_config(seed)
     pipeline = _make_pipeline(config, base_model, seed, role=0)
@@ -325,13 +318,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord
 
 # -- aggregation ---------------------------------------------------------------
 
-CSV_COLUMNS = ("dataset", "arch", "d_model", "n_layers", "pretrained", "method",
-               "bidir_method", "seed_count", "nrmse_mean", "nrmse_min", "nrmse_max",
-               "wallclock_s")
-
 
 @dataclass
 class TableRow:
+    """One group of records; its fields are the table's CSV columns in order."""
     dataset: str
     arch: str
     d_model: int
@@ -351,8 +341,19 @@ class ResultsTable:
     rows: list[TableRow]
 
 
-# the config keys ``aggregate`` groups by
-_GROUP_KEYS = ("arch", "d_model", "n_layers", "pretrained", "method", "bidir_method")
+_COLUMN_TYPES = typing.get_type_hints(TableRow)
+# the columns ``aggregate`` computes over a group; it groups by the others
+_STAT_COLUMNS = ("seed_count", "nrmse_mean", "nrmse_min", "nrmse_max", "wallclock_s")
+_GROUP_COLUMNS = tuple(c for c in _COLUMN_TYPES if c not in _STAT_COLUMNS)
+
+
+def _group(rec: dict) -> tuple:
+    """A record's group values: ``dataset`` is its family, and ``pretrained`` an
+    older record's flag, or else whether its config names a ``checkpoint_file``."""
+    cfg = rec["config"]
+    pretrained = cfg.get("pretrained", cfg.get("checkpoint_file") is not None)
+    values = {**cfg, "dataset": rec["family"], "pretrained": bool(pretrained)}
+    return tuple(values[c] for c in _GROUP_COLUMNS)
 
 
 def load_records(records_dir) -> list[dict]:
@@ -381,14 +382,15 @@ def load_records(records_dir) -> list[dict]:
         cfg = rec["config"]
         if not isinstance(cfg, dict):
             raise DataFileError(f"{path} is not a run record: config is not an object")
-        missing = [k for k in _GROUP_KEYS if k not in cfg]
+        missing = [c for c in _GROUP_COLUMNS if c not in {*cfg, "dataset", "pretrained"}]
         if missing:
             raise DataFileError(f"{path} is not a run record: config lacks {', '.join(missing)}")
         for k in ("test_nrmse", "wallclock_s"):
             if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
                 raise DataFileError(f"{path} is not a run record: {k} is {rec[k]!r}, "
                                     f"not a number")
-        for k, v in [("family", rec["family"]), *((k, cfg[k]) for k in _GROUP_KEYS)]:
+        scalars = [("family", rec["family"]), *((k, cfg[k]) for k in _GROUP_COLUMNS if k in cfg)]
+        for k, v in scalars:
             if isinstance(v, (list, dict)):
                 raise DataFileError(f"{path} is not a run record: {k} is {v!r}, not a scalar")
         records.append(rec)
@@ -399,17 +401,13 @@ def aggregate(records: list[dict]) -> ResultsTable:
     """Group records and compute mean/min/max test nRMSE (64-bit sums)."""
     groups: dict[tuple, list[dict]] = {}
     for rec in records:
-        cfg = rec["config"]
-        key = (rec["family"], *(cfg[k] for k in _GROUP_KEYS))
-        groups.setdefault(key, []).append(rec)
+        groups.setdefault(_group(rec), []).append(rec)
     rows = []
     for key in sorted(groups, key=str):
         members = groups[key]
         scores = np.array([m["test_nrmse"] for m in members], dtype=np.float64)
         walls = np.array([m["wallclock_s"] for m in members], dtype=np.float64)
-        rows.append(TableRow(dataset=key[0], arch=key[1], d_model=key[2], n_layers=key[3],
-                             pretrained=bool(key[4]), method=key[5], bidir_method=key[6],
-                             seed_count=len(members),
+        rows.append(TableRow(**dict(zip(_GROUP_COLUMNS, key)), seed_count=len(members),
                              nrmse_mean=float(scores.sum() / len(scores)),
                              nrmse_min=float(scores.min()),
                              nrmse_max=float(scores.max()),
@@ -418,16 +416,22 @@ def aggregate(records: list[dict]) -> ResultsTable:
 
 
 def table_to_csv(table: ResultsTable, path) -> None:
-    out_dir = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in table.rows:
-            writer.writerow([r.dataset, r.arch, r.d_model, r.n_layers,
-                             str(r.pretrained).lower(), r.method, r.bidir_method,
-                             r.seed_count, repr(r.nrmse_mean), repr(r.nrmse_min),
-                             repr(r.nrmse_max), repr(r.wallclock_s)])
+        writer.writerow(_COLUMN_TYPES)
+        for r in table.rows:  # a float's cell is its repr
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in astuple(r)])
+
+
+def _parse_cell(column: str, text: str | None):
+    """The value of a ``table_to_csv`` cell; ``ValueError`` names the column."""
+    kind = _COLUMN_TYPES[column]
+    try:
+        return {"true": True, "false": False}[text] if kind is bool else kind(text)
+    except (KeyError, TypeError, ValueError):  # a short row reads None
+        raise ValueError(f"{column} is {text!r}, not "
+                         f"{'true or false' if kind is bool else kind.__name__}") from None
 
 
 def table_from_csv(path) -> ResultsTable:
@@ -438,25 +442,14 @@ def table_from_csv(path) -> ResultsTable:
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or ())]
+        missing = [c for c in _COLUMN_TYPES if c not in (reader.fieldnames or ())]
         if missing:
             raise DataFileError(f"{path} is not a results table: missing columns "
                                 f"{', '.join(missing)}")
         for rec in reader:
             try:
-                if rec["pretrained"] not in ("true", "false"):
-                    raise ValueError(f"pretrained is {rec['pretrained']!r}, not true or false")
-                rows.append(TableRow(dataset=rec["dataset"], arch=rec["arch"],
-                                     d_model=int(rec["d_model"]),
-                                     n_layers=int(rec["n_layers"]),
-                                     pretrained=rec["pretrained"] == "true",
-                                     method=rec["method"], bidir_method=rec["bidir_method"],
-                                     seed_count=int(rec["seed_count"]),
-                                     nrmse_mean=float(rec["nrmse_mean"]),
-                                     nrmse_min=float(rec["nrmse_min"]),
-                                     nrmse_max=float(rec["nrmse_max"]),
-                                     wallclock_s=float(rec["wallclock_s"])))
-            except (TypeError, ValueError) as exc:  # a short row reads None
+                rows.append(TableRow(**{c: _parse_cell(c, rec[c]) for c in _COLUMN_TYPES}))
+            except ValueError as exc:
                 raise DataFileError(f"{path} line {reader.line_num} is not a table row: "
                                     f"{exc}") from exc
     return ResultsTable(rows=rows)

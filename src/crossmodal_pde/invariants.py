@@ -99,15 +99,18 @@ def advection_full_wrap():
 def sinkhorn_vs_permutation_oracle():
     from .otdd import SinkhornParams, sinkhorn
 
+    # at 1e-5 the slowest trial (7) converges in 1604 iterations; at 1e-6 it does not in 20000
     rng = np.random.default_rng(4)
     for trial in range(10):
         n = int(rng.integers(2, 7))
         pts_a, pts_b = rng.normal(scale=2.0, size=(2, n, 2))
         cost = ((pts_a[:, None] - pts_b[None]) ** 2).sum(-1).astype(np.float32)
         params = SinkhornParams(epsilon=0.01 * float(np.median(cost)), max_iters=20000,
-                                tolerance=1e-8)
-        got = sinkhorn(Tensor(cost), params).cost.item()
-        opt = exact_transport_cost(cost)
+                                tolerance=1e-5)
+        result = sinkhorn(Tensor(cost), params)
+        _require(result.converged, f"trial {trial}: marginal violation "
+                 f"{result.marginal_violation:.3g} after {result.iterations} iterations")
+        got, opt = result.cost.item(), exact_transport_cost(cost)
         _require(opt * 0.999 - 1e-9 <= got <= opt * 1.02 + 1e-9, f"trial {trial}: {got} vs {opt}")
 
 

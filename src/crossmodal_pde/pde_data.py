@@ -148,8 +148,13 @@ def advection_frames_f64(grid: GridSpec, beta: float, seed: int):
 DIFFUSION_STABILITY_LIMIT = 0.4
 
 
-def _periodic_laplacian(u: np.ndarray, dx: float) -> np.ndarray:
-    return (np.roll(u, -1, axis=-1) - 2.0 * u + np.roll(u, 1, axis=-1)) / (dx * dx)
+def _ghost(u: np.ndarray) -> np.ndarray:
+    """``u`` with a periodic ghost point at each end: every neighbour is a slice."""
+    return np.concatenate([u[..., -1:], u, u[..., :1]], axis=-1)
+
+
+def _periodic_laplacian(p: np.ndarray, dx: float) -> np.ndarray:  # p from _ghost
+    return (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / (dx * dx)
 
 
 def _resolve_dt(grid: GridSpec, dt_max: float, safety: float = 0.625) -> tuple[float, int]:
@@ -171,7 +176,7 @@ def diffusion_reaction_solve(u0: np.ndarray, grid: GridSpec, nu: float, rho: flo
     dt, steps = _resolve_dt(grid, dt_max)
     u = u0.astype(np.float64).copy()
     for _ in range(steps):
-        u = u + dt * (nu * _periodic_laplacian(u, grid.dx) + rho * u * (1.0 - u))
+        u = u + dt * (nu * _periodic_laplacian(_ghost(u), grid.dx) + rho * u * (1.0 - u))
     return u
 
 
@@ -271,12 +276,12 @@ def diffusion_sorption_solve(u0: np.ndarray, grid: GridSpec, sp: SorptionParams)
 
 def burgers_step(u: np.ndarray, dx: float, dt: float, nu: float) -> np.ndarray:
     """One conservative step: Rusanov flux for u^2/2 plus central diffusion."""
-    f = 0.5 * u * u
-    u_r = np.roll(u, -1, axis=-1)
-    a = np.maximum(np.abs(u), np.abs(u_r))
-    flux = 0.5 * (f + np.roll(f, -1, axis=-1)) - 0.5 * a * (u_r - u)  # at i + 1/2
-    div = (flux - np.roll(flux, 1, axis=-1)) / dx
-    return u + dt * (-div + nu * _periodic_laplacian(u, dx))
+    p = _ghost(u)
+    f, speed = 0.5 * p * p, np.abs(p)
+    a = np.maximum(speed[..., :-1], speed[..., 1:])
+    flux = 0.5 * (f[..., :-1] + f[..., 1:]) - 0.5 * a * (p[..., 1:] - p[..., :-1])  # at i - 1/2
+    div = (flux[..., 1:] - flux[..., :-1]) / dx
+    return u + dt * (-div + nu * _periodic_laplacian(p, dx))
 
 
 def burgers_solve(u0: np.ndarray, grid: GridSpec, nu: float) -> np.ndarray:

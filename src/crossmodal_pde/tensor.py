@@ -982,6 +982,8 @@ def transport_cost(cost, plan: np.ndarray, eps: float) -> Tensor:
 # -- optimizers --------------------------------------------------------
 
 OPTIMIZER_KINDS = ("sgd", "adam", "adamw")
+# Adam's moment decays and denominator floor, applied as float32
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -991,9 +993,6 @@ class OptimizerState:
     kind: str
     learning_rate: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     moments: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -1023,10 +1022,10 @@ def optimizer_step(state: OptimizerState, params: list[Tensor]) -> None:
         for p in params:
             p.data -= lr * p.grad
         return
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    eps = np.float32(state.eps)
-    c1 = np.float32(1.0 - state.beta1**t)
-    c2 = np.float32(1.0 - state.beta2**t)
+    b1, b2 = np.float32(ADAM_BETA1), np.float32(ADAM_BETA2)
+    eps = np.float32(ADAM_EPS)
+    c1 = np.float32(1.0 - ADAM_BETA1**t)
+    c2 = np.float32(1.0 - ADAM_BETA2**t)
     decay = lr * np.float32(state.weight_decay)
     for i, p in enumerate(params):
         if i not in state.moments:

@@ -457,7 +457,7 @@ def _run_record(tmp_path, monkeypatch, oracle, **overrides):
     config = experiments.ExperimentConfig(
         name="rec", dataset_file=dataset_file, out_dir=str(tmp_path / "records"),
         arch=DECODER_ONLY, d_model=64, n_heads=4, n_layers=2, d_ff=128, max_positions=64,
-        pretrained=False, method="fpt", epochs=2, seeds=[0], **overrides)
+        method="fpt", epochs=2, seeds=[0], **overrides)
     record = dataclasses.asdict(experiments.run_one(config, seed=0))
     record.pop("wallclock_s")
     monkeypatch.undo()

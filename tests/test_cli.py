@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 import xml.etree.ElementTree as ET
@@ -8,7 +9,7 @@ import pytest
 from crossmodal_pde import transformer
 from crossmodal_pde.cli import cli_main
 from crossmodal_pde.container import read_container, write_container
-from crossmodal_pde.experiments import CSV_COLUMNS
+from crossmodal_pde.experiments import TableRow
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -125,7 +126,6 @@ def test_full_pipeline_smoke(tmp_path):
         "n_layers": 2,
         "d_ff": 64,
         "max_positions": 64,
-        "pretrained": True,
         "checkpoint_file": ckpt,
         "corpus_file": corpus,
         "method": "orca",
@@ -150,8 +150,9 @@ def test_full_pipeline_smoke(tmp_path):
 
 def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
     # a typo, then the keys of deleted options, of the ORCA and optimizer
-    # recipe, now module constants, and of in-process pretraining, each at its
-    # old default: none is ignored
+    # recipe, now module constants, of in-process pretraining, and the
+    # pretrained flag, which a checkpoint_file replaces, each at its old
+    # default: none is ignored
     config_path = str(tmp_path / "exp.json")
     for key, value in (("epoch", 3), ("stage1_through_body", True),
                        ("restart_positions", True), ("pooled_predictor", True),
@@ -159,7 +160,7 @@ def test_run_unknown_config_key_is_usage_error(tmp_path, capsys):
                        ("stage1_batch_instances", 8), ("otdd_batch", 128),
                        ("pseudo_label_bins", 10), ("sinkhorn_max_iters", 300),
                        ("pretrain_steps", 1500), ("pretrain_lr", 1e-3), ("pretrain_batch", 8),
-                       ("pretrain_seed", 1234)):
+                       ("pretrain_seed", 1234), ("pretrained", True)):
         with open(config_path, "w") as fh:
             json.dump({"name": "typo", "dataset_file": str(tmp_path / "adv.bin"),
                        "out_dir": str(tmp_path / "records"), key: value}, fh)
@@ -178,8 +179,8 @@ def test_run_mistyped_config_value_is_usage_error(tmp_path, capsys, key, value):
     config_path = str(tmp_path / "exp.json")
     with open(config_path, "w") as fh:
         json.dump({"name": "typed", "dataset_file": data, "out_dir": str(tmp_path / "records"),
-                   "pretrained": False, "method": "fpt", "d_model": 16, "n_layers": 1,
-                   "d_ff": 32, key: value}, fh)
+                   "method": "fpt", "d_model": 16, "n_layers": 1, "d_ff": 32,
+                   key: value}, fh)
     assert cli_main(["run", "--config", config_path]) == 3
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "Traceback" not in err
@@ -193,7 +194,7 @@ def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, v
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({"name": "bad", "dataset_file": str(tmp_path / "none.bin"),
                                        "out_dir": str(tmp_path / "records"),
-                                       "pretrained": False, key: value}))
+                                       key: value}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. numpy's "Mean of empty slice"
         assert cli_main(["run", "--config", str(config_path)]) == 3
@@ -203,7 +204,9 @@ def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, v
 
 
 def test_run_pretrained_without_checkpoint_exits_before_reading_data(tmp_path, capsys):
-    # neither file exists, so a run that read the dataset or the corpus would exit 2
+    # a run is pretrained exactly when it names a checkpoint_file, so the old
+    # flag is an unknown key; neither file exists, so a run that read the
+    # dataset or the corpus would exit 2
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({"name": "bad", "dataset_file": str(tmp_path / "none.bin"),
                                        "out_dir": str(tmp_path / "records"),
@@ -211,7 +214,7 @@ def test_run_pretrained_without_checkpoint_exits_before_reading_data(tmp_path, c
                                        "pretrained": True}))
     assert cli_main(["run", "--config", str(config_path)]) == 3
     err = capsys.readouterr().err
-    assert "checkpoint_file" in err and "crossmodal-pde pretrain" in err
+    assert "unknown experiment config keys: pretrained" in err
     assert "Traceback" not in err
     assert not (tmp_path / "records").exists()
 
@@ -243,7 +246,7 @@ def _run_on_edited_dataset(tmp_path, edit):
     write_container(data, header, list(blocks.items()))
     config_path = str(tmp_path / "exp.json")
     with open(config_path, "w") as fh:
-        json.dump({"name": "bad-data", "dataset_file": data, "pretrained": False,
+        json.dump({"name": "bad-data", "dataset_file": data,
                    "out_dir": str(tmp_path / "records")}, fh)
     return cli_main(["run", "--config", config_path])
 
@@ -291,8 +294,8 @@ def test_run_on_bad_corpus_values_is_data_error(tmp_path, capsys, edit):
     config_path = str(tmp_path / "exp.json")
     with open(config_path, "w") as fh:
         json.dump({"name": "bad-corpus", "dataset_file": data, "corpus_file": corpus,
-                   "pretrained": False, "method": "orca", "d_model": 16, "n_layers": 1,
-                   "d_ff": 32, "out_dir": str(tmp_path / "records")}, fh)
+                   "method": "orca", "d_model": 16, "n_layers": 1, "d_ff": 32,
+                   "out_dir": str(tmp_path / "records")}, fh)
     capsys.readouterr()
     assert cli_main(["run", "--config", config_path]) == 2
     err = capsys.readouterr().err
@@ -436,7 +439,7 @@ def test_table_bad_record_value_is_data_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
-HEADER = ",".join(CSV_COLUMNS) + "\n"
+HEADER = ",".join(f.name for f in dataclasses.fields(TableRow)) + "\n"
 
 
 @pytest.mark.parametrize("text, named", [
@@ -501,7 +504,8 @@ def test_run_frame_longer_than_max_positions_fails_before_pretraining(
     assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
     config_path = tmp_path / "exp.json"
     config_path.write_text(json.dumps({
-        "name": "long", "dataset_file": data, "corpus_file": corpus,
+        "name": "long", "dataset_file": data,
+        "corpus_file": corpus if method == "orca" else None,
         "checkpoint_file": str(tmp_path / "none.ckpt"),
         "out_dir": str(tmp_path / "records"), "d_model": 16, "n_layers": 1, "d_ff": 32,
         "max_positions": max_positions, "method": method, "bidir_method": bidir_method,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from crossmodal_pde import adaptation, experiments, proxy_data
+from crossmodal_pde import adaptation, experiments, pde_data, proxy_data, transformer
 from crossmodal_pde import tensor as T
 from crossmodal_pde.adaptation import (
     AdaptationConfig,
@@ -34,7 +34,7 @@ from crossmodal_pde.experiments import (
     table_to_csv,
 )
 from crossmodal_pde.figures import emit_figure
-from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
+from crossmodal_pde.pde_data import GridSpec, build_dataset, derive_seed, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, load_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
 from crossmodal_pde.transformer import (
@@ -109,6 +109,8 @@ def test_spikiness_odd_length_rejected():
 
 
 def tiny_experiment(tmp_path, name="exp", **overrides) -> ExperimentConfig:
+    """A random-init FPT run on 6 + 2 advection frames; an ORCA run names the
+    30-sequence corpus beside the dataset unless ``corpus_file`` is given."""
     dataset_file = str(tmp_path / "adv.bin")
     build_dataset("advection", 6, 2, GridSpec(n_x=32, t_out=0.5), seed=5,
                   out_path=dataset_file)
@@ -116,25 +118,26 @@ def tiny_experiment(tmp_path, name="exp", **overrides) -> ExperimentConfig:
     save_corpus(gen_corpus(seed=3, n_sequences=30), corpus_file)
     base = dict(name=name, dataset_file=dataset_file, out_dir=str(tmp_path / "records"),
                 arch="decoder_only", d_model=32, n_heads=4, n_layers=2, d_ff=64,
-                max_positions=64, pretrained=False, corpus_file=corpus_file,
-                method="fpt", epochs=2, batch_size=4, stage1_steps=3, seeds=[0])
+                max_positions=64, method="fpt", epochs=2, batch_size=4, stage1_steps=3,
+                seeds=[0])
     base.update(overrides)
+    if base["method"] == "orca":
+        base.setdefault("corpus_file", corpus_file)
     return ExperimentConfig(**base)
 
 
 @pytest.fixture
 def pretrained_experiment(tmp_path):
-    """``tiny_experiment`` with ``pretrained=True`` and the checkpoint that
-    ``crossmodal-pde pretrain`` would write for its model: ``steps`` steps
-    on its corpus."""
+    """``tiny_experiment`` naming the checkpoint that ``crossmodal-pde
+    pretrain`` would write for its model: ``steps`` steps on its corpus."""
     def make(steps=3, **overrides):
         config = tiny_experiment(tmp_path, **overrides)
         model = build_model(config.model_config(1234))
-        pretrain(model, [t for t, _ in load_corpus(config.corpus_file).sequences],
+        pretrain(model, [t for t, _ in load_corpus(tmp_path / "corpus.bin").sequences],
                  steps=steps, seed=1234)
         ckpt = str(tmp_path / f"pretrained-{steps}.ckpt")
         save_checkpoint(model, ckpt)
-        return dataclasses.replace(config, pretrained=True, checkpoint_file=ckpt)
+        return dataclasses.replace(config, checkpoint_file=ckpt)
     return make
 
 
@@ -155,7 +158,7 @@ def test_run_record_reproducible(tmp_path):
 
 def test_run_one_checks_the_doubled_frame_length_before_reading_the_checkpoint(tmp_path):
     # the checkpoint file does not exist: reading it would raise DataFileError
-    config = tiny_experiment(tmp_path, pretrained=True, bidir_method="sequence_doubling",
+    config = tiny_experiment(tmp_path, bidir_method="sequence_doubling",
                              checkpoint_file=str(tmp_path / "missing.ckpt"),
                              max_positions=63)  # one short of twice the 32 points
     with pytest.raises(LengthError, match="max_positions >= 64"):
@@ -165,7 +168,7 @@ def test_run_one_checks_the_doubled_frame_length_before_reading_the_checkpoint(t
 
 def test_run_one_checks_the_orca_corpus_length_before_reading_the_checkpoint(tmp_path):
     # the corpus's longest sequence decides the length ORCA's proxy build needs
-    config = tiny_experiment(tmp_path, pretrained=True, method="orca", max_positions=32,
+    config = tiny_experiment(tmp_path, method="orca", max_positions=32,
                              checkpoint_file=str(tmp_path / "missing.ckpt"))
     corpus = load_corpus(config.corpus_file)
     tokens, tags = corpus.sequences[0]
@@ -284,11 +287,28 @@ def test_parallel_flipping_orca_records_both_pipelines_convergence(tmp_path, mon
     assert rec.stage1_converged_fraction == 0.5
 
 
-def test_random_init_never_reads_checkpoint(tmp_path):
-    config = tiny_experiment(tmp_path, pretrained=False,
-                             checkpoint_file=str(tmp_path / "missing.ckpt"))
-    rec = run_one(config, seed=0)  # would raise if the checkpoint were opened
-    assert np.isfinite(rec.test_nrmse)
+def test_random_init_never_reads_checkpoint(tmp_path, monkeypatch):
+    # a config naming no checkpoint_file builds each pipeline's model from the seed
+    def fail(path):
+        raise AssertionError(f"opened checkpoint {path}")
+
+    monkeypatch.setattr(experiments, "load_checkpoint", fail)
+    made, make = [], experiments._make_pipeline
+
+    def keep(config, base, seed, role):
+        made.append(make(config, base, seed, role))
+        return made[-1]
+
+    monkeypatch.setattr(experiments, "_make_pipeline", keep)
+    config = tiny_experiment(tmp_path, epochs=0)
+    rec = run_one(config, seed=0)
+    assert rec.config["checkpoint_file"] is None and np.isfinite(rec.test_nrmse)
+    want = build_model(config.model_config(derive_seed(0, 7, 0)))
+    (pipeline,) = made
+    assert not pipeline.model.pretrained
+    for name, p in want.params.items():
+        assert np.array_equal(pipeline.model.params[name].data, p.data), name
+    assert aggregate([json.loads(rec.to_json())]).rows[0].pretrained is False
 
 
 def test_base_model_must_match_config(tmp_path, pretrained_experiment):
@@ -301,8 +321,10 @@ def test_base_model_must_match_config(tmp_path, pretrained_experiment):
     with pytest.raises(ContractError, match=r"arch 'decoder_only' \(config: 'encoder_only'\), "
                                             r"d_model 32 \(config: 64\)$"):
         run_one(wrong, seed=0)
-    with pytest.raises(ContractError, match=r": pretrained True \(config: False\)$"):
-        run_one(dataclasses.replace(config, pretrained=False), seed=0, base_model=base)
+    # a config without a checkpoint_file builds its own models: a base model
+    # given beside it would run in its place
+    with pytest.raises(ContractError, match="'exp' names no checkpoint_file.*no base_model"):
+        run_one(dataclasses.replace(config, checkpoint_file=None), seed=0, base_model=base)
     assert not (tmp_path / "records").exists()
     # the model's own seed is not compared: a checkpoint keeps its pretraining
     # seed, which no config field names
@@ -311,9 +333,35 @@ def test_base_model_must_match_config(tmp_path, pretrained_experiment):
 
 
 def test_zero_pretraining_steps_do_not_make_a_pretrained_record(pretrained_experiment):
+    # a checkpoint of the initial weights would make a record that says
+    # pretrained over a random-init run
     config = pretrained_experiment(steps=0)
-    with pytest.raises(ContractError, match=r"pretrained False \(config: True\)$"):
+    with pytest.raises(ContractError, match=r"pretrained-0\.ckpt holds a model of 0 "
+                                            r"pretraining steps \(pretrained: false\)"):
         run_one(config, seed=0)
+    base = load_checkpoint(config.checkpoint_file)  # nor given as the base model
+    with pytest.raises(ContractError, match="0 pretraining steps"):
+        run_one(config, seed=0, base_model=base)
+    assert not os.path.exists(config.out_dir)
+
+
+@pytest.mark.parametrize("method", ["fpt", "orca"])
+@pytest.mark.parametrize("bidir_method", ["none", "parallel_flipping", "sequence_doubling"])
+@pytest.mark.parametrize("pretrained", [True, False], ids=["checkpoint", "random_init"])
+def test_run_one_opens_every_input_its_record_names(tmp_path, monkeypatch, pretrained_experiment,
+                                                    method, bidir_method, pretrained):
+    make = pretrained_experiment if pretrained else functools.partial(tiny_experiment, tmp_path)
+    config = make(method=method, bidir_method=bidir_method)
+    opened = []
+    for module in (pde_data, proxy_data, transformer):  # each loader's own name for it
+        read = module.read_container
+        monkeypatch.setattr(module, "read_container",
+                            lambda path, read=read: opened.append(str(path)) or read(path))
+    monkeypatch.setattr(proxy_data, "_last_proxy", {})
+    rec = run_one(config, seed=0)
+    named = [rec.config[k] for k in ("dataset_file", "checkpoint_file", "corpus_file")]
+    assert sorted(opened) == sorted(path for path in named if path is not None)
+    assert len(opened) == 2 + (method == "orca") - (not pretrained)
 
 
 def test_orca_requires_corpus_file(tmp_path):
@@ -478,13 +526,13 @@ def test_load_records_rejects_foreign_json(tmp_path, text):
 
 # -- experiment config ----------------------------------------------------------
 
-_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out", "pretrained": False}
+_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out"}
 
 
 # the fields an experiment holds beside its model's and its adaptation's; a
 # new experiment option has to be added here on purpose
-_EXPERIMENT_ONLY = {"name", "dataset_file", "out_dir", "pretrained", "checkpoint_file",
-                    "corpus_file", "seeds"}
+_EXPERIMENT_ONLY = {"name", "dataset_file", "out_dir", "checkpoint_file", "corpus_file",
+                    "seeds"}
 
 
 def test_experiment_config_holds_every_adaptation_and_model_field():
@@ -492,7 +540,7 @@ def test_experiment_config_holds_every_adaptation_and_model_field():
               for f in dataclasses.fields(cls)} - {"seed"}
     assert not shared & _EXPERIMENT_ONLY
     assert {f.name for f in dataclasses.fields(ExperimentConfig)} == shared | _EXPERIMENT_ONLY
-    assert len(dataclasses.fields(ExperimentConfig)) == 20
+    assert len(dataclasses.fields(ExperimentConfig)) == 19
 
 
 def test_adaptation_config_holds_one_recipe():
@@ -548,7 +596,7 @@ def test_adaptation_config_accepts_its_floors():
 
 @pytest.mark.parametrize("key, value", [
     ("epochs", "2"), ("epochs", 2.0), ("epochs", True), ("seeds", 3), ("seeds", [0, "1"]),
-    ("pretrained", 1), ("learning_rate", "1e-3"), ("method", 3), ("name", None),
+    ("corpus_file", 3), ("learning_rate", "1e-3"), ("method", 3), ("name", None),
     ("checkpoint_file", ["a"]),
 ])
 def test_from_dict_rejects_mistyped_values(key, value):
@@ -563,15 +611,20 @@ def test_from_dict_accepts_json_values():
     assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
-@pytest.mark.parametrize("d", [{**_MINIMAL, "pretrained": True},
-                               {k: v for k, v in _MINIMAL.items() if k != "pretrained"}],
-                         ids=["pretrained", "pretrained_by_default"])
-def test_pretrained_needs_a_checkpoint_file(d):
-    # a run pretrains no model itself: the error names the key and the
-    # command that writes a checkpoint
-    with pytest.raises(ContractError, match="checkpoint_file.*`crossmodal-pde pretrain`"):
-        ExperimentConfig.from_dict(d)
-    assert ExperimentConfig.from_dict({**d, "checkpoint_file": "m.ckpt"}).pretrained
+@pytest.mark.parametrize("value", [True, False, 1])
+def test_pretrained_key_is_rejected_by_name(value):
+    # a run is pretrained exactly when its config names a checkpoint_file
+    with pytest.raises(ContractError, match="unknown experiment config keys: pretrained$"):
+        ExperimentConfig.from_dict({**_MINIMAL, "pretrained": value})
+
+
+def test_fpt_config_naming_a_corpus_is_rejected():
+    # only ORCA's stage 1 reads the corpus: a record of an FPT run naming one
+    # would name a file the run never opened
+    with pytest.raises(ContractError, match="corpus_file 'c.bin' is ORCA's proxy corpus, "
+                                            "which a 'fpt' run never reads"):
+        ExperimentConfig.from_dict({**_MINIMAL, "method": "fpt", "corpus_file": "c.bin"})
+    assert ExperimentConfig.from_dict({**_MINIMAL, "corpus_file": "c.bin"}).method == "orca"
 
 
 @pytest.mark.parametrize("d, match", [({"name": "x"}, "missing .*dataset_file, out_dir"),
@@ -582,6 +635,75 @@ def test_from_dict_rejects_missing_keys_and_non_objects(d, match):
 
 
 # -- table CSV ---------------------------------------------------------------
+
+
+def _old_record(family, nrmse, wallclock_s, **config):
+    """A record as written before the checkpoint decided pretraining: its
+    config holds the ``pretrained`` flag beside ``checkpoint_file``."""
+    cfg = {"arch": "decoder_only", "d_model": 32, "n_layers": 2, "pretrained": True,
+           "checkpoint_file": "dec.ckpt", "method": "fpt", "bidir_method": "none", **config}
+    return {"schema_version": 1, "config": cfg, "family": family, "test_nrmse": nrmse,
+            "wallclock_s": wallclock_s}
+
+
+def _new_record(rec):
+    return {**rec, "config": {k: v for k, v in rec["config"].items() if k != "pretrained"}}
+
+
+_GOLDEN_RECORDS = [
+    _old_record("advection", 0.1, 1.5),
+    _old_record("advection", 0.2, 2.25),
+    _old_record("advection", 0.7, 3.0, pretrained=False, checkpoint_file=None),
+    _old_record("advection", 1.0 / 3.0, 0.125, arch="encoder_only", checkpoint_file="enc.ckpt"),
+    _old_record("burgers_ns", 12.5, 4, bidir_method="parallel_flipping", method="orca"),
+    _old_record("burgers_ns", 2e-05, 7, bidir_method="parallel_flipping", method="orca"),
+    _old_record("diffusion_sorption", 0.115, 9.75, d_model=64, n_layers=4,
+                bidir_method="sequence_doubling"),
+]
+
+# ``table_to_csv(aggregate(_GOLDEN_RECORDS))`` as written while the table had
+# one hand-written column list and row build
+_GOLDEN_CSV = (
+    b"dataset,arch,d_model,n_layers,pretrained,method,bidir_method,seed_count,nrmse_mean,"
+    b"nrmse_min,nrmse_max,wallclock_s\r\n"
+    b"advection,decoder_only,32,2,false,fpt,none,1,0.7,0.7,0.7,3.0\r\n"
+    b"advection,decoder_only,32,2,true,fpt,none,2,0.15000000000000002,0.1,0.2,1.875\r\n"
+    b"advection,encoder_only,32,2,true,fpt,none,1,0.3333333333333333,0.3333333333333333,"
+    b"0.3333333333333333,0.125\r\n"
+    b"burgers_ns,decoder_only,32,2,true,orca,parallel_flipping,2,6.25001,2e-05,12.5,5.5\r\n"
+    b"diffusion_sorption,decoder_only,64,4,true,fpt,sequence_doubling,1,0.115,0.115,0.115,"
+    b"9.75\r\n"
+)
+
+
+@pytest.mark.parametrize("shape", [lambda r: r, _new_record], ids=["old", "new"])
+def test_table_csv_matches_the_golden_bytes(tmp_path, shape):
+    # records without the flag take it from whether they name a checkpoint
+    path = tmp_path / "table.csv"
+    table = aggregate([shape(r) for r in _GOLDEN_RECORDS])
+    table_to_csv(table, path)
+    assert path.read_bytes() == _GOLDEN_CSV
+    assert table_from_csv(path) == table
+
+
+def test_old_and_new_records_aggregate_into_one_row_each():
+    # an old in-process-pretrained record named no checkpoint, and an old
+    # random-init record could name one it never read: their flag decides
+    records = [_old_record("advection", 0.25, 1.0, checkpoint_file=None),
+               _new_record(_old_record("advection", 0.75, 3.0)),
+               _old_record("advection", 0.5, 2.0, pretrained=False),
+               _new_record(_old_record("advection", 1.0, 4.0, checkpoint_file=None))]
+    rows = aggregate(records).rows
+    assert [(r.pretrained, r.seed_count, r.nrmse_mean, r.wallclock_s) for r in rows] == [
+        (False, 2, 0.75, 3.0), (True, 2, 0.5, 2.0)]
+
+
+def test_table_row_error_names_the_column_and_line(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(_GOLDEN_CSV.replace(b",6.25001,", b",six,"))
+    with pytest.raises(DataFileError, match=r"table.csv line 5 is not a table row: "
+                                            r"nrmse_mean is 'six', not float"):
+        table_from_csv(path)
 
 
 def sample_table():

@@ -25,7 +25,7 @@ build_dataset("diffusion_sorption", 4, 2, GridSpec(n_x=32, t_out=20.0), seed=5,
               out_path=dataset_file)
 config = ExperimentConfig(name="one_blas", dataset_file=dataset_file,
                           out_dir=os.path.join(out, "records"), d_model=32, n_heads=4,
-                          n_layers=2, d_ff=64, max_positions=64, pretrained=False,
+                          n_layers=2, d_ff=64, max_positions=64,
                           method="fpt", epochs=1, batch_size=2, seeds=[0])
 record = run_one(config, 0)
 with open("/proc/self/maps", encoding="utf-8") as fh:

@@ -727,10 +727,10 @@ def _textbook_step(state, params):
         for p in params:
             p.data -= lr * p.grad
         return
-    b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
-    eps = np.float32(state.eps)
-    c1 = np.float32(1.0 - state.beta1**t)
-    c2 = np.float32(1.0 - state.beta2**t)
+    b1, b2 = np.float32(0.9), np.float32(0.999)  # Kingma & Ba's defaults
+    eps = np.float32(1e-8)
+    c1 = np.float32(1.0 - 0.9**t)
+    c2 = np.float32(1.0 - 0.999**t)
     for i, p in enumerate(params):
         m, v = state.moments.get(i, (np.zeros_like(p.data), np.zeros_like(p.data)))
         m = b1 * m + (np.float32(1.0) - b1) * p.grad
