@@ -52,7 +52,32 @@ def exact_transport_cost(cost: np.ndarray) -> float:
                for perm in permutations(range(n)))
 
 
+def check_gradients(f, params: list[Tensor], min_pass: float = 0.95, tol: float = 1e-4) -> None:
+    """The tape's gradients of the scalar ``f(params)`` against
+    ``central_differences``: at least ``min_pass`` of all coordinates within
+    ``tol`` relative error."""
+    T.zero_grads(params)
+    loss = f(params)
+    _require(isinstance(loss, Tensor) and loss.data.size == 1, "the loss is not a scalar Tensor")
+    loss.backward()
+    fd = central_differences(lambda: f(params).item(), params)
+    total, ok = 0, 0
+    for i, (p, g_fd) in enumerate(zip(params, fd)):
+        _require(p.grad is not None, f"parameter {i} got no gradient")
+        e = relative_error(p.grad.astype(np.float64), g_fd)
+        total += e.size
+        ok += int((e < tol).sum())
+    _require(ok / total >= min_pass, f"only {ok}/{total} coords within {tol}")
+
+
 def autodiff_gradients():
+    """GELU of a product, exact in every coordinate; then one attention-branch
+    and one MLP-branch node at width 4 (two sequences of 3 rows, 2 causal
+    heads; hidden width 6), each with the FPT split of frozen and trained
+    parameters (input and layer norm) and with every parameter trained.  The
+    branches' loss is the mean of the output times a fixed random array: a
+    loss near 0 keeps the float32 rounding of the differenced values far
+    below the tolerance."""
     rng = np.random.default_rng(0)
     w = Tensor(rng.normal(scale=0.5, size=(6, 4)).astype(np.float32), requires_grad=True)
     x = Tensor(rng.normal(size=(3, 6)).astype(np.float32))
@@ -64,6 +89,25 @@ def autodiff_gradients():
     (fd,) = central_differences(lambda: loss().item(), [w])
     bad = np.flatnonzero(~(relative_error(w.grad.astype(np.float64), fd) <= 1e-4))[:3]
     _require(bad.size == 0, f"grad mismatch at {bad}: {w.grad.flat[bad]} vs {fd.flat[bad]}")
+
+    for node, weights, kwargs in (
+            (T.attention_branch, [(4, 4), (4,)] * 4, {"batch": 2, "heads": 2, "causal": True}),
+            (T.mlp_branch, [(4, 6), (6,), (6, 4), (4,)], {})):
+        shapes = [(6, 4), (4,), (4,)] + weights  # input, layer-norm gain and bias, weights
+        params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        params[1].data += 1.0  # gains near one
+        weight = rng.normal(size=(6, 4)).astype(np.float32)
+
+        def branch_loss(_):
+            return T.tmean(T.mul(node(*params, **kwargs), weight))
+
+        for p in params[3:]:  # FPT: the sub-block's weights frozen
+            p.requires_grad = False
+        check_gradients(branch_loss, params[:3])
+        for p in params[3:]:
+            p.requires_grad = True
+        check_gradients(branch_loss, params)
 
 
 def causal_mask_bit_exact():

@@ -11,12 +11,20 @@ work in float32 throughout:
   in float32, within one float32 ulp of the rounded float64 quotient.
 
 The tape is built per forward pass and freed by ``backward``; there are no
-higher-order gradients.  Besides elementary ops it has two transformer
-sub-block nodes, ``self_attention`` and ``gelu_mlp``.  Each runs its op
-chain's numpy operations in the chain's order (bitwise the chain's result and
-gradients), shares its softmax or GELU kernels with ``softmax_lastdim`` or
-``gelu``, and keeps for backward only the arrays its backward reads.  Causal
-attention skips, by row blocks, the keys a query cannot see.
+higher-order gradients.  Besides elementary ops it has a node for each
+residual branch of a pre-norm transformer layer: ``attention_branch``, ``x +
+attention(layer_norm(x))``, and ``mlp_branch``, ``x + mlp(layer_norm(x))``.
+Each runs its op chain's numpy operations in the chain's order (bitwise the
+chain's result and gradients), shares its softmax or GELU kernels with
+``softmax_lastdim`` or ``gelu``, and keeps for backward only the arrays its
+backward reads: the layer norm's normalized rows and inverse deviations;
+q, k^T, v and the attention probabilities, or the GELU slope; and the
+layer-norm output, merged context or GELU output only where a weight that
+reads it trains.  One FPT step of the benchmark's model on 4 frames of 128
+points peaks at 11.9 MiB of traced allocations for either arch, against 15.8
+(encoder) and 15.5 MiB (decoder) with separate layer-norm, sub-block and add
+nodes whose MLP kept the pre-activation and its cdf.  Causal attention skips,
+by row blocks, the keys a query cannot see.
 """
 
 from __future__ import annotations
@@ -414,9 +422,14 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
 
 def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """The derivative of GELU at float32 ``x`` whose cdf is ``cdf``:
-    Phi(x) + x * phi(x), in float32."""
-    pdf = _INV_SQRT_2PI * np.exp(np.float32(-0.5) * x * x)
-    return cdf + x * pdf
+    Phi(x) + x * phi(x), in float32, formed in one new array."""
+    slope = np.float32(-0.5) * x
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI  # phi(x)
+    slope *= x
+    slope += cdf
+    return slope
 
 
 def gelu(a) -> Tensor:
@@ -625,7 +638,7 @@ def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Te
     The exponentials are float32.  Their row sum is taken in float64 and
     rounded to float32 once, and the division is float32, so each weight is
     within one float32 ulp of the float64 quotient rounded to float32.
-    ``self_attention`` runs the same two kernels.
+    ``attention_branch`` runs the same two kernels.
     """
     x = _as_tensor(x)
     if x.data.ndim < 1 or x.data.shape[-1] < 1:
@@ -657,18 +670,18 @@ def logsumexp_lastdim(x, keepdims: bool = False) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-# Rows dropped from a batch.  ``dropped_rows=(batch, n)`` (``queries_from=n``
-# for ``self_attention``) marks a 2-D input that holds only the rows from n on
-# of each of ``batch`` equal-length sequences, as the last layer of a trimmed
-# ``transformer.forward_hidden`` computes them.  Row-wise work runs on those
-# rows alone.  Every product and reduction of backward that sums over rows
-# (weight gradients, bias and layer-norm gain sums) sees the dropped rows again,
-# as exact zeros, so the gradients are bitwise those of the full rows with a
-# zero gradient there: OpenBLAS splits a long inner dimension into chunks at
-# points set by its length, and dropping the zero rows would move them.
-# ``gelu_mlp`` runs its whole backward on the full rows: OpenBLAS also rounds a
-# product by a transposed weight differently at small row counts (3 to 18 rows
-# against twice as many).
+# Rows dropped from a batch.  ``dropped_rows=(batch, n)`` marks a 2-D input
+# that holds only the rows from n on of each of ``batch`` equal-length
+# sequences, as the last layer of a trimmed ``transformer.forward_hidden``
+# computes them (``attention_branch(queries_from=n)`` returns those rows).
+# Row-wise work runs on those rows alone.  Every product and reduction of
+# backward that sums over rows (weight gradients, bias and layer-norm gain
+# sums) sees the dropped rows again, as exact zeros, so the gradients are
+# bitwise those of the full rows with a zero gradient there: OpenBLAS splits a
+# long inner dimension into chunks at points set by its length, and dropping
+# the zero rows would move them.  ``mlp_branch`` runs its whole backward on
+# the full rows: OpenBLAS also rounds a product by a transposed weight
+# differently at small row counts (3 to 18 rows against twice as many).
 
 
 def _check_dropped(x: np.ndarray, dropped_rows) -> tuple[int, int] | None:
@@ -704,6 +717,48 @@ def _kept_rows(a: np.ndarray, dropped: tuple[int, int] | None) -> np.ndarray:
     return a.reshape(batch, a.shape[0] // batch, -1)[:, n:].reshape(-1, a.shape[1])
 
 
+def _check_gain(gain: Tensor, bias: Tensor, d: int) -> None:
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(f"gain/bias must have shape ({d},)")
+
+
+def _normalize(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm's float32 rows of ``x`` at zero mean and unit variance, and
+    the float32 inverse standard deviation of each row, [..., 1]."""
+    # one float64 buffer, centred in place and then scaled; the mean of its
+    # squares is the sum np.var forms, so the statistics keep their bits
+    xc = x.astype(np.float64)
+    xc -= xc.mean(axis=-1, keepdims=True)
+    var = np.square(xc).mean(axis=-1, keepdims=True)
+    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    xc *= inv
+    return xc.astype(np.float32), inv
+
+
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor,
+                      gain: Tensor, bias: Tensor, dropped) -> tuple[np.ndarray | None, list]:
+    """For gradient ``g`` of ``xhat * gain + bias``: the gradient of ``x``
+    (None where ``x`` takes none) and the (parameter, gradient) pairs of the
+    gain and bias that train, which sum the dropped rows as zeros."""
+    axes = tuple(range(g.ndim - 1))
+    grads = []
+    if gain.requires_grad:
+        dgain = _pad_rows(g * xhat, dropped).sum(axis=axes, dtype=np.float64)
+        grads.append((gain, dgain.astype(np.float32)))
+    if bias.requires_grad:
+        dbias = _pad_rows(g, dropped).sum(axis=axes, dtype=np.float64)
+        grads.append((bias, dbias.astype(np.float32)))
+    if not x.requires_grad:
+        return None, grads
+    gx = g * gain.data
+    m1 = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+    dx = gx - m1
+    dx -= xhat * m2
+    dx *= inv
+    return dx, grads
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5, dropped_rows=None) -> Tensor:
     """Normalize each trailing-dim row to zero mean / unit variance, then
     affine.  With ``dropped_rows`` the gain and bias gradients sum the
@@ -711,42 +766,31 @@ def layer_norm(x, gain, bias, eps: float = 1e-5, dropped_rows=None) -> Tensor:
     if eps <= 0:
         raise ContractError("layer_norm eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    d = x.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(f"gain/bias must have shape ({d},)")
+    _check_gain(gain, bias, x.data.shape[-1])
     dropped = _check_dropped(x.data, dropped_rows)
-    # one float64 buffer, centred in place and then scaled; the mean of its
-    # squares is the sum np.var forms, so the statistics keep their bits
-    xc = x.data.astype(np.float64)
-    xc -= xc.mean(axis=-1, keepdims=True)
-    var = np.square(xc).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
-    xc *= inv
-    xhat = xc.astype(np.float32)
+    xhat, inv = _normalize(x.data, eps)
     out = xhat * gain.data
     out += bias.data
 
     def bwd(g):
-        gx = g * gain.data
-        m1 = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-        dx = gx - m1
-        dx -= xhat * m2
-        dx *= inv
-        axes = tuple(range(g.ndim - 1))
-        dgain = _pad_rows(g * xhat, dropped).sum(axis=axes, dtype=np.float64)
-        dbias = _pad_rows(g, dropped).sum(axis=axes, dtype=np.float64)
-        return ((x, dx), (gain, dgain.astype(np.float32)), (bias, dbias.astype(np.float32)))
+        dx, grads = _layer_norm_grads(g, xhat, inv, x, gain, bias, dropped)
+        return grads if dx is None else grads + [(x, dx)]
 
     return _make(out, (x, gain, bias), bwd)
 
 
-# -- transformer sub-blocks, one tape node each ---------------------------
+# -- the residual branches of a pre-norm layer, one tape node each ---------
 #
-# Each runs the numpy operations of its op chain (matmul, add, reshape,
-# transpose, softmax_lastdim or gelu) in the chain's order, so its output and
-# gradients are bitwise the chain's, and keeps only the arrays its backward
-# reads instead of every intermediate.  A projection is ``y = x @ w; y += b``.
+# ``attention_branch`` is ``x + attention(layer_norm(x))`` and ``mlp_branch``
+# ``x + mlp(layer_norm(x))``.  Each runs the numpy operations of its op chain
+# (layer_norm; matmul, add, reshape, transpose, softmax_lastdim or gelu; the
+# residual add) in the chain's order, so its output and gradients are bitwise
+# the chain's, and keeps only the arrays its backward reads instead of every
+# intermediate: the layer norm's normalized rows and inverse deviations, the
+# sub-block's own arrays, and the layer-norm output or the last hidden
+# activation only where a weight that reads it trains.  A projection is ``y =
+# x @ w; y += b``.  Backward adds the residual's gradient to the layer norm's
+# input gradient last, as the engine adds a tensor's two gradients.
 
 
 def _weight_grads(x: np.ndarray | None, g: np.ndarray, w: Tensor, b: Tensor) -> list:
@@ -758,6 +802,18 @@ def _weight_grads(x: np.ndarray | None, g: np.ndarray, w: Tensor, b: Tensor) -> 
         grads.append((b, _unbroadcast(g, b.data.shape)))
     if w.requires_grad and x is not None:
         grads.append((w, np.swapaxes(x, -1, -2) @ g))
+    return grads
+
+
+def _residual_grads(g_norm: np.ndarray, g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                    x: Tensor, gain: Tensor, bias: Tensor, dropped) -> list:
+    """The layer norm's (parameter, gradient) pairs for gradient ``g_norm`` of
+    its output, and ``x``'s gradient: the layer norm's input gradient plus
+    ``g``, the residual's gradient over every row of ``x``."""
+    dx, grads = _layer_norm_grads(g_norm, xhat, inv, x, gain, bias, dropped)
+    if dx is not None:
+        dx += g
+        grads.append((x, dx))
     return grads
 
 
@@ -774,14 +830,15 @@ def _causal_bias(L: int) -> np.ndarray:
     return bias
 
 
-def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
-                   bias: np.ndarray | None = None, causal: bool = False,
-                   queries_from: int = 0) -> Tensor:
-    """Multi-head self-attention over ``batch`` sequences of equal length L
-    stacked as the rows of ``x`` [batch * L, d]: the q, k and v projections,
-    the split into ``heads`` heads of width dh, ``softmax_lastdim(q @ k^T,
-    bias, scale=1 / sqrt(dh))``, ``probs @ v``, the merge of the heads and
-    the output projection, as one tape node.
+def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
+                     bias: np.ndarray | None = None, causal: bool = False,
+                     queries_from: int = 0) -> Tensor:
+    """``x + attention(layer_norm(x, ln_g, ln_b))`` over ``batch`` sequences
+    of equal length L stacked as the rows of ``x`` [batch * L, d], as one
+    tape node.  The attention is multi-head self-attention: the q, k and v
+    projections, the split into ``heads`` heads of width dh,
+    ``softmax_lastdim(q @ k^T, bias, scale=1 / sqrt(dh))``, ``probs @ v``,
+    the merge of the heads and the output projection.
 
     ``bias`` broadcasts to the scores [batch, heads, L, L] (a key-padding
     [batch, 1, 1, L] mask, see ``softmax_lastdim``).  ``causal=True`` takes
@@ -795,29 +852,32 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
     ``_CAUSAL_BLOCK`` + 1 the node runs that one product.
 
     ``queries_from=n`` computes the queries of rows n..L-1 of each sequence
-    only, and the output [batch * (L - n), d] holds just those rows.  Keys
-    and values still come from every row, and backward sums over the dropped
-    rows as zeros (see ``_pad_rows``).  One row left per sequence (n = L - 1)
-    is multiplied as a vector, and so matches the full node's row only to
-    rounding.
+    only, and the output [batch * (L - n), d] holds just those rows, the
+    residual included.  Keys and values still come from every row, and
+    backward sums over the dropped rows as zeros (see ``_pad_rows``).  One
+    row left per sequence (n = L - 1) is multiplied as a vector, and so
+    matches the full node's row only to rounding.
 
-    On the tape the node keeps q and k^T in head layout, v, each block's
-    probabilities and, if ``wo`` trains, the merged context.  Backward runs
-    the softmax gradient per block and puts the blocks' probabilities and
-    score gradients into [batch, heads, L, L] buffers, zero where a block or
-    a dropped row skipped them, so that its dv, dq and dk^T products get the
+    On the tape the node keeps the layer norm's normalized rows and inverse
+    deviations, q and k^T in head layout, v and each block's probabilities;
+    it keeps the layer-norm output only if ``wq``, ``wk`` or ``wv`` trains
+    and the merged context only if ``wo`` trains.  Backward runs the softmax
+    gradient per block and puts the blocks' probabilities and score
+    gradients into [batch, heads, L, L] buffers, zero where a block or a
+    dropped row skipped them, so that its dv, dq and dk^T products get the
     one product's operands.  Off the tape each block's scores are scratch.
-    The input gradient sums its three paths as (q + k) + v, the order in
-    which the op chain's backward adds them.
+    The layer-norm output's gradient sums its three paths as (q + k) + v,
+    the order in which the op chain's backward adds them.
     """
-    x, wq, bq, wk, bk, wv, bv, wo, bo = params = tuple(
-        _as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    params = tuple(_as_tensor(t) for t in (x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo))
+    x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo = params
     if x.data.ndim != 2:
-        raise ShapeError(f"self_attention input must be [rows, d], got {x.data.shape}")
+        raise ShapeError(f"attention_branch input must be [rows, d], got {x.data.shape}")
     rows, d = x.data.shape
     if batch < 1 or heads < 1 or rows % batch or d % heads:
         raise ShapeError(f"{rows} x {d} input does not split into {batch} sequences "
                          f"of {heads} heads")
+    _check_gain(ln_g, ln_b, d)
     for w, b in ((wq, bq), (wk, bk), (wv, bv), (wo, bo)):
         if w.data.shape != (d, d) or b.data.shape != (d,):
             raise ShapeError(f"projection {w.data.shape} + {b.data.shape} does not fit d={d}")
@@ -846,15 +906,20 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
     single = blocks[0][:3] == (0, L, L)  # one product over every query and key
     taped = grad_enabled() and any(p.requires_grad for p in params)
 
+    def kept(y):  # rows qf.. of each sequence
+        return y.reshape(B, L, d)[:, qf:].reshape(-1, d) if qf else y
+
     def heads_of(y, w, b, axes):
         y = y @ w.data
         y += b.data
         return np.ascontiguousarray(y.reshape(B, -1, H, dh).transpose(axes))
 
-    queries = x.data.reshape(B, L, d)[:, qf:].reshape(-1, d) if qf else x.data
-    q = heads_of(queries, wq, bq, (0, 2, 1, 3))  # [B, H, L - qf, dh]
-    kt = heads_of(x.data, wk, bk, (0, 2, 3, 1))  # [B, H, dh, L]
-    v = heads_of(x.data, wv, bv, (0, 2, 1, 3))
+    xhat, inv = _normalize(x.data)
+    a = xhat * ln_g.data
+    a += ln_b.data
+    q = heads_of(kept(a), wq, bq, (0, 2, 1, 3))  # [B, H, L - qf, dh]
+    kt = heads_of(a, wk, bk, (0, 2, 3, 1))  # [B, H, dh, L]
+    v = heads_of(a, wv, bv, (0, 2, 1, 3))
     probs = []  # each block's probabilities, kept on the tape
     ctx = np.empty((B, L - qf, H, dh), np.float32)
     for s, e, n, block_bias in blocks:
@@ -865,8 +930,11 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
     ctx = ctx.reshape(-1, d)
     out = ctx @ wo.data
     out += bo.data
+    out += kept(x.data)
     if not wo.requires_grad:
         ctx = None
+    if not (wq.requires_grad or wk.requires_grad or wv.requires_grad):
+        a = None
     dropped = (B, qf) if qf else None
 
     def bwd(g):
@@ -893,61 +961,79 @@ def self_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, heads: int,
         dq = dscores @ np.swapaxes(kt, -1, -2)
         dkt = np.swapaxes(q_all, -1, -2) @ dscores
         del dscores, q_all, p_all
-        dx = None
+        da = None
+        norm_trains = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
         # each path's gradient back in [rows, d] layout, then through its projection
         for w, b, dy, axes in ((wq, bq, dq, (0, 2, 1, 3)), (wk, bk, dkt, (0, 3, 1, 2)),
                                (wv, bv, dv, (0, 2, 1, 3))):
             dy = np.ascontiguousarray(dy.transpose(axes)).reshape(rows, d)
-            grads += _weight_grads(x.data, dy, w, b)
-            if x.requires_grad:
+            grads += _weight_grads(a, dy, w, b)
+            if norm_trains:
                 path = dy @ np.swapaxes(w.data, -1, -2)
-                if dx is None:
-                    dx = path
+                if da is None:
+                    da = path
                 else:
-                    dx += path
-        if dx is not None:
-            grads.append((x, dx))
+                    da += path
+        if da is not None:
+            grads += _residual_grads(da, g, xhat, inv, x, ln_g, ln_b, None)
         return grads
 
     return _make(out, params, bwd)
 
 
-def gelu_mlp(x, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
-    """``gelu(x @ w1 + b1) @ w2 + b2`` as one tape node.
+def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
+    """``x + gelu(m @ w1 + b1) @ w2 + b2`` with ``m = layer_norm(x, ln_g,
+    ln_b)``, as one tape node.
 
-    The node keeps the pre-activation and its cdf and, if ``w2`` trains, the
-    GELU output; ``gelu`` supplies the cdf and the derivative.  With
+    On the tape the node keeps the layer norm's normalized rows and inverse
+    deviations and the GELU slope at the pre-activation, formed in the
+    forward pass from the pre-activation and its cdf (``gelu`` supplies
+    both kernels), which are then freed.  It keeps the layer-norm output
+    only if ``w1`` trains and the GELU output only if ``w2`` trains.  With
     ``dropped_rows`` backward runs on the full rows, the dropped ones as
     zeros (see ``_pad_rows``).
     """
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    params = tuple(_as_tensor(t) for t in (x, ln_g, ln_b, w1, b1, w2, b2))
+    x, ln_g, ln_b, w1, b1, w2, b2 = params
     if x.data.ndim != 2 or w2.data.ndim != 2:
-        raise ShapeError("gelu_mlp needs a 2-D input and 2-D weights")
-    d, (f, e) = x.data.shape[1], w2.data.shape
-    if (w1.data.shape, b1.data.shape, b2.data.shape) != ((d, f), (f,), (e,)):
+        raise ShapeError("mlp_branch needs a 2-D input and 2-D weights")
+    d, f = x.data.shape[1], w2.data.shape[0]
+    _check_gain(ln_g, ln_b, d)
+    if (w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != ((d, f), (f,), (f, d),
+                                                                        (d,)):
         raise ShapeError(f"MLP shapes do not chain: x {x.data.shape}, w1 {w1.data.shape}, "
                          f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}")
     dropped = _check_dropped(x.data, dropped_rows)
-    pre = x.data @ w1.data
+    taped = grad_enabled() and any(p.requires_grad for p in params)
+    xhat, inv = _normalize(x.data)
+    m = xhat * ln_g.data
+    m += ln_b.data
+    pre = m @ w1.data
     pre += b1.data
     cdf = _gelu_cdf(pre)
-    act = pre * cdf
+    slope = _gelu_slope(pre, cdf) if taped else None
+    act = np.multiply(pre, cdf, out=cdf)
+    del pre
     out = act @ w2.data
     out += b2.data
+    out += x.data
     if not w2.requires_grad:
         act = None
+    if not w1.requires_grad:
+        m = None
 
     def bwd(g):
-        g = _pad_rows(g, dropped)
-        grads = _weight_grads(_pad_rows(act, dropped), g, w2, b2)
-        dpre = g @ np.swapaxes(w2.data, -1, -2)
-        dpre *= _pad_rows(_gelu_slope(pre, cdf), dropped)
-        grads += _weight_grads(_pad_rows(x.data, dropped), dpre, w1, b1)
-        if x.requires_grad:
-            grads.append((x, _kept_rows(dpre @ np.swapaxes(w1.data, -1, -2), dropped)))
+        gp = _pad_rows(g, dropped)
+        grads = _weight_grads(_pad_rows(act, dropped), gp, w2, b2)
+        dpre = gp @ np.swapaxes(w2.data, -1, -2)
+        dpre *= _pad_rows(slope, dropped)
+        grads += _weight_grads(_pad_rows(m, dropped), dpre, w1, b1)
+        if x.requires_grad or ln_g.requires_grad or ln_b.requires_grad:
+            dm = _kept_rows(dpre @ np.swapaxes(w1.data, -1, -2), dropped)
+            grads += _residual_grads(dm, g, xhat, inv, x, ln_g, ln_b, dropped)
         return grads
 
-    return _make(out, (x, w1, b1, w2, b2), bwd)
+    return _make(out, params, bwd)
 
 
 def transport_cost(cost, plan: np.ndarray, eps: float) -> Tensor:

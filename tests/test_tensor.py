@@ -7,7 +7,7 @@ from conftest import identity_dataset, make_model
 from crossmodal_pde import adaptation as ad
 from crossmodal_pde import tensor as T
 from crossmodal_pde import transformer as tf
-from crossmodal_pde.invariants import central_differences, relative_error
+from crossmodal_pde.invariants import check_gradients
 from crossmodal_pde.proxy_data import gen_corpus
 from crossmodal_pde.tensor import (
     ContractError,
@@ -16,26 +16,6 @@ from crossmodal_pde.tensor import (
     Tensor,
     optimizer_step,
 )
-
-
-def check_gradients(f, params, min_pass=0.95, tol=1e-4):
-    T.zero_grads(params)
-    loss = f_tensor_loss(f, params)
-    loss.backward()
-    fd = central_differences(lambda: f(params).item(), params)
-    total, ok = 0, 0
-    for p, g_fd in zip(params, fd):
-        assert p.grad is not None
-        e = relative_error(p.grad.astype(np.float64), g_fd)
-        total += e.size
-        ok += int((e < tol).sum())
-    assert ok / total >= min_pass, f"only {ok}/{total} coords within {tol}"
-
-
-def f_tensor_loss(f, params):
-    out = f(params)
-    assert isinstance(out, Tensor) and out.data.size == 1
-    return out
 
 
 # -- matmul --------------------------------------------------------------
@@ -428,13 +408,26 @@ def test_gradients_attention(seed):
     check_gradients(_graph_attention, params)
 
 
-def _graph_self_attention(params, mask):
-    # two sequences, two heads of width 2
-    return T.tmean(T.square(T.self_attention(*params, batch=2, heads=2, **mask)))
+def _branch_params(rng, rows, d, weights):
+    """Input, layer-norm gain (near one) and bias, then the sub-block's weights."""
+    params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
+              for s in [(rows, d), (d,), (d,)] + weights]
+    params[1].data += 1.0
+    return params
+
+
+def _branch_loss(node, rows, d, **kwargs):
+    """The mean of a branch node's output times a fixed random array.  A
+    squared output near 4 would round by 2.4e-4 of a unit gradient in each
+    difference quotient; a loss near 0 keeps that far below the tolerance."""
+    weight = np.random.default_rng(rows).normal(size=(rows, d)).astype(np.float32)
+    return lambda p: T.tmean(T.mul(node(*p, **kwargs), weight))
 
 
 @pytest.mark.parametrize("bias", ["none", "causal", "key_padding", "causal_blocks"])
 def test_gradients_self_attention_node(bias):
+    """``attention_branch``, the layer norm's gain and bias among the
+    differenced parameters."""
     rng = np.random.default_rng(len(bias))
     # sequences of 3 rows; causal blocks: two row blocks, the second of 6 rows
     L = T._CAUSAL_BLOCK + 6 if bias == "causal_blocks" else 3
@@ -442,41 +435,49 @@ def test_gradients_self_attention_node(bias):
             "key_padding": {"bias": np.array([0.0, 0.0, -np.inf, 0.0, 0.0, 0.0],
                                              dtype=np.float32).reshape(2, 1, 1, 3)},
             "causal_blocks": {"causal": True}}[bias]
-    shapes = [(2 * L, 4)] + [(4, 4), (4,)] * 4
-    params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
-              for s in shapes]
-    check_gradients(lambda p: _graph_self_attention(p, mask), params)
+    params = _branch_params(rng, 2 * L, 4, [(4, 4), (4,)] * 4)
+    # two sequences, two heads of width 2
+    check_gradients(_branch_loss(T.attention_branch, 2 * L, 4, batch=2, heads=2, **mask),
+                    params)
 
 
 def test_self_attention_and_trimmed_nodes_contract():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(8, 4)).astype(np.float32))
-    attn = [Tensor(rng.normal(size=s).astype(np.float32)) for s in [(4, 4), (4,)] * 4]
+    gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    attn = [gain, bias] + [Tensor(rng.normal(size=s).astype(np.float32))
+                           for s in [(4, 4), (4,)] * 4]
     with pytest.raises(ContractError):
-        T.self_attention(x, *attn, batch=2, heads=2, causal=True, bias=tf.causal_bias(4))
+        T.attention_branch(x, *attn, batch=2, heads=2, causal=True, bias=tf.causal_bias(4))
     for queries_from in (-1, 4):
         with pytest.raises(ShapeError):
-            T.self_attention(x, *attn, batch=2, heads=2, queries_from=queries_from)
-    # a bias with a row per query loses the dropped rows with them
-    full = T.self_attention(x, *attn, batch=2, heads=2, bias=tf.causal_bias(4)).data
-    kept = T.self_attention(x, *attn, batch=2, heads=2, bias=tf.causal_bias(4),
-                            queries_from=2).data
+            T.attention_branch(x, *attn, batch=2, heads=2, queries_from=queries_from)
+    with pytest.raises(ShapeError):
+        T.attention_branch(x, Tensor(np.ones(3)), *attn[1:], batch=2, heads=2)
+    # a bias with a row per query loses the dropped rows with them, and so
+    # does the residual
+    full = T.attention_branch(x, *attn, batch=2, heads=2, bias=tf.causal_bias(4)).data
+    kept = T.attention_branch(x, *attn, batch=2, heads=2, bias=tf.causal_bias(4),
+                              queries_from=2).data
     assert np.array_equal(kept, full.reshape(2, 4, 4)[:, 2:].reshape(4, 4))
-    mlp = [Tensor(rng.normal(size=s).astype(np.float32)) for s in [(4, 6), (6,), (6, 4), (4,)]]
-    gain, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    mlp = [gain, bias] + [Tensor(rng.normal(size=s).astype(np.float32))
+                          for s in [(4, 6), (6,), (6, 4), (4,)]]
+    with pytest.raises(ShapeError):  # the residual needs the input's width back
+        T.mlp_branch(x, *mlp[:4], Tensor(np.ones((6, 3))), Tensor(np.ones(3)))
     for dropped_rows in ((3, 2), (0, 2), (2, -1)):  # 8 rows are not 3 sequences
         with pytest.raises(ShapeError):
-            T.gelu_mlp(x, *mlp, dropped_rows=dropped_rows)
+            T.mlp_branch(x, *mlp, dropped_rows=dropped_rows)
         with pytest.raises(ShapeError):
             T.layer_norm(x, gain, bias, dropped_rows=dropped_rows)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gradients_gelu_mlp_node(seed):
+    """``mlp_branch``, the layer norm's gain and bias among the differenced
+    parameters."""
     rng = np.random.default_rng(seed)
-    params = [Tensor(rng.normal(scale=0.5, size=s).astype(np.float32), requires_grad=True)
-              for s in [(4, 6), (6, 5), (5,), (5, 3), (3,)]]
-    check_gradients(lambda p: T.tmean(T.square(T.gelu_mlp(*p))), params)
+    params = _branch_params(rng, 4, 6, [(6, 5), (5,), (5, 6), (6,)])
+    check_gradients(_branch_loss(T.mlp_branch, 4, 6), params)
 
 
 def test_gradients_norm_chain():
