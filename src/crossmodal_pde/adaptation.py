@@ -257,7 +257,7 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
 class Stage1Report:
     trace: list[float]
     steps: int
-    converged_fraction: float
+    converged_fraction: float | None  # None where no step ran
     degenerate_labels: bool
 
 
@@ -271,6 +271,9 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
     and predictor get no gradient and no update.
     """
     pseudo = pseudo_label_targets(dataset.train.targets)
+    if not config.stage1_steps:  # no Sinkhorn solve would read the corpus cloud
+        return Stage1Report(trace=[], steps=0, converged_fraction=None,
+                            degenerate_labels=pseudo.degenerate)
     inputs = dataset.train.inputs
     n, L = inputs.shape
 
@@ -305,8 +308,8 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
         T.optimizer_step(opt, emb_params)
         trace.append(res.cost.item())
         converged += int(res.converged)
-    frac = converged / config.stage1_steps if config.stage1_steps else 1.0
-    return Stage1Report(trace=trace, steps=config.stage1_steps, converged_fraction=frac,
+    return Stage1Report(trace=trace, steps=config.stage1_steps,
+                        converged_fraction=converged / config.stage1_steps,
                         degenerate_labels=pseudo.degenerate)
 
 

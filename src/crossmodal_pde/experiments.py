@@ -84,6 +84,10 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
 
     def __post_init__(self):
+        if not self.name or any(sep and sep in self.name for sep in (os.sep, os.altsep)):
+            # records go to out_dir/<name>_seed<seed>.json; load_records reads out_dir alone
+            raise ContractError(f"name {self.name!r} must be a non-empty file name "
+                                f"with no path separator")
         # build both once so that a bad model or adaptation value fails here
         self.model_config(0)
         self.adaptation_config(0)
@@ -274,7 +278,7 @@ def _run_one(config: ExperimentConfig, seed: int,
     epoch_losses = {name: rep.train.epoch_losses for name, rep in reports.items()}
     stage1 = {name: rep.stage1 for name, rep in reports.items() if rep.stage1 is not None}
     # both pipelines take config.stage1_steps, so the mean is the share over all their steps
-    converged = [s.converged_fraction for s in stage1.values()]
+    converged = [s.converged_fraction for s in stage1.values() if s.steps]
 
     final = mean_nrmse(predictions, dataset.test.targets)
     tv_pairs = [spikiness_diagnostic(p) for p in predictions]

@@ -15,7 +15,7 @@ higher-order gradients.  Besides elementary ops it has a node for each
 residual branch of a pre-norm transformer layer: ``attention_branch``, ``x +
 attention(layer_norm(x))``, and ``mlp_branch``, ``x + mlp(layer_norm(x))``.
 Each runs its op chain's numpy operations in the chain's order (bitwise the
-chain's result and gradients), shares its softmax or GELU kernels with
+chain's result and gradients), shares its kernels with ``layer_norm`` and
 ``softmax_lastdim`` or ``gelu``, and keeps for backward only the arrays its
 backward reads: the layer norm's normalized rows and inverse deviations;
 q, k^T, v and the attention probabilities, or the GELU slope; and the
@@ -674,9 +674,9 @@ def logsumexp_lastdim(x, keepdims: bool = False) -> Tensor:
 # that holds only the rows from n on of each of ``batch`` equal-length
 # sequences, as the last layer of a trimmed ``transformer.forward_hidden``
 # computes them (``attention_branch(queries_from=n)`` returns those rows).
-# Row-wise work runs on those rows alone.  Every product and reduction of
-# backward that sums over rows (weight gradients, bias and layer-norm gain
-# sums) sees the dropped rows again, as exact zeros, so the gradients are
+# Row-wise work and the layer-norm gain and bias sums (float64, adding one
+# row at a time) run on those rows alone.  The weight and projection-bias
+# gradients see the dropped rows again, as exact zeros, so the gradients are
 # bitwise those of the full rows with a zero gradient there: OpenBLAS splits a
 # long inner dimension into chunks at points set by its length, and dropping
 # the zero rows would move them.  ``mlp_branch`` runs its whole backward on
@@ -722,31 +722,39 @@ def _check_gain(gain: Tensor, bias: Tensor, d: int) -> None:
         raise ShapeError(f"gain/bias must have shape ({d},)")
 
 
-def _normalize(x: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Layer norm's float32 rows of ``x`` at zero mean and unit variance, and
-    the float32 inverse standard deviation of each row, [..., 1]."""
+LN_EPS = 1e-5  # added to each row's variance by every layer norm
+
+
+def _layer_norm_(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Layer norm of the trailing-dim rows of ``x``: the float32 output
+    ``xhat * gain + bias``, the float32 rows ``xhat`` at zero mean and unit
+    variance, and the float32 inverse standard deviation of each row, [..., 1]."""
     # one float64 buffer, centred in place and then scaled; the mean of its
     # squares is the sum np.var forms, so the statistics keep their bits
     xc = x.astype(np.float64)
     xc -= xc.mean(axis=-1, keepdims=True)
     var = np.square(xc).mean(axis=-1, keepdims=True)
-    inv = (1.0 / np.sqrt(var + eps)).astype(np.float32)
+    inv = (1.0 / np.sqrt(var + LN_EPS)).astype(np.float32)
     xc *= inv
-    return xc.astype(np.float32), inv
+    xhat = xc.astype(np.float32)
+    del xc  # freed before the output is allocated, which keeps the peak lower
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor,
-                      gain: Tensor, bias: Tensor, dropped) -> tuple[np.ndarray | None, list]:
-    """For gradient ``g`` of ``xhat * gain + bias``: the gradient of ``x``
+                      gain: Tensor, bias: Tensor) -> tuple[np.ndarray | None, list]:
+    """For gradient ``g`` of ``_layer_norm_``'s output: the gradient of ``x``
     (None where ``x`` takes none) and the (parameter, gradient) pairs of the
-    gain and bias that train, which sum the dropped rows as zeros."""
+    gain and bias that train, each summed over the rows of ``g``."""
     axes = tuple(range(g.ndim - 1))
     grads = []
     if gain.requires_grad:
-        dgain = _pad_rows(g * xhat, dropped).sum(axis=axes, dtype=np.float64)
+        dgain = (g * xhat).sum(axis=axes, dtype=np.float64)
         grads.append((gain, dgain.astype(np.float32)))
     if bias.requires_grad:
-        dbias = _pad_rows(g, dropped).sum(axis=axes, dtype=np.float64)
+        dbias = g.sum(axis=axes, dtype=np.float64)
         grads.append((bias, dbias.astype(np.float32)))
     if not x.requires_grad:
         return None, grads
@@ -759,21 +767,15 @@ def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tenso
     return dx, grads
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5, dropped_rows=None) -> Tensor:
-    """Normalize each trailing-dim row to zero mean / unit variance, then
-    affine.  With ``dropped_rows`` the gain and bias gradients sum the
-    dropped rows as zeros (see ``_pad_rows``)."""
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize each trailing-dim row to zero mean / unit variance (with
+    ``LN_EPS`` added to the variance), then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     _check_gain(gain, bias, x.data.shape[-1])
-    dropped = _check_dropped(x.data, dropped_rows)
-    xhat, inv = _normalize(x.data, eps)
-    out = xhat * gain.data
-    out += bias.data
+    out, xhat, inv = _layer_norm_(x.data, gain.data, bias.data)
 
     def bwd(g):
-        dx, grads = _layer_norm_grads(g, xhat, inv, x, gain, bias, dropped)
+        dx, grads = _layer_norm_grads(g, xhat, inv, x, gain, bias)
         return grads if dx is None else grads + [(x, dx)]
 
     return _make(out, (x, gain, bias), bwd)
@@ -802,18 +804,6 @@ def _weight_grads(x: np.ndarray | None, g: np.ndarray, w: Tensor, b: Tensor) -> 
         grads.append((b, _unbroadcast(g, b.data.shape)))
     if w.requires_grad and x is not None:
         grads.append((w, np.swapaxes(x, -1, -2) @ g))
-    return grads
-
-
-def _residual_grads(g_norm: np.ndarray, g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                    x: Tensor, gain: Tensor, bias: Tensor, dropped) -> list:
-    """The layer norm's (parameter, gradient) pairs for gradient ``g_norm`` of
-    its output, and ``x``'s gradient: the layer norm's input gradient plus
-    ``g``, the residual's gradient over every row of ``x``."""
-    dx, grads = _layer_norm_grads(g_norm, xhat, inv, x, gain, bias, dropped)
-    if dx is not None:
-        dx += g
-        grads.append((x, dx))
     return grads
 
 
@@ -914,9 +904,7 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
         y += b.data
         return np.ascontiguousarray(y.reshape(B, -1, H, dh).transpose(axes))
 
-    xhat, inv = _normalize(x.data)
-    a = xhat * ln_g.data
-    a += ln_b.data
+    a, xhat, inv = _layer_norm_(x.data, ln_g.data, ln_b.data)
     q = heads_of(kept(a), wq, bq, (0, 2, 1, 3))  # [B, H, L - qf, dh]
     kt = heads_of(a, wk, bk, (0, 2, 3, 1))  # [B, H, dh, L]
     v = heads_of(a, wv, bv, (0, 2, 1, 3))
@@ -975,7 +963,8 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
                 else:
                     da += path
         if da is not None:
-            grads += _residual_grads(da, g, xhat, inv, x, ln_g, ln_b, None)
+            dx, ln_grads = _layer_norm_grads(da, xhat, inv, x, ln_g, ln_b)
+            grads += ln_grads if dx is None else ln_grads + [(x, np.add(dx, g, out=dx))]
         return grads
 
     return _make(out, params, bwd)
@@ -990,8 +979,8 @@ def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
     forward pass from the pre-activation and its cdf (``gelu`` supplies
     both kernels), which are then freed.  It keeps the layer-norm output
     only if ``w1`` trains and the GELU output only if ``w2`` trains.  With
-    ``dropped_rows`` backward runs on the full rows, the dropped ones as
-    zeros (see ``_pad_rows``).
+    ``dropped_rows`` backward runs its products on the full rows, the
+    dropped ones as zeros (see ``_pad_rows``).
     """
     params = tuple(_as_tensor(t) for t in (x, ln_g, ln_b, w1, b1, w2, b2))
     x, ln_g, ln_b, w1, b1, w2, b2 = params
@@ -1005,9 +994,7 @@ def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
                          f"b1 {b1.data.shape}, w2 {w2.data.shape}, b2 {b2.data.shape}")
     dropped = _check_dropped(x.data, dropped_rows)
     taped = grad_enabled() and any(p.requires_grad for p in params)
-    xhat, inv = _normalize(x.data)
-    m = xhat * ln_g.data
-    m += ln_b.data
+    m, xhat, inv = _layer_norm_(x.data, ln_g.data, ln_b.data)
     pre = m @ w1.data
     pre += b1.data
     cdf = _gelu_cdf(pre)
@@ -1030,7 +1017,8 @@ def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
         grads += _weight_grads(_pad_rows(m, dropped), dpre, w1, b1)
         if x.requires_grad or ln_g.requires_grad or ln_b.requires_grad:
             dm = _kept_rows(dpre @ np.swapaxes(w1.data, -1, -2), dropped)
-            grads += _residual_grads(dm, g, xhat, inv, x, ln_g, ln_b, dropped)
+            dx, ln_grads = _layer_norm_grads(dm, xhat, inv, x, ln_g, ln_b)
+            grads += ln_grads if dx is None else ln_grads + [(x, np.add(dx, g, out=dx))]
         return grads
 
     return _make(out, params, bwd)

@@ -157,9 +157,9 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     ``keep_from=n`` returns only rows n..Lmax-1 of each sequence, [B*(Lmax-n),
     d_model].  The last layer then forms attention queries, the residual, its
     second layer norm, the MLP and the final layer norm for those rows alone
-    (keys and values still come from every row), and its nodes sum the
-    dropped rows as zeros in backward.  Output and gradients are bitwise
-    those of the full forward followed by a ``take_rows`` of the kept rows.
+    (keys and values still come from every row); backward's weight gradients
+    and MLP products sum the dropped rows as zeros.  Output and gradients are
+    bitwise those of the full forward and a ``take_rows`` of the kept rows.
 
     Each node keeps for backward only what its backward reads (see
     ``T.attention_branch`` and ``T.mlp_branch``): no layer-norm, attention
@@ -201,7 +201,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
         h = T.attention_branch(h, *(p[pre + n] for n in _ATTN_PARAMS), batch=B,
                                heads=cfg.n_heads, bias=key_bias, causal=causal, queries_from=qf)
         h = T.mlp_branch(h, *(p[pre + n] for n in _MLP_PARAMS), dropped_rows=(B, qf))
-    return T.layer_norm(h, p["final_ln.g"], p["final_ln.b"], dropped_rows=(B, keep_from))
+    return T.layer_norm(h, p["final_ln.g"], p["final_ln.b"])
 
 
 def pad_batch(sequences: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -188,7 +188,8 @@ def test_run_mistyped_config_value_is_usage_error(tmp_path, capsys, key, value):
 
 # optimizer is a deleted key: unknown keys are rejected before any file is read too
 @pytest.mark.parametrize("key, value", [("epochs", -3), ("batch_size", 0),
-                                        ("optimizer", "foo"), ("seeds", []), ("seeds", [0, -5])])
+                                        ("optimizer", "foo"), ("seeds", []), ("seeds", [0, -5]),
+                                        ("name", "grp/a")])
 def test_run_bad_config_value_exits_before_reading_data(tmp_path, capsys, key, value):
     # the dataset file does not exist, so a run that read it would exit 2
     config_path = tmp_path / "exp.json"

@@ -287,6 +287,16 @@ def test_parallel_flipping_orca_records_both_pipelines_convergence(tmp_path, mon
     assert rec.stage1_converged_fraction == 0.5
 
 
+@pytest.mark.parametrize("bidir_method", ["none", "parallel_flipping"])
+def test_orca_without_stage1_steps_embeds_no_corpus(tmp_path, proxy_forwards, bidir_method):
+    # no Sinkhorn solve reads the cloud, and no step converged or failed to
+    config = tiny_experiment(tmp_path, method="orca", bidir_method=bidir_method,
+                             stage1_steps=0)
+    rec = run_one(config, seed=0)
+    assert proxy_forwards == []
+    assert json.loads(rec.to_json())["stage1_converged_fraction"] is None
+
+
 def test_random_init_never_reads_checkpoint(tmp_path, monkeypatch):
     # a config naming no checkpoint_file builds each pipeline's model from the seed
     def fail(path):
@@ -584,6 +594,10 @@ def test_derived_configs_take_every_shared_field():
         ("pretrain_lr", -1e-3), ("pretrain_lr", float("nan")))),
     # a job derives its model and pipeline seeds from a non-negative seed
     ("seeds", [0, -5], ContractError, "seeds"),
+    # a record is written to out_dir/<name>_seed<seed>.json, and load_records
+    # reads out_dir alone
+    *(("name", value, ContractError, "name .* must be a non-empty file name")
+      for value in ("", "grp/a", "/a")),
 ])
 def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error, match):
     with pytest.raises(error, match=match):

@@ -248,19 +248,19 @@ def test_layer_norm_constant_rows_zero():
     x = Tensor(np.full((4, 8), 3.25, dtype=np.float32))
     gain = Tensor(np.ones(8))
     bias = Tensor(np.zeros(8))
-    out = T.layer_norm(x, gain, bias, eps=1e-5)
+    out = T.layer_norm(x, gain, bias)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
 
 
 def test_layer_norm_two_point():
-    out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]), eps=1e-12)
+    out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor([1.0, 1.0]), Tensor([0.0, 0.0]))
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
 
 def test_layer_norm_moments():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(6, 32)).astype(np.float32) * 4.0)
-    out = T.layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32)), eps=1e-5).data.astype(np.float64)
+    out = T.layer_norm(x, Tensor(np.ones(32)), Tensor(np.zeros(32))).data.astype(np.float64)
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
@@ -371,7 +371,7 @@ def _graph_attention(params):
 
 def _graph_norm_chain(params):
     x, w, g, b = params
-    h = T.layer_norm(T.matmul(x, w), g, b, eps=1e-5)
+    h = T.layer_norm(T.matmul(x, w), g, b)
     return T.tmean(T.mul(T.gelu(h), h))
 
 
@@ -467,8 +467,6 @@ def test_self_attention_and_trimmed_nodes_contract():
     for dropped_rows in ((3, 2), (0, 2), (2, -1)):  # 8 rows are not 3 sequences
         with pytest.raises(ShapeError):
             T.mlp_branch(x, *mlp, dropped_rows=dropped_rows)
-        with pytest.raises(ShapeError):
-            T.layer_norm(x, gain, bias, dropped_rows=dropped_rows)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
