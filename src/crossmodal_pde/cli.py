@@ -1,5 +1,5 @@
 """Command-line interface: dataset and corpus generation, pretraining,
-experiment runs, aggregation, plotting, and the doctor self-check suite.
+experiment runs, aggregation, and the doctor self-check suite.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import numpy as np
 from .container import DataFileError
 from .pde_data import FAMILIES, build_dataset, default_grid
 from .proxy_data import gen_corpus, load_corpus, save_corpus
+from .tensor import ContractError
 from .transformer import (
     DECODER_ONLY,
     ENCODER_ONLY,
@@ -77,11 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--records", required=True)
     p_table.add_argument("--out", required=True)
 
-    p_plot = sub.add_parser("plot", help="render a CSV table as an SVG bar chart")
-    p_plot.add_argument("--table", required=True)
-    p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--title", default="test nRMSE")
-
     sub.add_parser("doctor", help="run the fast invariant self-checks")
     return parser
 
@@ -127,10 +123,15 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .experiments import ExperimentConfig, run_experiment
+    from .experiments import ExperimentConfig, run_experiment, unscored
 
     config = ExperimentConfig.from_json_file(args.config)
     records = run_experiment(config, workers=args.workers)
+    bad = [r.seed for r in records if unscored(vars(r))]
+    if bad:
+        raise ContractError(f"{config.name}: the runs of seeds {bad} aborted or scored a "
+                            f"non-finite test nRMSE, so no mean is printed; records in "
+                            f"{config.out_dir}")
     scores = [r.test_nrmse for r in records]
     print(f"{config.name}: {len(records)} runs, test nRMSE "
           f"mean {np.mean(scores):.4f} min {np.min(scores):.4f} max {np.max(scores):.4f}; "
@@ -144,21 +145,9 @@ def _cmd_table(args) -> int:
     records = load_records(args.records)
     if not records:
         raise DataFileError(f"no run records found in {args.records}")
-    table = aggregate(records)
-    table_to_csv(table, args.out)
-    print(f"wrote {len(table.rows)} table rows to {args.out}")
-    return 0
-
-
-def _cmd_plot(args) -> int:
-    from .experiments import table_from_csv
-    from .figures import emit_figure
-
-    table = table_from_csv(args.table)
-    svg = emit_figure(table, title=args.title)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    print(f"wrote figure with {len(table.rows)} bars to {args.out}")
+    rows = aggregate(records)
+    table_to_csv(rows, args.out)
+    print(f"wrote {len(rows)} table rows to {args.out}")
     return 0
 
 
@@ -182,7 +171,6 @@ _COMMANDS = {
     "pretrain": _cmd_pretrain,
     "run": _cmd_run,
     "table": _cmd_table,
-    "plot": _cmd_plot,
     "doctor": _cmd_doctor,
 }
 

@@ -1,5 +1,6 @@
 """Experiment runner and reporting: seeded (config, seed) jobs, immutable JSON
-run records, grouped mean/min/max tables, and the spikiness diagnostic.
+run records, their grouped mean/min/max test nRMSE as a CSV table, and the
+spikiness diagnostic.
 
 Every run is reproducible from the config snapshot embedded in its record;
 records are written atomically and aggregated with 64-bit accumulation.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 import types
@@ -340,15 +342,10 @@ class TableRow:
     wallclock_s: float
 
 
-@dataclass
-class ResultsTable:
-    rows: list[TableRow]
-
-
-_COLUMN_TYPES = typing.get_type_hints(TableRow)
+_COLUMNS = tuple(f.name for f in fields(TableRow))
 # the columns ``aggregate`` computes over a group; it groups by the others
 _STAT_COLUMNS = ("seed_count", "nrmse_mean", "nrmse_min", "nrmse_max", "wallclock_s")
-_GROUP_COLUMNS = tuple(c for c in _COLUMN_TYPES if c not in _STAT_COLUMNS)
+_GROUP_COLUMNS = tuple(c for c in _COLUMNS if c not in _STAT_COLUMNS)
 
 
 def _group(rec: dict) -> tuple:
@@ -360,14 +357,23 @@ def _group(rec: dict) -> tuple:
     return tuple(values[c] for c in _GROUP_COLUMNS)
 
 
+def unscored(record: dict) -> bool:
+    """Whether a run record stays out of every mean: its fine-tune hit a
+    non-finite loss (``aborted``; a record without the field did not), or its
+    ``test_nrmse`` is not finite."""
+    return bool(record.get("aborted", False)) or not math.isfinite(record["test_nrmse"])
+
+
 def load_records(records_dir) -> list[dict]:
     """Every ``*.json`` run record in the directory; a file that is not a
     record of this schema (not JSON, lacking a field ``aggregate`` reads, a
     non-numeric ``test_nrmse`` or ``wallclock_s``, or a list or object where
-    ``aggregate`` groups by a scalar) raises ``DataFileError`` naming it."""
+    ``aggregate`` groups by a scalar) raises ``DataFileError`` naming it.
+    Records that are ``unscored`` raise ``ContractError`` naming each file."""
     if not os.path.isdir(records_dir):
         raise DataFileError(f"records directory not found: {records_dir}")
     records = []
+    unscored_paths = []
     for name in sorted(os.listdir(records_dir)):
         if not name.endswith(".json"):
             continue
@@ -397,11 +403,16 @@ def load_records(records_dir) -> list[dict]:
         for k, v in scalars:
             if isinstance(v, (list, dict)):
                 raise DataFileError(f"{path} is not a run record: {k} is {v!r}, not a scalar")
+        if unscored(rec):
+            unscored_paths.append(path)
         records.append(rec)
+    if unscored_paths:
+        raise ContractError(f"no mean takes a run record that aborted or holds a non-finite "
+                            f"test_nrmse: {', '.join(unscored_paths)}")
     return records
 
 
-def aggregate(records: list[dict]) -> ResultsTable:
+def aggregate(records: list[dict]) -> list[TableRow]:
     """Group records and compute mean/min/max test nRMSE (64-bit sums)."""
     groups: dict[tuple, list[dict]] = {}
     for rec in records:
@@ -416,44 +427,14 @@ def aggregate(records: list[dict]) -> ResultsTable:
                              nrmse_min=float(scores.min()),
                              nrmse_max=float(scores.max()),
                              wallclock_s=float(walls.sum() / len(walls))))
-    return ResultsTable(rows=rows)
+    return rows
 
 
-def table_to_csv(table: ResultsTable, path) -> None:
+def table_to_csv(rows: list[TableRow], path) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_COLUMN_TYPES)
-        for r in table.rows:  # a float's cell is its repr
+        writer.writerow(_COLUMNS)
+        for r in rows:  # a float's cell is its repr
             writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in astuple(r)])
 
-
-def _parse_cell(column: str, text: str | None):
-    """The value of a ``table_to_csv`` cell; ``ValueError`` names the column."""
-    kind = _COLUMN_TYPES[column]
-    try:
-        return {"true": True, "false": False}[text] if kind is bool else kind(text)
-    except (KeyError, TypeError, ValueError):  # a short row reads None
-        raise ValueError(f"{column} is {text!r}, not "
-                         f"{'true or false' if kind is bool else kind.__name__}") from None
-
-
-def table_from_csv(path) -> ResultsTable:
-    """Read a table ``table_to_csv`` wrote; a file lacking one of its columns,
-    or holding a value that does not parse, raises ``DataFileError`` naming it."""
-    if not os.path.exists(path):
-        raise DataFileError(f"table file not found: {path}")
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _COLUMN_TYPES if c not in (reader.fieldnames or ())]
-        if missing:
-            raise DataFileError(f"{path} is not a results table: missing columns "
-                                f"{', '.join(missing)}")
-        for rec in reader:
-            try:
-                rows.append(TableRow(**{c: _parse_cell(c, rec[c]) for c in _COLUMN_TYPES}))
-            except ValueError as exc:
-                raise DataFileError(f"{path} line {reader.line_num} is not a table row: "
-                                    f"{exc}") from exc
-    return ResultsTable(rows=rows)

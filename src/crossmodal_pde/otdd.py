@@ -156,8 +156,8 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
     The solver loop runs in float64 with epsilon annealed from 0.5 *
     median(cost) down to the target (halving at each converged level), which
     keeps small-epsilon problems inside the iteration budget without changing
-    the fixed point.  The plan is built once from the converged potentials;
-    the coupling, cost and marginal violation all come from it, with or
+    the fixed point.  The coupling, cost and marginal violation all come from
+    one plan of the final potentials, the last convergence check's, with or
     without the tape.  The cost's gradient is the implicit-function gradient
     at the fixed point (Luise et al., NeurIPS 2018), see
     ``tensor.transport_cost``.
@@ -205,17 +205,20 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
             update(eps)
             eps_reached = eps
     eps = eps_levels[-1]
+    checked = None  # (plan, violation) of the last convergence check
     while iterations < params.max_iters:
         iterations += 1
         update(eps)
         eps_reached = eps
         if iterations % 4 == 0 or iterations == params.max_iters:
-            _, viol = violation_of(f, g, eps)
-            if viol < params.tolerance:
+            checked = violation_of(f, g, eps)
+            if checked[1] < params.tolerance:
                 solver_converged = True
                 break
 
-    p, violation = violation_of(f, g, eps_reached)
+    # the target level ends on a check; only a budget spent before it leaves
+    # the plan to build
+    p, violation = checked or violation_of(f, g, eps_reached)
     return SinkhornResult(coupling=Tensor(p), cost=T.transport_cost(cost, p, eps_reached),
                           converged=solver_converged, iterations=iterations,
                           marginal_violation=float(violation))

@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import json
 import os
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +20,15 @@ from crossmodal_pde.bidir import FlipPair
 from crossmodal_pde.container import DataFileError
 from crossmodal_pde.experiments import (
     ExperimentConfig,
-    ResultsTable,
     RunRecord,
-    TableRow,
     aggregate,
     load_records,
     record_path,
     run_experiment,
     run_one,
     spikiness_diagnostic,
-    table_from_csv,
     table_to_csv,
 )
-from crossmodal_pde.figures import emit_figure
 from crossmodal_pde.pde_data import GridSpec, build_dataset, derive_seed, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, load_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
@@ -318,7 +313,7 @@ def test_random_init_never_reads_checkpoint(tmp_path, monkeypatch):
     assert not pipeline.model.pretrained
     for name, p in want.params.items():
         assert np.array_equal(pipeline.model.params[name].data, p.data), name
-    assert aggregate([json.loads(rec.to_json())]).rows[0].pretrained is False
+    assert aggregate([json.loads(rec.to_json())])[0].pretrained is False
 
 
 def test_base_model_must_match_config(tmp_path, pretrained_experiment):
@@ -403,9 +398,9 @@ def test_run_experiment_multi_seed_stats(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1, 2])
     records = run_experiment(config)
     assert len(records) == 3
-    table = aggregate([json.loads(r.to_json()) for r in records])
-    assert len(table.rows) == 1
-    row = table.rows[0]
+    rows = aggregate([json.loads(r.to_json()) for r in records])
+    assert len(rows) == 1
+    row = rows[0]
     assert row.seed_count == 3
     assert row.nrmse_min <= row.nrmse_mean <= row.nrmse_max
 
@@ -472,9 +467,9 @@ def test_sequence_doubling_keeps_batch_size(tmp_path):
 def test_aggregate_means_are_exact(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1])
     records = [json.loads(r.to_json()) for r in run_experiment(config)]
-    table = aggregate(records)
+    rows = aggregate(records)
     scores = np.array([r["test_nrmse"] for r in records], dtype=np.float64)
-    assert table.rows[0].nrmse_mean == float(scores.sum() / 2)
+    assert rows[0].nrmse_mean == float(scores.sum() / 2)
 
 
 def test_load_records_round_trip(tmp_path):
@@ -694,10 +689,8 @@ _GOLDEN_CSV = (
 def test_table_csv_matches_the_golden_bytes(tmp_path, shape):
     # records without the flag take it from whether they name a checkpoint
     path = tmp_path / "table.csv"
-    table = aggregate([shape(r) for r in _GOLDEN_RECORDS])
-    table_to_csv(table, path)
+    table_to_csv(aggregate([shape(r) for r in _GOLDEN_RECORDS]), path)
     assert path.read_bytes() == _GOLDEN_CSV
-    assert table_from_csv(path) == table
 
 
 def test_old_and_new_records_aggregate_into_one_row_each():
@@ -707,89 +700,6 @@ def test_old_and_new_records_aggregate_into_one_row_each():
                _new_record(_old_record("advection", 0.75, 3.0)),
                _old_record("advection", 0.5, 2.0, pretrained=False),
                _new_record(_old_record("advection", 1.0, 4.0, checkpoint_file=None))]
-    rows = aggregate(records).rows
+    rows = aggregate(records)
     assert [(r.pretrained, r.seed_count, r.nrmse_mean, r.wallclock_s) for r in rows] == [
         (False, 2, 0.75, 3.0), (True, 2, 0.5, 2.0)]
-
-
-def test_table_row_error_names_the_column_and_line(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_bytes(_GOLDEN_CSV.replace(b",6.25001,", b",six,"))
-    with pytest.raises(DataFileError, match=r"table.csv line 5 is not a table row: "
-                                            r"nrmse_mean is 'six', not float"):
-        table_from_csv(path)
-
-
-def sample_table():
-    return ResultsTable(rows=[
-        TableRow(dataset="advection", arch="decoder_only", d_model=64, n_layers=4,
-                 pretrained=True, method="orca", bidir_method="none", seed_count=5,
-                 nrmse_mean=0.5, nrmse_min=0.4, nrmse_max=0.7, wallclock_s=12.5),
-        TableRow(dataset="advection", arch="encoder_only", d_model=64, n_layers=4,
-                 pretrained=True, method="orca", bidir_method="none", seed_count=5,
-                 nrmse_mean=0.2, nrmse_min=0.15, nrmse_max=0.3, wallclock_s=11.0),
-    ])
-
-
-def test_csv_round_trip(tmp_path):
-    table = sample_table()
-    path = tmp_path / "table.csv"
-    table_to_csv(table, path)
-    back = table_from_csv(path)
-    assert back == table
-
-
-# -- figures --------------------------------------------------------------------
-
-
-def parse_svg_bars(svg: str):
-    root = ET.fromstring(svg)
-    ns = "{http://www.w3.org/2000/svg}"
-    bars = [el for el in root.iter(f"{ns}rect") if "data-mean" in el.attrib]
-    return root, bars
-
-
-def test_figure_geometry_single_bar():
-    table = ResultsTable(rows=[sample_table().rows[0]])
-    svg = emit_figure(table)
-    root, bars = parse_svg_bars(svg)
-    assert len(bars) == 1
-    bar = bars[0]
-    assert float(bar.attrib["data-mean"]) == 0.5
-    # whisker endpoints map min/max through the same linear scale as the bar top
-    ns = "{http://www.w3.org/2000/svg}"
-    whiskers = [el for el in root.iter(f"{ns}line") if el.attrib.get("class") == "whisker"]
-    assert len(whiskers) == 1
-    y_hi = float(whiskers[0].attrib["y1"])  # max value -> smaller pixel y
-    y_lo = float(whiskers[0].attrib["y2"])
-    bar_top = float(bar.attrib["y"])
-    assert y_hi < bar_top < y_lo
-    # linearity: pixel distance ratio equals value distance ratio
-    mean, vmin, vmax = 0.5, 0.4, 0.7
-    ratio_px = (y_lo - bar_top) / (y_lo - y_hi)
-    ratio_val = (mean - vmin) / (vmax - vmin)
-    assert ratio_px == pytest.approx(ratio_val, abs=0.01)
-
-
-def test_figure_deterministic():
-    table = sample_table()
-    assert emit_figure(table) == emit_figure(table)
-
-
-def test_figure_bar_order_follows_means():
-    table = sample_table()
-    svg = emit_figure(table)
-    _, bars = parse_svg_bars(svg)
-    tops = [float(b.attrib["y"]) for b in bars]
-    means = [float(b.attrib["data-mean"]) for b in bars]
-    # higher mean -> taller bar -> smaller top y
-    assert (means[0] > means[1]) == (tops[0] < tops[1])
-
-
-def test_figure_empty_table_rejected():
-    with pytest.raises(ContractError):
-        emit_figure(ResultsTable(rows=[]))
-
-
-def test_figure_is_valid_xml():
-    ET.fromstring(emit_figure(sample_table()))
