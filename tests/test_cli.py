@@ -14,9 +14,10 @@ from crossmodal_pde.container import read_container, write_container
 
 
 def test_unknown_subcommand_usage_error(capsys):
-    for command in ("frobnicate", "plot"):  # plot and its SVG charts are deleted
+    for command in ("frobnicate", "plot"):
         assert cli_main([command]) == 2
-        assert "usage" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and f"invalid choice: '{command}'" in err
 
 
 def test_missing_config_file_named(tmp_path, capsys):
