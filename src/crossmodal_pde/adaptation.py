@@ -9,13 +9,13 @@ the model's own embedding of the source corpus.
 from __future__ import annotations
 
 import contextlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .otdd import (
-    ClassMoments,
     LabeledPointCloud,
     SinkhornParams,
     compute_class_moments,
@@ -136,8 +136,9 @@ class AdaptationConfig:
             value = getattr(self, name)
             if not value >= floor:  # also rejects a NaN
                 raise ContractError(f"{name} must be >= {floor}, got {value!r}")
-        if self.learning_rate is not None and not self.learning_rate > 0:
-            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        if self.learning_rate is not None and not 0 < self.learning_rate < np.inf:
+            raise ContractError(f"learning_rate must be finite and > 0, "
+                                f"got {self.learning_rate!r}")
 
     def resolve_optimizer(self, family: str) -> tuple[str, float]:
         """Return (kind, learning rate): the family's optimizer and
@@ -186,30 +187,19 @@ def frozen_except(model: TransformerModel, trained: list[Tensor]):
 # -- pseudo labels ----------------------------------------------------------
 
 
-@dataclass
-class PseudoLabels:
-    labels: np.ndarray  # [n_instances, L] int64 bin per target token
-    edges: np.ndarray  # [K-1] bin boundaries from the train split
-    bins: int
-    degenerate: bool
-
-
-def pseudo_label_targets(targets: np.ndarray, bins: int = PSEUDO_LABEL_BINS) -> PseudoLabels:
-    """Quantize target values ([n, L] frames) into equal-mass bins fit on them.
+def pseudo_label_targets(targets: np.ndarray, bins: int = PSEUDO_LABEL_BINS) -> np.ndarray:
+    """Quantize target values ([n, L] frames) into ``bins`` equal-mass bins fit
+    on them: an [n, L] int64 bin per target token.
 
     Rank-based, so labels are invariant under strictly monotone transforms of
-    the targets.  Constant targets collapse to bin 0 with the degenerate flag.
+    the targets.  Constant targets collapse to bin 0.
     """
     if bins < 2:
         raise ContractError("need at least 2 bins")
     if np.ptp(targets) == 0.0:
-        return PseudoLabels(labels=np.zeros(targets.shape, dtype=np.int64),
-                            edges=np.zeros(bins - 1, dtype=np.float64),
-                            bins=bins, degenerate=True)
-    qs = np.arange(1, bins) / bins
-    edges = np.quantile(targets.astype(np.float64), qs)
-    labels = np.searchsorted(edges, targets.astype(np.float64), side="right")
-    return PseudoLabels(labels=labels.astype(np.int64), edges=edges, bins=bins, degenerate=False)
+        return np.zeros(targets.shape, dtype=np.int64)
+    edges = np.quantile(targets.astype(np.float64), np.arange(1, bins) / bins)
+    return np.searchsorted(edges, targets.astype(np.float64), side="right").astype(np.int64)
 
 
 # -- prediction --------------------------------------------------------------
@@ -256,9 +246,7 @@ def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Pre
 @dataclass
 class Stage1Report:
     trace: list[float]
-    steps: int
     converged_fraction: float | None  # None where no step ran
-    degenerate_labels: bool
 
 
 def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCorpus,
@@ -270,15 +258,14 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
     reach OTDD, so no model parameter enters the tape: the transformer body
     and predictor get no gradient and no update.
     """
-    pseudo = pseudo_label_targets(dataset.train.targets)
     if not config.stage1_steps:  # no Sinkhorn solve would read the corpus cloud
-        return Stage1Report(trace=[], steps=0, converged_fraction=None,
-                            degenerate_labels=pseudo.degenerate)
+        return Stage1Report(trace=[], converged_fraction=None)
+    pseudo = pseudo_label_targets(dataset.train.targets)
     inputs = dataset.train.inputs
     n, L = inputs.shape
 
     proxy = build_proxy_set(model, corpus)
-    proxy_moments: ClassMoments = compute_class_moments(proxy)
+    proxy_moments = compute_class_moments(proxy)
     sk_params = SinkhornParams(epsilon=0.0, max_iters=SINKHORN_MAX_ITERS)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(config.seed, 101)))
@@ -291,10 +278,10 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
         flat_idx = rng.choice(len(inst_idx) * L,
                               size=min(OTDD_BATCH, len(inst_idx) * L), replace=False)
         tokens = inputs[inst_idx].reshape(-1)[flat_idx]
-        labels = pseudo.labels[inst_idx].reshape(-1)[flat_idx]
+        labels = pseudo[inst_idx].reshape(-1)[flat_idx]
 
         target_cloud = LabeledPointCloud(points=embedder(tokens), labels=labels,
-                                         class_count=pseudo.bins)
+                                         class_count=PSEUDO_LABEL_BINS)
 
         prox_idx = rng.choice(len(proxy), size=min(OTDD_BATCH, len(proxy)), replace=False)
         proxy_batch = LabeledPointCloud(points=Tensor(proxy.points.data[prox_idx]),
@@ -308,9 +295,7 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
         T.optimizer_step(opt, emb_params)
         trace.append(res.cost.item())
         converged += int(res.converged)
-    return Stage1Report(trace=trace, steps=config.stage1_steps,
-                        converged_fraction=converged / config.stage1_steps,
-                        degenerate_labels=pseudo.degenerate)
+    return Stage1Report(trace=trace, converged_fraction=converged / config.stage1_steps)
 
 
 # -- fine-tuning ----------------------------------------------------------------
@@ -319,14 +304,8 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
 @dataclass
 class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
-    initial_test_nrmse: float = float("nan")
-    final_test_nrmse: float = float("nan")
-    # [n_test, L] predictions scored by initial_test_nrmse and final_test_nrmse
-    initial_test_predictions: np.ndarray | None = field(default=None, repr=False)
-    final_test_predictions: np.ndarray | None = field(default=None, repr=False)
     optimizer: str = ""
     learning_rate: float = 0.0
-    epochs_run: int = 0
     aborted: bool = False
     abort_reason: str = ""
 
@@ -352,29 +331,29 @@ def mean_nrmse(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean([instance_nrmse(p, t) for p, t in zip(predictions, targets)]))
 
 
-def evaluate_nrmse(model: TransformerModel, embedder: Embedder, predictor: Predictor,
-                   split: FrameSplit, bidir_method: str = BIDIR_NONE,
+def evaluate_nrmse(predict: Callable[[np.ndarray], np.ndarray], split: FrameSplit,
                    batch_size: int = 16) -> tuple[float, np.ndarray]:
     """Mean nRMSE over the instances of ``split`` and the [n, L] predictions
     it scored.
 
-    The inputs are predicted as no-grad batches of ``batch_size`` (a
-    fine-tune step's size), not as one batch, so evaluation holds no more
-    activations than a training step.
+    ``predict`` maps a batch of input frames [B, L] to its [B, L]
+    predictions: one pipeline's ``predict_sequence`` or a ``FlipPair``'s
+    ``predict``.  The inputs are predicted as no-grad batches of
+    ``batch_size`` (a fine-tune step's size), not as one batch, so
+    evaluation holds no more activations than a training step.
     """
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     with T.no_grad():
-        preds = np.concatenate([
-            predict_sequence(model, embedder, predictor, split.inputs[lo: lo + batch_size],
-                             bidir_method=bidir_method).data
-            for lo in range(0, len(split), batch_size)])
+        preds = np.concatenate([predict(split.inputs[lo: lo + batch_size])
+                                for lo in range(0, len(split), batch_size)])
     return mean_nrmse(preds, split.targets), preds
 
 
 def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
              dataset: PdeDataset, config: AdaptationConfig) -> TrainReport:
-    """Minimize MSE on train frames; report test nRMSE.
+    """Minimize MSE on train frames.  It runs no forward outside its training
+    steps: ``experiments.run_one`` scores the test split (``evaluate_nrmse``).
 
     It trains the embedder, the predictor and the model parameters
     ``trained_parameters(model, config.method)`` names; every other model
@@ -391,12 +370,6 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
         raise ContractError("empty training set")
     kind, lr = config.resolve_optimizer(dataset.family)
     report = TrainReport(optimizer=kind, learning_rate=lr)
-
-    def evaluate() -> tuple[float, np.ndarray]:
-        return evaluate_nrmse(model, embedder, predictor, dataset.test,
-                              bidir_method=config.bidir_method, batch_size=config.batch_size)
-
-    report.initial_test_nrmse, report.initial_test_predictions = evaluate()
     inputs, targets = dataset.train.inputs, dataset.train.targets
     params = trained_parameters(model, config.method) + embedder.params() + predictor.params()
     wd = ADAMW_WEIGHT_DECAY if kind == "adamw" else 0.0
@@ -426,8 +399,6 @@ def finetune(model: TransformerModel, embedder: Embedder, predictor: Predictor,
             if report.aborted:
                 break
             report.epoch_losses.append(epoch_loss / max(1, n_batches))
-            report.epochs_run = epoch + 1
-    report.final_test_nrmse, report.final_test_predictions = evaluate()
     return report
 
 

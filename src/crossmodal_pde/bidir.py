@@ -76,27 +76,22 @@ def flip_dataset(dataset: PdeDataset) -> PdeDataset:
     return replace(dataset, train=flipped(dataset.train), test=flipped(dataset.test))
 
 
-def parallel_flipping_train(forward_pipeline: Pipeline, reversed_pipeline: Pipeline,
-                            dataset: PdeDataset, config: AdaptationConfig,
+def parallel_flipping_train(pair: FlipPair, dataset: PdeDataset, config: AdaptationConfig,
                             corpus: SyntheticCorpus | None = None,
-                            ) -> tuple[FlipPair, AdaptationReport, AdaptationReport]:
-    """Run the full adaptation twice, one run after the other: on the original
-    data, then on the flipped data (reversed pipeline).  The two runs share a
-    config but no parameters.
-
-    Each report's ``train.final_test_predictions`` holds its pipeline's
-    [n_test, L] test predictions (the reversed run's in flipped coordinates),
-    so ``combine_halves`` of the pair equals ``FlipPair.predict`` on the test
-    inputs.
+                            ) -> tuple[AdaptationReport, AdaptationReport]:
+    """Run the full adaptation twice, one run after the other: the pair's
+    forward pipeline on the original data, then its reversed pipeline on the
+    flipped data.  The two runs share a config but no parameters; the reports
+    come back in that order.  ``pair.predict`` then predicts with both.
 
     Under ORCA each run aligns to its own model's embedding of ``corpus``,
     which is never flipped (language features carry no spatial orientation).
     """
     sub = replace(config, bidir_method=BIDIR_NONE)
     sub_rev = replace(sub, seed=config.seed + 1)
-    rep_f = run_adaptation(forward_pipeline, dataset, sub, corpus)
-    rep_r = run_adaptation(reversed_pipeline, flip_dataset(dataset), sub_rev, corpus)
-    return FlipPair(forward_pipeline, reversed_pipeline), rep_f, rep_r
+    rep_f = run_adaptation(pair.forward_pipeline, dataset, sub, corpus)
+    rep_r = run_adaptation(pair.reversed_pipeline, flip_dataset(dataset), sub_rev, corpus)
+    return rep_f, rep_r
 
 
 def sequence_doubling_forward(model: TransformerModel, embedder: Embedder,

@@ -82,6 +82,17 @@ def write_atomic(path, chunks: list[bytes], prefix: str) -> None:
         raise
 
 
+def typed_block(path, blocks: dict[str, np.ndarray], name: str, dtype) -> np.ndarray:
+    """``blocks[name]`` (from ``read_container``) if it holds ``dtype``; a
+    block of any other dtype raises ``DataFileError`` naming ``path`` and the
+    block, and a missing one ``KeyError`` (which ``file_errors`` reports)."""
+    block = blocks[name]
+    if block.dtype != np.dtype(dtype).newbyteorder("<"):
+        raise DataFileError(f"block {name!r} in {path} holds {block.dtype}, "
+                            f"not {np.dtype(dtype)}")
+    return block
+
+
 def _is_count(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 

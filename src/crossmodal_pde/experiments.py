@@ -27,10 +27,11 @@ from .adaptation import (
     SEQUENCE_DOUBLING,
     AdaptationConfig,
     Pipeline,
-    mean_nrmse,
+    evaluate_nrmse,
+    predict_sequence,
     run_adaptation,
 )
-from .bidir import combine_halves, parallel_flipping_train
+from .bidir import FlipPair, parallel_flipping_train
 from .container import DataFileError, write_atomic
 from .pde_data import derive_seed, load_dataset
 from .proxy_data import SyntheticCorpus, load_corpus
@@ -263,26 +264,29 @@ def _run_one(config: ExperimentConfig, seed: int,
 
     adapt = config.adaptation_config(seed)
     pipeline = _make_pipeline(config, base_model, seed, role=0)
-
     if config.bidir_method == PARALLEL_FLIPPING:
-        partner = _make_pipeline(config, base_model, seed, role=1)
-        _, rep_f, rep_r = parallel_flipping_train(pipeline, partner, dataset, adapt,
-                                                  corpus=corpus)
+        pair = FlipPair(pipeline, _make_pipeline(config, base_model, seed, role=1))
+        predict = pair.predict
+    else:
+        def predict(x: np.ndarray) -> np.ndarray:
+            return predict_sequence(pipeline.model, pipeline.embedder, pipeline.predictor, x,
+                                    bidir_method=config.bidir_method).data
+
+    # scored before any adaptation step, and again after every one
+    initial, _ = evaluate_nrmse(predict, dataset.test, config.batch_size)
+    if config.bidir_method == PARALLEL_FLIPPING:
+        rep_f, rep_r = parallel_flipping_train(pair, dataset, adapt, corpus=corpus)
         reports = {"forward": rep_f, "reversed": rep_r}
-        f, r = rep_f.train, rep_r.train
-        initial = combine_halves(f.initial_test_predictions, r.initial_test_predictions)
-        predictions = combine_halves(f.final_test_predictions, r.final_test_predictions)
     else:
         rep_f = run_adaptation(pipeline, dataset, adapt, corpus=corpus)
         reports = {"forward": rep_f}
-        initial = rep_f.train.initial_test_predictions
-        predictions = rep_f.train.final_test_predictions
+    final, predictions = evaluate_nrmse(predict, dataset.test, config.batch_size)
     epoch_losses = {name: rep.train.epoch_losses for name, rep in reports.items()}
     stage1 = {name: rep.stage1 for name, rep in reports.items() if rep.stage1 is not None}
     # both pipelines take config.stage1_steps, so the mean is the share over all their steps
-    converged = [s.converged_fraction for s in stage1.values() if s.steps]
+    converged = [s.converged_fraction for s in stage1.values()
+                 if s.converged_fraction is not None]
 
-    final = mean_nrmse(predictions, dataset.test.targets)
     tv_pairs = [spikiness_diagnostic(p) for p in predictions]
     spikiness = {"first_half_tv": float(np.mean([a for a, _ in tv_pairs])),
                  "second_half_tv": float(np.mean([b for _, b in tv_pairs]))}
@@ -293,7 +297,7 @@ def _run_one(config: ExperimentConfig, seed: int,
         seed=seed,
         family=dataset.family,
         test_nrmse=final,
-        initial_test_nrmse=mean_nrmse(initial, dataset.test.targets),
+        initial_test_nrmse=initial,
         epoch_losses=epoch_losses,
         stage1_trace={name: s.trace for name, s in stage1.items()},
         optimizer=rep_f.train.optimizer,

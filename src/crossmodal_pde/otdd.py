@@ -50,14 +50,13 @@ class ClassMoments:
     mean: Tensor  # [K', d] per represented class
     var: Tensor  # [K', d] diagonal variance, floored
     classes: np.ndarray  # [K'] original class ids, sorted
-    degenerate: np.ndarray  # [K'] True where the class had < 2 points
 
 
 def compute_class_moments(cloud: LabeledPointCloud) -> ClassMoments:
     """Differentiable per-class mean and diagonal variance of the cloud's points.
 
-    Classes with fewer than 2 points are kept but flagged; all variances are
-    floored at 1e-6 so downstream square roots stay differentiable.
+    Classes with fewer than 2 points are kept; all variances are floored at
+    1e-6 so downstream square roots stay differentiable.
     """
     if len(cloud) == 0:
         raise ContractError("cannot compute moments of an empty cloud")
@@ -69,7 +68,7 @@ def compute_class_moments(cloud: LabeledPointCloud) -> ClassMoments:
     mean = T.matmul(Tensor(assign), cloud.points)  # [K', d]
     second = T.matmul(Tensor(assign), T.square(cloud.points))
     var = T.maximum_const(T.sub(second, T.square(mean)), VARIANCE_FLOOR)
-    return ClassMoments(mean=mean, var=var, classes=classes, degenerate=counts < 2)
+    return ClassMoments(mean=mean, var=var, classes=classes)
 
 
 def _pairwise_sq_dists(a: Tensor, b: Tensor) -> Tensor:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .container import DataFileError, file_errors, read_container, write_container
+from .container import DataFileError, file_errors, read_container, typed_block, write_container
 from .tensor import ContractError, ShapeError, _openblas
 from .transformer import ConfigError
 
@@ -440,7 +440,8 @@ def load_dataset(path) -> PdeDataset:
     with file_errors(path, "pde dataset"):
         params = PdeParams.from_dict(header["params"])
         grid = GridSpec.from_dict(header["grid"])
-        frames, seeds = blocks["frames"], header["instance_seeds"]
+        frames = typed_block(path, blocks, "frames", np.float32)
+        seeds = header["instance_seeds"]
         n_train, n_test = header["n_train"], header["n_test"]
         family, seed = header["family"], header["seed"]
     if family != params.family:

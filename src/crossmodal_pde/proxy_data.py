@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .container import DataFileError, file_errors, read_container, write_container
+from .container import DataFileError, file_errors, read_container, typed_block, write_container
 from .otdd import LabeledPointCloud
 from .transformer import TransformerModel, embed_tokens, forward_hidden, pad_batch
 
@@ -177,7 +177,8 @@ def load_corpus(path) -> SyntheticCorpus:
         raise DataFileError(f"{path} is not a tagged corpus container")
     with file_errors(path, "tagged corpus"):
         ints = {k: header[k] for k in ("vocab_size", "tag_count", "seed")}
-        tokens, tags, lengths = blocks["tokens"], blocks["tags"], blocks["lengths"]
+        tokens, tags, lengths = (typed_block(path, blocks, k, np.int32)
+                                 for k in ("tokens", "tags", "lengths"))
         if not (tokens.ndim == 2 and tags.shape == tokens.shape
                 and lengths.shape == tokens.shape[:1]
                 and np.all((lengths >= 1) & (lengths <= tokens.shape[1]))):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import tensor as T
-from .container import DataFileError, file_errors, read_container, write_container
+from .container import DataFileError, file_errors, read_container, typed_block, write_container
 from .tensor import ContractError, Tensor
 
 ENCODER_ONLY = "encoder_only"
@@ -339,9 +339,10 @@ def load_checkpoint(path) -> TransformerModel:
         model = build_model(ModelConfig.from_dict(header["config"]))
         pretrained = bool(header["pretrained"])
         for name, p in model.params.items():
-            if blocks[name].shape != p.data.shape:
+            block = typed_block(path, blocks, name, np.float32)
+            if block.shape != p.data.shape:
                 raise DataFileError(f"model checkpoint {path} holds {name!r} of shape "
-                                    f"{list(blocks[name].shape)}, not {list(p.data.shape)}")
-            p.data = blocks[name].astype(np.float32)
+                                    f"{list(block.shape)}, not {list(p.data.shape)}")
+            p.data = block.astype(np.float32, copy=False)
     model.pretrained = pretrained
     return model

@@ -41,6 +41,11 @@ def assert_bitwise_equal(before: dict, after: dict, names):
         np.testing.assert_array_equal(before[name], after[name], err_msg=name)
 
 
+def predictor_of(model, emb, pred):
+    """One pipeline's ``predict_sequence`` as ``evaluate_nrmse`` takes it."""
+    return lambda x: predict_sequence(model, emb, pred, x).data
+
+
 # -- pseudo labels ------------------------------------------------------------
 
 
@@ -51,25 +56,23 @@ def _uniform_targets(n=40, L=64, seed=0):
 
 def test_pseudo_labels_uniform_deciles():
     targets = _uniform_targets(n=60, L=64)
-    pl = pseudo_label_targets(targets, bins=10)
-    assert not pl.degenerate
-    want = np.arange(1, 10) / 10
-    assert np.abs(pl.edges - want).max() < 0.02
-    counts = np.bincount(pl.labels.reshape(-1), minlength=10)
+    labels = pseudo_label_targets(targets, bins=10)
+    # bin k holds the targets up to its upper decile edge (k + 1) / 10
+    tops = [targets[labels == k].max() for k in range(9)]
+    assert np.abs(np.array(tops) - np.arange(1, 10) / 10).max() < 0.02
+    counts = np.bincount(labels.reshape(-1), minlength=10)
     assert counts.min() > 0.8 * counts.mean()
 
 
 def test_pseudo_labels_constant_degenerate():
-    pl = pseudo_label_targets(np.full((1, 16), 2.5, dtype=np.float32), bins=10)
-    assert pl.degenerate
-    assert (pl.labels == 0).all()
+    labels = pseudo_label_targets(np.full((1, 16), 2.5, dtype=np.float32), bins=10)
+    assert labels.shape == (1, 16) and (labels == 0).all()
 
 
 def test_pseudo_labels_monotone_invariant():
     targets = _uniform_targets(n=20, L=32, seed=3)
-    pl = pseudo_label_targets(targets, bins=8)
-    pl2 = pseudo_label_targets(2.0 * targets + 1.0, bins=8)
-    np.testing.assert_array_equal(pl.labels, pl2.labels)
+    np.testing.assert_array_equal(pseudo_label_targets(targets, bins=8),
+                                  pseudo_label_targets(2.0 * targets + 1.0, bins=8))
 
 
 # -- predict_sequence -----------------------------------------------------------
@@ -196,18 +199,19 @@ def test_stage1_dimension_mismatch():
 # -- finetune ---------------------------------------------------------------------
 
 
-def test_finetune_zero_epochs_only_initial_eval():
+def test_finetune_zero_epochs_changes_nothing():
     model = make_model()
     emb = Embedder.create(32, seed=0)
     pred = Predictor.create(32, seed=1)
     dataset = identity_dataset()
     before = snapshot(model.params)
+    before_task = [p.data.copy() for p in emb.params() + pred.params()]
     config = AdaptationConfig(method=ORCA, epochs=0, seed=0)
     report = finetune(model, emb, pred, dataset, config)
     assert_bitwise_equal(before, snapshot(model.params), model.params.keys())
-    assert report.epoch_losses == []
-    assert np.isfinite(report.initial_test_nrmse)
-    assert report.final_test_nrmse == report.initial_test_nrmse
+    for a, p in zip(before_task, emb.params() + pred.params()):
+        np.testing.assert_array_equal(a, p.data)
+    assert report.epoch_losses == [] and not report.aborted
 
 
 def _fpt_frozen_names(model):
@@ -248,7 +252,7 @@ def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
     config = AdaptationConfig(epochs=2, batch_size=4, seed=0)
     report = finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
                       dataset, config)
-    assert report.aborted and report.epochs_run == 0
+    assert report.aborted and report.epoch_losses == []
     assert_frozen_left_clean(model)
 
 
@@ -274,7 +278,7 @@ def test_finetune_identity_task_converges():
     dataset = identity_dataset(n_train=16, n_test=4, n_x=64)
     config = AdaptationConfig(method=ORCA, epochs=50, batch_size=8, seed=1)
     report = finetune(model, emb, pred, dataset, config)
-    train_nrmse, _ = evaluate_nrmse(model, emb, pred, dataset.train)
+    train_nrmse, _ = evaluate_nrmse(predictor_of(model, emb, pred), dataset.train)
     assert train_nrmse < 0.05, f"train nRMSE {train_nrmse:.4f}"
     assert not report.aborted
 
@@ -319,9 +323,9 @@ def _oracle_loss(model, emb, pred, frames, targets, bidir_method="none"):
     return losses[0] if len(losses) == 1 else T.mul(total, 1.0 / len(losses))
 
 
-def _oracle_evaluate(model, emb, pred, split, bidir_method="none"):
+def _oracle_evaluate(model, emb, pred, split):
     with T.no_grad():
-        preds = np.concatenate([_oracle_predict(model, emb, pred, x, bidir_method).data
+        preds = np.concatenate([_oracle_predict(model, emb, pred, x).data
                                 for x in split.inputs])
     return ad.mean_nrmse(preds, split.targets), preds
 
@@ -330,8 +334,6 @@ def _oracle_finetune(model, emb, pred, dataset, config):
     """``finetune`` as it was before batching: per-instance tapes per step."""
     kind, lr = config.resolve_optimizer(dataset.family)
     report = ad.TrainReport(optimizer=kind, learning_rate=lr)
-    evaluate = lambda: _oracle_evaluate(model, emb, pred, dataset.test, config.bidir_method)
-    report.initial_test_nrmse, report.initial_test_predictions = evaluate()
     params = ad.trained_parameters(model, config.method) + emb.params() + pred.params()
     wd = ad.ADAMW_WEIGHT_DECAY if kind == "adamw" else 0.0
     opt = T.OptimizerState(kind=kind, learning_rate=lr, weight_decay=wd)
@@ -351,8 +353,6 @@ def _oracle_finetune(model, emb, pred, dataset, config):
                 epoch_loss += loss.item()
                 n_batches += 1
             report.epoch_losses.append(epoch_loss / max(1, n_batches))
-            report.epochs_run = epoch + 1
-    report.final_test_nrmse, report.final_test_predictions = evaluate()
     return report
 
 
@@ -441,9 +441,8 @@ def test_finetune_step_is_one_forward_and_one_backward(monkeypatch):
     config = AdaptationConfig(epochs=1, batch_size=8, seed=0)
     finetune(make_model(), Embedder.create(32, seed=0), Predictor.create(32, seed=1),
              dataset, config)
-    # one training step, plus the initial and final evaluation of 3 test
-    # instances as one batch each
-    assert calls == {"forward_hidden": 3, "backward": 1}
+    # one training step and nothing else: run_one scores the test split
+    assert calls == {"forward_hidden": 1, "backward": 1}
 
 
 def _run_record(tmp_path, monkeypatch, oracle, **overrides):
@@ -476,7 +475,6 @@ def test_batch_one_record_bit_identical_to_oracle(tmp_path, monkeypatch, bidir_m
 def test_batched_record_close_to_oracle(tmp_path, monkeypatch):
     got = _run_record(tmp_path, monkeypatch, oracle=False, batch_size=4)
     want = _run_record(tmp_path, monkeypatch, oracle=True, batch_size=4)
-    assert got["initial_test_nrmse"] == want["initial_test_nrmse"]  # forward is bitwise
     np.testing.assert_allclose(got["epoch_losses"]["forward"], want["epoch_losses"]["forward"],
                                rtol=1e-5)
     assert abs(got["test_nrmse"] - want["test_nrmse"]) <= 1e-5 * want["test_nrmse"]
@@ -493,9 +491,10 @@ def test_evaluation_batches_match_one_instance_at_a_time():
     model, emb, pred = _head16_pipeline(DECODER_ONLY, seed=5)
     split = identity_dataset(n_train=1, n_test=5, n_x=64).test
     want = _oracle_evaluate(model, emb, pred, split)
+    predict = predictor_of(model, emb, pred)
     for batch_size in (1, 2, 5, 16):
-        got = evaluate_nrmse(model, emb, pred, split, batch_size=batch_size)
+        got = evaluate_nrmse(predict, split, batch_size=batch_size)
         assert got[0] == want[0]
         assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
     with pytest.raises(ContractError, match="batch_size"):
-        evaluate_nrmse(model, emb, pred, split, batch_size=0)
+        evaluate_nrmse(predict, split, batch_size=0)

@@ -216,8 +216,9 @@ def test_parallel_flipping_trains_both_and_combines():
     rev = Pipeline.create(make_model(seed=13), seed=14)
     config = AdaptationConfig(method="fpt", bidir_method="parallel_flipping",
                               epochs=5, batch_size=4, seed=0)
-    pair, rep_f, rep_r = parallel_flipping_train(fwd, rev, dataset, config)
-    assert rep_f.train.epochs_run == 5 and rep_r.train.epochs_run == 5
+    pair = FlipPair(fwd, rev)
+    rep_f, rep_r = parallel_flipping_train(pair, dataset, config)
+    assert len(rep_f.train.epoch_losses) == 5 and len(rep_r.train.epoch_losses) == 5
     pred = pair.predict(dataset.test.inputs[:1])
     assert pred.shape == (1, 32)
 
@@ -231,8 +232,8 @@ def test_parallel_flipping_starts_no_thread(monkeypatch):
     fwd = Pipeline.create(make_model(seed=11), seed=12)
     rev = Pipeline.create(make_model(seed=13), seed=14)
     config = AdaptationConfig(method="fpt", epochs=1, batch_size=4, seed=0)
-    _, rep_f, rep_r = parallel_flipping_train(fwd, rev, dataset, config)
-    assert rep_f.train.epochs_run == 1 and rep_r.train.epochs_run == 1
+    rep_f, rep_r = parallel_flipping_train(FlipPair(fwd, rev), dataset, config)
+    assert len(rep_f.train.epoch_losses) == 1 and len(rep_r.train.epoch_losses) == 1
 
 
 def test_parallel_flipping_untrained_reverse_ablation():
@@ -267,17 +268,20 @@ def test_flipped_advection_equivalent_to_negated_beta():
     data_neg = build_dataset("advection", 24, 6, grid,
                              params=default_params("advection", beta=-0.4), seed=40)
     flipped = flip_dataset(data_pos)
+
+    def score(data, seed, cfg):
+        p = Pipeline.create(make_model(seed=50 + seed), seed=60 + seed)
+        finetune(p.model, p.embedder, p.predictor, data, cfg)
+        return evaluate_nrmse(lambda x: predict_sequence(p.model, p.embedder, p.predictor,
+                                                         x).data, data.test)[0]
+
     scores_flip, scores_neg = [], []
     for seed in (0, 1, 2):
         # ORCA's fine-tune (no stage 1 runs in ``finetune``) trains the whole body
         cfg = AdaptationConfig(method="orca", epochs=40, batch_size=8, learning_rate=3e-3,
                                seed=seed)
-        p1 = Pipeline.create(make_model(seed=50 + seed), seed=60 + seed)
-        scores_flip.append(finetune(p1.model, p1.embedder, p1.predictor, flipped,
-                                    cfg).final_test_nrmse)
-        p2 = Pipeline.create(make_model(seed=50 + seed), seed=60 + seed)
-        scores_neg.append(finetune(p2.model, p2.embedder, p2.predictor, data_neg,
-                                   cfg).final_test_nrmse)
+        scores_flip.append(score(flipped, seed, cfg))
+        scores_neg.append(score(data_neg, seed, cfg))
     # overlapping min-max ranges
     assert min(scores_flip) <= max(scores_neg) and min(scores_neg) <= max(scores_flip), (
         f"flipped {scores_flip} vs negated {scores_neg}")

@@ -494,6 +494,16 @@ def test_readme_cli_block_names_exactly_the_parser_commands():
     assert sorted(named) == sorted(commands)
 
 
+def test_readme_layout_block_names_exactly_the_package_modules():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = re.search(r"^## Layout\n.*?^```\n(.*?)^```", readme, re.S | re.M).group(1)
+    named = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = [p.name for p in (root / "src" / "crossmodal_pde").glob("*.py")
+               if p.name != "__init__.py"]
+    assert sorted(named) == sorted(modules)
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_run_fewer_than_one_worker_is_usage_error(tmp_path, capsys, workers):
     assert cli_main(["run", "--config", str(tmp_path / "exp.json"), "--workers", workers]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossmodal_pde.container import DataFileError, read_container, write_container
+from crossmodal_pde.pde_data import GridSpec, build_dataset, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, load_corpus, save_corpus
 from crossmodal_pde.transformer import (
     DECODER_ONLY,
@@ -96,7 +97,7 @@ def test_bad_manifest_rejected(tmp_path, edit, extra, message):
         read_container(path)
 
 
-# -- typed errors from the checkpoint and corpus loaders ------------------------
+# -- typed errors from the checkpoint, corpus and dataset loaders ---------------
 
 
 def _tiny_model():
@@ -111,6 +112,8 @@ def _tiny_corpus():
 LOADERS = {
     "checkpoint": (lambda path: save_checkpoint(_tiny_model(), path), load_checkpoint),
     "corpus": (lambda path: save_corpus(_tiny_corpus(), path), load_corpus),
+    "dataset": (lambda path: build_dataset("advection", 2, 1, GridSpec(n_x=16, t_out=0.1),
+                                           seed=0, out_path=path), load_dataset),
 }
 
 
@@ -143,4 +146,22 @@ def test_malformed_file_is_data_file_error(tmp_path, kind, edit):
     edit(header, blocks)
     write_container(path, header, list(blocks.items()))
     with pytest.raises(DataFileError, match=re.escape(str(path))):
+        load(path)
+
+
+@pytest.mark.parametrize("kind, name, dtype, shift", [
+    ("checkpoint", "pos_emb", np.int32, 0),
+    ("corpus", "tokens", np.float32, 0.7),  # would load truncated, as the tokens written
+    ("dataset", "frames", np.int32, 0),
+])
+def test_block_of_the_wrong_dtype_is_data_file_error(tmp_path, kind, name, dtype, shift):
+    # weights and frames are float32; lengths, tokens and tags int32
+    save, load = LOADERS[kind]
+    path = tmp_path / f"{kind}.bin"
+    save(path)
+    header, blocks = read_container(path)
+    blocks[name] = (blocks[name] + shift).astype(dtype)
+    write_container(path, header, list(blocks.items()))
+    with pytest.raises(DataFileError, match=f"block '{name}' in {re.escape(str(path))} "
+                                            f"holds {np.dtype(dtype)}"):
         load(path)

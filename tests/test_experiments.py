@@ -189,8 +189,8 @@ def test_run_record_persisted_and_loadable(tmp_path):
 
 @pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling", "parallel_flipping"])
 def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_method):
-    # the record is scored from finetune's final evaluation; predicting the
-    # test split again with the trained pipelines must give the same bits
+    # the record is scored by run_one's final evaluation; predicting the test
+    # split again with the trained pipelines must give the same bits
     config = tiny_experiment(tmp_path, bidir_method=bidir_method)
     made, make = [], experiments._make_pipeline
 
@@ -220,6 +220,41 @@ def test_initial_nrmse_scores_the_same_predictor_as_test_nrmse(tmp_path, bidir_m
     config = tiny_experiment(tmp_path, bidir_method=bidir_method, epochs=0)
     rec = run_one(config, seed=0)
     assert rec.initial_test_nrmse == rec.test_nrmse
+
+
+@pytest.mark.parametrize("bidir_method", ["none", "parallel_flipping"])
+def test_orca_initial_nrmse_scores_the_pipeline_before_stage1(tmp_path, bidir_method):
+    # stage 1 moves the embedder even with no fine-tune epoch, so only a score
+    # taken before it equals the freshly built pipeline's
+    config = tiny_experiment(tmp_path, method="orca", bidir_method=bidir_method, epochs=0)
+    rec = run_one(config, seed=0)
+    made = [experiments._make_pipeline(config, None, 0, role) for role in (0, 1)]
+    if bidir_method == "parallel_flipping":
+        predict = FlipPair(*made).predict
+    else:
+        p = made[0]
+        predict = lambda x: predict_sequence(p.model, p.embedder, p.predictor, x).data
+    test = load_dataset(config.dataset_file).test  # 2 frames: one evaluation batch
+    with T.no_grad():
+        assert rec.initial_test_nrmse == mean_nrmse(predict(test.inputs), test.targets)
+    assert rec.test_nrmse != rec.initial_test_nrmse
+
+
+def test_parallel_flipping_record_is_scored_through_flip_pair(tmp_path, monkeypatch):
+    # batch 1 over 2 test frames: two calls before adaptation, two after
+    outputs, predict = [], FlipPair.predict
+
+    def counted(self, x):
+        outputs.append(predict(self, x))
+        return outputs[-1]
+
+    monkeypatch.setattr(FlipPair, "predict", counted)
+    config = tiny_experiment(tmp_path, bidir_method="parallel_flipping", batch_size=1)
+    rec = run_one(config, seed=0)
+    assert len(outputs) == 4
+    test = load_dataset(config.dataset_file).test
+    assert rec.test_nrmse == mean_nrmse(np.concatenate(outputs[2:]), test.targets)
+    assert rec.initial_test_nrmse == mean_nrmse(np.concatenate(outputs[:2]), test.targets)
 
 
 def test_orca_seeds_of_one_base_model_embed_corpus_once(pretrained_experiment, proxy_forwards):
@@ -271,9 +306,7 @@ def test_parallel_flipping_orca_records_both_pipelines_convergence(tmp_path, mon
 
     def stage1(model, embedder, corpus, dataset, config):
         return adaptation.Stage1Report(trace=[0.5] * config.stage1_steps,
-                                       steps=config.stage1_steps,
-                                       converged_fraction=next(fractions),
-                                       degenerate_labels=False)
+                                       converged_fraction=next(fractions))
 
     monkeypatch.setattr(adaptation, "orca_stage1", stage1)
     config = tiny_experiment(tmp_path, method="orca", bidir_method="parallel_flipping")
@@ -593,6 +626,11 @@ def test_derived_configs_take_every_shared_field():
     # reads out_dir alone
     *(("name", value, ContractError, "name .* must be a non-empty file name")
       for value in ("", "grp/a", "/a")),
+    # JSON's Infinity and 1e400 both load as inf
+    pytest.param("learning_rate", float("inf"), ContractError, "learning_rate",
+                 id="learning_rate-Infinity"),
+    pytest.param("learning_rate", 1e400, ContractError, "learning_rate",
+                 id="learning_rate-1e400"),
 ])
 def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error, match):
     with pytest.raises(error, match=match):

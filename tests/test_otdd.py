@@ -124,12 +124,11 @@ def test_joint_cost_dim_mismatch():
 # -- class moments -------------------------------------------------------------
 
 
-def test_moments_basic_and_degenerate_flag():
+def test_moments_basic_and_one_point_class():
     cloud = make_cloud([[0.0], [2.0], [5.0]], [0, 0, 1])
     mom = compute_class_moments(cloud)
     np.testing.assert_allclose(mom.mean.data[:, 0], [1.0, 5.0], atol=1e-6)
     np.testing.assert_allclose(mom.var.data[0, 0], 1.0, atol=1e-5)
-    assert list(mom.degenerate) == [False, True]
     assert mom.var.data[1, 0] == pytest.approx(1e-6)
 
 
