@@ -5,7 +5,7 @@ experiment runs, aggregation, and the doctor self-check suite.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 import numpy as np
@@ -111,6 +111,8 @@ def _cmd_pretrain(args) -> int:
     if longest > args.max_positions:
         raise LengthError(f"corpus {args.corpus} holds a sequence of {longest} tokens, "
                           f"more than --max-positions {args.max_positions}")
+    # a --out that cannot be written fails before the first step, not after the last
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     model = build_model(config)
     trace = pretrain(model, [t for t, _ in corpus.sequences], steps=args.steps,
                      learning_rate=args.learning_rate, batch_size=args.batch_size,
@@ -183,10 +185,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DataFileError, FileNotFoundError) as exc:
+    except OSError as exc:  # a file that is missing, malformed or cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

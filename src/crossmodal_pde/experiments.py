@@ -165,7 +165,7 @@ class RunRecord:
     seed: int
     family: str
     test_nrmse: float
-    initial_test_nrmse: float
+    initial_test_nrmse: float | None  # null: kept until the benchmark rewrite (ROADMAP 6)
     epoch_losses: dict
     stage1_trace: dict
     optimizer: str
@@ -261,6 +261,8 @@ def _run_one(config: ExperimentConfig, seed: int,
     corpus = load_corpus(config.corpus_file) if config.corpus_file else None
     _check_lengths(config, dataset.grid.n_x, corpus)
     base_model = _base_model(config, base_model)
+    # an out_dir that cannot hold the record fails before training, not after it
+    os.makedirs(config.out_dir, exist_ok=True)
 
     adapt = config.adaptation_config(seed)
     pipeline = _make_pipeline(config, base_model, seed, role=0)
@@ -272,8 +274,6 @@ def _run_one(config: ExperimentConfig, seed: int,
             return predict_sequence(pipeline.model, pipeline.embedder, pipeline.predictor, x,
                                     bidir_method=config.bidir_method).data
 
-    # scored before any adaptation step, and again after every one
-    initial, _ = evaluate_nrmse(predict, dataset.test, config.batch_size)
     if config.bidir_method == PARALLEL_FLIPPING:
         rep_f, rep_r = parallel_flipping_train(pair, dataset, adapt, corpus=corpus)
         reports = {"forward": rep_f, "reversed": rep_r}
@@ -297,7 +297,7 @@ def _run_one(config: ExperimentConfig, seed: int,
         seed=seed,
         family=dataset.family,
         test_nrmse=final,
-        initial_test_nrmse=initial,
+        initial_test_nrmse=None,
         epoch_losses=epoch_losses,
         stage1_trace={name: s.trace for name, s in stage1.items()},
         optimizer=rep_f.train.optimizer,
@@ -371,8 +371,9 @@ def unscored(record: dict) -> bool:
 def load_records(records_dir) -> list[dict]:
     """Every ``*.json`` run record in the directory; a file that is not a
     record of this schema (not JSON, lacking a field ``aggregate`` reads, a
-    non-numeric ``test_nrmse`` or ``wallclock_s``, or a list or object where
-    ``aggregate`` groups by a scalar) raises ``DataFileError`` naming it.
+    non-numeric ``test_nrmse`` or ``wallclock_s``, a non-boolean ``aborted``,
+    or a list or object where ``aggregate`` groups by a scalar) raises
+    ``DataFileError`` naming it.
     Records that are ``unscored`` raise ``ContractError`` naming each file."""
     if not os.path.isdir(records_dir):
         raise DataFileError(f"records directory not found: {records_dir}")
@@ -403,6 +404,9 @@ def load_records(records_dir) -> list[dict]:
             if isinstance(rec[k], bool) or not isinstance(rec[k], (int, float)):
                 raise DataFileError(f"{path} is not a run record: {k} is {rec[k]!r}, "
                                     f"not a number")
+        if not isinstance(rec.get("aborted", False), bool):
+            raise DataFileError(f"{path} is not a run record: aborted is "
+                                f"{rec['aborted']!r}, not a boolean")
         scalars = [("family", rec["family"]), *((k, cfg[k]) for k in _GROUP_COLUMNS if k in cfg)]
         for k, v in scalars:
             if isinstance(v, (list, dict)):

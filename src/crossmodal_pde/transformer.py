@@ -336,13 +336,12 @@ def load_checkpoint(path) -> TransformerModel:
     if header.get("kind") != "model_checkpoint":
         raise DataFileError(f"{path} is not a model checkpoint")
     with file_errors(path, "model checkpoint"):
-        model = build_model(ModelConfig.from_dict(header["config"]))
-        pretrained = bool(header["pretrained"])
-        for name, p in model.params.items():
+        model = TransformerModel(config=ModelConfig.from_dict(header["config"]),
+                                 pretrained=bool(header["pretrained"]))
+        for name, shape in _param_shapes(model.config):
             block = typed_block(path, blocks, name, np.float32)
-            if block.shape != p.data.shape:
+            if block.shape != shape:
                 raise DataFileError(f"model checkpoint {path} holds {name!r} of shape "
-                                    f"{list(block.shape)}, not {list(p.data.shape)}")
-            p.data = block.astype(np.float32, copy=False)
-    model.pretrained = pretrained
+                                    f"{list(block.shape)}, not {list(shape)}")
+            model.params[name] = Tensor(block, requires_grad=True)
     return model

@@ -417,8 +417,9 @@ _GROUPS = {"arch": "decoder_only", "d_model": 8, "n_layers": 1, "pretrained": Fa
     ("test_nrmse", None), ("test_nrmse", "0.5"), ("test_nrmse", True),
     ("wallclock_s", "1"), ("wallclock_s", None),
     ("arch", ["x"]), ("pretrained", {"a": 1}), ("family", ["advection"]),
+    ("aborted", "false"), ("aborted", 0),
 ], ids=["nrmse_null", "nrmse_string", "nrmse_bool", "wallclock_string", "wallclock_null",
-        "arch_list", "pretrained_object", "family_list"])
+        "arch_list", "pretrained_object", "family_list", "aborted_string", "aborted_int"])
 def test_table_bad_record_value_is_data_error(tmp_path, capsys, key, value):
     rec = {"schema_version": 1, "config": dict(_GROUPS), "family": "advection",
            "test_nrmse": 0.5, "wallclock_s": 1.0}
@@ -453,6 +454,47 @@ def test_table_refuses_aborted_and_non_finite_records(tmp_path, capsys):
     assert "aborted.json" in err and "nan.json" in err and "good.json" not in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "corpus", "pretrain", "run", "table"])
+def test_output_path_under_a_file_is_data_error(tmp_path, capsys, monkeypatch, command):
+    # each writing command exits 2 naming the file in the way, before any
+    # pretraining step or fine-tune job has run
+    data, corpus = str(tmp_path / "adv.bin"), str(tmp_path / "corpus.bin")
+    assert cli_main(["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                     "--out", data, "--n-x", "16"]) == 0
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
+    records = tmp_path / "records"
+    records.mkdir()
+    (records / "r.json").write_text(json.dumps({
+        "schema_version": 1, "config": dict(_GROUPS), "family": "advection",
+        "test_nrmse": 0.5, "wallclock_s": 1.0}))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker / "x.bin")
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"name": "blocked", "dataset_file": data,
+                                       "out_dir": str(blocker), "method": "fpt",
+                                       "d_model": 16, "n_layers": 1, "d_ff": 32}))
+    argv = {"gen": ["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                    "--n-x", "16", "--out", out],
+            "corpus": ["corpus", "--n-sequences", "4", "--out", out],
+            "pretrain": ["pretrain", "--arch", "decoder_only", "--corpus", corpus, "--out", out],
+            "run": ["run", "--config", str(config_path)],
+            "table": ["table", "--records", str(records), "--out", out]}[command]
+    trained = []
+
+    def train(*args, **kwargs):
+        trained.append(args)
+        raise AssertionError("a job trained")
+
+    monkeypatch.setattr(transformer, "pretrain_step", train)
+    monkeypatch.setattr(experiments, "run_adaptation", train)
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err and "Traceback" not in err
+    assert not trained and blocker.read_text() == ""
 
 
 def test_run_names_its_aborted_seeds_and_prints_no_mean(tmp_path, capsys, monkeypatch):

@@ -213,35 +213,40 @@ def test_record_nrmse_equals_fresh_predictions(tmp_path, monkeypatch, bidir_meth
                                             for q, y in zip(preds, test.targets)]))
 
 
+@pytest.mark.parametrize("method", ["fpt", "orca"])
 @pytest.mark.parametrize("bidir_method", ["none", "sequence_doubling", "parallel_flipping"])
-def test_initial_nrmse_scores_the_same_predictor_as_test_nrmse(tmp_path, bidir_method):
-    # with no training step the initial and final predictors are one and the
-    # same; for Parallel Flipping that is both pipelines' combined halves
-    config = tiny_experiment(tmp_path, bidir_method=bidir_method, epochs=0)
-    rec = run_one(config, seed=0)
-    assert rec.initial_test_nrmse == rec.test_nrmse
+def test_run_one_evaluates_once_after_adaptation(tmp_path, monkeypatch, method, bidir_method):
+    calls, trained, evaluate = [], [], experiments.evaluate_nrmse
+
+    def counted(*args, **kwargs):
+        calls.append(len(trained))  # the reports run_adaptation returned so far
+        return evaluate(*args, **kwargs)
+
+    def adapt(run):
+        def wrapped(*args, **kwargs):
+            trained.append(run(*args, **kwargs))
+            return trained[-1]
+        return wrapped
+
+    monkeypatch.setattr(experiments, "evaluate_nrmse", counted)
+    monkeypatch.setattr(experiments, "run_adaptation", adapt(experiments.run_adaptation))
+    monkeypatch.setattr(experiments, "parallel_flipping_train",
+                        adapt(experiments.parallel_flipping_train))
+    run_one(tiny_experiment(tmp_path, method=method, bidir_method=bidir_method), seed=0)
+    assert calls == [1]
 
 
-@pytest.mark.parametrize("bidir_method", ["none", "parallel_flipping"])
-def test_orca_initial_nrmse_scores_the_pipeline_before_stage1(tmp_path, bidir_method):
-    # stage 1 moves the embedder even with no fine-tune epoch, so only a score
-    # taken before it equals the freshly built pipeline's
-    config = tiny_experiment(tmp_path, method="orca", bidir_method=bidir_method, epochs=0)
+def test_record_file_holds_a_null_initial_nrmse(tmp_path):
+    config = tiny_experiment(tmp_path)
     rec = run_one(config, seed=0)
-    made = [experiments._make_pipeline(config, None, 0, role) for role in (0, 1)]
-    if bidir_method == "parallel_flipping":
-        predict = FlipPair(*made).predict
-    else:
-        p = made[0]
-        predict = lambda x: predict_sequence(p.model, p.embedder, p.predictor, x).data
-    test = load_dataset(config.dataset_file).test  # 2 frames: one evaluation batch
-    with T.no_grad():
-        assert rec.initial_test_nrmse == mean_nrmse(predict(test.inputs), test.targets)
-    assert rec.test_nrmse != rec.initial_test_nrmse
+    with open(record_path(config, 0)) as fh:
+        loaded = json.load(fh)
+    assert "initial_test_nrmse" in loaded and loaded["initial_test_nrmse"] is None
+    assert RunRecord.from_dict(loaded) == rec
 
 
 def test_parallel_flipping_record_is_scored_through_flip_pair(tmp_path, monkeypatch):
-    # batch 1 over 2 test frames: two calls before adaptation, two after
+    # batch 1 over 2 test frames: two calls, both after adaptation
     outputs, predict = [], FlipPair.predict
 
     def counted(self, x):
@@ -251,10 +256,9 @@ def test_parallel_flipping_record_is_scored_through_flip_pair(tmp_path, monkeypa
     monkeypatch.setattr(FlipPair, "predict", counted)
     config = tiny_experiment(tmp_path, bidir_method="parallel_flipping", batch_size=1)
     rec = run_one(config, seed=0)
-    assert len(outputs) == 4
+    assert len(outputs) == 2
     test = load_dataset(config.dataset_file).test
-    assert rec.test_nrmse == mean_nrmse(np.concatenate(outputs[2:]), test.targets)
-    assert rec.initial_test_nrmse == mean_nrmse(np.concatenate(outputs[:2]), test.targets)
+    assert rec.test_nrmse == mean_nrmse(np.concatenate(outputs), test.targets)
 
 
 def test_orca_seeds_of_one_base_model_embed_corpus_once(pretrained_experiment, proxy_forwards):
@@ -551,8 +555,11 @@ _GROUPS = ('"arch": "decoder_only", "d_model": 8, "n_layers": 1, "pretrained": f
     '{"schema_version": 1, "config": {}, "family": "x", "test_nrmse": 0.5, "wallclock_s": 1}',
     '{"schema_version": 1, "config": [1], "family": "x", "test_nrmse": 0.5, "wallclock_s": 1}',
     '{"schema_version": 1, "config": {' + _GROUPS + '}, "family": "x", "test_nrmse": 0.5}',
+    '{"schema_version": 1, "config": {' + _GROUPS + '}, "family": "x", "test_nrmse": 0.5, '
+    '"wallclock_s": 1, "aborted": "false"}',
 ], ids=["missing_fields", "other_schema", "not_an_object", "not_json", "not_utf8",
-        "config_lacks_group_keys", "config_not_an_object", "missing_wallclock"])
+        "config_lacks_group_keys", "config_not_an_object", "missing_wallclock",
+        "aborted_not_a_bool"])
 def test_load_records_rejects_foreign_json(tmp_path, text):
     config = tiny_experiment(tmp_path)
     run_one(config, seed=0)

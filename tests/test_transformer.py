@@ -185,6 +185,26 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
 
 
+@pytest.mark.parametrize("pretrained", [False, True])
+def test_checkpoint_loads_without_drawing_an_init(tmp_path, monkeypatch, pretrained):
+    model = build_model(small_config(seed=21))
+    model.pretrained = pretrained
+    path = tmp_path / "model.ckpt"
+    tf.save_checkpoint(model, path)
+
+    def no_init(config):
+        raise AssertionError("load_checkpoint drew a random init")
+
+    monkeypatch.setattr(tf, "build_model", no_init)
+    loaded = tf.load_checkpoint(path)
+    assert loaded.config == model.config and loaded.pretrained is pretrained
+    assert list(loaded.params) == list(model.params)
+    for name, p in model.params.items():
+        q = loaded.params[name]
+        assert q.requires_grad and q.data.dtype == np.float32
+        assert q.data.tobytes() == p.data.tobytes()
+
+
 def test_checkpoint_header_is_json_line(tmp_path):
     import json
 
