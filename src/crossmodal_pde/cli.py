@@ -14,15 +14,7 @@ from .container import DataFileError
 from .pde_data import FAMILIES, build_dataset, default_grid
 from .proxy_data import gen_corpus, load_corpus, save_corpus
 from .tensor import ContractError
-from .transformer import (
-    DECODER_ONLY,
-    ENCODER_ONLY,
-    LengthError,
-    ModelConfig,
-    build_model,
-    pretrain,
-    save_checkpoint,
-)
+from .transformer import LengthError, build_model, pretrain, save_checkpoint
 
 
 def _at_least(minimum: int):
@@ -56,17 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--vocab-size", type=int, default=64)
     p_corpus.add_argument("--tag-count", type=int, default=9)
 
-    p_pre = sub.add_parser("pretrain", help="pretrain a toy model on a corpus")
-    p_pre.add_argument("--arch", required=True, choices=[ENCODER_ONLY, DECODER_ONLY])
+    p_pre = sub.add_parser("pretrain", help="pretrain the checkpoint an experiment config names")
+    p_pre.add_argument("--config", required=True)
     p_pre.add_argument("--corpus", required=True)
-    p_pre.add_argument("--out", required=True)
     p_pre.add_argument("--steps", type=_at_least(0), default=1500)
     p_pre.add_argument("--seed", type=_at_least(0), default=0)
-    p_pre.add_argument("--d-model", type=int, default=64)
-    p_pre.add_argument("--n-heads", type=int, default=4)
-    p_pre.add_argument("--n-layers", type=int, default=4)
-    p_pre.add_argument("--d-ff", type=int, default=256)
-    p_pre.add_argument("--max-positions", type=int, default=256)
     p_pre.add_argument("--learning-rate", type=float, default=1e-3)
     p_pre.add_argument("--batch-size", type=_at_least(1), default=8)
 
@@ -102,25 +88,31 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
+    from .experiments import ExperimentConfig
+
+    config = ExperimentConfig.from_json_file(args.config)
+    out = config.checkpoint_file
+    if out is None:
+        raise ContractError(f"{args.config} names no checkpoint_file, so it is a random-init "
+                            f"experiment and has no model to pretrain")
     corpus = load_corpus(args.corpus)
-    config = ModelConfig(arch=args.arch, d_model=args.d_model, n_heads=args.n_heads,
-                         n_layers=args.n_layers, d_ff=args.d_ff,
-                         max_positions=args.max_positions,
-                         vocab_size=corpus.vocab_size, seed=args.seed)
+    if corpus.vocab_size != config.vocab_size:
+        raise ContractError(f"corpus {args.corpus} has vocab_size {corpus.vocab_size}, but "
+                            f"{args.config} has vocab_size {config.vocab_size}")
     longest = max(len(t) for t, _ in corpus.sequences)
-    if longest > args.max_positions:
-        raise LengthError(f"corpus {args.corpus} holds a sequence of {longest} tokens, "
-                          f"more than --max-positions {args.max_positions}")
-    # a --out that cannot be written fails before the first step, not after the last
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    model = build_model(config)
+    if longest > config.max_positions:
+        raise LengthError(f"corpus {args.corpus} holds a sequence of {longest} tokens, more "
+                          f"than max_positions {config.max_positions} in {args.config}")
+    # a checkpoint_file that cannot be written fails before the first step, not after the last
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    model = build_model(config.model_config(args.seed))
     trace = pretrain(model, [t for t, _ in corpus.sequences], steps=args.steps,
                      learning_rate=args.learning_rate, batch_size=args.batch_size,
                      seed=args.seed)
-    save_checkpoint(model, args.out)
+    save_checkpoint(model, out)
     loss = (f" (loss {np.mean(trace[:20]):.3f} -> {np.mean(trace[-20:]):.3f})"
             if trace else "")
-    print(f"pretrained {args.arch} for {args.steps} steps{loss}; checkpoint at {args.out}")
+    print(f"pretrained {config.arch} for {args.steps} steps{loss}; checkpoint at {out}")
     return 0
 
 

@@ -9,6 +9,7 @@ records are written atomically and aggregated with 64-bit accumulation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -102,6 +103,9 @@ class ExperimentConfig:
         if self.corpus_file is not None and self.method != ORCA:
             raise ContractError(f"corpus_file {self.corpus_file!r} is ORCA's proxy corpus, "
                                 f"which a {self.method!r} run never reads")
+        if self.corpus_file is None and self.method == ORCA:
+            raise ContractError("an ORCA run needs corpus_file, the corpus its stage 1 "
+                                "embeds as the proxy dataset")
 
     def _shared(self, cls, seed: int):
         """A ``cls`` config from this config's fields of the same names."""
@@ -256,8 +260,6 @@ def _run_one(config: ExperimentConfig, seed: int,
              base_model: TransformerModel | None) -> RunRecord:
     t0 = time.time()
     dataset = load_dataset(config.dataset_file)
-    if config.method == ORCA and not config.corpus_file:
-        raise DataFileError("ORCA runs need corpus_file for the proxy dataset")
     corpus = load_corpus(config.corpus_file) if config.corpus_file else None
     _check_lengths(config, dataset.grid.n_x, corpus)
     base_model = _base_model(config, base_model)
@@ -439,10 +441,11 @@ def aggregate(records: list[dict]) -> list[TableRow]:
 
 
 def table_to_csv(rows: list[TableRow], path) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_COLUMNS)
-        for r in rows:  # a float's cell is its repr
-            writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in astuple(r)])
+    """Write the table atomically: a failed write leaves the old file."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(_COLUMNS)
+    for r in rows:  # a float's cell is its repr
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in astuple(r)])
+    write_atomic(path, [text.getvalue().encode("utf-8")], prefix=".tmp-table-")
 

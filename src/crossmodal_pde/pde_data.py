@@ -447,10 +447,10 @@ def load_dataset(path) -> PdeDataset:
     if family != params.family:
         raise DataFileError(f"pde dataset {path} has family {family!r} but params for "
                             f"{params.family!r}")
-    for name, n in (("n_train", n_train), ("n_test", n_test)):
-        if type(n) is not int or n < 1:  # bool is an int subclass; reject it too
+    for name, n, least in (("n_train", n_train, 1), ("n_test", n_test, 1), ("seed", seed, 0)):
+        if type(n) is not int or n < least:  # bool is an int subclass; reject it too
             raise DataFileError(f"pde dataset {path} has {name} = {n!r}, "
-                                f"not a positive integer")
+                                f"not an integer of at least {least}")
     if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
         raise DataFileError(f"pde dataset {path} has instance_seeds that are not a list "
                             f"of integers")

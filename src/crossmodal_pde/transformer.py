@@ -55,9 +55,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in (ENCODER_ONLY, DECODER_ONLY):
             raise ConfigError(f"unknown arch {self.arch!r}")
+        # type() is int: a bool is an int, and a header's 16.0 compares equal to 16
         for name in ("d_model", "n_heads", "n_layers", "d_ff", "max_positions", "vocab_size"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if type(value) is not int or value <= 0:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"n_heads={self.n_heads} must divide d_model={self.d_model}")
 
@@ -330,14 +334,17 @@ def save_checkpoint(model: TransformerModel, path) -> None:
 
 def load_checkpoint(path) -> TransformerModel:
     """The model a ``save_checkpoint`` file holds; a wrong kind, a missing
-    header key or parameter block, a config ``ModelConfig`` rejects and a
-    block of the wrong shape raise ``DataFileError`` naming the file."""
+    header key or parameter block, a ``pretrained`` that is not a bool, a
+    config ``ModelConfig`` rejects and a block of the wrong shape raise
+    ``DataFileError`` naming the file."""
     header, blocks = read_container(path)
     if header.get("kind") != "model_checkpoint":
         raise DataFileError(f"{path} is not a model checkpoint")
     with file_errors(path, "model checkpoint"):
+        if not isinstance(header["pretrained"], bool):  # bool("false") is True
+            raise TypeError(f"pretrained is {header['pretrained']!r}, not a bool")
         model = TransformerModel(config=ModelConfig.from_dict(header["config"]),
-                                 pretrained=bool(header["pretrained"]))
+                                 pretrained=header["pretrained"])
         for name, shape in _param_shapes(model.config):
             block = typed_block(path, blocks, name, np.float32)
             if block.shape != shape:

@@ -11,6 +11,20 @@ import pytest
 from crossmodal_pde import experiments, transformer
 from crossmodal_pde.cli import _build_parser, cli_main
 from crossmodal_pde.container import read_container, write_container
+from crossmodal_pde.proxy_data import load_corpus
+
+
+def _pretrain_config(tmp_path, **overrides) -> str:
+    """The path of an FPT experiment config whose ``checkpoint_file`` is
+    ``m.ckpt``: the smoke pipeline's small decoder unless ``overrides``
+    says otherwise."""
+    config = {"name": "pre", "dataset_file": str(tmp_path / "adv.bin"),
+              "out_dir": str(tmp_path / "records"), "method": "fpt", "arch": "decoder_only",
+              "d_model": 32, "n_layers": 2, "d_ff": 64, "max_positions": 64,
+              "checkpoint_file": str(tmp_path / "m.ckpt"), **overrides}
+    path = tmp_path / "pre.json"
+    path.write_text(json.dumps(config))
+    return str(path)
 
 
 def test_unknown_subcommand_usage_error(capsys):
@@ -74,10 +88,9 @@ def test_corpus_and_embed_with(tmp_path, capsys):
     corpus_path = str(tmp_path / "corpus.bin")
     assert cli_main(["corpus", "--out", corpus_path, "--seed", "2",
                      "--n-sequences", "20"]) == 0
-    ckpt = str(tmp_path / "model.ckpt")
-    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus_path,
-                     "--out", ckpt, "--steps", "5", "--d-model", "32", "--n-layers", "2",
-                     "--d-ff", "64", "--max-positions", "64"]) == 0
+    ckpt = str(tmp_path / "m.ckpt")
+    assert cli_main(["pretrain", "--config", _pretrain_config(tmp_path), "--corpus", corpus_path,
+                     "--steps", "5"]) == 0
     # an ORCA job embeds the corpus itself; no command writes the embedding
     proxy_path = tmp_path / "proxy.bin"
     assert cli_main(["corpus", "--out", str(proxy_path), "--seed", "2", "--n-sequences", "20",
@@ -113,9 +126,6 @@ def test_full_pipeline_smoke(tmp_path):
     assert cli_main(["gen", "--family", "advection", "--n-train", "6", "--n-test", "2",
                      "--out", data, "--seed", "3", "--n-x", "32"]) == 0
     assert cli_main(["corpus", "--out", corpus, "--seed", "4", "--n-sequences", "30"]) == 0
-    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
-                     "--out", ckpt, "--steps", "10", "--d-model", "32", "--n-layers", "2",
-                     "--d-ff", "64", "--max-positions", "64"]) == 0
 
     config = {
         "name": "smoke",
@@ -138,6 +148,8 @@ def test_full_pipeline_smoke(tmp_path):
     config_path = str(tmp_path / "exp.json")
     with open(config_path, "w") as fh:
         json.dump(config, fh)
+    assert cli_main(["pretrain", "--config", config_path, "--corpus", corpus,
+                     "--steps", "10"]) == 0
     assert cli_main(["run", "--config", config_path]) == 0
     assert cli_main(["table", "--records", records_dir, "--out", csv_path]) == 0
     with open(csv_path) as fh:
@@ -216,6 +228,18 @@ def test_run_pretrained_without_checkpoint_exits_before_reading_data(tmp_path, c
     assert not (tmp_path / "records").exists()
 
 
+def test_run_orca_without_corpus_exits_before_reading_data(tmp_path, capsys):
+    # the dataset does not exist, so a run that read it would exit 2
+    config_path = tmp_path / "exp.json"
+    config_path.write_text(json.dumps({"name": "bad", "dataset_file": str(tmp_path / "none.bin"),
+                                       "out_dir": str(tmp_path / "records"),
+                                       "method": "orca"}))
+    assert cli_main(["run", "--config", str(config_path)]) == 3
+    err = capsys.readouterr().err
+    assert "an ORCA run needs corpus_file" in err and "Traceback" not in err
+    assert not (tmp_path / "records").exists()
+
+
 def test_run_malformed_checkpoint_is_data_error(tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt"
     write_container(ckpt, {"kind": "model_checkpoint", "pretrained": True}, [])
@@ -243,7 +267,7 @@ def _run_on_edited_dataset(tmp_path, edit):
     write_container(data, header, list(blocks.items()))
     config_path = str(tmp_path / "exp.json")
     with open(config_path, "w") as fh:
-        json.dump({"name": "bad-data", "dataset_file": data,
+        json.dump({"name": "bad-data", "dataset_file": data, "method": "fpt",
                    "out_dir": str(tmp_path / "records")}, fh)
     return cli_main(["run", "--config", config_path])
 
@@ -305,21 +329,22 @@ def test_pretrain_count_below_floor_is_usage_error(tmp_path, capsys, flag, value
     corpus = str(tmp_path / "corpus.bin")
     assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
     out = tmp_path / "m.ckpt"
-    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
-                     "--out", str(out), flag, value]) == 2
+    assert cli_main(["pretrain", "--config", _pretrain_config(tmp_path), "--corpus", corpus,
+                     flag, value]) == 2
     err = capsys.readouterr().err
     assert flag in err and f"at least {floor}" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [
-    ["gen", "--family", "advection", "--n-train", "2", "--n-test", "2"],
-    ["corpus", "--n-sequences", "4"],
-    ["pretrain", "--arch", "decoder_only", "--corpus", "corpus.bin"],
-], ids=lambda command: command[0])
+@pytest.mark.parametrize("command", ["gen", "corpus", "pretrain"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
-    out = tmp_path / "out.bin"
-    assert cli_main([*command, "--out", str(out), "--seed", "-1"]) == 2
+    out = tmp_path / "m.ckpt"  # pretrain's checkpoint_file
+    argv = {"gen": ["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
+                    "--out", str(out)],
+            "corpus": ["corpus", "--n-sequences", "4", "--out", str(out)],
+            "pretrain": ["pretrain", "--config", _pretrain_config(tmp_path),
+                         "--corpus", "corpus.bin"]}[command]
+    assert cli_main([*argv, "--seed", "-1"]) == 2
     err = capsys.readouterr().err
     assert "--seed" in err and "at least 0" in err
     assert not out.exists()
@@ -336,8 +361,8 @@ def test_pretrain_on_an_empty_corpus_is_data_error(tmp_path, capsys):
     write_container(corpus, header, list(blocks.items()))
     ckpt = tmp_path / "m.ckpt"
     capsys.readouterr()
-    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
-                     "--out", str(ckpt), "--steps", "2"]) == 2
+    assert cli_main(["pretrain", "--config", _pretrain_config(tmp_path), "--corpus", corpus,
+                     "--steps", "2"]) == 2
     err = capsys.readouterr().err
     assert "corpus.bin holds no sequences" in err and "Traceback" not in err
     assert not ckpt.exists()
@@ -350,11 +375,58 @@ def test_pretrain_checks_the_corpus_length_before_its_first_step(tmp_path, capsy
     assert "-31 tokens" in capsys.readouterr().out
     monkeypatch.setattr(transformer, "pretrain_step", None)  # no step may run
     out = tmp_path / "m.ckpt"
-    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
-                     "--out", str(out), "--max-positions", "16"]) == 3
+    config = _pretrain_config(tmp_path, max_positions=16)
+    assert cli_main(["pretrain", "--config", config, "--corpus", corpus]) == 3
     err = capsys.readouterr().err
-    assert "corpus.bin" in err and "31 tokens" in err and "--max-positions 16" in err
+    assert "corpus.bin" in err and "31 tokens" in err and f"max_positions 16 in {config}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"checkpoint_file": None}, "names no checkpoint_file"),
+    ({"vocab_size": 32}, "vocab_size 64, but {config} has vocab_size 32"),
+], ids=["no_checkpoint_file", "vocab_size"])
+def test_pretrain_checks_its_config_before_its_first_step(tmp_path, capsys, monkeypatch,
+                                                          overrides, message):
+    # a random-init config has nothing to pretrain, and a model of another
+    # vocabulary than the corpus's would fail only when its first run loads it
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--n-sequences", "4"]) == 0
+    config = _pretrain_config(tmp_path, **overrides)
+    before = sorted(os.listdir(tmp_path))
+    monkeypatch.setattr(transformer, "pretrain_step", None)  # no step may run
+    capsys.readouterr()
+    assert cli_main(["pretrain", "--config", config, "--corpus", corpus]) == 3
+    err = capsys.readouterr().err
+    assert config in err and message.format(config=config) in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_pretrain_writes_the_checkpoint_of_the_python_api(tmp_path):
+    # the model the config names, seeded by --seed, pretrained as the
+    # deleted --arch/--d-model/... flags built it: the same file byte for byte
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--seed", "4", "--n-sequences", "30"]) == 0
+    assert cli_main(["pretrain", "--config", _pretrain_config(tmp_path), "--corpus", corpus,
+                     "--steps", "10", "--seed", "3"]) == 0
+    model = transformer.build_model(transformer.ModelConfig(
+        arch="decoder_only", d_model=32, n_heads=4, n_layers=2, d_ff=64, max_positions=64,
+        vocab_size=64, seed=3))
+    transformer.pretrain(model, [t for t, _ in load_corpus(corpus).sequences], steps=10,
+                         learning_rate=1e-3, batch_size=8, seed=3)
+    transformer.save_checkpoint(model, tmp_path / "api.ckpt")
+    assert (tmp_path / "m.ckpt").read_bytes() == (tmp_path / "api.ckpt").read_bytes()
+
+
+def test_pretrain_takes_its_model_from_the_config_alone(capsys):
+    assert cli_main(["pretrain", "-h"]) == 0
+    flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+    assert flags == ["--config", "--corpus", "--steps", "--seed", "--learning-rate",
+                     "--batch-size"]
+    for flag in ("--arch", "--d-model", "--n-heads", "--n-layers", "--d-ff",
+                 "--max-positions", "--out"):
+        assert cli_main(["pretrain", "--config", "c.json", "--corpus", "c.bin", flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lr, message", [("nan", "learning_rate nan is not finite"),
@@ -364,10 +436,10 @@ def test_pretrain_with_a_non_finite_loss_writes_no_checkpoint(tmp_path, capsys, 
     assert cli_main(["corpus", "--out", corpus, "--n-sequences", "8"]) == 0
     capsys.readouterr()
     out = tmp_path / "m.ckpt"
+    config = _pretrain_config(tmp_path, d_model=16, n_layers=1, d_ff=32)
     with np.errstate(over="ignore", invalid="ignore"):  # the weights overflow at 1e30
-        assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
-                         "--out", str(out), "--steps", "3", "--d-model", "16",
-                         "--n-layers", "1", "--d-ff", "32", "--learning-rate", lr]) == 3
+        assert cli_main(["pretrain", "--config", config, "--corpus", corpus,
+                         "--steps", "3", "--learning-rate", lr]) == 3
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -378,9 +450,9 @@ def test_pretrain_prints_a_loss_only_when_a_step_ran(tmp_path, capsys, steps):
     assert cli_main(["corpus", "--out", corpus, "--n-sequences", "8"]) == 0
     capsys.readouterr()
     out = tmp_path / "m.ckpt"
-    assert cli_main(["pretrain", "--arch", "decoder_only", "--corpus", corpus,
-                     "--out", str(out), "--steps", str(steps), "--d-model", "16",
-                     "--n-layers", "1", "--d-ff", "32", "--batch-size", "4"]) == 0
+    config = _pretrain_config(tmp_path, d_model=16, n_layers=1, d_ff=32)
+    assert cli_main(["pretrain", "--config", config, "--corpus", corpus,
+                     "--steps", str(steps), "--batch-size", "4"]) == 0
     printed = capsys.readouterr().out
     assert f"for {steps} steps" in printed and str(out) in printed and out.exists()
     assert "nan" not in printed
@@ -479,7 +551,8 @@ def test_output_path_under_a_file_is_data_error(tmp_path, capsys, monkeypatch, c
     argv = {"gen": ["gen", "--family", "advection", "--n-train", "2", "--n-test", "2",
                     "--n-x", "16", "--out", out],
             "corpus": ["corpus", "--n-sequences", "4", "--out", out],
-            "pretrain": ["pretrain", "--arch", "decoder_only", "--corpus", corpus, "--out", out],
+            "pretrain": ["pretrain", "--corpus", corpus,
+                         "--config", _pretrain_config(tmp_path, checkpoint_file=out)],
             "run": ["run", "--config", str(config_path)],
             "table": ["table", "--records", str(records), "--out", out]}[command]
     trained = []
@@ -526,14 +599,24 @@ def test_run_names_its_aborted_seeds_and_prints_no_mean(tmp_path, capsys, monkey
             for s in (0, 1, 2)] == [False, True, False]
 
 
-def test_readme_cli_block_names_exactly_the_parser_commands():
+def _readme_cli_lines() -> list[str]:
+    """The ``crossmodal-pde ...`` lines of README's CLI block, comments stripped."""
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
-    named = [line.split()[1] for line in block.splitlines()
-             if line.startswith("crossmodal-pde ")]
+    return [line.split("#")[0] for line in block.splitlines()
+            if line.startswith("crossmodal-pde ")]
+
+
+def test_readme_cli_block_names_exactly_the_parser_commands():
+    named = [line.split()[1] for line in _readme_cli_lines()]
     commands = next(a for a in _build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     assert sorted(named) == sorted(commands)
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_block_parses(line):
+    _build_parser().parse_args(line.split()[1:])  # a usage error exits
 
 
 def test_readme_layout_block_names_exactly_the_package_modules():

@@ -132,11 +132,14 @@ LOADERS = {
     ("corpus", lambda h, b: b.pop("tags")),
     ("corpus", lambda h, b: b.update(lengths=np.append(b["lengths"], 5).astype(np.int32))),
     ("corpus", lambda h, b: b.update(tags=np.ascontiguousarray(b["tags"][:, :5]))),
+    # bool("false") is True, and a float size built the model it names
+    ("checkpoint", lambda h, b: h.update(pretrained="false")),
+    ("checkpoint", lambda h, b: h["config"].update(d_model=16.0)),
 ], ids=["checkpoint_kind", "checkpoint_no_config", "config_lacks_d_model",
         "config_heads_do_not_divide", "config_arch_unknown", "config_d_model_string",
         "checkpoint_no_pretrained", "checkpoint_no_lm_head", "checkpoint_pos_emb_short",
         "corpus_kind", "corpus_no_vocab_size", "corpus_no_tags", "corpus_lengths_longer",
-        "corpus_tags_narrower"])
+        "corpus_tags_narrower", "checkpoint_pretrained_string", "config_d_model_float"])
 def test_malformed_file_is_data_file_error(tmp_path, kind, edit):
     save, load = LOADERS[kind]
     path = tmp_path / f"{kind}.bin"

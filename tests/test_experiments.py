@@ -407,9 +407,12 @@ def test_run_one_opens_every_input_its_record_names(tmp_path, monkeypatch, pretr
 
 
 def test_orca_requires_corpus_file(tmp_path):
-    config = tiny_experiment(tmp_path, method="orca", corpus_file=None)
-    with pytest.raises(DataFileError):
-        run_one(config, seed=0)
+    # stage 1 embeds the corpus as its proxy dataset: the config fails when it
+    # loads, before a job reads the dataset
+    with pytest.raises(ContractError, match="an ORCA run needs corpus_file"):
+        tiny_experiment(tmp_path, method="orca", corpus_file=None)
+    with pytest.raises(ContractError, match="an ORCA run needs corpus_file"):
+        ExperimentConfig.from_dict({**_MINIMAL, "method": "orca"})
 
 
 def test_missing_dataset_file_named(tmp_path):
@@ -571,7 +574,7 @@ def test_load_records_rejects_foreign_json(tmp_path, text):
 
 # -- experiment config ----------------------------------------------------------
 
-_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out"}
+_MINIMAL = {"name": "x", "dataset_file": "x.bin", "out_dir": "out", "method": "fpt"}
 
 
 # the fields an experiment holds beside its model's and its adaptation's; a
@@ -678,7 +681,8 @@ def test_fpt_config_naming_a_corpus_is_rejected():
     with pytest.raises(ContractError, match="corpus_file 'c.bin' is ORCA's proxy corpus, "
                                             "which a 'fpt' run never reads"):
         ExperimentConfig.from_dict({**_MINIMAL, "method": "fpt", "corpus_file": "c.bin"})
-    assert ExperimentConfig.from_dict({**_MINIMAL, "corpus_file": "c.bin"}).method == "orca"
+    orca = {k: v for k, v in _MINIMAL.items() if k != "method"}  # the default method
+    assert ExperimentConfig.from_dict({**orca, "corpus_file": "c.bin"}).method == "orca"
 
 
 @pytest.mark.parametrize("d, match", [({"name": "x"}, "missing .*dataset_file, out_dir"),
@@ -736,6 +740,23 @@ def test_table_csv_matches_the_golden_bytes(tmp_path, shape):
     path = tmp_path / "table.csv"
     table_to_csv(aggregate([shape(r) for r in _GOLDEN_RECORDS]), path)
     assert path.read_bytes() == _GOLDEN_CSV
+
+
+@pytest.mark.parametrize("target", ["astuple", "replace"], ids=["row", "rename"])
+def test_a_failed_table_write_leaves_the_old_csv(tmp_path, monkeypatch, target):
+    # a row that fails after the header, or a failed rename, leaves the old
+    # table whole and no temp file beside it
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old table\r\n")
+
+    def fail(*args):
+        raise OSError(f"{target} failed")
+
+    monkeypatch.setattr(experiments if target == "astuple" else os, target, fail)
+    with pytest.raises(OSError, match=f"{target} failed"):
+        table_to_csv(aggregate(_GOLDEN_RECORDS), path)
+    assert os.listdir(tmp_path) == ["table.csv"]
+    assert path.read_bytes() == b"old table\r\n"
 
 
 def test_old_and_new_records_aggregate_into_one_row_each():

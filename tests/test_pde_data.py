@@ -432,12 +432,15 @@ def _rewrite(path, edit):
     lambda h, b: b["frames"].__setitem__((0, 1, 3), np.nan),
     lambda h, b: b["frames"].__setitem__((4, 0, 0), -np.inf),
     lambda h, b: h.update(n_train=h["n_train"] + h["n_test"], n_test=0),
+    lambda h, b: h.update(seed="x"),
+    lambda h, b: h.update(seed=1.5),
 ], ids=["no_grid", "no_instance_seeds", "no_frames_block", "grid_lacks_n_x",
         "grid_dt_solver_zero", "unknown_family", "params_lack_sorption",
         "seeds_shorter_than_frames", "n_test_too_small", "n_train_too_large",
         "frames_2d", "frames_narrower_than_grid", "header_family_unknown",
         "header_family_not_params_family", "n_train_string", "n_test_float",
-        "n_train_bool", "n_train_negative", "nan_target", "inf_input", "n_test_zero"])
+        "n_train_bool", "n_train_negative", "nan_target", "inf_input", "n_test_zero",
+        "seed_string", "seed_float"])
 def test_malformed_dataset_is_data_file_error(tmp_path, edit):
     path = tmp_path / "adv.bin"
     build_dataset(ADVECTION, 3, 2, GridSpec(n_x=16, t_out=0.5), seed=1, out_path=path)
