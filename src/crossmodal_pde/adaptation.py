@@ -119,7 +119,7 @@ class Pipeline:
 
 @dataclass
 class AdaptationConfig:
-    method: str = FPT
+    method: str = ORCA
     bidir_method: str = BIDIR_NONE
     learning_rate: float | None = None  # None: per-optimizer default
     epochs: int = 100
@@ -187,18 +187,17 @@ def frozen_except(model: TransformerModel, trained: list[Tensor]):
 # -- pseudo labels ----------------------------------------------------------
 
 
-def pseudo_label_targets(targets: np.ndarray, bins: int = PSEUDO_LABEL_BINS) -> np.ndarray:
-    """Quantize target values ([n, L] frames) into ``bins`` equal-mass bins fit
-    on them: an [n, L] int64 bin per target token.
+def pseudo_label_targets(targets: np.ndarray) -> np.ndarray:
+    """Quantize target values ([n, L] frames) into ``PSEUDO_LABEL_BINS``
+    equal-mass bins fit on them: an [n, L] int64 bin per target token.
 
     Rank-based, so labels are invariant under strictly monotone transforms of
     the targets.  Constant targets collapse to bin 0.
     """
-    if bins < 2:
-        raise ContractError("need at least 2 bins")
     if np.ptp(targets) == 0.0:
         return np.zeros(targets.shape, dtype=np.int64)
-    edges = np.quantile(targets.astype(np.float64), np.arange(1, bins) / bins)
+    edges = np.quantile(targets.astype(np.float64),
+                        np.arange(1, PSEUDO_LABEL_BINS) / PSEUDO_LABEL_BINS)
     return np.searchsorted(edges, targets.astype(np.float64), side="right").astype(np.int64)
 
 
@@ -332,14 +331,14 @@ def mean_nrmse(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 
 def evaluate_nrmse(predict: Callable[[np.ndarray], np.ndarray], split: FrameSplit,
-                   batch_size: int = 16) -> tuple[float, np.ndarray]:
+                   batch_size: int) -> tuple[float, np.ndarray]:
     """Mean nRMSE over the instances of ``split`` and the [n, L] predictions
     it scored.
 
     ``predict`` maps a batch of input frames [B, L] to its [B, L]
     predictions: one pipeline's ``predict_sequence`` or a ``FlipPair``'s
     ``predict``.  The inputs are predicted as no-grad batches of
-    ``batch_size`` (a fine-tune step's size), not as one batch, so
+    ``batch_size`` (the caller's fine-tune batch size), not as one batch, so
     evaluation holds no more activations than a training step.
     """
     if batch_size < 1:

@@ -68,12 +68,16 @@ def write_container(path, header: dict, blocks: list[tuple[str, np.ndarray]]) ->
 def write_atomic(path, chunks: list[bytes], prefix: str) -> None:
     """Write ``chunks`` to a temp file beside ``path`` whose name starts with
     ``prefix``, then rename it over ``path``: a reader sees the old file or
-    the whole new one, and a failed write leaves no temp file."""
+    the whole new one, and a failed write leaves no temp file.  The file gets
+    the mode a plain ``open`` would give it under the umask, not mkstemp's 0600."""
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=prefix)
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0o077)  # the umask is read only by setting one
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -22,7 +22,6 @@ from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .adaptation import (
-    BIDIR_NONE,
     ORCA,
     PARALLEL_FLIPPING,
     SEQUENCE_DOUBLING,
@@ -70,21 +69,21 @@ class ExperimentConfig:
     name: str
     dataset_file: str
     out_dir: str
-    arch: str = DECODER_ONLY
-    d_model: int = 64
-    n_heads: int = 4
-    n_layers: int = 4
-    d_ff: int = 256
-    max_positions: int = 256
-    vocab_size: int = 64
+    arch: str = DECODER_ONLY  # the other defaults are ModelConfig's and AdaptationConfig's
+    d_model: int = ModelConfig.d_model
+    n_heads: int = ModelConfig.n_heads
+    n_layers: int = ModelConfig.n_layers
+    d_ff: int = ModelConfig.d_ff
+    max_positions: int = ModelConfig.max_positions
+    vocab_size: int = ModelConfig.vocab_size
     checkpoint_file: str | None = None
     corpus_file: str | None = None
-    method: str = ORCA
-    bidir_method: str = BIDIR_NONE
-    learning_rate: float | None = None
-    epochs: int = 100
-    batch_size: int = 16
-    stage1_steps: int = 100
+    method: str = AdaptationConfig.method
+    bidir_method: str = AdaptationConfig.bidir_method
+    learning_rate: float | None = AdaptationConfig.learning_rate
+    epochs: int = AdaptationConfig.epochs
+    batch_size: int = AdaptationConfig.batch_size
+    stage1_steps: int = AdaptationConfig.stage1_steps
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
 
     def __post_init__(self):

@@ -122,12 +122,12 @@ def causal_mask_bit_exact():
             p.data *= 10.0
     x = np.random.default_rng(1).normal(size=(L, 32)).astype(np.float32)
     with T.no_grad():
-        base = forward_hidden(model, Tensor(x)).data
+        base = forward_hidden(model, Tensor(x), lengths=[L]).data
         # the last row, then the first row of the last block
         for row in (L - 1, 2 * T._CAUSAL_BLOCK):
             x2 = x.copy()
             x2[row] += 1.0
-            pert = forward_hidden(model, Tensor(x2)).data
+            pert = forward_hidden(model, Tensor(x2), lengths=[L]).data
             _require(np.array_equal(base[:row], pert[:row]), f"row {row} leaked into earlier rows")
             _require(not np.array_equal(base[row], pert[row]), f"row {row} did not change")
 

@@ -87,32 +87,32 @@ def label_distance_matrix(a: ClassMoments, b: ClassMoments) -> Tensor:
 
 
 def joint_cost_matrix(a: LabeledPointCloud, b: LabeledPointCloud, label_dist: Tensor,
-                      a_classes: np.ndarray | None = None,
-                      b_classes: np.ndarray | None = None) -> Tensor:
+                      a_classes: np.ndarray, b_classes: np.ndarray) -> Tensor:
     """C[i, j] = ||z_i - z'_j||^2 + label_dist[y_i, y'_j].
 
-    ``label_dist`` rows/columns are indexed by class id unless explicit
-    ``a_classes``/``b_classes`` arrays map compacted moment rows to ids.
+    Row r of ``label_dist`` is class ``a_classes[r]`` and column c class
+    ``b_classes[c]``: the sorted class ids of ``ClassMoments.classes``.
     """
     if np.any(label_dist.data < 0):
         raise DomainError("label distances must be nonnegative")
     if a.points.data.shape[1] != b.points.data.shape[1]:
         raise ShapeError("point clouds must share the feature dimension")
     feat = _pairwise_sq_dists(a.points, b.points)
-    ya = a.labels if a_classes is None else np.searchsorted(a_classes, a.labels)
-    yb = b.labels if b_classes is None else np.searchsorted(b_classes, b.labels)
-    lab = T.take_cols(T.take_rows(label_dist, ya), yb)
+    lab = T.take_cols(T.take_rows(label_dist, np.searchsorted(a_classes, a.labels)),
+                      np.searchsorted(b_classes, b.labels))
     return T.add(feat, lab)
 
 
 @dataclass
 class SinkhornParams:
-    """``epsilon=0`` selects the median rule: epsilon is resolved from the
-    cost matrix as 0.05 * median(C) and then held constant, so the cost's
-    gradient is its derivative at that fixed epsilon, not through the median."""
+    """A Sinkhorn solve's entropic ``epsilon``, iteration cap and marginal
+    tolerance; each caller states the first two.  ``epsilon=0`` selects the
+    median rule: epsilon is resolved from the cost matrix as 0.05 * median(C)
+    and then held constant, so the cost's gradient is its derivative at that
+    fixed epsilon, not through the median."""
 
-    epsilon: float = 0.0  # 0: use 0.05 * median cost
-    max_iters: int = 500
+    epsilon: float  # 0: use 0.05 * median cost
+    max_iters: int
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -149,7 +149,7 @@ def _lse(x: np.ndarray, axis: int) -> np.ndarray:
     return (np.log(np.exp(x - xmax).sum(axis=axis, keepdims=True)) + xmax).squeeze(axis)
 
 
-def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResult:
+def sinkhorn(cost: Tensor, params: SinkhornParams) -> SinkhornResult:
     """Entropic OT with uniform marginals, solved by log-domain updates.
 
     The solver loop runs in float64 with epsilon annealed from 0.5 *
@@ -161,8 +161,6 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
     at the fixed point (Luise et al., NeurIPS 2018), see
     ``tensor.transport_cost``.
     """
-    if params is None:
-        params = SinkhornParams()
     if not np.all(np.isfinite(cost.data)):
         raise ContractError("cost matrix must be finite")
     n, m = cost.data.shape
@@ -224,13 +222,13 @@ def sinkhorn(cost: Tensor, params: SinkhornParams | None = None) -> SinkhornResu
 
 
 def otdd_distance(target: LabeledPointCloud, proxy: LabeledPointCloud,
-                  params: SinkhornParams | None = None,
-                  proxy_moments: ClassMoments | None = None) -> SinkhornResult:
+                  params: SinkhornParams, proxy_moments: ClassMoments) -> SinkhornResult:
     """OTDD between a trainable target cloud and a fixed proxy cloud.
 
-    Target class moments are recomputed on every call (they carry gradient);
-    pass precomputed ``proxy_moments`` to reuse the fixed side across calls.
-    The result's ``cost`` is the differentiable training signal; with
+    Target class moments are recomputed on every call (they carry gradient).
+    ``proxy_moments`` are the fixed side's, ``compute_class_moments`` of
+    ``proxy`` or of the larger cloud it is drawn from, computed once by the
+    caller.  The result's ``cost`` is the differentiable training signal; with
     ``epsilon=0`` its gradient treats the median-rule epsilon resolved from
     the cost matrix as a constant (see ``SinkhornParams``).
     """
@@ -239,8 +237,6 @@ def otdd_distance(target: LabeledPointCloud, proxy: LabeledPointCloud,
     if target.points.data.shape[1] != proxy.points.data.shape[1]:
         raise ShapeError("target and proxy feature dimensions differ")
     t_mom = compute_class_moments(target)
-    p_mom = proxy_moments if proxy_moments is not None else compute_class_moments(proxy)
-    label_dist = label_distance_matrix(t_mom, p_mom)
-    cost = joint_cost_matrix(target, proxy, label_dist,
-                             a_classes=t_mom.classes, b_classes=p_mom.classes)
+    label_dist = label_distance_matrix(t_mom, proxy_moments)
+    cost = joint_cost_matrix(target, proxy, label_dist, t_mom.classes, proxy_moments.classes)
     return sinkhorn(cost, params)

@@ -654,18 +654,17 @@ def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Te
     return _make(out, (x,), bwd)
 
 
-def logsumexp_lastdim(x, keepdims: bool = False) -> Tensor:
+def logsumexp_lastdim(x) -> Tensor:
+    """log(sum(exp(x))) over the last dim, kept as a size-1 dim: [..., 1]."""
     x = _as_tensor(x)
     zmax = x.data.max(axis=-1, keepdims=True)
     e = np.exp((x.data - zmax).astype(np.float64))
     s = e.sum(axis=-1, keepdims=True)
-    out64 = np.log(s) + zmax
+    out = (np.log(s) + zmax).astype(np.float32)
     soft = (e / s).astype(np.float32)
-    out = out64.astype(np.float32) if keepdims else out64[..., 0].astype(np.float32)
 
     def bwd(g):
-        gg = g if keepdims else g[..., None]
-        return ((x, gg * soft),)
+        return ((x, g * soft),)
 
     return _make(out, (x,), bwd)
 

@@ -46,7 +46,7 @@ class ModelConfig:
     arch: str
     d_model: int = 64
     n_heads: int = 4
-    n_layers: int = 2
+    n_layers: int = 4
     d_ff: int = 256
     max_positions: int = 256
     vocab_size: int = 64
@@ -138,19 +138,19 @@ _ATTN_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "a
 _MLP_PARAMS = ("ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
-def forward_hidden(model: TransformerModel, embedded_input: Tensor,
-                   lengths: np.ndarray | None = None, keep_from: int = 0) -> Tensor:
+def forward_hidden(model: TransformerModel, embedded_input: Tensor, lengths: np.ndarray,
+                   keep_from: int = 0) -> Tensor:
     """Run the block stack on pre-embedded input; returns the last hidden layer.
 
     Each pre-norm layer is two tape nodes, ``T.attention_branch`` (h +
     attention(LN(h))) and ``T.mlp_branch`` (h + MLP(LN(h))), and a final
     layer norm follows the stack.  Attention is causal when the model is
     decoder-only (``causal=True``: row blocks that skip the keys a query
-    cannot see) and bidirectional when it is encoder-only.  The input is one
-    sequence, [L, d_model], or with ``lengths`` a padded batch: B =
-    len(lengths) sequences of Lmax = rows / B rows each, stacked to [B*Lmax,
-    d_model], where sequence b's rows from lengths[b] on are padding (a
-    batch without padding gets no key bias at all).  Padded keys get a -inf
+    cannot see) and bidirectional when it is encoder-only.  The input is a
+    padded batch of B = len(lengths) sequences of Lmax = rows / B rows each,
+    stacked to [B*Lmax, d_model], where sequence b's rows from lengths[b] on
+    are padding (one sequence of L rows is ``lengths=[L]``, and a batch
+    without padding gets no key bias at all).  Padded keys get a -inf
     attention bias and so weight exactly 0.0: a real row does not depend on
     what the (finite) padding holds, and it equals the row its sequence's own
     forward gives up to the order in which BLAS sums the zero terms padding
@@ -177,14 +177,11 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:
         raise T.ShapeError(f"embedded input must be [L, {cfg.d_model}]")
     rows = embedded_input.data.shape[0]
-    if lengths is None:
-        B, L = 1, rows
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        B = len(lengths)
-        if B == 0 or rows % B or lengths.min() < 1 or lengths.max() > rows // B:
-            raise T.ShapeError(f"lengths {lengths.tolist()} do not pad to {rows} rows")
-        L = rows // B
+    lengths = np.asarray(lengths, dtype=np.int64)
+    B = len(lengths)
+    if B == 0 or rows % B or lengths.min() < 1 or lengths.max() > rows // B:
+        raise T.ShapeError(f"lengths {lengths.tolist()} do not pad to {rows} rows")
+    L = rows // B
     if L > cfg.max_positions:
         raise LengthError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
     if not 0 <= keep_from < L:
@@ -194,7 +191,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor,
     # decoder padding follows the real rows, so the causal mask hides it from them too
     causal = cfg.arch == DECODER_ONLY
     key_bias = None
-    if not causal and lengths is not None and lengths.min() < L:
+    if not causal and lengths.min() < L:
         key_bias = np.where(np.arange(L) < lengths[:, None], np.float32(0.0),
                             np.float32(-np.inf))[:, None, None, :]
 
@@ -235,21 +232,20 @@ MASK_TOKEN = 1  # the id MLM puts in place of the tokens it hides
 
 
 def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
-                  rng: np.random.Generator | None = None,
-                  mask_rate: float = MLM_MASK_RATE) -> float:
+                  rng: np.random.Generator) -> float:
     """Forward+backward one batch of token sequences; returns the mean loss in nats.
 
     The objective is the arch's: next-token prediction for a decoder-only
-    model, MLM (each sequence's ``mask_rate`` share of tokens replaced by
-    ``MASK_TOKEN``) for an encoder-only one.  The batch runs as one tape: the
-    sequences that have targets are padded to the longest of them and go
-    through one ``forward_hidden``.  MLM draws each sequence's masked
-    positions from ``rng`` in batch order.  Gradients accumulate into the
-    model parameters; the caller zeroes and steps.
+    model, MLM (round(``MLM_MASK_RATE`` * length) of each sequence's tokens
+    replaced by ``MASK_TOKEN``) for an encoder-only one.  A sequence without
+    targets (one token for a decoder, none masked for an encoder) is
+    skipped.  The batch runs as one tape: the sequences that have targets
+    are padded to the longest of them and go through one ``forward_hidden``.
+    MLM draws each sequence's masked positions from ``rng`` in batch order.
+    Gradients accumulate into the model parameters; the caller zeroes and
+    steps.
     """
     next_token = model.config.arch == DECODER_ONLY
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     inputs, predict_pos, target_ids = [], [], []
     for ids in batch:
@@ -261,7 +257,7 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
             predict_pos.append(np.arange(len(ids) - 1))
             target_ids.append(ids[1:])
         else:
-            n_mask = int(round(mask_rate * len(ids)))
+            n_mask = int(round(MLM_MASK_RATE * len(ids)))
             if n_mask == 0:
                 continue
             pos = rng.choice(len(ids), size=n_mask, replace=False)
@@ -279,7 +275,7 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
     rows = np.concatenate([b * L + pos for b, pos in enumerate(predict_pos)])
     targets = np.concatenate(target_ids)
     logits = lm_logits(model, T.take_rows(hidden, rows))
-    logp = T.sub(logits, T.logsumexp_lastdim(logits, keepdims=True))
+    logp = T.sub(logits, T.logsumexp_lastdim(logits))
     mean_loss = T.div(T.neg(T.tsum(T.gather_lastdim(logp, targets))), float(len(targets)))
     mean_loss.backward()
     return mean_loss.item()

@@ -56,7 +56,7 @@ def _uniform_targets(n=40, L=64, seed=0):
 
 def test_pseudo_labels_uniform_deciles():
     targets = _uniform_targets(n=60, L=64)
-    labels = pseudo_label_targets(targets, bins=10)
+    labels = pseudo_label_targets(targets)
     # bin k holds the targets up to its upper decile edge (k + 1) / 10
     tops = [targets[labels == k].max() for k in range(9)]
     assert np.abs(np.array(tops) - np.arange(1, 10) / 10).max() < 0.02
@@ -65,14 +65,14 @@ def test_pseudo_labels_uniform_deciles():
 
 
 def test_pseudo_labels_constant_degenerate():
-    labels = pseudo_label_targets(np.full((1, 16), 2.5, dtype=np.float32), bins=10)
+    labels = pseudo_label_targets(np.full((1, 16), 2.5, dtype=np.float32))
     assert labels.shape == (1, 16) and (labels == 0).all()
 
 
 def test_pseudo_labels_monotone_invariant():
     targets = _uniform_targets(n=20, L=32, seed=3)
-    np.testing.assert_array_equal(pseudo_label_targets(targets, bins=8),
-                                  pseudo_label_targets(2.0 * targets + 1.0, bins=8))
+    np.testing.assert_array_equal(pseudo_label_targets(targets),
+                                  pseudo_label_targets(2.0 * targets + 1.0))
 
 
 # -- predict_sequence -----------------------------------------------------------
@@ -135,13 +135,14 @@ def test_causal_prediction_ignores_future():
 
 
 def test_optimizer_family_mapping():
-    cfg = AdaptationConfig()
+    cfg = AdaptationConfig(method="fpt")
     assert cfg.resolve_optimizer("advection") == ("adam", 1e-3)
     assert cfg.resolve_optimizer("diffusion_reaction") == ("sgd", 1e-2)
     assert cfg.resolve_optimizer("diffusion_sorption") == ("adamw", 1e-3)
     assert cfg.resolve_optimizer("burgers_ns") == ("adamw", 1e-3)
     # a learning rate replaces the default rate, never the family's optimizer
-    assert AdaptationConfig(learning_rate=0.5).resolve_optimizer("advection") == ("adam", 0.5)
+    cfg = AdaptationConfig(method="fpt", learning_rate=0.5)
+    assert cfg.resolve_optimizer("advection") == ("adam", 0.5)
 
 
 # -- ORCA stage 1 -------------------------------------------------------------------
@@ -235,7 +236,7 @@ def test_finetune_fpt_freeze_audit():
     before = snapshot(model.params)
     stale = model.params["layer0.mlp.w1"]
     stale.grad = np.ones_like(stale.data)  # as an earlier phase would leave it
-    config = AdaptationConfig(epochs=10, batch_size=4, seed=0)
+    config = AdaptationConfig(method="fpt", epochs=10, batch_size=4, seed=0)
     finetune(model, emb, pred, dataset, config)
     frozen = _fpt_frozen_names(model)
     assert_bitwise_equal(before, snapshot(model.params), frozen)
@@ -249,7 +250,7 @@ def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
     model = make_model()
     dataset = identity_dataset(n_train=4, n_test=2)
     dataset.train.inputs[2, 5] = np.nan
-    config = AdaptationConfig(epochs=2, batch_size=4, seed=0)
+    config = AdaptationConfig(method="fpt", epochs=2, batch_size=4, seed=0)
     report = finetune(model, Embedder.create(32, seed=0), Predictor.create(32, seed=1),
                       dataset, config)
     assert report.aborted and report.epoch_losses == []
@@ -259,7 +260,7 @@ def test_finetune_fpt_freeze_audit_on_nonfinite_abort():
 def test_finetune_fpt_freeze_audit_when_a_step_raises(monkeypatch):
     model = make_model()
     dataset = identity_dataset(n_train=4, n_test=2)
-    config = AdaptationConfig(epochs=2, batch_size=4, seed=0)
+    config = AdaptationConfig(method="fpt", epochs=2, batch_size=4, seed=0)
 
     def fail(state, params):
         raise RuntimeError("optimizer failed")
@@ -278,7 +279,7 @@ def test_finetune_identity_task_converges():
     dataset = identity_dataset(n_train=16, n_test=4, n_x=64)
     config = AdaptationConfig(method=ORCA, epochs=50, batch_size=8, seed=1)
     report = finetune(model, emb, pred, dataset, config)
-    train_nrmse, _ = evaluate_nrmse(predictor_of(model, emb, pred), dataset.train)
+    train_nrmse, _ = evaluate_nrmse(predictor_of(model, emb, pred), dataset.train, 16)
     assert train_nrmse < 0.05, f"train nRMSE {train_nrmse:.4f}"
     assert not report.aborted
 
@@ -304,9 +305,9 @@ def _oracle_predict(model, emb, pred, frame, bidir_method="none"):
     ``take_rows`` of the second half's rows; returns [1, L]."""
     L = frame.shape[0]
     if bidir_method == "none":
-        return pred(forward_hidden(model, emb(frame)))
+        return pred(forward_hidden(model, emb(frame), lengths=[L]))
     doubled = np.concatenate([frame, frame], axis=0)
-    hidden = forward_hidden(model, emb(doubled))
+    hidden = forward_hidden(model, emb(doubled), lengths=[2 * L])
     return pred(T.take_rows(hidden, np.arange(L, 2 * L)))
 
 
@@ -438,7 +439,7 @@ def test_finetune_step_is_one_forward_and_one_backward(monkeypatch):
     monkeypatch.setattr(ad, "forward_hidden", counted_forward)
     monkeypatch.setattr(Tensor, "backward", counted_backward)
     dataset = identity_dataset(n_train=8, n_test=3)
-    config = AdaptationConfig(epochs=1, batch_size=8, seed=0)
+    config = AdaptationConfig(method="fpt", epochs=1, batch_size=8, seed=0)
     finetune(make_model(), Embedder.create(32, seed=0), Predictor.create(32, seed=1),
              dataset, config)
     # one training step and nothing else: run_one scores the test split

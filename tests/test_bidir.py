@@ -189,7 +189,7 @@ def test_doubling_noop_when_positions_zeroed_bidirectional():
     x = rng.normal(size=(16, 1)).astype(np.float32)
     doubled = np.concatenate([x, x], axis=0)
     with T.no_grad():
-        hidden = forward_hidden(model, emb(doubled)).data
+        hidden = forward_hidden(model, emb(doubled), lengths=[32]).data
     np.testing.assert_allclose(hidden[16:], hidden[:16], atol=1e-6)
 
 
@@ -202,8 +202,8 @@ def test_doubling_first_copy_matches_plain_causal_forward():
     x = rng.normal(size=(20, 1)).astype(np.float32)
     doubled = np.concatenate([x, x], axis=0)
     with T.no_grad():
-        full = forward_hidden(model, emb(doubled)).data
-        plain = forward_hidden(model, emb(x)).data
+        full = forward_hidden(model, emb(doubled), lengths=[40]).data
+        plain = forward_hidden(model, emb(x), lengths=[20]).data
     np.testing.assert_allclose(full[:20], plain, atol=1e-5)
 
 
@@ -273,7 +273,7 @@ def test_flipped_advection_equivalent_to_negated_beta():
         p = Pipeline.create(make_model(seed=50 + seed), seed=60 + seed)
         finetune(p.model, p.embedder, p.predictor, data, cfg)
         return evaluate_nrmse(lambda x: predict_sequence(p.model, p.embedder, p.predictor,
-                                                         x).data, data.test)[0]
+                                                         x).data, data.test, 16)[0]
 
     scores_flip, scores_neg = [], []
     for seed in (0, 1, 2):

@@ -177,7 +177,7 @@ def test_no_grad_causal_attention_peaks_below_one_score_array():
     """Off the tape each row block's scores are scratch, so a causal forward
     at L=256 never holds a [B, 4, L, L] float32 array."""
     B, L = 4, 256
-    model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY))
+    model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY, n_layers=2))
     attn = [model.params["layer0." + n] for n in tf._ATTN_PARAMS]
     x = Tensor(np.random.default_rng(0).normal(size=(B * L, 64)).astype(np.float32))
     tracemalloc.start()

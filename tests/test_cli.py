@@ -459,6 +459,20 @@ def test_pretrain_prints_a_loss_only_when_a_step_ran(tmp_path, capsys, steps):
     assert ("(loss " in printed) == (steps > 0)
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["no_record", "missing_dir"])
+def test_table_without_records_is_data_error(tmp_path, capsys, exists):
+    records = tmp_path / "records"
+    if exists:  # a directory that holds no *.json file
+        records.mkdir()
+        (records / "notes.txt").write_text("not a record")
+    out = tmp_path / "t.csv"
+    assert cli_main(["table", "--records", str(records), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    want = "no run records found in" if exists else "records directory not found:"
+    assert f"{want} {records}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_table_foreign_record_is_usage_error(tmp_path, capsys):
     records = tmp_path / "records"
     records.mkdir()

@@ -39,14 +39,16 @@ def _blocks():
     ]
 
 
-def _rewrite(path, edit_manifest=None, extra=b""):
-    """Rewrite a container's header line with an edited manifest, then append ``extra``."""
+def _rewrite(path, edit_header=None, extra=b""):
+    """Rewrite a container's header line as ``edit_header`` edits it in place,
+    or as the bytes it returns, then append ``extra``."""
     raw = path.read_bytes()
     line, payload = raw.split(b"\n", 1)
     header = json.loads(line)
-    if edit_manifest is not None:
-        edit_manifest(header["blocks"])
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload + extra)
+    new_line = edit_header(header) if edit_header is not None else None
+    if not isinstance(new_line, bytes):
+        new_line = json.dumps(header).encode()
+    path.write_bytes(new_line + b"\n" + payload + extra)
 
 
 @pytest.mark.parametrize("blocks", [
@@ -67,11 +69,11 @@ def test_written_containers_read_back(tmp_path, blocks):
 
 
 def _drop(key):
-    return lambda m: m[1].pop(key)
+    return lambda h: h["blocks"][1].pop(key)
 
 
 def _set(key, value, index=1):
-    return lambda m: m[index].__setitem__(key, value)
+    return lambda h: h["blocks"][index].__setitem__(key, value)
 
 
 @pytest.mark.parametrize("edit, extra, message", [
@@ -86,9 +88,14 @@ def _set(key, value, index=1):
     (_set("offset", 20), b"", "overlap or gap"),
     (_set("offset", 28), b"\0" * 4, "overlap or gap"),
     (None, b"junk", "4 trailing payload bytes"),
+    (lambda h: b'{"blocks": [', b"", "bad container header"),
+    (lambda h: h.__setitem__("blocks", {"a": 0}), b"", "no block manifest"),
+    (_set("dtype", "<f8"), b"", "unknown dtype '<f8'"),
+    (_set("shape", [4]), b"", "truncated payload for block 'b'"),
 ], ids=["missing_name", "missing_dtype", "missing_shape", "missing_offset",
         "float_offset", "negative_offset", "float_dim", "negative_dim",
-        "overlap", "gap", "trailing_bytes"])
+        "overlap", "gap", "trailing_bytes",
+        "header_not_json", "no_manifest", "unknown_dtype", "truncated_payload"])
 def test_bad_manifest_rejected(tmp_path, edit, extra, message):
     path = tmp_path / "c.bin"
     write_container(path, {"kind": "test"}, _blocks())

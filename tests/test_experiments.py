@@ -29,6 +29,7 @@ from crossmodal_pde.experiments import (
     spikiness_diagnostic,
     table_to_csv,
 )
+from crossmodal_pde.otdd import SinkhornParams
 from crossmodal_pde.pde_data import GridSpec, build_dataset, derive_seed, load_dataset
 from crossmodal_pde.proxy_data import gen_corpus, load_corpus, save_corpus
 from crossmodal_pde.tensor import ContractError
@@ -434,6 +435,21 @@ def test_a_failed_record_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert os.listdir(config.out_dir) == []
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # containers, records and the table all go through container.write_atomic,
+    # whose temp file mkstemp creates 0600
+    old = os.umask(umask)
+    try:
+        config = tiny_experiment(tmp_path)  # writes the dataset and corpus containers
+        run_one(config, seed=0)
+        table_to_csv(aggregate(load_records(config.out_dir)), tmp_path / "table.csv")
+    finally:
+        os.umask(old)
+    for path in (config.dataset_file, record_path(config, 0), tmp_path / "table.csv"):
+        assert oct(os.stat(path).st_mode & 0o777) == oct(mode), path
+
+
 def test_run_experiment_multi_seed_stats(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1, 2])
     records = run_experiment(config)
@@ -599,6 +615,21 @@ def test_adaptation_config_holds_one_recipe():
         "seed"}
 
 
+def test_each_shared_default_has_one_value():
+    # a model or recipe default is stated once, in ModelConfig or
+    # AdaptationConfig, and the experiment's field of that name takes it
+    # (ModelConfig.arch has no default); every Sinkhorn caller states its
+    # epsilon and iteration cap
+    experiment = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    shared = {f.name: f.default for cls in (ModelConfig, AdaptationConfig)
+              for f in dataclasses.fields(cls)
+              if f.name in experiment and f.default is not dataclasses.MISSING}
+    assert len(shared) == 12
+    assert [k for k, v in shared.items() if experiment[k] != v] == []
+    sinkhorn = {f.name: f.default for f in dataclasses.fields(SinkhornParams)}
+    assert sinkhorn["epsilon"] is sinkhorn["max_iters"] is dataclasses.MISSING
+
+
 def test_derived_configs_take_every_shared_field():
     config = ExperimentConfig(**_MINIMAL, learning_rate=0.25, stage1_steps=7,
                               vocab_size=32, arch="encoder_only", batch_size=7)
@@ -648,7 +679,7 @@ def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error
 
 
 def test_adaptation_config_accepts_its_floors():
-    AdaptationConfig(epochs=0, stage1_steps=0, batch_size=1, learning_rate=1e-9)
+    AdaptationConfig(method="fpt", epochs=0, stage1_steps=0, batch_size=1, learning_rate=1e-9)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -15,7 +15,7 @@ from crossmodal_pde.otdd import (
     otdd_distance,
     sinkhorn,
 )
-from crossmodal_pde.tensor import ShapeError, Tensor
+from crossmodal_pde.tensor import ContractError, ShapeError, Tensor
 
 
 def make_cloud(points, labels, k=None):
@@ -90,13 +90,13 @@ def test_label_distance_matrix_matches_scalar_form():
 def test_joint_cost_zero_diagonal_on_identical_clouds():
     cloud = make_cloud([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]], [0, 1, 1])
     zero_label = Tensor(np.zeros((2, 2), dtype=np.float32))
-    c = joint_cost_matrix(cloud, cloud, zero_label)
+    c = joint_cost_matrix(cloud, cloud, zero_label, np.arange(2), np.arange(2))
     np.testing.assert_allclose(np.diag(c.data), 0.0, atol=1e-5)
 
 
 def test_joint_cost_two_points():
     a = make_cloud([[0.0], [3.0]], [0, 0], k=1)
-    c = joint_cost_matrix(a, a, Tensor(np.zeros((1, 1), dtype=np.float32)))
+    c = joint_cost_matrix(a, a, Tensor(np.zeros((1, 1), dtype=np.float32)), [0], [0])
     np.testing.assert_allclose(c.data, [[0.0, 9.0], [9.0, 0.0]], atol=1e-5)
 
 
@@ -105,7 +105,8 @@ def test_joint_cost_scalar_loop_oracle():
     a = random_cloud(rng, 5, 3, 2)
     b = random_cloud(rng, 7, 3, 3)
     label_dist = Tensor(rng.uniform(0.0, 2.0, size=(2, 3)).astype(np.float32))
-    got = joint_cost_matrix(a, b, label_dist).data
+    # every class id maps to its own row and column, whether the cloud holds it or not
+    got = joint_cost_matrix(a, b, label_dist, np.arange(2), np.arange(3)).data
     want = np.zeros((5, 7))
     for i in range(5):
         for j in range(7):
@@ -118,7 +119,7 @@ def test_joint_cost_dim_mismatch():
     a = make_cloud(np.zeros((2, 3)), [0, 0], k=1)
     b = make_cloud(np.zeros((2, 4)), [0, 0], k=1)
     with pytest.raises(ShapeError):
-        joint_cost_matrix(a, b, Tensor(np.zeros((1, 1), dtype=np.float32)))
+        joint_cost_matrix(a, b, Tensor(np.zeros((1, 1), dtype=np.float32)), [0], [0])
 
 
 # -- class moments -------------------------------------------------------------
@@ -204,7 +205,8 @@ def test_otdd_self_distance_small():
     centers = rng.normal(scale=3.0, size=(3, 4))
     pts = centers[labels] + rng.normal(scale=0.005, size=(12, 4))
     cloud = make_cloud(pts, labels, 3)
-    res = otdd_distance(cloud, cloud, SinkhornParams(epsilon=0.0, max_iters=3000))
+    res = otdd_distance(cloud, cloud, SinkhornParams(epsilon=0.0, max_iters=3000),
+                        compute_class_moments(cloud))
     assert res.cost.item() < 1e-3
 
 
@@ -224,7 +226,7 @@ def test_otdd_translation_vs_oracle():
     label_term = float(label_dist.data[0, 0])
     assert opt == pytest.approx(float((shift**2).sum()) + label_term, rel=1e-4)
     res = otdd_distance(a, b, SinkhornParams(epsilon=0.01 * float(np.median(cost.data)),
-                                             max_iters=20000, tolerance=1e-8))
+                                             max_iters=20000, tolerance=1e-8), mom_b)
     assert abs(res.cost.item() - opt) <= 0.02 * opt
 
 
@@ -237,14 +239,15 @@ def otdd_grad_rel_error(target_pts: Tensor, labels, proxy: LabeledPointCloud,
     k = int(np.max(labels)) + 1
     target = LabeledPointCloud(points=target_pts, labels=labels, class_count=k)
     value_params = value_params or params
+    proxy_moments = compute_class_moments(proxy)
 
     def value() -> float:
         t = LabeledPointCloud(points=Tensor(target_pts.data), labels=labels, class_count=k)
         with T.no_grad():
-            return otdd_distance(t, proxy, value_params).cost.item()
+            return otdd_distance(t, proxy, value_params, proxy_moments).cost.item()
 
     T.zero_grads([target_pts])
-    otdd_distance(target, proxy, params).cost.backward()
+    otdd_distance(target, proxy, params, proxy_moments).cost.backward()
     analytic = target_pts.grad.astype(np.float64)
     assert np.all(np.isfinite(analytic))
     (fd,) = central_differences(value, [target_pts])
@@ -312,7 +315,7 @@ def test_otdd_gradient_with_exact_zero_plan_blocks():
     labels = np.zeros(4, dtype=int)
     proxy = make_cloud(b, labels, 1)
     params = SinkhornParams(epsilon=0.005, max_iters=20000, tolerance=1e-9)
-    res = otdd_distance(make_cloud(a, labels, 1), proxy, params)
+    res = otdd_distance(make_cloud(a, labels, 1), proxy, params, compute_class_moments(proxy))
     assert res.converged
     plan = res.coupling.data
     assert np.all(plan[:2, 2:] == 0.0) and np.all(plan[2:, :2] == 0.0)
@@ -327,7 +330,8 @@ def test_otdd_epsilon_halving_does_not_inflate_cost():
     b = random_cloud(rng, 12, 3, 2)
     costs = []
     for eps in (0.8, 0.4, 0.2, 0.1):
-        res = otdd_distance(a, b, SinkhornParams(epsilon=eps, max_iters=5000, tolerance=1e-7))
+        res = otdd_distance(a, b, SinkhornParams(epsilon=eps, max_iters=5000, tolerance=1e-7),
+                            compute_class_moments(b))
         assert res.converged
         costs.append(res.cost.item())
     for hi, lo in zip(costs, costs[1:]):
@@ -337,5 +341,53 @@ def test_otdd_epsilon_halving_does_not_inflate_cost():
 def test_otdd_empty_cloud_rejected():
     a = make_cloud(np.zeros((0, 2)), np.zeros(0, dtype=int), k=1)
     b = make_cloud(np.zeros((2, 2)), [0, 0], k=1)
-    with pytest.raises(Exception):
-        otdd_distance(a, b)
+    with pytest.raises(ContractError, match="nonempty"):
+        otdd_distance(a, b, SinkhornParams(epsilon=0.0, max_iters=10), compute_class_moments(b))
+
+
+# -- input contracts -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("points, labels, error, match", [
+    (np.zeros(3), [0, 0, 0], ShapeError, "points must be"),
+    (np.zeros((3, 2)), [0, 0], ShapeError, "one int per point"),
+    (np.zeros((2, 2)), [0, 2], ContractError, "outside"),
+    (np.zeros((2, 2)), [-1, 0], ContractError, "outside"),
+], ids=["points_not_2d", "label_count", "label_too_large", "label_negative"])
+def test_cloud_contract_errors(points, labels, error, match):
+    with pytest.raises(error, match=match):
+        LabeledPointCloud(points=Tensor(points.astype(np.float32)), labels=labels, class_count=2)
+
+
+def test_moments_of_an_empty_cloud_rejected():
+    with pytest.raises(ContractError, match="empty cloud"):
+        compute_class_moments(make_cloud(np.zeros((0, 2)), np.zeros(0, dtype=int), k=1))
+
+
+def test_joint_cost_negative_label_distance_rejected():
+    a = make_cloud(np.zeros((2, 2)), [0, 0], k=1)
+    with pytest.raises(DomainError, match="nonnegative"):
+        joint_cost_matrix(a, a, Tensor(np.full((1, 1), -1.0, dtype=np.float32)), [0], [0])
+
+
+def test_otdd_feature_dim_mismatch():
+    a = make_cloud(np.zeros((2, 3)), [0, 0], k=1)
+    b = make_cloud(np.zeros((2, 4)), [0, 0], k=1)
+    with pytest.raises(ShapeError, match="feature dimensions"):
+        otdd_distance(a, b, SinkhornParams(epsilon=0.0, max_iters=10), compute_class_moments(b))
+
+
+@pytest.mark.parametrize("epsilon, max_iters, match", [
+    (-0.1, 10, "epsilon"), (0.1, 0, "max_iters"),
+], ids=["negative_epsilon", "zero_max_iters"])
+def test_sinkhorn_params_contract(epsilon, max_iters, match):
+    with pytest.raises(ContractError, match=match):
+        SinkhornParams(epsilon=epsilon, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sinkhorn_non_finite_cost_rejected(bad):
+    cost = np.ones((2, 2), dtype=np.float32)
+    cost[0, 1] = bad
+    with pytest.raises(ContractError, match="finite"):
+        sinkhorn(Tensor(cost), SinkhornParams(epsilon=0.1, max_iters=10))

@@ -325,7 +325,7 @@ def solo_forward(model, tokens, pad_to=None):
     ids = np.full(pad_to or len(tokens), PAD_TOKEN, dtype=np.int64)
     ids[: len(tokens)] = tokens
     with T.no_grad():
-        hidden = forward_hidden(model, embed_tokens(model, ids))
+        hidden = forward_hidden(model, embed_tokens(model, ids), lengths=[len(ids)])
     return hidden.data[: len(tokens)]
 
 

@@ -231,8 +231,8 @@ def test_causal_bias_cached_read_only_and_exact_zeros(monkeypatch):
     model = tf.build_model(tf.ModelConfig(arch=tf.DECODER_ONLY, d_model=16, n_heads=2,
                                           n_layers=1, d_ff=32, max_positions=16, seed=1))
     x = Tensor(np.random.default_rng(0).normal(size=(9, 16)).astype(np.float32))
-    tf.forward_hidden(model, x)
-    tf.forward_hidden(model, x)
+    tf.forward_hidden(model, x, lengths=[9])
+    tf.forward_hidden(model, x, lengths=[9])
     (bias1, probs), (bias2, _) = seen
     assert bias1 is bias2
     assert not bias1.flags.writeable

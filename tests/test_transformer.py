@@ -30,7 +30,7 @@ def small_config(arch=DECODER_ONLY, **kw):
 
 def run_hidden(model, x):
     with T.no_grad():
-        return forward_hidden(model, Tensor(x)).data
+        return forward_hidden(model, Tensor(x), lengths=[len(x)]).data
 
 
 def parameter_census(model):
@@ -62,6 +62,13 @@ def test_parameter_census_closed_form():
 def test_heads_must_divide_d_model():
     with pytest.raises(ConfigError):
         ModelConfig(arch=DECODER_ONLY, d_model=64, n_heads=3)
+
+
+@pytest.mark.parametrize("seed", [1.0, "1", True, None], ids=["float", "string", "bool", "none"])
+def test_seed_must_be_an_integer(seed):
+    # a header's 1.0 compares equal to 1, and a bool is an int
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        ModelConfig(arch=DECODER_ONLY, seed=seed)
 
 
 def test_bidirectional_future_perturbation_visible():
@@ -113,13 +120,6 @@ def test_init_loss_near_log_vocab():
         T.zero_grads(list(model.params.values()))
         loss = pretrain_step(model, seqs, rng=np.random.default_rng(0))
         assert abs(loss - np.log(vocab)) < 0.1 * np.log(vocab)
-
-
-def test_mlm_zero_mask_rate_gives_zero_loss():
-    model = build_model(small_config(arch=ENCODER_ONLY))
-    seqs = [np.arange(2, 10)]
-    loss = pretrain_step(model, seqs, rng=np.random.default_rng(0), mask_rate=0.0)
-    assert loss == 0.0
 
 
 def test_next_token_learns_repeating_cycle():
@@ -289,11 +289,9 @@ def test_pretrain_stops_at_the_first_non_finite_loss():
 # -- one padded tape per pretraining step ------------------------------------
 
 
-def _per_sequence_step(model, batch, rng=None, mask_rate=tf.MLM_MASK_RATE):
+def _per_sequence_step(model, batch, rng):
     """``pretrain_step`` as it was before batching, the oracle of the tests
     below: one tape per sequence, the per-sequence losses summed on the tape."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     losses, n_targets = [], 0
     for ids in batch:
         ids = np.asarray(ids, dtype=np.int64)
@@ -302,7 +300,7 @@ def _per_sequence_step(model, batch, rng=None, mask_rate=tf.MLM_MASK_RATE):
                 continue
             pos, inputs, targets = np.arange(len(ids) - 1), ids, ids[1:]
         else:
-            n_mask = int(round(mask_rate * len(ids)))
+            n_mask = int(round(tf.MLM_MASK_RATE * len(ids)))
             if n_mask == 0:
                 continue
             pos = rng.choice(len(ids), size=n_mask, replace=False)
@@ -310,9 +308,9 @@ def _per_sequence_step(model, batch, rng=None, mask_rate=tf.MLM_MASK_RATE):
             inputs = ids.copy()
             inputs[pos] = tf.MASK_TOKEN
             targets = ids[pos]
-        hidden = forward_hidden(model, tf.embed_tokens(model, inputs))
+        hidden = forward_hidden(model, tf.embed_tokens(model, inputs), lengths=[len(inputs)])
         logits = tf.lm_logits(model, T.take_rows(hidden, pos))
-        logp = T.sub(logits, T.logsumexp_lastdim(logits, keepdims=True))
+        logp = T.sub(logits, T.logsumexp_lastdim(logits))
         losses.append(T.neg(T.tsum(T.gather_lastdim(logp, targets))))
         n_targets += len(pos)
     if n_targets == 0:
@@ -446,6 +444,31 @@ def test_pretrain_trace_matches_per_sequence_oracle(arch, monkeypatch):
     monkeypatch.setattr(tf, "pretrain_step", _per_sequence_step)
     want = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
     np.testing.assert_allclose(trace, want, rtol=1e-6, atol=0)
+
+
+@ARCH_OBJECTIVES
+def test_pretrain_step_skips_a_sequence_without_targets(arch):
+    # a decoder predicts no next token of a 1-token sequence, and an encoder
+    # masks round(0.15 * 3) == 0 tokens of a 3-token one: the step skips it
+    # and draws no mask for it, so the batch steps as if it were not there
+    short = np.array([5]) if arch == DECODER_ONLY else np.array([5, 6, 7])
+    assert arch == DECODER_ONLY or round(tf.MLM_MASK_RATE * len(short)) == 0
+    tokens = corpus_tokens(4)
+
+    def step(batch):
+        model = build_model(small_config(arch=arch))
+        loss = pretrain_step(model, batch, rng=np.random.default_rng(1))
+        return loss, {name: p.grad for name, p in model.params.items()}
+
+    loss, grads = step([tokens[0], short, tokens[1], short])
+    want_loss, want_grads = step(tokens[:2])
+    assert loss == want_loss
+    for name, want in want_grads.items():
+        assert (grads[name] is None) == (want is None), name
+        assert want is None or np.array_equal(grads[name], want), name
+    # a batch of such sequences alone has an empty target set
+    loss, grads = step([short, short])
+    assert loss == 0.0 and all(g is None for g in grads.values())
 
 
 def test_zero_pretraining_steps_leave_the_pretrained_flag(tmp_path):
