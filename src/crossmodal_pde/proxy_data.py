@@ -4,8 +4,9 @@ aligns the task embedder to.
 Sequences come from a seeded 3-state Markov grammar: each hidden state prefers
 a disjoint block of tags, and each tag owns a token sub-range, so class-
 conditional token (and embedding) distributions are distinct.  For
-embedding, each batch of sequences is padded to its longest with the pad keys
-masked, and pad positions are excluded from the embedding's point cloud
+embedding, the sequences run in length order, each batch padded to its
+longest with the pad keys masked, and pad positions are excluded from the
+embedding's point cloud, which holds the sequences in corpus order
 (``build_proxy_set``).  Only the corpus is saved to a file, as wide as its
 longest sequence; the cloud is built from the model in the job that uses it.
 """
@@ -125,10 +126,12 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> Labeled
     the model's native mask, its last-hidden vectors at non-pad positions as
     points [N, d_model] (float32) and their tags as labels.
 
-    The corpus runs as padded batches of ``PROXY_CHUNK`` sequences, each
-    padded to its longest sequence with its pad keys masked
-    (``forward_hidden(..., lengths=...)``), so a row is its sequence's own
-    unpadded forward (bitwise at head width 16) under either mask, and a
+    The corpus runs, sorted by length (a stable sort), as padded batches of
+    ``PROXY_CHUNK`` sequences, each padded to its longest sequence with its
+    pad keys masked (``forward_hidden(..., lengths=...)``); each sequence's
+    rows go back to its place in corpus order.  A row is its sequence's own
+    unpadded forward (bitwise at head width 16) under either mask, so the
+    sort changes no bit of the cloud and only cuts the padding, and a
     sequence longer than ``max_positions`` raises ``LengthError`` there.  The
     last cloud built is kept, keyed by the content of the model and the
     corpus, so identical clones of one model share one cloud; its points and
@@ -136,13 +139,18 @@ def build_proxy_set(model: TransformerModel, corpus: SyntheticCorpus) -> Labeled
     key = _proxy_key(model, corpus)
     last = _last_proxy.get("last")
     if last is None or last[0] != key:
-        feats = []
+        lengths = np.array([len(t) for t, _ in corpus.sequences])
+        starts = np.cumsum(lengths) - lengths  # each sequence's first row in the cloud
+        order = np.argsort(lengths, kind="stable")
+        points = np.empty((lengths.sum(), model.config.d_model), np.float32)
         with T.no_grad():
-            for lo in range(0, len(corpus.sequences), PROXY_CHUNK):
-                ids, lengths = pad_batch([t for t, _ in corpus.sequences[lo: lo + PROXY_CHUNK]])
-                hidden = forward_hidden(model, embed_tokens(model, ids.ravel()), lengths=lengths)
-                feats.append(hidden.data[(np.arange(ids.shape[1]) < lengths[:, None]).ravel()])
-        cloud = LabeledPointCloud(points=T.Tensor(np.concatenate(feats)),
+            for lo in range(0, len(order), PROXY_CHUNK):
+                chunk = order[lo: lo + PROXY_CHUNK]
+                ids, n = pad_batch([corpus.sequences[i][0] for i in chunk])
+                hidden = forward_hidden(model, embed_tokens(model, ids.ravel()), lengths=n)
+                rows = np.concatenate([np.arange(s, s + k) for s, k in zip(starts[chunk], n)])
+                points[rows] = hidden.data[(np.arange(ids.shape[1]) < n[:, None]).ravel()]
+        cloud = LabeledPointCloud(points=T.Tensor(points),
                                   labels=np.concatenate([tags for _, tags in corpus.sequences]),
                                   class_count=corpus.tag_count)
         cloud.points.data.flags.writeable = cloud.labels.flags.writeable = False

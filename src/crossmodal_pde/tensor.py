@@ -510,23 +510,63 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bwd)
 
 
-def take_rows(a, idx) -> Tensor:
-    """Gather rows (axis 0) by integer index; backward scatter-adds.
+def _scatter_add_rows(shape: tuple[int, ...], idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, g)`` bit for bit, signed zeros
+    included, without ``np.add.at``: each row is the sum, started from +0.0,
+    of the rows of ``g`` gathered from it, in index order.
 
     Strictly increasing indices cannot repeat, so their scatter is a plain
-    assignment; other indices go through ``np.add.at``.
+    assignment.  A tile of ``arange(L)`` (the position index of a batch)
+    adds its B slices of L rows to the first L rows one slice at a time.
+    Other indices are stably sorted by row, and the k-th row gathered from
+    each target goes into slice k of a zero buffer whose slices are added up
+    one at a time: a partial sum from +0.0 is never -0.0, so the zeros that
+    pad the shorter runs change no bit.  The slices are added in a Python
+    loop because a numpy reduction over them sums pairwise where each slice
+    is one element.
     """
+    acc = np.zeros(shape, g.dtype)
+    flat = idx.ravel()
+    g = g.reshape(flat.size, *shape[1:])
+    if np.all(np.diff(flat) > 0):
+        acc[flat] = g
+        return acc
+    L = int(flat[-1]) + 1
+    if flat.size % L == 0 and np.array_equal(flat.reshape(-1, L), np.broadcast_to(
+            np.arange(L), (flat.size // L, L))):
+        for part in g.reshape(-1, L, *shape[1:]):
+            acc[:L] += part
+        return acc
+    order = np.argsort(flat, kind="stable")
+    ids = flat[order]
+    first = np.empty(flat.size, bool)  # where each run of one row starts
+    first[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    n = len(starts)
+    slot = np.empty_like(order)
+    slot[order] = (np.arange(flat.size) - starts[run]) * n + run
+    buf = np.zeros((int(slot.max()) // n + 1, n, *shape[1:]), g.dtype)
+    buf.reshape(-1, *shape[1:])[slot] = g
+    sums = np.zeros_like(buf[0])
+    for part in buf:
+        sums += part
+    acc[ids[starts]] = sums
+    return acc
+
+
+def take_rows(a, idx) -> Tensor:
+    """Gather rows (axis 0) by integer index; backward scatter-adds, bit for
+    bit as ``np.add.at`` would (``_scatter_add_rows``)."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
+    if idx.size and idx.min() < 0:  # the row a negative index counts back to
+        idx = idx + a.data.shape[0] * (idx < 0)
 
     def bwd(g):
-        acc = np.zeros_like(a.data)
-        if np.all(np.diff(idx.ravel()) > 0):
-            acc[idx] = g
-        else:
-            np.add.at(acc, idx, g)
-        return ((a, acc),)
+        return ((a, _scatter_add_rows(a.data.shape, idx, g)),)
 
     return _make(out, (a,), bwd)
 
@@ -614,11 +654,13 @@ def _softmax_(z: np.ndarray, scale: np.float32, bias: np.ndarray | None) -> np.n
     return z
 
 
-def _softmax_grad(g: np.ndarray, probs: np.ndarray, scale: np.float32) -> np.ndarray:
+def _softmax_grad(g: np.ndarray, probs: np.ndarray, scale: np.float32,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The gradient of ``z`` for the gradient ``g`` of ``probs = _softmax_(z,
-    scale, bias)`` (the backward kernel of ``softmax_lastdim``)."""
+    scale, bias)`` (the backward kernel of ``softmax_lastdim``), written to
+    ``out`` where given; ``out=g`` overwrites ``g``."""
     dot = (g * probs).sum(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    dz = g - dot
+    dz = np.subtract(g, dot, out=out)
     dz *= probs
     dz *= scale
     return dz
@@ -851,10 +893,12 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
     deviations, q and k^T in head layout, v and each block's probabilities;
     it keeps the layer-norm output only if ``wq``, ``wk`` or ``wv`` trains
     and the merged context only if ``wo`` trains.  Backward runs the softmax
-    gradient per block and puts the blocks' probabilities and score
-    gradients into [batch, heads, L, L] buffers, zero where a block or a
-    dropped row skipped them, so that its dv, dq and dk^T products get the
-    one product's operands.  Off the tape each block's scores are scratch.
+    gradient per block, in the buffer of the block's own ``dctx @ v^T``
+    product.  It puts the blocks' probabilities, and then in their place
+    their score gradients, into one [batch, heads, L, L] buffer, zero where
+    a block or a dropped row skipped them, so that its dv, dq and dk^T
+    products get the one product's operands.  Off the tape each block's
+    scores are scratch.
     The layer-norm output's gradient sums its three paths as (q + k) + v,
     the order in which the op chain's backward adds them.
     """
@@ -932,14 +976,19 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
         vt = np.swapaxes(v, -1, -2)
         if single:
             p_all, = probs
-            dscores = _softmax_grad(dctx @ vt, p_all, scale)
+            dscores = dctx @ vt
+            _softmax_grad(dscores, p_all, scale, out=dscores)
+            dv = np.swapaxes(p_all, -1, -2) @ dctx
         else:
-            p_all = np.zeros((B, H, L, L), np.float32)
+            # the blocks' score gradients overwrite their probabilities once dv
+            # is taken; both are zero where the blocks skip
             dscores = np.zeros((B, H, L, L), np.float32)
             for (s, e, n, _), p in zip(blocks, probs):
-                p_all[:, :, s:e, :n] = p
-                dscores[:, :, s:e, :n] = _softmax_grad(dctx[:, :, s:e] @ vt[..., :n], p, scale)
-        dv = np.swapaxes(p_all, -1, -2) @ dctx
+                dscores[:, :, s:e, :n] = p
+            dv = np.swapaxes(dscores, -1, -2) @ dctx
+            for (s, e, n, _), p in zip(blocks, probs):
+                ds = dctx[:, :, s:e] @ vt[..., :n]
+                dscores[:, :, s:e, :n] = _softmax_grad(ds, p, scale, out=ds)
         del dctx
         q_all = q
         if qf:
@@ -947,7 +996,7 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
             q_all[:, :, qf:] = q
         dq = dscores @ np.swapaxes(kt, -1, -2)
         dkt = np.swapaxes(q_all, -1, -2) @ dscores
-        del dscores, q_all, p_all
+        del dscores, q_all
         da = None
         norm_trains = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
         # each path's gradient back in [rows, d] layout, then through its projection

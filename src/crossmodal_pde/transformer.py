@@ -5,11 +5,13 @@ config's arch decides both.
 Forward on a length-L input yields the last hidden layer as an [L, d_model]
 tensor; a batch of B sequences runs as one [B*Lmax, d_model] forward.
 Pretraining and the ORCA proxy build pad each batch to its longest sequence
-(``pad_batch``); fine-tuning and evaluation batch equal-length frames, which
-need no padding.  Each layer puts two nodes on the tape, one per pre-norm
-residual branch: ``tensor.attention_branch``, h + attention(LN(h)), and
-``tensor.mlp_branch``, h + MLP(LN(h)); a final layer norm follows the
-stack.  Decoder attention runs in causal row blocks, and a forward may trim
+(``pad_batch``), and both batch sequences of like length, so that little is
+padding: pretraining draws each batch from one ``length_buckets`` bucket, and
+the proxy build runs the corpus in length order.  Fine-tuning and evaluation
+batch equal-length frames, which need no padding.  Each layer puts two nodes
+on the tape, one per pre-norm residual branch: ``tensor.attention_branch``, h
++ attention(LN(h)), and ``tensor.mlp_branch``, h + MLP(LN(h)); a final layer
+norm follows the stack.  Decoder attention runs in causal row blocks, and a forward may trim
 its last layer to the rows the caller reads (``forward_hidden(keep_from=...)``).
 """
 
@@ -281,26 +283,63 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
     return mean_loss.item()
 
 
+def length_buckets(lengths, batch_size: int) -> list[np.ndarray]:
+    """The corpus indices of each pretraining bucket, in corpus order.
+
+    The distinct lengths, sorted, are cut into consecutive runs that each
+    hold at least ``batch_size`` sequences; a shorter tail joins the run
+    before it, and a corpus of fewer than ``batch_size`` sequences is one
+    bucket (an empty one, none)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    values, counts = np.unique(lengths, return_counts=True)
+    if len(values) == 0:
+        return []
+    ends, held = [], 0  # one past each run's last index into values
+    for i, count in enumerate(counts):
+        held += count
+        if held >= batch_size:
+            ends.append(i + 1)
+            held = 0
+    if held or not ends:
+        ends[-1:] = [len(values)]  # the short tail joins the run before it
+    starts = [0] + ends[:-1]
+    return [np.flatnonzero((lengths >= values[s]) & (lengths <= values[e - 1]))
+            for s, e in zip(starts, ends)]
+
+
 def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
              learning_rate: float = 1e-3, batch_size: int = 8, seed: int = 0) -> list[float]:
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
     (``experiments.run_one``).  The model is marked pretrained once at least
     one step has run; a step needs at least one sequence.  A NaN or infinite
-    loss raises ``NonFiniteLossError`` before its step updates the weights."""
+    loss raises ``NonFiniteLossError`` before its step updates the weights.
+
+    Each step's batch comes from one ``length_buckets`` bucket, so it pads
+    little.  The step draws the bucket with probability proportional to its
+    size (one integer from ``seed``'s stream; none when there is one bucket),
+    then ``batch_size`` of its sequences without replacement.  Each of the N
+    sequences so enters a step with probability ``batch_size / N``, as in a
+    draw from the whole corpus, which is what a one-bucket corpus gets."""
     if batch_size < 1 or steps < 0:
         raise ContractError(f"pretrain needs batch_size >= 1 and steps >= 0, "
                             f"got batch_size={batch_size}, steps={steps}")
     if steps and len(sequences) == 0:
         raise ContractError(f"pretrain needs at least one sequence for its {steps} steps")
     rng = np.random.default_rng(seed)
+    buckets = length_buckets([len(s) for s in sequences], batch_size)
+    bucket_ends = np.cumsum([len(b) for b in buckets])
     opt = T.OptimizerState(kind="adam", learning_rate=learning_rate)
     params = list(model.params.values())
     trace = []
     with T.blas_threads(1):
         for step in range(1, steps + 1):
-            idx = rng.choice(len(sequences), size=min(batch_size, len(sequences)),
-                             replace=False)
+            bucket = buckets[0]
+            if len(buckets) > 1:
+                bucket = buckets[np.searchsorted(bucket_ends, rng.integers(len(sequences)),
+                                                 side="right")]
+            idx = bucket[rng.choice(len(bucket), size=min(batch_size, len(bucket)),
+                                    replace=False)]
             T.zero_grads(params)
             loss = pretrain_step(model, [sequences[i] for i in idx], rng=rng)
             if not np.isfinite(loss):

@@ -523,6 +523,46 @@ def test_take_rows_grad_equals_add_at(idx):
     assert np.array_equal(a.grad, want)
 
 
+def _take_rows_grad_bits(rows, idx, g):
+    a = Tensor(np.zeros((rows, *g.shape[1:]), np.float32), requires_grad=True)
+    T.tsum(T.mul(T.take_rows(a, idx), g)).backward()
+    return a.grad.view(np.uint32)
+
+
+@pytest.mark.parametrize("rows,idx", [
+    (5, [0, 2, 3, 4]), (5, [4, 1, 1, 0]), (5, [1, 1, 1, 1]), (5, [-1, 0, 4, -5, 3]),
+    (5, np.tile(np.arange(4), 3)), (5, [0, 1, 2, 0, 1]), (256, np.tile(np.arange(29), 8)),
+    (16, np.random.default_rng(3).integers(0, 16, 232))],
+    ids=["increasing", "unsorted_repeated", "one_row", "negative", "tiled", "tile_cut_short",
+         "position_index", "token_ids"])
+def test_take_rows_grad_is_add_at_bit_for_bit(rows, idx):
+    # np.add.at starts each row from +0.0, so a row gathered only as -0.0
+    # gets +0.0, where a sum started from its first term would keep -0.0
+    rng = np.random.default_rng(len(idx))
+    g = rng.normal(size=(len(idx), 64)).astype(np.float32)
+    g[:, :16] = -0.0
+    g[rng.random(g.shape) < 0.2] = -0.0
+    g[rng.random(g.shape) < 0.1] = 0.0
+    want = np.zeros((rows, 64), np.float32)
+    np.add.at(want, np.asarray(idx, dtype=np.int64), g)
+    assert np.array_equal(_take_rows_grad_bits(rows, idx, g), want.view(np.uint32))
+    assert not np.signbit(want[:, :16]).any()  # the case the +0.0 start decides
+
+
+@pytest.mark.parametrize("row_shape", [(), (1,)], ids=["vector", "one_column"])
+@pytest.mark.parametrize("idx", [np.full(400, 3), np.zeros(400, np.int64)],
+                         ids=["repeated", "tile_of_one_row"])
+def test_take_rows_grad_adds_one_element_rows_in_order(idx, row_shape):
+    # a numpy reduction over one-element slices sums them pairwise, which
+    # matches the ordered sum on some draws and not on others
+    for seed in range(4):
+        g = np.random.default_rng(seed).normal(size=(len(idx), *row_shape)) * 1e3
+        g = g.astype(np.float32)
+        want = np.zeros((5, *row_shape), np.float32)
+        np.add.at(want, idx, g)
+        assert np.array_equal(_take_rows_grad_bits(5, idx, g), want.view(np.uint32)), seed
+
+
 # -- copy-on-accumulate ----------------------------------------------------
 
 

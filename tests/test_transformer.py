@@ -1,4 +1,5 @@
 import contextlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,7 +330,8 @@ ARCH_OBJECTIVES = pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY],
 
 
 def corpus_tokens(n=40, seed=4):
-    """Token sequences of lengths 8..31, so every batch is padded."""
+    """Token sequences of lengths 8..31.  At 40 sequences every pretraining bucket
+    of a batch of 8 spans several lengths, so its batches are padded."""
     return [t for t, _ in gen_corpus(seed=seed, n_sequences=n, vocab_size=16).sequences]
 
 
@@ -440,6 +442,8 @@ def test_pretrain_step_gradients_match_per_sequence_oracle(arch):
 @pytest.mark.parametrize("arch", [ENCODER_ONLY, DECODER_ONLY])
 def test_pretrain_trace_matches_per_sequence_oracle(arch, monkeypatch):
     tokens = corpus_tokens()
+    buckets = tf.length_buckets([len(t) for t in tokens], 8)
+    assert all(len({len(tokens[i]) for i in b}) > 1 for b in buckets)  # padded batches
     trace = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
     monkeypatch.setattr(tf, "pretrain_step", _per_sequence_step)
     want = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
@@ -482,3 +486,102 @@ def test_zero_pretraining_steps_leave_the_pretrained_flag(tmp_path):
     assert model.pretrained
     pretrain(model, corpus_tokens(8), steps=0)  # a pretrained model stays pretrained
     assert model.pretrained
+
+
+# -- length-bucketed pretraining batches -------------------------------------
+
+
+def recorded_batches(monkeypatch, sequences, steps, batch_size, seed=0):
+    """The corpus indices of the batch of each step ``pretrain`` takes."""
+    where = {id(s): i for i, s in enumerate(sequences)}
+    batches = []
+    monkeypatch.setattr(tf, "pretrain_step", lambda model, batch, rng: batches.append(
+        [where[id(s)] for s in batch]) or 0.0)
+    pretrain(build_model(small_config()), sequences, steps=steps, batch_size=batch_size,
+             seed=seed)
+    return batches
+
+
+def padded_share(sequences, batches):
+    rows = padding = 0
+    for batch in batches:
+        lengths = [len(sequences[i]) for i in batch]
+        rows += len(lengths) * max(lengths)
+        padding += sum(max(lengths) - n for n in lengths)
+    return padding / rows
+
+
+@pytest.mark.parametrize("n_sequences", [250, 2000])
+def test_pretrain_batches_lie_in_one_bucket_and_barely_pad(n_sequences, monkeypatch):
+    # drawn from the whole corpus, a third of a batch's rows were padding
+    tokens = corpus_tokens(n_sequences)
+    batches = recorded_batches(monkeypatch, tokens, steps=200, batch_size=8)
+    bucket_of = {i: k for k, bucket in enumerate(tf.length_buckets(
+        [len(t) for t in tokens], 8)) for i in bucket}
+    for batch in batches:
+        assert len(batch) == len(set(batch)) == 8
+        assert len({bucket_of[i] for i in batch}) == 1, batch
+    assert padded_share(tokens, batches) <= 0.01
+
+
+CORPUS_LENGTHS = {
+    "gen_corpus_250": [len(t) for t in corpus_tokens(250)],
+    "short_tail": [3] * 9 + [4] * 9 + [5] * 2,
+    "each_length_short": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+    "one_length": [6] * 20,
+    "below_a_batch": [9, 3, 3, 12, 5],
+}
+
+
+@pytest.mark.parametrize("lengths", CORPUS_LENGTHS.values(), ids=CORPUS_LENGTHS.keys())
+@pytest.mark.parametrize("batch_size", [1, 4, 8])
+def test_length_buckets_hold_a_batch_each(lengths, batch_size):
+    buckets = tf.length_buckets(lengths, batch_size)
+    lengths = np.array(lengths)
+    assert np.array_equal(np.sort(np.concatenate(buckets)), np.arange(len(lengths)))
+    for bucket in buckets:
+        assert np.all(np.diff(bucket) > 0)  # corpus order
+        assert len(bucket) >= batch_size or (len(buckets) == 1 and len(bucket) == len(lengths))
+    for lo, hi in zip(buckets, buckets[1:]):  # consecutive runs of lengths
+        assert lengths[lo].max() < lengths[hi].min()
+    if len(buckets) > 1:  # a run closes as soon as it holds a batch, a tail aside
+        assert all(np.sum(lengths[b] < lengths[b].max()) < batch_size for b in buckets[:-1])
+    # each sequence enters a step with probability batch_size / N, exactly: a
+    # step draws bucket k with probability n_k / N, then min(batch_size, n_k)
+    # of its n_k sequences
+    N = len(lengths)
+    for bucket in buckets:
+        n_k = len(bucket)
+        p = Fraction(n_k, N) * Fraction(min(batch_size, n_k), n_k)
+        assert p == min(Fraction(batch_size, N), 1)
+
+
+def test_a_corpus_below_a_batch_steps_on_all_of_it_as_before(monkeypatch):
+    # one bucket takes no bucket draw, so the batches are those of a draw
+    # from the whole corpus, stream for stream
+    tokens = corpus_tokens(5)
+    assert len({len(t) for t in tokens}) > 1
+    batches = recorded_batches(monkeypatch, tokens, steps=6, batch_size=8, seed=3)
+    rng = np.random.default_rng(3)
+    assert batches == [rng.choice(5, size=5, replace=False).tolist() for _ in range(6)]
+
+
+@ARCH_OBJECTIVES
+def test_pretrain_steps_over_a_bucket_without_targets(arch, monkeypatch):
+    # a decoder has no target in a 1-token sequence, an encoder none in one of
+    # up to 3 tokens; such sequences fill a bucket of their own, whose steps
+    # pretrain_step skips with a loss over no targets
+    short = [np.array([5])] * 8 if arch == DECODER_ONLY else [np.array([5, 6, 7][:n])
+                                                              for n in (1, 2, 3) * 3]
+    sequences = short + corpus_tokens(16)
+    steps = []
+    step = tf.pretrain_step
+    monkeypatch.setattr(tf, "pretrain_step", lambda model, batch, rng: steps.append(
+        (batch, step(model, batch, rng=rng))) or steps[-1][1])
+    trace = pretrain(build_model(small_config(arch=arch)), sequences, steps=12, batch_size=8,
+                     seed=1)
+    assert trace == [loss for _, loss in steps]
+    without_targets = [all(len(s) <= len(short[-1]) for s in batch) for batch, _ in steps]
+    assert any(without_targets) and not all(without_targets)
+    for skipped, loss in zip(without_targets, trace):
+        assert (loss == 0.0) if skipped else (loss > 0.0)
