@@ -11,7 +11,12 @@ work in float32 throughout:
   in float32, within one float32 ulp of the rounded float64 quotient.
 
 The tape is built per forward pass and freed by ``backward``; there are no
-higher-order gradients.  Besides elementary ops it has a node for each
+higher-order gradients.  It is a graph of nodes (``_Node``), not of tensors:
+each op output that takes a gradient gets a node holding its backward
+closure and its parents' nodes, and each closure keeps only the arrays and
+``requires_grad`` flags its backward reads, never an input ``Tensor``.  So
+an op's input is freed as soon as the caller drops it, unless that backward
+reads it.  Besides elementary ops the tape has a node for each
 residual branch of a pre-norm transformer layer: ``attention_branch``, ``x +
 attention(layer_norm(x))``, and ``mlp_branch``, ``x + mlp(layer_norm(x))``.
 Each runs its op chain's numpy operations in the chain's order (bitwise the
@@ -20,10 +25,11 @@ chain's result and gradients), shares its kernels with ``layer_norm`` and
 backward reads: the layer norm's normalized rows and inverse deviations;
 q, k^T, v and the attention probabilities, or the GELU slope; and the
 layer-norm output, merged context or GELU output only where a weight that
-reads it trains.  One FPT step of the benchmark's model on 4 frames of 128
-points peaks at 11.9 MiB of traced allocations for either arch, against 15.8
-(encoder) and 15.5 MiB (decoder) with separate layer-norm, sub-block and add
-nodes whose MLP kept the pre-activation and its cdf.  Causal attention skips,
+reads it trains.  Neither keeps its input, the residual stream.  One FPT
+step of the benchmark's model on 4 frames of 128 points peaks at 10.4 MiB
+(encoder) and 9.5 MiB (decoder) of traced allocations: 11.9 and 11.1 MiB
+while the tape held each op's input tensors, and 11.9 MiB for either arch
+with separate layer-norm, sub-block and add nodes.  Causal attention skips,
 by row blocks, the keys a query cannot see.
 """
 
@@ -33,6 +39,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,18 +173,43 @@ def no_grad():
         _tape_state.enabled = prev
 
 
+class _Node:
+    """The tape entry of one tensor that takes a gradient.
+
+    An op's output gets a node holding its backward closure and its
+    parents' nodes, None for a parent that takes no gradient; the closure
+    maps the output's gradient to one gradient per parent, None where the
+    parent takes none.  A leaf's node holds a weak reference to its tensor,
+    so ``.grad`` lands there.  The closure captures only the arrays and
+    ``requires_grad`` flags its backward reads, never a parent ``Tensor``,
+    so the tape does not keep an op's inputs alive unless that backward
+    reads them.  ``backward`` frees an interior node (closure None, no
+    parents), and a later backward that reaches it raises.
+    """
+
+    __slots__ = ("backward", "parents", "leaf", "op")
+
+    def __init__(self, backward=None, parents: tuple = (), leaf=None):
+        self.backward = backward
+        self.parents = parents
+        self.leaf = leaf
+        self.op = getattr(backward, "__qualname__", "a leaf")
+
+    def __repr__(self) -> str:
+        return f"the tape node of {self.op.split('.<locals>', 1)[0]}"
+
+
 class Tensor:
     """A dense n-dimensional float32 array, optionally on the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
 
     # -- introspection -------------------------------------------------
 
@@ -200,84 +232,135 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------
 
+    @property
+    def _backward(self):
+        """The backward closure of this op output's node; None for a leaf,
+        off the tape and once ``backward`` has freed the node.  Assigning
+        replaces the closure (the benchmark's tracer wraps it to time
+        backward by op)."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure) -> None:
+        self._node.backward = closure
+
+    @property
+    def _parents(self) -> tuple:
+        """The nodes of this op output's parents (see ``_Node``)."""
+        return () if self._node is None else self._node.parents
+
+    @_parents.setter
+    def _parents(self, nodes: tuple) -> None:
+        self._node.parents = nodes
+
     def backward(self) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from this scalar.
 
-        Leaves are tensors without a backward closure (parameters and
-        inputs); interior nodes only pass their gradient on and keep
-        ``grad`` None.  Repeated calls (on fresh tapes) accumulate into
-        existing ``grad`` buffers.  The tape below this node is freed: each
-        node drops its closure, and so the arrays it saved, as soon as the
-        closure has run, and nodes no gradient reached drop theirs at the end.
+        The walk runs over the tape's nodes (``_Node``), not over tensors,
+        so it needs no op's input ``Tensor`` alive.  Leaves are tensors
+        without a backward closure (parameters and inputs); their nodes
+        hand the gradient to the tensor.  Op outputs only pass their
+        gradient on and keep ``grad`` None.  Repeated calls on fresh tapes
+        accumulate into existing ``grad`` buffers.  The tape below this
+        tensor is freed: each node drops its closure, and so the arrays it
+        saved, as soon as the closure has run, and nodes no gradient reached
+        drop theirs at the end.  A backward that reaches a freed node (a
+        second backward of one loss, or one through an op output an earlier
+        backward freed) raises ``ContractError`` naming it before any
+        gradient is formed: its closure is gone, so the gradient would be
+        silently wrong.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {self.shape}")
-        topo: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        root = _node_of(self)
+        if root is None:
+            return
+        topo: list[_Node] = []
+        seen: set[_Node] = set()
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            if node.backward is None and node.leaf is None:
+                raise ContractError(f"backward() reached {node!r}, which an earlier "
+                                    f"backward() freed; run the forward pass again")
+            seen.add(node)
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
+            for p in node.parents:
+                if p is not None and p not in seen:
                     stack.append((p, False))
 
         # A parent's first gradient is stored as received, so it may be shared
         # (``add`` hands one array to both operands); it is copied only when a
         # second contribution must be added in place (copy-on-accumulate).
-        flowing: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        owned: set[int] = set()
+        flowing: dict[_Node, np.ndarray] = {root: np.ones_like(self.data)}
+        owned: set[_Node] = set()
         for node in reversed(topo):
-            g = flowing.pop(id(node), None)
+            g = flowing.pop(node, None)
             if g is None:
                 continue
-            if node._backward is None:
-                if node.requires_grad:
-                    if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
-            else:
-                for parent, pg in node._backward(g):
-                    if not parent.requires_grad:
-                        continue
-                    key = id(parent)
-                    buf = flowing.get(key)
-                    if buf is None:
-                        # strided and broadcast views are made dense, as a copy would
-                        dense = pg.flags.c_contiguous or pg.flags.f_contiguous
-                        flowing[key] = pg.astype(np.float32, copy=not dense)
-                    elif key in owned:
-                        buf += pg
-                    else:
-                        buf = flowing[key] = buf.copy(order="K")
-                        buf += pg
-                        owned.add(key)
-                # the node's closure has run: free the arrays it saved now
-                node._parents = ()
-                node._backward = None
+            if node.leaf is not None:
+                leaf = node.leaf()
+                if leaf is not None:  # a dead leaf's gradient has no reader
+                    if leaf.grad is None:
+                        leaf.grad = np.zeros_like(leaf.data)
+                    leaf.grad += g
+                continue
+            for parent, pg in zip(node.parents, node.backward(g), strict=True):
+                if pg is None:
+                    continue
+                buf = flowing.get(parent)
+                if buf is None:
+                    # strided and broadcast views are made dense, as a copy would
+                    dense = pg.flags.c_contiguous or pg.flags.f_contiguous
+                    flowing[parent] = pg.astype(np.float32, copy=not dense)
+                elif parent in owned:
+                    buf += pg
+                else:
+                    buf = flowing[parent] = buf.copy(order="K")
+                    buf += pg
+                    owned.add(parent)
+            # the node's closure has run: free the arrays it saved now
+            node.parents = ()
+            node.backward = None
         # free the nodes no gradient reached
         for node in topo:
-            node._parents = ()
-            node._backward = None
+            node.parents = ()
+            node.backward = None
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _node_of(t: Tensor) -> _Node | None:
+    """``t``'s tape node, a leaf's made on first use; None where ``t`` takes
+    no gradient."""
+    if not t.requires_grad:
+        return None
+    if t._node is None:
+        t._node = _Node(leaf=weakref.ref(t))
+    return t._node
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """The op output ``data`` of ``parents``, on the tape with the closure
+    ``backward`` (one gradient or None per parent, see ``_Node``) where
+    some parent takes a gradient and the tape is on."""
     out = Tensor(data)
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._node = _Node(backward, tuple(_node_of(p) for p in parents))
     return out
+
+
+def _grad_shape(t: Tensor) -> tuple[int, ...] | None:
+    """The shape of ``t``'s gradient; None where ``t`` takes none."""
+    return t.data.shape if t.requires_grad else None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -296,72 +379,62 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def bwd(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g, a.data.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(g, b.data.shape)))
-        return grads
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
-    return _make(out, (a, b), bwd)
+    return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
 
     def bwd(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g, a.data.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(-g, b.data.shape)))
-        return grads
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(-g, sb))
 
-    return _make(out, (a, b), bwd)
+    return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    # each operand's gradient reads the other operand
+    ad = None if sb is None else a.data
+    bd = None if sa is None else b.data
 
     def bwd(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g * b.data, a.data.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(g * a.data, b.data.shape)))
-        return grads
+        return (None if sa is None else _unbroadcast(g * bd, sa),
+                None if sb is None else _unbroadcast(g * ad, sb))
 
-    return _make(out, (a, b), bwd)
+    return _make(a.data * b.data, (a, b), bwd)
 
 
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data / b.data
+    sa, sb = _grad_shape(a), _grad_shape(b)
+    ad = None if sb is None else a.data
+    bd = b.data
 
     def bwd(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, _unbroadcast(g / b.data, a.data.shape)))
-        if b.requires_grad:
-            grads.append((b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
-        return grads
+        return (None if sa is None else _unbroadcast(g / bd, sa),
+                None if sb is None else _unbroadcast(-g * ad / (bd * bd), sb))
 
-    return _make(out, (a, b), bwd)
+    return _make(a.data / b.data, (a, b), bwd)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(-a.data, (a,), lambda g: ((a, -g),))
+    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    return _make(a.data * a.data, (a,), lambda g: ((a, g * 2.0 * a.data),))
+    ad = a.data
+    return _make(ad * ad, (a,), lambda g: (g * 2.0 * ad,))
 
 
 def sqrt(a) -> Tensor:
@@ -369,7 +442,7 @@ def sqrt(a) -> Tensor:
     out = np.sqrt(a.data)
 
     def bwd(g):
-        return ((a, g * (0.5 / out)),)
+        return (g * (0.5 / out),)
 
     return _make(out, (a,), bwd)
 
@@ -437,11 +510,12 @@ def gelu(a) -> Tensor:
     by ``_erf32`` (within 3e-7 of the float64 cdf).  GELU(+inf) is +inf;
     GELU(-inf) and GELU(NaN) are NaN."""
     a = _as_tensor(a)
-    cdf = _gelu_cdf(a.data)
-    out = a.data * cdf
+    ad = a.data
+    cdf = _gelu_cdf(ad)
+    out = ad * cdf
 
     def bwd(g):
-        return ((a, g * _gelu_slope(a.data, cdf)),)
+        return (g * _gelu_slope(ad, cdf),)
 
     return _make(out, (a,), bwd)
 
@@ -453,7 +527,7 @@ def maximum_const(a, floor: float) -> Tensor:
     keep = a.data > np.float32(floor)
 
     def bwd(g):
-        return ((a, g * keep),)
+        return (g * keep,)
 
     return _make(out, (a,), bwd)
 
@@ -470,17 +544,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dims disagree: {a.data.shape} x {b.data.shape}")
     if a.data.shape[:-2] != b.data.shape[:-2]:
         raise ShapeError(f"matmul batch dims disagree: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
+    # each operand's gradient reads the other operand
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g):
-        grads = []
-        if a.requires_grad:
-            grads.append((a, g @ np.swapaxes(b.data, -1, -2)))
-        if b.requires_grad:
-            grads.append((b, np.swapaxes(a.data, -1, -2) @ g))
-        return grads
+        return (None if bd is None else g @ np.swapaxes(bd, -1, -2),
+                None if ad is None else np.swapaxes(ad, -1, -2) @ g)
 
-    return _make(out, (a, b), bwd)
+    return _make(a.data @ b.data, (a, b), bwd)
 
 
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
@@ -488,7 +560,7 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     inv = tuple(np.argsort(axes))
 
     def bwd(g):
-        return ((a, np.ascontiguousarray(g.transpose(inv))),)
+        return (np.ascontiguousarray(g.transpose(inv)),)
 
     return _make(np.ascontiguousarray(a.data.transpose(axes)), (a,), bwd)
 
@@ -505,7 +577,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     old = a.data.shape
 
     def bwd(g):
-        return ((a, g.reshape(old)),)
+        return (g.reshape(old),)
 
     return _make(a.data.reshape(shape), (a,), bwd)
 
@@ -562,11 +634,12 @@ def take_rows(a, idx) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
+    shape = a.data.shape
     if idx.size and idx.min() < 0:  # the row a negative index counts back to
-        idx = idx + a.data.shape[0] * (idx < 0)
+        idx = idx + shape[0] * (idx < 0)
 
     def bwd(g):
-        return ((a, _scatter_add_rows(a.data.shape, idx, g)),)
+        return (_scatter_add_rows(shape, idx, g),)
 
     return _make(out, (a,), bwd)
 
@@ -578,11 +651,12 @@ def take_cols(a, idx) -> Tensor:
         raise ShapeError("take_cols expects a 2-D tensor")
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[:, idx]
+    shape = a.data.shape
 
     def bwd(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros(shape, np.float32)
         np.add.at(acc.T, idx, g.T)
-        return ((a, acc),)
+        return (acc,)
 
     return _make(out, (a,), bwd)
 
@@ -594,11 +668,12 @@ def gather_lastdim(a, idx) -> Tensor:
     if idx.shape != a.data.shape[:-1]:
         raise ShapeError(f"index shape {idx.shape} must match leading dims {a.data.shape[:-1]}")
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    shape = a.data.shape
 
     def bwd(g):
-        acc = np.zeros_like(a.data)
+        acc = np.zeros(shape, np.float32)
         np.put_along_axis(acc, idx[..., None], g[..., None], axis=-1)
-        return ((a, acc),)
+        return (acc,)
 
     return _make(out, (a,), bwd)
 
@@ -609,12 +684,13 @@ def gather_lastdim(a, idx) -> Tensor:
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(np.float32)
+    shape = a.data.shape
 
     def bwd(g):
         if axis is None:
-            return ((a, np.broadcast_to(g, a.data.shape)),)
+            return (np.broadcast_to(g, shape),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(gg, a.data.shape)),)
+        return (np.broadcast_to(gg, shape),)
 
     return _make(out, (a,), bwd)
 
@@ -622,10 +698,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a) -> Tensor:
     a = _as_tensor(a)
     out = a.data.mean(dtype=np.float64).astype(np.float32)
-    n = a.data.size
+    shape, n = a.data.shape, a.data.size
 
     def bwd(g):
-        return ((a, np.broadcast_to(g / n, a.data.shape)),)
+        return (np.broadcast_to(g / n, shape),)
 
     return _make(out, (a,), bwd)
 
@@ -691,7 +767,7 @@ def softmax_lastdim(x, bias: np.ndarray | None = None, scale: float = 1.0) -> Te
     out = _softmax_(x.data.copy(), scale, bias)
 
     def bwd(g):
-        return ((x, _softmax_grad(g, out, scale)),)
+        return (_softmax_grad(g, out, scale),)
 
     return _make(out, (x,), bwd)
 
@@ -706,7 +782,7 @@ def logsumexp_lastdim(x) -> Tensor:
     soft = (e / s).astype(np.float32)
 
     def bwd(g):
-        return ((x, g * soft),)
+        return (g * soft,)
 
     return _make(out, (x,), bwd)
 
@@ -784,28 +860,27 @@ def _layer_norm_(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.
     return out, xhat, inv
 
 
-def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, x: Tensor,
-                      gain: Tensor, bias: Tensor) -> tuple[np.ndarray | None, list]:
-    """For gradient ``g`` of ``_layer_norm_``'s output: the gradient of ``x``
-    (None where ``x`` takes none) and the (parameter, gradient) pairs of the
-    gain and bias that train, each summed over the rows of ``g``."""
+def _layer_norm_grads(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gain: np.ndarray,
+                      trains: tuple[bool, bool, bool]) -> tuple[np.ndarray | None, ...]:
+    """For gradient ``g`` of ``_layer_norm_``'s output: the gradients of its
+    input, gain and bias, each None where ``trains`` (a flag for each, in
+    that order) says it takes none; the gain's and bias's are summed over
+    the rows of ``g``.  ``gain`` is the gain's array."""
+    x_trains, gain_trains, bias_trains = trains
     axes = tuple(range(g.ndim - 1))
-    grads = []
-    if gain.requires_grad:
-        dgain = (g * xhat).sum(axis=axes, dtype=np.float64)
-        grads.append((gain, dgain.astype(np.float32)))
-    if bias.requires_grad:
-        dbias = g.sum(axis=axes, dtype=np.float64)
-        grads.append((bias, dbias.astype(np.float32)))
-    if not x.requires_grad:
-        return None, grads
-    gx = g * gain.data
-    m1 = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    m2 = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
-    dx = gx - m1
-    dx -= xhat * m2
-    dx *= inv
-    return dx, grads
+    dgain = dbias = dx = None
+    if gain_trains:
+        dgain = (g * xhat).sum(axis=axes, dtype=np.float64).astype(np.float32)
+    if bias_trains:
+        dbias = g.sum(axis=axes, dtype=np.float64).astype(np.float32)
+    if x_trains:
+        gx = g * gain
+        m1 = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(np.float32)
+        dx = gx - m1
+        dx -= xhat * m2
+        dx *= inv
+    return dx, dgain, dbias
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -814,10 +889,10 @@ def layer_norm(x, gain, bias) -> Tensor:
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     _check_gain(gain, bias, x.data.shape[-1])
     out, xhat, inv = _layer_norm_(x.data, gain.data, bias.data)
+    gd, trains = gain.data, (x.requires_grad, gain.requires_grad, bias.requires_grad)
 
     def bwd(g):
-        dx, grads = _layer_norm_grads(g, xhat, inv, x, gain, bias)
-        return grads if dx is None else grads + [(x, dx)]
+        return _layer_norm_grads(g, xhat, inv, gd, trains)
 
     return _make(out, (x, gain, bias), bwd)
 
@@ -836,16 +911,15 @@ def layer_norm(x, gain, bias) -> Tensor:
 # input gradient last, as the engine adds a tensor's two gradients.
 
 
-def _weight_grads(x: np.ndarray | None, g: np.ndarray, w: Tensor, b: Tensor) -> list:
-    """The (parameter, gradient) pairs of ``y = x @ w + b`` for gradient ``g``
-    of ``y``, for the parameters that train; ``x`` is None where ``w`` was
-    frozen when the node was built, and ``w`` then gets no gradient."""
-    grads = []
-    if b.requires_grad:
-        grads.append((b, _unbroadcast(g, b.data.shape)))
-    if w.requires_grad and x is not None:
-        grads.append((w, np.swapaxes(x, -1, -2) @ g))
-    return grads
+def _weight_grads(x: np.ndarray | None, g: np.ndarray,
+                  b_shape: tuple[int, ...] | None) -> tuple[np.ndarray | None, ...]:
+    """The gradients ``(dw, db)`` of ``y = x @ w + b`` for gradient ``g`` of
+    ``y``: ``dw`` is None where ``x`` is (``w`` takes no gradient, so the node
+    did not keep ``x``), ``db`` where ``b_shape``, the bias's gradient shape,
+    is (``_grad_shape``)."""
+    db = None if b_shape is None else _unbroadcast(g, b_shape)
+    dw = None if x is None else np.swapaxes(x, -1, -2) @ g
+    return dw, db
 
 
 _CAUSAL_BLOCK = 64  # query rows per block of causal attention
@@ -892,7 +966,9 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
     On the tape the node keeps the layer norm's normalized rows and inverse
     deviations, q and k^T in head layout, v and each block's probabilities;
     it keeps the layer-norm output only if ``wq``, ``wk`` or ``wv`` trains
-    and the merged context only if ``wo`` trains.  Backward runs the softmax
+    and the merged context only if ``wo`` trains.  It keeps neither ``x``
+    nor its array (backward reads only whether it takes a gradient), so the
+    residual stream is freed once the caller drops it.  Backward runs the softmax
     gradient per block, in the buffer of the block's own ``dctx @ v^T``
     product.  It puts the blocks' probabilities, and then in their place
     their score gradients, into one [batch, heads, L, L] buffer, zero where
@@ -962,16 +1038,20 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
     out = ctx @ wo.data
     out += bo.data
     out += kept(x.data)
+    w_q, w_k, w_v, w_o, gain = wq.data, wk.data, wv.data, wo.data, ln_g.data
+    s_q, s_k, s_v, s_o = (_grad_shape(b) for b in (bq, bk, bv, bo))
+    t_q, t_k, t_v = wq.requires_grad, wk.requires_grad, wv.requires_grad
+    ln_trains = (x.requires_grad, ln_g.requires_grad, ln_b.requires_grad)
     if not wo.requires_grad:
         ctx = None
-    if not (wq.requires_grad or wk.requires_grad or wv.requires_grad):
+    if not (t_q or t_k or t_v):
         a = None
     dropped = (B, qf) if qf else None
 
     def bwd(g):
         g = _pad_rows(g, dropped)
-        grads = _weight_grads(_pad_rows(ctx, dropped), g, wo, bo)
-        dctx = g @ np.swapaxes(wo.data, -1, -2)
+        dwo, dbo = _weight_grads(_pad_rows(ctx, dropped), g, s_o)
+        dctx = g @ np.swapaxes(w_o, -1, -2)
         dctx = np.ascontiguousarray(dctx.reshape(B, L, H, dh).transpose(0, 2, 1, 3))
         vt = np.swapaxes(v, -1, -2)
         if single:
@@ -998,22 +1078,26 @@ def attention_branch(x, ln_g, ln_b, wq, bq, wk, bk, wv, bv, wo, bo, batch: int, 
         dkt = np.swapaxes(q_all, -1, -2) @ dscores
         del dscores, q_all
         da = None
-        norm_trains = x.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+        norm_trains = any(ln_trains)
+        grads = []  # dwq, dbq, dwk, dbk, dwv, dbv
         # each path's gradient back in [rows, d] layout, then through its projection
-        for w, b, dy, axes in ((wq, bq, dq, (0, 2, 1, 3)), (wk, bk, dkt, (0, 3, 1, 2)),
-                               (wv, bv, dv, (0, 2, 1, 3))):
+        for w, w_trains, b_shape, dy, axes in (
+                (w_q, t_q, s_q, dq, (0, 2, 1, 3)), (w_k, t_k, s_k, dkt, (0, 3, 1, 2)),
+                (w_v, t_v, s_v, dv, (0, 2, 1, 3))):
             dy = np.ascontiguousarray(dy.transpose(axes)).reshape(rows, d)
-            grads += _weight_grads(a, dy, w, b)
+            grads += _weight_grads(a if w_trains else None, dy, b_shape)
             if norm_trains:
-                path = dy @ np.swapaxes(w.data, -1, -2)
+                path = dy @ np.swapaxes(w, -1, -2)
                 if da is None:
                     da = path
                 else:
                     da += path
+        dx = dgain = dbias = None
         if da is not None:
-            dx, ln_grads = _layer_norm_grads(da, xhat, inv, x, ln_g, ln_b)
-            grads += ln_grads if dx is None else ln_grads + [(x, np.add(dx, g, out=dx))]
-        return grads
+            dx, dgain, dbias = _layer_norm_grads(da, xhat, inv, gain, ln_trains)
+            if dx is not None:
+                np.add(dx, g, out=dx)
+        return (dx, dgain, dbias, *grads, dwo, dbo)
 
     return _make(out, params, bwd)
 
@@ -1026,9 +1110,10 @@ def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
     deviations and the GELU slope at the pre-activation, formed in the
     forward pass from the pre-activation and its cdf (``gelu`` supplies
     both kernels), which are then freed.  It keeps the layer-norm output
-    only if ``w1`` trains and the GELU output only if ``w2`` trains.  With
-    ``dropped_rows`` backward runs its products on the full rows, the
-    dropped ones as zeros (see ``_pad_rows``).
+    only if ``w1`` trains and the GELU output only if ``w2`` trains, and
+    not ``x``, as ``attention_branch`` does not.  With ``dropped_rows``
+    backward runs its products on the full rows, the dropped ones as zeros
+    (see ``_pad_rows``).
     """
     params = tuple(_as_tensor(t) for t in (x, ln_g, ln_b, w1, b1, w2, b2))
     x, ln_g, ln_b, w1, b1, w2, b2 = params
@@ -1052,6 +1137,9 @@ def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
     out = act @ w2.data
     out += b2.data
     out += x.data
+    w_1, w_2, gain = w1.data, w2.data, ln_g.data
+    s_1, s_2 = _grad_shape(b1), _grad_shape(b2)
+    ln_trains = (x.requires_grad, ln_g.requires_grad, ln_b.requires_grad)
     if not w2.requires_grad:
         act = None
     if not w1.requires_grad:
@@ -1059,15 +1147,17 @@ def mlp_branch(x, ln_g, ln_b, w1, b1, w2, b2, dropped_rows=None) -> Tensor:
 
     def bwd(g):
         gp = _pad_rows(g, dropped)
-        grads = _weight_grads(_pad_rows(act, dropped), gp, w2, b2)
-        dpre = gp @ np.swapaxes(w2.data, -1, -2)
+        dw2, db2 = _weight_grads(_pad_rows(act, dropped), gp, s_2)
+        dpre = gp @ np.swapaxes(w_2, -1, -2)
         dpre *= _pad_rows(slope, dropped)
-        grads += _weight_grads(_pad_rows(m, dropped), dpre, w1, b1)
-        if x.requires_grad or ln_g.requires_grad or ln_b.requires_grad:
-            dm = _kept_rows(dpre @ np.swapaxes(w1.data, -1, -2), dropped)
-            dx, ln_grads = _layer_norm_grads(dm, xhat, inv, x, ln_g, ln_b)
-            grads += ln_grads if dx is None else ln_grads + [(x, np.add(dx, g, out=dx))]
-        return grads
+        dw1, db1 = _weight_grads(_pad_rows(m, dropped), dpre, s_1)
+        dx = dgain = dbias = None
+        if any(ln_trains):
+            dm = _kept_rows(dpre @ np.swapaxes(w_1, -1, -2), dropped)
+            dx, dgain, dbias = _layer_norm_grads(dm, xhat, inv, gain, ln_trains)
+            if dx is not None:
+                np.add(dx, g, out=dx)
+        return dx, dgain, dbias, dw1, db1, dw2, db2
 
     return _make(out, params, bwd)
 
@@ -1096,7 +1186,7 @@ def transport_cost(cost, plan: np.ndarray, eps: float) -> Tensor:
         K[np.diag_indices_from(K)] += 1e-10 * K.diagonal().max()
         duals = np.linalg.solve(K, np.concatenate([w.sum(axis=1), w.sum(axis=0)]))
         grad = plan - w + plan * (duals[:n, None] + duals[None, n:])
-        return ((cost, (g * grad).astype(np.float32)),)
+        return ((g * grad).astype(np.float32),)
 
     return _make(out, (cost,), bwd)
 

@@ -170,10 +170,14 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, lengths: np.
     Each node keeps for backward only what its backward reads (see
     ``T.attention_branch`` and ``T.mlp_branch``): no layer-norm, attention
     or MLP output outlives its node unless a weight that reads it trains, and
-    the MLP keeps the GELU slope, not its pre-activation and cdf.  One FPT
-    step of the benchmark's model (4 layers, 4 frames of 128 points) peaks
-    at 11.9 MiB of traced allocations for either arch, against 15.8
-    (encoder) and 15.5 MiB (decoder) with six nodes per layer.
+    the MLP keeps the GELU slope, not its pre-activation and cdf.  No node
+    keeps its input: the tape links nodes, not tensors, so the position
+    rows, the embedding add and each layer's residual stream are freed as
+    this function moves past them, on the tape as off it.  One FPT step of
+    the benchmark's model (4 layers, 4 frames of 128 points) peaks at 10.4
+    MiB (encoder) and 9.5 MiB (decoder) of traced allocations: 11.9 and 11.1
+    MiB while the tape held each op's input tensors, and 11.9 MiB for either
+    arch with six nodes per layer.
     """
     cfg = model.config
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:
@@ -234,8 +238,10 @@ MASK_TOKEN = 1  # the id MLM puts in place of the tokens it hides
 
 
 def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
-                  rng: np.random.Generator) -> float:
-    """Forward+backward one batch of token sequences; returns the mean loss in nats.
+                  rng: np.random.Generator) -> float | None:
+    """Forward+backward one batch of token sequences; returns the mean loss in
+    nats, or None where no sequence of the batch has targets (no tape runs
+    and no gradient forms).
 
     The objective is the arch's: next-token prediction for a decoder-only
     model, MLM (round(``MLM_MASK_RATE`` * length) of each sequence's tokens
@@ -270,7 +276,7 @@ def pretrain_step(model: TransformerModel, batch: list[np.ndarray],
             predict_pos.append(pos)
             target_ids.append(ids[pos])
     if not inputs:
-        return 0.0  # loss over an empty target set
+        return None
     padded, lengths = pad_batch(inputs)  # the pad id does not reach a real row
     L = padded.shape[1]
     hidden = forward_hidden(model, embed_tokens(model, padded.ravel()), lengths=lengths)
@@ -311,9 +317,12 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
              learning_rate: float = 1e-3, batch_size: int = 8, seed: int = 0) -> list[float]:
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
-    (``experiments.run_one``).  The model is marked pretrained once at least
-    one step has run; a step needs at least one sequence.  A NaN or infinite
-    loss raises ``NonFiniteLossError`` before its step updates the weights.
+    (``experiments.run_one``).  A step whose batch has no targets
+    (``pretrain_step`` returns None) leaves the weights and Adam's moments
+    and step count as they were and adds nothing to the trace.  The model is
+    marked pretrained once some step has updated it; a step needs at least
+    one sequence.  A NaN or infinite loss raises ``NonFiniteLossError``
+    before its step updates the weights.
 
     Each step's batch comes from one ``length_buckets`` bucket, so it pads
     little.  The step draws the bucket with probability proportional to its
@@ -342,14 +351,13 @@ def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
                                     replace=False)]
             T.zero_grads(params)
             loss = pretrain_step(model, [sequences[i] for i in idx], rng=rng)
+            if loss is None:
+                continue
             if not np.isfinite(loss):
                 raise NonFiniteLossError(f"pretraining loss is {loss} at step {step} of {steps}")
-            for p in params:
-                if p.grad is None:
-                    p.grad = np.zeros_like(p.data)
             T.optimizer_step(opt, params)
             trace.append(loss)
-    if steps:  # zero steps leave the weights, and so the flag, as they were
+    if opt.step_count:  # no update leaves the weights, and so the flag, as they were
         model.pretrained = True
     return trace
 

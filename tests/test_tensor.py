@@ -320,7 +320,7 @@ def test_backward_frees_each_closure_once_it_has_run():
         def backward(g):
             if on_backward is not None:
                 on_backward()
-            return [(parent, g * saved)]
+            return (g * saved,)
         return T._make(parent.data * saved, (parent,), backward)
 
     x = Tensor(np.ones(1), requires_grad=True)
@@ -336,16 +336,85 @@ def test_backward_frees_each_closure_once_it_has_run():
     assert all(t._backward is None and t._parents == () for t in (a, b, loss))
 
 
+def test_second_backward_of_one_loss_raises():
+    # the first backward freed the tape; before, the second set loss.grad
+    # and added nothing
+    w = Tensor(np.ones(3), requires_grad=True)
+    loss = T.tsum(T.square(w))
+    loss.backward()
+    with pytest.raises(ContractError, match="tape node of tsum, which an earlier backward"):
+        loss.backward()
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0, np.float32))
+    assert loss.grad is None
+
+
+def test_backward_through_a_node_an_earlier_backward_freed_raises():
+    # before, tmean(h)'s backward took the freed h for a leaf: it wrote h.grad
+    # and left w.grad at the first loss's gradient, silently wrong
+    w = Tensor(np.ones(3), requires_grad=True)
+    h = T.square(w)
+    T.tsum(h).backward()
+    with pytest.raises(ContractError, match="tape node of square, which an earlier backward"):
+        T.tmean(h).backward()
+    np.testing.assert_array_equal(w.grad, np.full(3, 2.0, np.float32))
+    assert h.grad is None
+
+
+def test_backward_calls_a_closure_assigned_to_an_op_output():
+    """The benchmark's tracer times each op's backward by reading an op
+    output's ``_backward`` and assigning a wrapper in its place
+    (``perfbench/tracing.py``, ``_wrap_closure``); backward must call that
+    wrapper, or every per-op backward time reads 0."""
+    w = Tensor(np.arange(3.0), requires_grad=True)
+    h = T.square(w)
+    assert T.square(Tensor(np.ones(3)))._backward is None  # off the tape: nothing to wrap
+    inner, calls = h._backward, []
+
+    def closure(g):
+        calls.append(g)
+        return inner(g)
+
+    h._backward = closure
+    assert h._backward is closure and len(h._parents) == 1
+    T.tsum(h).backward()
+    assert len(calls) == 1
+    np.testing.assert_array_equal(w.grad, np.array([0.0, 2.0, 4.0], np.float32))
+    assert h._backward is None and h._parents == ()
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul, T.layer_norm,
+                                T.attention_branch, T.mlp_branch])
+def test_backward_closures_hold_no_tensor(op):
+    """A closure captures only the arrays and flags its backward reads, so the
+    tape does not keep an op's input ``Tensor`` and its data alive."""
+    rng = np.random.default_rng(4)
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    x = leaf(4, 4)
+    args = {T.layer_norm: (x, leaf(4), leaf(4)),
+            T.attention_branch: (x, *(leaf(*s) for s in [(4,), (4,)] + [(4, 4), (4,)] * 4)),
+            T.mlp_branch: (x, *(leaf(*s) for s in [(4,), (4,), (4, 6), (6,), (6, 4), (4,)]))
+            }.get(op, (x, leaf(4, 4)))
+    kwargs = {"batch": 2, "heads": 2} if op is T.attention_branch else {}
+    closure = op(*args, **kwargs)._backward
+    cells = [c.cell_contents for c in closure.__closure__ or ()]
+    assert not any(isinstance(c, Tensor) for c in cells), closure.__code__.co_freevars
+    if op not in (T.mul, T.div, T.matmul):  # which read the other operand's data
+        assert all(c is not x.data for c in cells)  # no backward reads its input's data
+
+
 @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div, T.matmul])
 def test_binary_backward_skips_constant_operand(op):
     rng = np.random.default_rng(3)
     w = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)).astype(np.float32), requires_grad=True)
     c = Tensor(rng.uniform(1.0, 2.0, size=(3, 3)).astype(np.float32))
     g = np.ones((3, 3), dtype=np.float32)
-    for out, wanted in ((op(w, c), w), (op(c, w), w)):
-        assert [parent for parent, _ in out._backward(g)] == [wanted]
+    for out, trains in ((op(w, c), [True, False]), (op(c, w), [False, True])):
+        assert [pg is not None for pg in out._backward(g)] == trains
     both = op(w, Tensor(c.data, requires_grad=True))
-    assert len(both._backward(g)) == 2
+    assert [pg is not None for pg in both._backward(g)] == [True, True]
 
 
 def test_keep_freed_memory_is_a_noop_without_mallopt(monkeypatch):
@@ -567,37 +636,39 @@ def test_take_rows_grad_adds_one_element_rows_in_order(idx, row_shape):
 
 
 def _all_nodes_backward(loss):
-    """Reference backward: every requires_grad node, interior ones included,
-    gets ``.grad``, and each incoming gradient is copied before it is summed
-    (same visiting order as ``Tensor.backward``)."""
-    topo, seen, stack = [], set(), [(loss, False)]
+    """Reference backward: each incoming gradient is copied before it is
+    summed, and ``.grad`` lands on every leaf it reaches (same visiting order
+    as ``Tensor.backward``, over the same tape nodes)."""
+    root = loss._node
+    topo, seen, stack = [], set(), [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
             topo.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
+        elif node not in seen:
+            seen.add(node)
             stack.append((node, True))
-            stack.extend((p, False) for p in node._parents if id(p) not in seen)
-    flowing = {id(loss): np.ones_like(loss.data)}
+            stack.extend((p, False) for p in node.parents if p is not None and p not in seen)
+    flowing = {root: np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = flowing.pop(id(node), None)
+        g = flowing.pop(node, None)
         if g is None:
             continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
-        if node._backward is not None:
-            for parent, pg in node._backward(g):
-                if parent.requires_grad:
-                    if id(parent) in flowing:
-                        flowing[id(parent)] += pg
-                    else:
-                        flowing[id(parent)] = pg.astype(np.float32, copy=True)
+        if node.leaf is not None:
+            leaf = node.leaf()
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.data)
+            leaf.grad += g
+            continue
+        for parent, pg in zip(node.parents, node.backward(g)):
+            if pg is not None:
+                if parent in flowing:
+                    flowing[parent] += pg
+                else:
+                    flowing[parent] = pg.astype(np.float32, copy=True)
     for node in topo:
-        node._parents = ()
-        node._backward = None
+        node.parents = ()
+        node.backward = None
 
 
 def _graph_add_self(params):

@@ -251,7 +251,8 @@ def test_pretrain_runs_on_one_blas_thread_at_any_width(d_model, monkeypatch):
         pytest.skip("no OpenBLAS thread setter is loaded")
     get_threads = T._openblas_threads()[0]
     seen = []
-    monkeypatch.setattr(tf, "pretrain_step", lambda *a, **k: seen.append(get_threads()) or 0.0)
+    # a step that returns None has no targets, so pretrain skips the update
+    monkeypatch.setattr(tf, "pretrain_step", lambda *a, **k: seen.append(get_threads()))
     model = build_model(small_config(d_model=d_model, d_ff=d_model, vocab_size=32))
     with T.blas_threads(2):
         pretrain(model, bigram_corpus(4), steps=2, batch_size=2)
@@ -315,7 +316,7 @@ def _per_sequence_step(model, batch, rng):
         losses.append(T.neg(T.tsum(T.gather_lastdim(logp, targets))))
         n_targets += len(pos)
     if n_targets == 0:
-        return 0.0
+        return None
     total = losses[0]
     for loss in losses[1:]:
         total = T.add(total, loss)
@@ -470,9 +471,9 @@ def test_pretrain_step_skips_a_sequence_without_targets(arch):
     for name, want in want_grads.items():
         assert (grads[name] is None) == (want is None), name
         assert want is None or np.array_equal(grads[name], want), name
-    # a batch of such sequences alone has an empty target set
+    # a batch of such sequences alone has no targets, no loss and no gradient
     loss, grads = step([short, short])
-    assert loss == 0.0 and all(g is None for g in grads.values())
+    assert loss is None and all(g is None for g in grads.values())
 
 
 def test_zero_pretraining_steps_leave_the_pretrained_flag(tmp_path):
@@ -495,8 +496,9 @@ def recorded_batches(monkeypatch, sequences, steps, batch_size, seed=0):
     """The corpus indices of the batch of each step ``pretrain`` takes."""
     where = {id(s): i for i, s in enumerate(sequences)}
     batches = []
+    # each step returns None, a batch without targets, so none updates the model
     monkeypatch.setattr(tf, "pretrain_step", lambda model, batch, rng: batches.append(
-        [where[id(s)] for s in batch]) or 0.0)
+        [where[id(s)] for s in batch]))
     pretrain(build_model(small_config()), sequences, steps=steps, batch_size=batch_size,
              seed=seed)
     return batches
@@ -569,8 +571,8 @@ def test_a_corpus_below_a_batch_steps_on_all_of_it_as_before(monkeypatch):
 @ARCH_OBJECTIVES
 def test_pretrain_steps_over_a_bucket_without_targets(arch, monkeypatch):
     # a decoder has no target in a 1-token sequence, an encoder none in one of
-    # up to 3 tokens; such sequences fill a bucket of their own, whose steps
-    # pretrain_step skips with a loss over no targets
+    # up to 3 tokens; such sequences fill a bucket of their own, whose batches
+    # pretrain_step skips without a loss, and pretrain without an update
     short = [np.array([5])] * 8 if arch == DECODER_ONLY else [np.array([5, 6, 7][:n])
                                                               for n in (1, 2, 3) * 3]
     sequences = short + corpus_tokens(16)
@@ -580,8 +582,45 @@ def test_pretrain_steps_over_a_bucket_without_targets(arch, monkeypatch):
         (batch, step(model, batch, rng=rng))) or steps[-1][1])
     trace = pretrain(build_model(small_config(arch=arch)), sequences, steps=12, batch_size=8,
                      seed=1)
-    assert trace == [loss for _, loss in steps]
+    assert trace == [loss for _, loss in steps if loss is not None]
     without_targets = [all(len(s) <= len(short[-1]) for s in batch) for batch, _ in steps]
     assert any(without_targets) and not all(without_targets)
-    for skipped, loss in zip(without_targets, trace):
-        assert (loss == 0.0) if skipped else (loss > 0.0)
+    for skipped, (_, loss) in zip(without_targets, steps):
+        assert (loss is None) if skipped else (loss > 0.0)
+
+
+def test_pretrain_leaves_weights_and_adam_as_they_were_on_a_batch_without_targets(
+        monkeypatch):
+    # 8 one-token sequences, which a decoder has no target in, make a bucket of
+    # their own; steps 3 and 8 draw it.  Before, pretrain filled zero
+    # gradients and stepped Adam there, whose moments still moved the weights,
+    # and the trace read 0.0 at both steps.
+    sequences = [np.array([5])] * 8 + [t for t, _ in gen_corpus(3, 16).sequences]
+    model = build_model(small_config(vocab_size=64))
+    weights_at, step_counts = [], []
+    step, optimizer_step = tf.pretrain_step, T.optimizer_step
+
+    def recorded_step(model, batch, rng):
+        weights_at.append({name: p.data.copy() for name, p in model.params.items()})
+        return step(model, batch, rng=rng)
+
+    def recorded_update(state, params):
+        optimizer_step(state, params)
+        step_counts.append(state.step_count)
+
+    monkeypatch.setattr(tf, "pretrain_step", recorded_step)
+    monkeypatch.setattr(T, "optimizer_step", recorded_update)
+    trace = pretrain(model, sequences, steps=9, batch_size=8, seed=1)
+    assert len(trace) == 7 and min(trace) > 0.0
+    assert step_counts == list(range(1, 8))  # Adam stepped once per step with targets
+    for skipped in (3, 8):  # the weights step 3 and step 8 left, as each found them
+        after = weights_at[skipped]
+        for name, before in weights_at[skipped - 1].items():
+            assert np.array_equal(after[name], before), (skipped, name)
+    assert model.pretrained
+
+
+def test_pretrain_marks_a_model_pretrained_only_once_a_step_updated_it():
+    model = build_model(small_config())
+    assert pretrain(model, [np.array([5])] * 4, steps=3, batch_size=2) == []
+    assert not model.pretrained
