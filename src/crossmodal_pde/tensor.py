@@ -27,10 +27,8 @@ q, k^T, v and the attention probabilities, or the GELU slope; and the
 layer-norm output, merged context or GELU output only where a weight that
 reads it trains.  Neither keeps its input, the residual stream.  One FPT
 step of the benchmark's model on 4 frames of 128 points peaks at 10.4 MiB
-(encoder) and 9.5 MiB (decoder) of traced allocations: 11.9 and 11.1 MiB
-while the tape held each op's input tensors, and 11.9 MiB for either arch
-with separate layer-norm, sub-block and add nodes.  Causal attention skips,
-by row blocks, the keys a query cannot see.
+(encoder) and 9.5 MiB (decoder) of traced allocations.  Causal attention
+skips, by row blocks, the keys a query cannot see.
 """
 
 from __future__ import annotations
@@ -248,10 +246,6 @@ class Tensor:
     def _parents(self) -> tuple:
         """The nodes of this op output's parents (see ``_Node``)."""
         return () if self._node is None else self._node.parents
-
-    @_parents.setter
-    def _parents(self, nodes: tuple) -> None:
-        self._node.parents = nodes
 
     def backward(self) -> None:
         """Populate ``grad`` on every requires_grad leaf reachable from this scalar.

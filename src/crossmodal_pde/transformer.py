@@ -175,9 +175,7 @@ def forward_hidden(model: TransformerModel, embedded_input: Tensor, lengths: np.
     rows, the embedding add and each layer's residual stream are freed as
     this function moves past them, on the tape as off it.  One FPT step of
     the benchmark's model (4 layers, 4 frames of 128 points) peaks at 10.4
-    MiB (encoder) and 9.5 MiB (decoder) of traced allocations: 11.9 and 11.1
-    MiB while the tape held each op's input tensors, and 11.9 MiB for either
-    arch with six nodes per layer.
+    MiB (encoder) and 9.5 MiB (decoder) of traced allocations.
     """
     cfg = model.config
     if embedded_input.data.ndim != 2 or embedded_input.data.shape[1] != cfg.d_model:

@@ -227,13 +227,14 @@ def _fpt_step_peak_bytes(arch):
 def test_fpt_step_peak_memory_below_op_chain(arch):
     """The branch nodes keep no layer-norm, attention or MLP output under FPT
     and the GELU slope in place of its pre-activation and cdf: 10.4 MiB
-    (encoder) and 9.5 MiB (decoder), against 11.9 MiB with six nodes per
-    layer.  Both sides keep only what their backward reads, the tape holding
-    nodes rather than tensors; the ceilings add about 7%."""
+    (encoder) and 9.5 MiB (decoder), 0.87 and 0.79 of the 11.9 MiB of six
+    nodes per layer.  The ratio bounds sit just above those ratios; the
+    ceilings add about 7%."""
     nodes = _fpt_step_peak_bytes(arch)
     with op_chain():
         chain = _fpt_step_peak_bytes(arch)
-    assert nodes <= 0.9 * chain, (nodes / 2**20, chain / 2**20)
+    ratio = {tf.ENCODER_ONLY: 0.88, tf.DECODER_ONLY: 0.80}[arch]
+    assert nodes <= ratio * chain, (nodes / 2**20, chain / 2**20)
     ceiling = {tf.ENCODER_ONLY: 11.2, tf.DECODER_ONLY: 10.2}[arch]
     assert nodes <= ceiling * 2**20, nodes / 2**20
 
@@ -253,12 +254,13 @@ def _pretraining_step_peak_bytes(arch):
 
 @pytest.mark.parametrize("arch", [tf.ENCODER_ONLY, tf.DECODER_ONLY])
 def test_pretraining_step_peak_memory_below_op_chain(arch):
-    """5.2 MiB (encoder) and 5.3 MiB (decoder), against 6.1 and 6.2 MiB with
-    six nodes per layer; the ceilings add about 7%."""
+    """5.2 MiB (encoder) and 5.3 MiB (decoder), 0.85 and 0.86 of the 6.1 and
+    6.2 MiB of six nodes per layer.  The ratio bound sits just above those
+    ratios; the ceilings add about 7%."""
     nodes = _pretraining_step_peak_bytes(arch)
     with op_chain():
         chain = _pretraining_step_peak_bytes(arch)
-    assert nodes <= 0.9 * chain, (nodes / 2**20, chain / 2**20)
+    assert nodes <= 0.86 * chain, (nodes / 2**20, chain / 2**20)
     ceiling = {tf.ENCODER_ONLY: 5.6, tf.DECODER_ONLY: 5.7}[arch]
     assert nodes <= ceiling * 2**20, nodes / 2**20
 

@@ -337,8 +337,7 @@ def test_backward_frees_each_closure_once_it_has_run():
 
 
 def test_second_backward_of_one_loss_raises():
-    # the first backward freed the tape; before, the second set loss.grad
-    # and added nothing
+    # the first backward freed the tape, so the second has no gradient to form
     w = Tensor(np.ones(3), requires_grad=True)
     loss = T.tsum(T.square(w))
     loss.backward()
@@ -349,8 +348,8 @@ def test_second_backward_of_one_loss_raises():
 
 
 def test_backward_through_a_node_an_earlier_backward_freed_raises():
-    # before, tmean(h)'s backward took the freed h for a leaf: it wrote h.grad
-    # and left w.grad at the first loss's gradient, silently wrong
+    # h's node lost its closure in the first backward; taking h for a leaf
+    # would write h.grad and leave w.grad at the first loss's gradient
     w = Tensor(np.ones(3), requires_grad=True)
     h = T.square(w)
     T.tsum(h).backward()

@@ -592,9 +592,8 @@ def test_pretrain_steps_over_a_bucket_without_targets(arch, monkeypatch):
 def test_pretrain_leaves_weights_and_adam_as_they_were_on_a_batch_without_targets(
         monkeypatch):
     # 8 one-token sequences, which a decoder has no target in, make a bucket of
-    # their own; steps 3 and 8 draw it.  Before, pretrain filled zero
-    # gradients and stepped Adam there, whose moments still moved the weights,
-    # and the trace read 0.0 at both steps.
+    # their own; steps 3 and 8 draw it.  An Adam step on zero gradients
+    # there would still move the weights through the moments.
     sequences = [np.array([5])] * 8 + [t for t, _ in gen_corpus(3, 16).sequences]
     model = build_model(small_config(vocab_size=64))
     weights_at, step_counts = [], []
