@@ -99,7 +99,7 @@ class Predictor(_Affine):
     def create(cls, d_model: int, seed: int) -> "Predictor":
         return cls._draw(d_model, 1, seed)
 
-    def __call__(self, hidden: Tensor, batch: int = 1) -> Tensor:
+    def __call__(self, hidden: Tensor, batch: int) -> Tensor:
         """The ``batch`` equal-length sequences stacked in ``hidden`` as [batch, L]."""
         return T.reshape(T.add(T.matmul(hidden, self.w), self.b), (batch, -1))
 
@@ -119,13 +119,13 @@ class Pipeline:
 
 @dataclass
 class AdaptationConfig:
+    seed: int
     method: str = ORCA
     bidir_method: str = BIDIR_NONE
     learning_rate: float | None = None  # None: per-optimizer default
     epochs: int = 100
     batch_size: int = 16
     stage1_steps: int = 100
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in (FPT, ORCA):
@@ -214,7 +214,7 @@ def as_batch(x: np.ndarray) -> np.ndarray:
 
 
 def predict_sequence(model: TransformerModel, embedder: Embedder, predictor: Predictor,
-                     x: np.ndarray, bidir_method: str = BIDIR_NONE) -> Tensor:
+                     x: np.ndarray, bidir_method: str) -> Tensor:
     """Predict an output frame per input frame; bidir methods wrap the base path.
 
     ``x`` is a batch of equal-length frames [B, L], predicted as [B, L] by one
@@ -302,9 +302,9 @@ def orca_stage1(model: TransformerModel, embedder: Embedder, corpus: SyntheticCo
 
 @dataclass
 class TrainReport:
+    optimizer: str
+    learning_rate: float
     epoch_losses: list[float] = field(default_factory=list)
-    optimizer: str = ""
-    learning_rate: float = 0.0
     aborted: bool = False
     abort_reason: str = ""
 
@@ -408,7 +408,7 @@ class AdaptationReport:
 
 
 def run_adaptation(pipeline: Pipeline, dataset: PdeDataset, config: AdaptationConfig,
-                   corpus: SyntheticCorpus | None = None) -> AdaptationReport:
+                   corpus: SyntheticCorpus | None) -> AdaptationReport:
     """Full FPT or ORCA adaptation of one pipeline on one dataset.  ORCA
     needs the source ``corpus``: stage 1 aligns the embedder to the
     pipeline's own model's embedding of it."""

@@ -77,7 +77,7 @@ def flip_dataset(dataset: PdeDataset) -> PdeDataset:
 
 
 def parallel_flipping_train(pair: FlipPair, dataset: PdeDataset, config: AdaptationConfig,
-                            corpus: SyntheticCorpus | None = None,
+                            corpus: SyntheticCorpus | None,
                             ) -> tuple[AdaptationReport, AdaptationReport]:
     """Run the full adaptation twice, one run after the other: the pair's
     forward pipeline on the original data, then its reversed pipeline on the

@@ -12,9 +12,16 @@ import numpy as np
 
 from .container import DataFileError
 from .pde_data import FAMILIES, build_dataset, default_grid
-from .proxy_data import gen_corpus, load_corpus, save_corpus
+from .proxy_data import TAG_COUNT, gen_corpus, load_corpus, save_corpus
 from .tensor import ContractError
-from .transformer import LengthError, build_model, pretrain, save_checkpoint
+from .transformer import (
+    PRETRAIN_LR,
+    LengthError,
+    ModelConfig,
+    build_model,
+    pretrain,
+    save_checkpoint,
+)
 
 
 def _at_least(minimum: int):
@@ -45,15 +52,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--out", required=True)
     p_corpus.add_argument("--seed", type=_at_least(0), default=0)
     p_corpus.add_argument("--n-sequences", type=int, default=2000)
-    p_corpus.add_argument("--vocab-size", type=int, default=64)
-    p_corpus.add_argument("--tag-count", type=int, default=9)
+    p_corpus.add_argument("--vocab-size", type=int, default=ModelConfig.vocab_size)
+    p_corpus.add_argument("--tag-count", type=int, default=TAG_COUNT)
 
     p_pre = sub.add_parser("pretrain", help="pretrain the checkpoint an experiment config names")
     p_pre.add_argument("--config", required=True)
     p_pre.add_argument("--corpus", required=True)
     p_pre.add_argument("--steps", type=_at_least(0), default=1500)
     p_pre.add_argument("--seed", type=_at_least(0), default=0)
-    p_pre.add_argument("--learning-rate", type=float, default=1e-3)
+    p_pre.add_argument("--learning-rate", type=float, default=PRETRAIN_LR)
     p_pre.add_argument("--batch-size", type=_at_least(1), default=8)
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
@@ -77,13 +84,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _unigram_entropy(corpus) -> float:
+    """The entropy in nats of the corpus's token frequencies: the loss of a
+    model that predicts every token from its frequency alone."""
+    _, counts = np.unique(np.concatenate([t for t, _ in corpus.sequences]), return_counts=True)
+    p = counts / counts.sum()
+    return float(-(p * np.log(p)).sum())
+
+
 def _cmd_corpus(args) -> int:
     corpus = gen_corpus(seed=args.seed, n_sequences=args.n_sequences,
                         vocab_size=args.vocab_size, tag_count=args.tag_count)
     save_corpus(corpus, args.out)
     lengths = [len(t) for t, _ in corpus.sequences]
-    print(f"wrote corpus ({len(lengths)} sequences, {min(lengths)}-{max(lengths)} tokens) "
-          f"to {args.out}")
+    print(f"wrote corpus ({len(lengths)} sequences, {min(lengths)}-{max(lengths)} tokens, "
+          f"unigram entropy {_unigram_entropy(corpus):.3f} nats) to {args.out}")
     return 0
 
 
@@ -110,8 +125,8 @@ def _cmd_pretrain(args) -> int:
                      learning_rate=args.learning_rate, batch_size=args.batch_size,
                      seed=args.seed)
     save_checkpoint(model, out)
-    loss = (f" (loss {np.mean(trace[:20]):.3f} -> {np.mean(trace[-20:]):.3f})"
-            if trace else "")
+    loss = (f" (loss {np.mean(trace[:20]):.3f} -> {np.mean(trace[-20:]):.3f} nats; "
+            f"corpus unigram entropy {_unigram_entropy(corpus):.3f} nats)" if trace else "")
     print(f"pretrained {config.arch} for {args.steps} steps{loss}; checkpoint at {out}")
     return 0
 

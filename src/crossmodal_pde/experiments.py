@@ -144,8 +144,12 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         if not os.path.exists(path):
             raise DataFileError(f"experiment config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                d = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataFileError(f"{path} is not a JSON experiment config: {exc}") from exc
+        return cls.from_dict(d)
 
 
 def _matches(value, hint) -> bool:
@@ -313,7 +317,7 @@ def _run_one(config: ExperimentConfig, seed: int,
     return record
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[RunRecord]:
+def run_experiment(config: ExperimentConfig, workers: int) -> list[RunRecord]:
     """Run every seed of the experiment as its own ``run_one(config, seed)``
     job, in this process or, with ``workers`` above 1, in a pool of that many
     processes.  Each job loads the config's checkpoint itself; the pool writes

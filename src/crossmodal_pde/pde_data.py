@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,13 +27,15 @@ BURGERS_NS = "burgers_ns"  # 1-D viscous Burgers stand-in for compressible Navie
 FAMILIES = (ADVECTION, DIFFUSION_REACTION, DIFFUSION_SORPTION, BURGERS_NS)
 
 N_FOURIER_MODES = 5
+# the share of the stability bound a solver step takes where the grid names no dt_solver
+DT_SAFETY = 0.625
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    n_x: int = 128
+    n_x: int
+    t_out: float
     t_in: float = 0.0
-    t_out: float = 0.5
     dt_solver: float | None = None  # None: generator picks a stable default
 
     def __post_init__(self):
@@ -51,8 +53,7 @@ class GridSpec:
         return 1.0 / self.n_x
 
     def to_dict(self) -> dict:
-        return {"n_x": self.n_x, "t_in": self.t_in, "t_out": self.t_out,
-                "dt_solver": self.dt_solver}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -85,9 +86,7 @@ class PdeParams:
             raise ConfigError(f"unknown PDE family {self.family!r}")
 
     def to_dict(self) -> dict:
-        return {"family": self.family, "beta": self.beta, "nu": self.nu, "rho": self.rho,
-                "sorption": {"diffusivity": self.sorption.diffusivity,
-                             "c": self.sorption.c, "n": self.sorption.n}}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PdeParams":
@@ -102,17 +101,18 @@ def default_params(family: str, **overrides) -> PdeParams:
     return PdeParams(family=family, **overrides)
 
 
-def default_grid(family: str, n_x: int = 128) -> GridSpec:
+def default_grid(family: str, n_x: int) -> GridSpec:
     horizons = {ADVECTION: 0.5, DIFFUSION_REACTION: 0.05,
                 DIFFUSION_SORPTION: 20.0, BURGERS_NS: 0.5}
-    return GridSpec(n_x=n_x, t_in=0.0, t_out=horizons[family])
+    return GridSpec(n_x=n_x, t_out=horizons[family])
 
 
-def _fourier_coefficients(rng: np.random.Generator, n_modes: int = N_FOURIER_MODES):
-    """Coefficients for a smooth random series: amplitude decays as 1/k."""
-    ks = np.arange(1, n_modes + 1)
-    a = rng.normal(0.0, 1.0, size=n_modes) / ks
-    b = rng.normal(0.0, 1.0, size=n_modes) / ks
+def _fourier_coefficients(rng: np.random.Generator):
+    """Coefficients for a smooth random series of ``N_FOURIER_MODES`` modes:
+    amplitude decays as 1/k."""
+    ks = np.arange(1, N_FOURIER_MODES + 1)
+    a = rng.normal(0.0, 1.0, size=N_FOURIER_MODES) / ks
+    b = rng.normal(0.0, 1.0, size=N_FOURIER_MODES) / ks
     return a, b
 
 
@@ -157,7 +157,7 @@ def _periodic_laplacian(p: np.ndarray, dx: float) -> np.ndarray:  # p from _ghos
     return (p[..., 2:] - 2.0 * p[..., 1:-1] + p[..., :-2]) / (dx * dx)
 
 
-def _resolve_dt(grid: GridSpec, dt_max: float, safety: float = 0.625) -> tuple[float, int]:
+def _resolve_dt(grid: GridSpec, dt_max: float) -> tuple[float, int]:
     """Pick (dt, steps) covering the horizon exactly; error if grid's dt is unstable."""
     horizon = grid.t_out - grid.t_in
     if grid.dt_solver is not None:
@@ -166,7 +166,7 @@ def _resolve_dt(grid: GridSpec, dt_max: float, safety: float = 0.625) -> tuple[f
                 f"dt_solver={grid.dt_solver:g} violates stability bound {dt_max:g}")
         dt = grid.dt_solver
     else:
-        dt = safety * dt_max
+        dt = DT_SAFETY * dt_max
     steps = max(1, int(np.ceil(horizon / dt)))
     return horizon / steps, steps
 
@@ -394,7 +394,7 @@ class PdeDataset:
 
 
 def build_dataset(family: str, n_train: int, n_test: int, grid: GridSpec,
-                  params: PdeParams | None = None, seed: int = 0,
+                  params: PdeParams | None = None, *, seed: int,
                   out_path=None) -> PdeDataset:
     """Generate train/test splits from disjoint seed streams; optionally persist.
 

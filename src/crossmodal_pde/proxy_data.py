@@ -21,13 +21,14 @@ import numpy as np
 from . import tensor as T
 from .container import DataFileError, file_errors, read_container, typed_block, write_container
 from .otdd import LabeledPointCloud
-from .transformer import TransformerModel, embed_tokens, forward_hidden, pad_batch
+from .transformer import ModelConfig, TransformerModel, embed_tokens, forward_hidden, pad_batch
 
 PAD_TOKEN = 0  # the id transformer.pad_batch pads with
 RESERVED_TOKENS = 2  # PAD_TOKEN and transformer.MASK_TOKEN; no grammar tag emits them
 
 MIN_SEQ_LEN, MAX_SEQ_LEN = 8, 31
 N_STATES = 3
+TAG_COUNT = 9  # the grammar's tags, the classes of ORCA's proxy cloud
 
 
 @dataclass
@@ -74,7 +75,8 @@ def _row_cdfs(table: np.ndarray) -> np.ndarray:
     return cdf / cdf[:, -1:]
 
 
-def gen_corpus(seed: int, n_sequences: int, vocab_size: int = 64, tag_count: int = 9) -> SyntheticCorpus:
+def gen_corpus(seed: int, n_sequences: int, vocab_size: int = ModelConfig.vocab_size,
+               tag_count: int = TAG_COUNT) -> SyntheticCorpus:
     if n_sequences < 1:
         raise ValueError("n_sequences must be >= 1")
     if tag_count < N_STATES:  # each grammar state emits its own block of tags

@@ -46,13 +46,13 @@ class NonFiniteLossError(ValueError):
 @dataclass(frozen=True)
 class ModelConfig:
     arch: str
+    seed: int
     d_model: int = 64
     n_heads: int = 4
     n_layers: int = 4
     d_ff: int = 256
     max_positions: int = 256
     vocab_size: int = 64
-    seed: int = 0
 
     def __post_init__(self):
         if self.arch not in (ENCODER_ONLY, DECODER_ONLY):
@@ -231,6 +231,7 @@ def lm_logits(model: TransformerModel, hidden: Tensor) -> Tensor:
     return T.matmul(hidden, model.params["lm_head"])
 
 
+PRETRAIN_LR = 1e-3  # pretraining's Adam learning rate
 MLM_MASK_RATE = 0.15
 MASK_TOKEN = 1  # the id MLM puts in place of the tokens it hides
 
@@ -312,7 +313,7 @@ def length_buckets(lengths, batch_size: int) -> list[np.ndarray]:
 
 
 def pretrain(model: TransformerModel, sequences: list[np.ndarray], steps: int,
-             learning_rate: float = 1e-3, batch_size: int = 8, seed: int = 0) -> list[float]:
+             learning_rate: float = PRETRAIN_LR, *, batch_size: int, seed: int) -> list[float]:
     """Train the pretraining objective for the model's architecture; returns the
     loss trace.  It trains on one OpenBLAS thread, as a job does
     (``experiments.run_one``).  A step whose batch has no targets

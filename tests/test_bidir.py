@@ -73,7 +73,7 @@ def test_flip_pair_second_half_matches_forward():
     x = np.random.default_rng(5).normal(size=(1, 32)).astype(np.float32)
     combined = pair.predict(x)
     with T.no_grad():
-        p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor, x).data
+        p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor, x, bidir_method="none").data
     np.testing.assert_array_equal(combined[:, 16:], p_f[:, 16:])
 
 
@@ -217,7 +217,7 @@ def test_parallel_flipping_trains_both_and_combines():
     config = AdaptationConfig(method="fpt", bidir_method="parallel_flipping",
                               epochs=5, batch_size=4, seed=0)
     pair = FlipPair(fwd, rev)
-    rep_f, rep_r = parallel_flipping_train(pair, dataset, config)
+    rep_f, rep_r = parallel_flipping_train(pair, dataset, config, corpus=None)
     assert len(rep_f.train.epoch_losses) == 5 and len(rep_r.train.epoch_losses) == 5
     pred = pair.predict(dataset.test.inputs[:1])
     assert pred.shape == (1, 32)
@@ -232,7 +232,7 @@ def test_parallel_flipping_starts_no_thread(monkeypatch):
     fwd = Pipeline.create(make_model(seed=11), seed=12)
     rev = Pipeline.create(make_model(seed=13), seed=14)
     config = AdaptationConfig(method="fpt", epochs=1, batch_size=4, seed=0)
-    rep_f, rep_r = parallel_flipping_train(FlipPair(fwd, rev), dataset, config)
+    rep_f, rep_r = parallel_flipping_train(FlipPair(fwd, rev), dataset, config, corpus=None)
     assert len(rep_f.train.epoch_losses) == 1 and len(rep_r.train.epoch_losses) == 1
 
 
@@ -243,13 +243,14 @@ def test_parallel_flipping_untrained_reverse_ablation():
     fwd = Pipeline.create(make_model(d_model=64, seed=21), seed=22)
     rev = Pipeline.create(make_model(d_model=64, seed=23), seed=24)
     config = AdaptationConfig(method="fpt", epochs=30, batch_size=6, learning_rate=3e-3, seed=1)
-    run_adaptation(fwd, dataset, config)  # train the forward pipeline only
+    run_adaptation(fwd, dataset, config, corpus=None)  # train the forward pipeline only
     pair = FlipPair(fwd, rev)
     errs_first, errs_second = [], []
     for x, truth in zip(dataset.test.inputs, dataset.test.targets):
         combined = pair.predict(x[None])[0]
         with T.no_grad():
-            p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor, x[None]).data[0]
+            p_f = predict_sequence(fwd.model, fwd.embedder, fwd.predictor, x[None],
+                                   bidir_method="none").data[0]
         np.testing.assert_array_equal(combined[16:], p_f[16:])
         errs_first.append(np.linalg.norm(combined[:16] - truth[:16]))
         errs_second.append(np.linalg.norm(combined[16:] - truth[16:]))
@@ -272,8 +273,9 @@ def test_flipped_advection_equivalent_to_negated_beta():
     def score(data, seed, cfg):
         p = Pipeline.create(make_model(seed=50 + seed), seed=60 + seed)
         finetune(p.model, p.embedder, p.predictor, data, cfg)
-        return evaluate_nrmse(lambda x: predict_sequence(p.model, p.embedder, p.predictor,
-                                                         x).data, data.test, 16)[0]
+        return evaluate_nrmse(lambda x: predict_sequence(p.model, p.embedder, p.predictor, x,
+                                                         bidir_method="none").data,
+                              data.test, 16)[0]
 
     scores_flip, scores_neg = [], []
     for seed in (0, 1, 2):

@@ -1,5 +1,9 @@
 import argparse
+import collections
+import dataclasses
+import inspect
 import json
+import math
 import os
 import pathlib
 import re
@@ -39,6 +43,18 @@ def test_missing_config_file_named(tmp_path, capsys):
     code = cli_main(["run", "--config", missing])
     assert code != 0
     assert "missing.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b"not json\n", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+@pytest.mark.parametrize("command", ["run", "pretrain"])
+def test_config_file_that_is_not_json_is_data_error(tmp_path, capsys, command, text):
+    # like a malformed container or record: exit 2, naming the file
+    config = tmp_path / "exp.json"
+    config.write_bytes(text)
+    extra = ["--corpus", str(tmp_path / "corpus.bin")] if command == "pretrain" else []
+    assert cli_main([command, "--config", str(config), *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"{config} is not a JSON experiment config" in err and "Traceback" not in err
 
 
 def test_doctor_healthy_build(capsys):
@@ -103,7 +119,23 @@ def test_corpus_prints_its_length_range(tmp_path, capsys):
     # the longest sequence is the length an ORCA run's max_positions must hold
     out = str(tmp_path / "corpus.bin")
     assert cli_main(["corpus", "--out", out, "--n-sequences", "4"]) == 0  # lengths 17, 26, 21, 21
-    assert capsys.readouterr().out == f"wrote corpus (4 sequences, 17-26 tokens) to {out}\n"
+    assert capsys.readouterr().out == (f"wrote corpus (4 sequences, 17-26 tokens, unigram "
+                                       f"entropy 3.591 nats) to {out}\n")
+
+
+def test_corpus_and_pretrain_print_the_unigram_entropy(tmp_path, capsys):
+    # the loss of predicting each token from its frequency alone: a checkpoint
+    # whose final loss sits at it learned no context
+    corpus = str(tmp_path / "corpus.bin")
+    assert cli_main(["corpus", "--out", corpus, "--seed", "5", "--n-sequences", "3"]) == 0
+    counts = collections.Counter(int(tok) for t, _ in load_corpus(corpus).sequences for tok in t)
+    n = sum(counts.values())
+    want = f"unigram entropy {-sum(c / n * math.log(c / n) for c in counts.values()):.3f} nats"
+    assert len(load_corpus(corpus).sequences) == 3 and want in capsys.readouterr().out
+    config = _pretrain_config(tmp_path, d_model=16, n_layers=1, d_ff=32)
+    assert cli_main(["pretrain", "--config", config, "--corpus", corpus, "--steps", "2"]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"\(loss \d+\.\d{3} -> \d+\.\d{3} nats; corpus " + want + r"\)", printed)
 
 
 def test_corpus_tag_count_below_state_count_is_usage_error(tmp_path, capsys):
@@ -677,3 +709,42 @@ def test_run_frame_longer_than_max_positions_fails_before_pretraining(
     err = capsys.readouterr().err
     assert "max_positions" in err and "Traceback" not in err
     assert not (tmp_path / "records").exists()
+
+
+def test_each_flag_default_has_one_home():
+    # a flag default stated elsewhere too takes it from its one home, and no
+    # program path passes the deleted parameter and field defaults (each
+    # caller, the CLI and the benchmark included, states its own value)
+    from crossmodal_pde import adaptation, bidir, pde_data, proxy_data
+
+    parser = _build_parser()
+    corpus = parser.parse_args(["corpus", "--out", "c.bin"])
+    pre = parser.parse_args(["pretrain", "--config", "c.json", "--corpus", "c.bin"])
+    assert corpus.vocab_size == transformer.ModelConfig.vocab_size
+    assert corpus.tag_count == proxy_data.TAG_COUNT
+    assert pre.learning_rate == transformer.PRETRAIN_LR
+    gen_corpus = inspect.signature(proxy_data.gen_corpus).parameters
+    assert gen_corpus["vocab_size"].default == transformer.ModelConfig.vocab_size
+    assert gen_corpus["tag_count"].default == proxy_data.TAG_COUNT
+    assert (inspect.signature(transformer.pretrain).parameters["learning_rate"].default
+            == transformer.PRETRAIN_LR)
+    deleted = [(adaptation.predict_sequence, "bidir_method"),
+               (adaptation.run_adaptation, "corpus"),
+               (bidir.parallel_flipping_train, "corpus"),
+               (adaptation.Predictor.__call__, "batch"),
+               (experiments.run_experiment, "workers"),
+               (pde_data.default_grid, "n_x"),
+               (pde_data.build_dataset, "seed"),
+               (transformer.pretrain, "batch_size"),
+               (transformer.pretrain, "seed")]
+    assert [(fn.__qualname__, name) for fn, name in deleted
+            if inspect.signature(fn).parameters[name].default is not inspect.Parameter.empty] == []
+    for fn, name in ((pde_data._resolve_dt, "safety"),
+                     (pde_data._fourier_coefficients, "n_modes")):
+        assert name not in inspect.signature(fn).parameters  # read from module constants
+    fields = [(pde_data.GridSpec, "n_x"), (pde_data.GridSpec, "t_out"),
+              (transformer.ModelConfig, "seed"), (adaptation.AdaptationConfig, "seed"),
+              (adaptation.TrainReport, "optimizer"), (adaptation.TrainReport, "learning_rate")]
+    defaulted = [(cls.__name__, f.name) for cls, name in fields for f in dataclasses.fields(cls)
+                 if f.name == name and (f.default, f.default_factory) != (dataclasses.MISSING,) * 2]
+    assert defaulted == []

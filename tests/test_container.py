@@ -109,7 +109,7 @@ def test_bad_manifest_rejected(tmp_path, edit, extra, message):
 
 def _tiny_model():
     return build_model(ModelConfig(arch=DECODER_ONLY, d_model=16, n_heads=2, n_layers=1,
-                                   d_ff=32, max_positions=32, vocab_size=16))
+                                   d_ff=32, max_positions=32, vocab_size=16, seed=0))
 
 
 def _tiny_corpus():

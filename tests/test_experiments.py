@@ -130,7 +130,7 @@ def pretrained_experiment(tmp_path):
         config = tiny_experiment(tmp_path, **overrides)
         model = build_model(config.model_config(1234))
         pretrain(model, [t for t, _ in load_corpus(tmp_path / "corpus.bin").sequences],
-                 steps=steps, seed=1234)
+                 steps=steps, batch_size=8, seed=1234)
         ckpt = str(tmp_path / f"pretrained-{steps}.ckpt")
         save_checkpoint(model, ckpt)
         return dataclasses.replace(config, checkpoint_file=ckpt)
@@ -452,7 +452,7 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
 
 def test_run_experiment_multi_seed_stats(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1, 2])
-    records = run_experiment(config)
+    records = run_experiment(config, workers=1)
     assert len(records) == 3
     rows = aggregate([json.loads(r.to_json()) for r in records])
     assert len(rows) == 1
@@ -522,7 +522,7 @@ def test_sequence_doubling_keeps_batch_size(tmp_path):
 
 def test_aggregate_means_are_exact(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1])
-    records = [json.loads(r.to_json()) for r in run_experiment(config)]
+    records = [json.loads(r.to_json()) for r in run_experiment(config, workers=1)]
     rows = aggregate(records)
     scores = np.array([r["test_nrmse"] for r in records], dtype=np.float64)
     assert rows[0].nrmse_mean == float(scores.sum() / 2)
@@ -530,7 +530,7 @@ def test_aggregate_means_are_exact(tmp_path):
 
 def test_load_records_round_trip(tmp_path):
     config = tiny_experiment(tmp_path, seeds=[0, 1])
-    run_experiment(config)
+    run_experiment(config, workers=1)
     records = load_records(config.out_dir)
     assert len(records) == 2
     assert {r["seed"] for r in records} == {0, 1}
@@ -541,7 +541,7 @@ def test_records_with_the_deleted_recipe_keys_still_aggregate(tmp_path):
     # pretraining were config fields holds them in its config snapshot, and
     # optimizer_overridden
     config = tiny_experiment(tmp_path, seeds=[0, 1])
-    run_experiment(config)
+    run_experiment(config, workers=1)
     want = aggregate(load_records(config.out_dir))
     old_keys = {"optimizer": None, "weight_decay": 0.01, "stage1_lr": 3e-3,
                 "stage1_batch_instances": 8, "otdd_batch": 128, "pseudo_label_bins": 10,
@@ -679,7 +679,8 @@ def test_bad_model_or_adaptation_value_fails_when_config_loads(key, value, error
 
 
 def test_adaptation_config_accepts_its_floors():
-    AdaptationConfig(method="fpt", epochs=0, stage1_steps=0, batch_size=1, learning_rate=1e-9)
+    AdaptationConfig(method="fpt", epochs=0, stage1_steps=0, batch_size=1, learning_rate=1e-9,
+                     seed=0)
 
 
 @pytest.mark.parametrize("key, value", [

@@ -357,7 +357,7 @@ def test_dt_solver_must_be_finite_and_positive(family):
 @pytest.mark.parametrize("name", ["t_in", "t_out"])
 def test_grid_times_must_be_finite(name, bad):
     with pytest.raises(ConfigError, match="finite"):
-        GridSpec(n_x=32, **{name: bad})
+        GridSpec(n_x=32, **{"t_out": 0.5, name: bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -479,7 +479,7 @@ def test_derived_seeds_are_pinned():
 
 # a float, null, string or bool where the dataset needs an int
 @pytest.mark.parametrize("make, error, match", [
-    (lambda tmp: GridSpec(n_x=16.0), ConfigError, "n_x must be a positive even int"),
+    (lambda tmp: GridSpec(n_x=16.0, t_out=0.5), ConfigError, "n_x must be a positive even int"),
     (lambda tmp: _load_edited(tmp, lambda h: h["grid"].update(n_x=16.0)),
      DataFileError, "adv.bin"),
     (lambda tmp: _load_edited(tmp, lambda h: h.update(

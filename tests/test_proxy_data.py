@@ -315,7 +315,7 @@ def head16_model(arch, corpus):
     """Default width (4 heads of 16), pretrained 30 steps on ``corpus``."""
     model = build_model(ModelConfig(arch=arch, d_model=64, n_heads=4, n_layers=4, d_ff=256,
                                     max_positions=64, vocab_size=64, seed=2))
-    pretrain(model, [t for t, _ in corpus.sequences], steps=30, seed=2)
+    pretrain(model, [t for t, _ in corpus.sequences], steps=30, batch_size=8, seed=2)
     return model
 
 

@@ -62,7 +62,7 @@ def test_parameter_census_closed_form():
 
 def test_heads_must_divide_d_model():
     with pytest.raises(ConfigError):
-        ModelConfig(arch=DECODER_ONLY, d_model=64, n_heads=3)
+        ModelConfig(arch=DECODER_ONLY, d_model=64, n_heads=3, seed=0)
 
 
 @pytest.mark.parametrize("seed", [1.0, "1", True, None], ids=["float", "string", "bool", "none"])
@@ -255,7 +255,7 @@ def test_pretrain_runs_on_one_blas_thread_at_any_width(d_model, monkeypatch):
     monkeypatch.setattr(tf, "pretrain_step", lambda *a, **k: seen.append(get_threads()))
     model = build_model(small_config(d_model=d_model, d_ff=d_model, vocab_size=32))
     with T.blas_threads(2):
-        pretrain(model, bigram_corpus(4), steps=2, batch_size=2)
+        pretrain(model, bigram_corpus(4), steps=2, batch_size=2, seed=0)
         assert get_threads() == 2
     assert seen == [1, 1]
 
@@ -264,7 +264,7 @@ def test_pretrain_rejects_empty_batches_and_negative_steps():
     model = build_model(small_config())
     for kw in (dict(batch_size=0), dict(batch_size=-1), dict(steps=-1)):
         with pytest.raises(ContractError, match="batch_size"):
-            pretrain(model, bigram_corpus(4), **{"steps": 2, **kw})
+            pretrain(model, bigram_corpus(4), **{"steps": 2, "batch_size": 8, "seed": 0, **kw})
     assert not model.pretrained
 
 
@@ -273,9 +273,9 @@ def test_pretrain_rejects_an_empty_corpus():
     # flag the model pretrained
     model = build_model(small_config())
     with pytest.raises(ContractError, match="at least one sequence"):
-        pretrain(model, [], steps=2)
+        pretrain(model, [], steps=2, batch_size=8, seed=0)
     assert not model.pretrained
-    assert pretrain(model, [], steps=0) == [] and not model.pretrained
+    assert pretrain(model, [], steps=0, batch_size=8, seed=0) == [] and not model.pretrained
 
 
 def test_pretrain_stops_at_the_first_non_finite_loss():
@@ -284,7 +284,7 @@ def test_pretrain_stops_at_the_first_non_finite_loss():
     model = build_model(small_config(vocab_size=32))
     with pytest.raises(tf.NonFiniteLossError, match="at step 2 of 3"), \
             np.errstate(over="ignore", invalid="ignore"):
-        pretrain(model, bigram_corpus(4), steps=3, learning_rate=1e30, batch_size=2)
+        pretrain(model, bigram_corpus(4), steps=3, learning_rate=1e30, batch_size=2, seed=0)
     assert not model.pretrained
 
 
@@ -417,7 +417,7 @@ def test_pretrain_step_gradients_match_per_sequence_oracle(arch):
     # batch at once, so they may move in their last bits; nothing else does.
     model = build_model(small_config(arch=arch))
     tokens = corpus_tokens()
-    pretrain(model, tokens, steps=10, seed=2)  # weights away from their init
+    pretrain(model, tokens, steps=10, batch_size=8, seed=2)  # weights away from their init
     params = list(model.params.values())
     for step in range(3):
         batch = tokens[8 * step: 8 * step + 8]
@@ -445,9 +445,9 @@ def test_pretrain_trace_matches_per_sequence_oracle(arch, monkeypatch):
     tokens = corpus_tokens()
     buckets = tf.length_buckets([len(t) for t in tokens], 8)
     assert all(len({len(tokens[i]) for i in b}) > 1 for b in buckets)  # padded batches
-    trace = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
+    trace = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, batch_size=8, seed=3)
     monkeypatch.setattr(tf, "pretrain_step", _per_sequence_step)
-    want = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, seed=3)
+    want = pretrain(build_model(small_config(arch=arch)), tokens, steps=20, batch_size=8, seed=3)
     np.testing.assert_allclose(trace, want, rtol=1e-6, atol=0)
 
 
@@ -478,14 +478,15 @@ def test_pretrain_step_skips_a_sequence_without_targets(arch):
 
 def test_zero_pretraining_steps_leave_the_pretrained_flag(tmp_path):
     model = build_model(small_config())
-    assert pretrain(model, corpus_tokens(8), steps=0) == []
+    assert pretrain(model, corpus_tokens(8), steps=0, batch_size=8, seed=0) == []
     assert not model.pretrained
     path = tmp_path / "m.ckpt"
     tf.save_checkpoint(model, path)
     assert not tf.load_checkpoint(path).pretrained
-    pretrain(model, corpus_tokens(8), steps=1)
+    pretrain(model, corpus_tokens(8), steps=1, batch_size=8, seed=0)
     assert model.pretrained
-    pretrain(model, corpus_tokens(8), steps=0)  # a pretrained model stays pretrained
+    # a pretrained model stays pretrained
+    pretrain(model, corpus_tokens(8), steps=0, batch_size=8, seed=0)
     assert model.pretrained
 
 
@@ -621,5 +622,5 @@ def test_pretrain_leaves_weights_and_adam_as_they_were_on_a_batch_without_target
 
 def test_pretrain_marks_a_model_pretrained_only_once_a_step_updated_it():
     model = build_model(small_config())
-    assert pretrain(model, [np.array([5])] * 4, steps=3, batch_size=2) == []
+    assert pretrain(model, [np.array([5])] * 4, steps=3, batch_size=2, seed=0) == []
     assert not model.pretrained
